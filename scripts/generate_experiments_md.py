@@ -241,8 +241,9 @@ so only wall time changes.
 | 8 replications | 19.1 s | 3.0 s (fast path, 4 workers) | ≈6× |
 | perf-gate workload (16 tasks, 20 s) | 0.146 s | 0.018 s | ≈8× |
 
-The event-loop engine remains the reference: telemetry runs and
-`fast_path=False` use it, and `scripts/perf_gate.py --suite sim`
+The single event loop (`faults/runtime.py`; a fault-free run is a run with
+an empty fault schedule) remains the reference: telemetry runs, fault runs
+and `fast_path=False` use it, and `scripts/perf_gate.py --suite sim`
 re-verifies fast ≡ event identity plus exact `sim.*` counter equality on
 every run.
 

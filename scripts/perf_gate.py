@@ -56,18 +56,13 @@ instance against a checked-in baseline:
   the stream suite, the speedup floor (default 4.5×) sits below the
   baseline's recorded ratio (≈5.7×) so run-to-run wall-clock noise on the
   two arms' minima cannot flap the gate;
-- on a 16k-task × 256-server instance, the sparse affinity index must be
-  **bit-identical** to the dense reference (plan + migration history), beat
-  it end-to-end by ``--min-shard-speedup-16k`` (default 1.15×, measured
-  ≈1.4×; the per-shard descents are identical work in both arms, so
-  end-to-end gains are floored by them), and shrink the coordinator's *own*
-  overhead —
-  wall time minus the sum of per-shard solve times, i.e. index build,
-  homing, stitching, migration screening — by
-  ``--min-coordinator-speedup-16k`` (default 3×, measured ≈4.8×); an
-  incremental ``resolve_dirty`` of one drifted shard must beat the full
-  sharded re-solve by ``--min-resolve-speedup`` (default 10×, measured
-  ≈20×).
+- the fan-out instance and a 16k-task × 256-server instance must reproduce
+  the baseline's sha256 digests of plan + migration history exactly
+  (pinned when the dense reference arms were still asserted bit-identical
+  to the sparse control plane); the 16k sharded solve must stay within
+  ``--factor`` of the baseline wall clock, and an incremental
+  ``resolve_dirty`` of one drifted shard must beat the full sharded
+  re-solve by ``--min-resolve-speedup`` (default 10×, measured ≈20×).
 
 ``--suite obs`` gates the streaming SLO observability plane:
 
@@ -141,8 +136,11 @@ Exit code 0 = within budget, 1 = regression.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
+import hashlib
 import json
+import numbers
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -200,11 +198,10 @@ SHARD_SCALE_INSTANCE = dict(
     seed=0,
 )
 
-#: The sparse-affinity scale instance: 16k tasks × 256 servers.  Both
-#: affinity arms run the identical per-shard descents, so the instance is
-#: sized to make the coordinator's own overhead (index build, homing,
-#: stitch, migration screen) the visible term — 256 single-server shards
-#: maximize the number of cross-shard candidates the index must screen.
+#: The control-plane scale instance: 16k tasks × 256 servers, sized to make
+#: the coordinator's own overhead (index build, homing, stitch, migration
+#: screen) a visible term — 256 single-server shards maximize the number of
+#: cross-shard candidates the affinity index must screen.
 SHARD_SCALE_16K = dict(
     scenario="smart_city",
     tasks=16384,
@@ -677,15 +674,52 @@ def _plans_equal(a, b) -> bool:
     )
 
 
+def _canon(x):
+    """Plain-Python form of plan values (NumPy scalars -> int/float), so a
+    digest does not depend on the NumPy scalar ``repr``."""
+    if isinstance(x, (bool, str, type(None))):
+        return x
+    if dataclasses.is_dataclass(x):
+        return tuple(
+            (f.name, _canon(getattr(x, f.name))) for f in dataclasses.fields(x)
+        )
+    if isinstance(x, (tuple, list)):
+        return tuple(_canon(v) for v in x)
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    if isinstance(x, numbers.Real):
+        return float(x)
+    return x
+
+
+def solve_digest(result) -> str:
+    """sha256 over a sharded result's plan and migration history."""
+    plan = result.plan
+    rows = [
+        (
+            name,
+            _canon(plan.assignment[name]),
+            _canon(plan.features[name]),
+            _canon(plan.latencies[name]),
+            _canon(plan.compute_shares[name]),
+            _canon(plan.bandwidth_shares[name]),
+        )
+        for name in sorted(plan.assignment)
+    ]
+    body = repr(
+        (rows, _canon(plan.objective_value), _canon(result.migration_history))
+    )
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def measure_shard() -> dict:
     """Shard-suite measurement in the gate's JSON-safe shape.
 
-    Three blocks: the 1-shard ≡ centralized identity sweep over the fixed
-    reference instances, the serial ≡ parallel shard fan-out check, and the
-    timed centralized-vs-sharded comparison on the scale instance.
+    Four blocks: the 1-shard ≡ centralized identity sweep over the fixed
+    reference instances, the serial ≡ parallel shard fan-out check (plus
+    its plan digest), the timed centralized-vs-sharded comparison on the
+    scale instance, and the 16k instance (digest, wall, resolve_dirty).
     """
-    import dataclasses
-
     from repro.core.candidates import build_candidates
     from repro.core.coordinator import resolve_dirty, solve_sharded
     from repro.core.joint import JointOptimizer, JointSolverConfig
@@ -722,15 +756,6 @@ def measure_shard() -> dict:
     fanout_equal = (
         _plans_equal(serial.plan, pooled.plan)
         and serial.migration_history == pooled.migration_history
-    )
-    dense_fan = solve_sharded(
-        tasks, cluster,
-        config=JointSolverConfig(shards=2, migration_rounds=2, affinity="dense"),
-        candidates=cands, seed=3,
-    )
-    affinity_equal = (
-        _plans_equal(serial.plan, dense_fan.plan)
-        and serial.migration_history == dense_fan.migration_history
     )
 
     # the scale instance: both arms timed best-of-2 (same min-of-N trick the
@@ -775,11 +800,8 @@ def measure_shard() -> dict:
     obj_c = cen.plan.objective_value
     obj_s = sha.plan.objective_value
 
-    # the 16k sparse-affinity instance: both affinity arms once each (single
-    # rounds — the speedup floors sit far below the measured ratios, so one
-    # sample per arm is noise-proof where a tight floor would not be), the
-    # per-shard solve times subtracted out to expose the coordinator's own
-    # overhead, then one incremental re-solve of a single drifted shard
+    # the 16k instance: one timed solve (its plan digest pinned), then one
+    # incremental re-solve of a single drifted shard
     sc16 = SHARD_SCALE_16K
     cluster16, tasks16 = build_scenario(
         sc16["scenario"], num_tasks=sc16["tasks"], num_servers=sc16["servers"],
@@ -791,37 +813,24 @@ def measure_shard() -> dict:
     ]
     cands16 = [build_candidates(t) for t in tasks16]
 
-    def _cfg16(affinity):
-        return JointSolverConfig(
-            shards=sc16["shards"],
-            shard_by=sc16["shard_by"],
-            migration_rounds=sc16["migration_rounds"],
-            local_search=False,
-            refine_thresholds=False,
-            affinity=affinity,
-        )
-
-    def _timed16(cfg):
-        gc.collect()
-        t0 = perf_counter()
-        r = solve_sharded(
-            tasks16, cluster16, config=cfg, candidates=cands16, seed=sc16["seed"]
-        )
-        return perf_counter() - t0, r
-
-    sparse16_s, sparse16 = _timed16(_cfg16("sparse"))
-    dense16_s, dense16 = _timed16(_cfg16("dense"))
-    sparse16_floor = sum(st.solve_s for st in sparse16.shard_stats)
-    dense16_floor = sum(st.solve_s for st in dense16.shard_stats)
-    plans_equal_16k = (
-        _plans_equal(sparse16.plan, dense16.plan)
-        and sparse16.migration_history == dense16.migration_history
+    cfg16 = JointSolverConfig(
+        shards=sc16["shards"],
+        shard_by=sc16["shard_by"],
+        migration_rounds=sc16["migration_rounds"],
+        local_search=False,
+        refine_thresholds=False,
     )
     gc.collect()
     t0 = perf_counter()
+    sharded16 = solve_sharded(
+        tasks16, cluster16, config=cfg16, candidates=cands16, seed=sc16["seed"]
+    )
+    sharded16_s = perf_counter() - t0
+    gc.collect()
+    t0 = perf_counter()
     resolve_dirty(
-        tasks16, cluster16, sparse16, [3],
-        config=_cfg16("sparse"), candidates=cands16, seed=sc16["seed"],
+        tasks16, cluster16, sharded16, [3],
+        config=cfg16, candidates=cands16, seed=sc16["seed"],
     )
     resolve16_s = perf_counter() - t0
 
@@ -834,7 +843,7 @@ def measure_shard() -> dict:
         ),
         "identity": identity,
         "fanout_equal": fanout_equal,
-        "affinity_equal": affinity_equal,
+        "digest_fanout": solve_digest(serial),
         "centralized_s": centralized_s,
         "sharded_s": sharded_s,
         "speedup": centralized_s / max(sharded_s, 1e-9),
@@ -849,19 +858,13 @@ def measure_shard() -> dict:
             f"servers, {sc16['shards']} shards ({sc16['shard_by']}), "
             f"rate x{sc16['rate_scale']}, seed {sc16['seed']}"
         ),
-        "sparse_16k_s": sparse16_s,
-        "dense_16k_s": dense16_s,
-        "sparse_floor_16k_s": sparse16_floor,
-        "dense_floor_16k_s": dense16_floor,
-        "plans_equal_16k": plans_equal_16k,
-        "speedup_16k": dense16_s / max(sparse16_s, 1e-9),
-        "coordinator_speedup_16k": (
-            (dense16_s - dense16_floor) / max(sparse16_s - sparse16_floor, 1e-3)
-        ),
-        "index_build_16k_s": sparse16.perf.index_build_s,
+        "sparse_16k_s": sharded16_s,
+        "sparse_floor_16k_s": sum(st.solve_s for st in sharded16.shard_stats),
+        "digest_16k": solve_digest(sharded16),
+        "index_build_16k_s": sharded16.perf.index_build_s,
         "resolve_dirty_16k_s": resolve16_s,
-        "resolve_speedup_16k": sparse16_s / max(resolve16_s, 1e-9),
-        "migration_history_16k": list(sparse16.migration_history),
+        "resolve_speedup_16k": sharded16_s / max(resolve16_s, 1e-9),
+        "migration_history_16k": list(sharded16.migration_history),
     }
 
 
@@ -882,8 +885,6 @@ def append_solver_trajectory(current: dict, path: Path = SOLVER_TRAJECTORY) -> N
             "regression_pct": round(current["regression_pct"], 3),
             "migrations": current["migrations"],
             "sparse_16k_s": round(current["sparse_16k_s"], 3),
-            "dense_16k_s": round(current["dense_16k_s"], 3),
-            "coordinator_speedup_16k": round(current["coordinator_speedup_16k"], 2),
             "resolve_dirty_16k_s": round(current["resolve_dirty_16k_s"], 3),
             "cpus": len(os.sched_getaffinity(0)),
         }
@@ -898,11 +899,9 @@ def check_shard(
     factor: float,
     min_speedup: float,
     max_regression_pct: float,
-    min_speedup_16k: float,
-    min_coordinator_speedup_16k: float,
     min_resolve_speedup: float,
 ) -> int:
-    """Gate the sharded control plane: identity, fan-out, wall, speedup."""
+    """Gate the sharded control plane: identity, digests, wall, speedup."""
     failures = []
 
     for key, ok in current["identity"].items():
@@ -916,10 +915,16 @@ def check_shard(
     if not current["fanout_equal"]:
         failures.append("fanout_equal")
 
-    status = "OK" if current["affinity_equal"] else "FAIL"
-    print(f"{status} sparse affinity == dense affinity on the fan-out instance")
-    if not current["affinity_equal"]:
-        failures.append("affinity_equal")
+    for key, label in (("digest_fanout", "fan-out instance"),
+                       ("digest_16k", current["workload_16k"])):
+        ok = current[key] == baseline[key]
+        print(
+            f"{'OK' if ok else 'FAIL'} plan + migration history digest "
+            f"{current[key][:12]} vs baseline {baseline[key][:12]} "
+            f"(exact) on the {label}"
+        )
+        if not ok:
+            failures.append(key)
 
     ratio = current["sharded_s"] / max(baseline["sharded_s"], 1e-9)
     status = "OK" if ratio <= factor else "FAIL"
@@ -960,15 +965,7 @@ def check_shard(
         if cur_mig != base_mig:
             failures.append("migration_history")
 
-    # --- the 16k sparse-affinity block ---
-    status = "OK" if current["plans_equal_16k"] else "FAIL"
-    print(
-        f"{status} sparse == dense (plan + migration history, bit-exact) "
-        f"on {current['workload_16k']}"
-    )
-    if not current["plans_equal_16k"]:
-        failures.append("plans_equal_16k")
-
+    # --- the 16k block ---
     base_16k = baseline.get("sparse_16k_s")
     if base_16k is not None:
         ratio = current["sparse_16k_s"] / max(base_16k, 1e-9)
@@ -979,29 +976,6 @@ def check_shard(
         )
         if ratio > factor:
             failures.append("sparse_16k_s")
-
-    speedup = current["speedup_16k"]
-    status = "OK" if speedup >= min_speedup_16k else "FAIL"
-    print(
-        f"{status} sparse {speedup:.2f}x faster than dense end-to-end "
-        f"({current['dense_16k_s']:.2f}s -> {current['sparse_16k_s']:.2f}s, "
-        f"floor {min_speedup_16k:.2f}x; per-shard descents are identical "
-        "work in both arms)"
-    )
-    if speedup < min_speedup_16k:
-        failures.append("speedup_16k")
-
-    coord = current["coordinator_speedup_16k"]
-    status = "OK" if coord >= min_coordinator_speedup_16k else "FAIL"
-    print(
-        f"{status} coordinator overhead {coord:.2f}x smaller with the sparse "
-        f"index ({current['dense_16k_s'] - current['dense_floor_16k_s']:.2f}s "
-        f"-> {current['sparse_16k_s'] - current['sparse_floor_16k_s']:.2f}s "
-        f"above the {current['sparse_floor_16k_s']:.2f}s shard-solve floor, "
-        f"floor {min_coordinator_speedup_16k:.1f}x)"
-    )
-    if coord < min_coordinator_speedup_16k:
-        failures.append("coordinator_speedup_16k")
 
     resolve = current["resolve_speedup_16k"]
     status = "OK" if resolve >= min_resolve_speedup else "FAIL"
@@ -1041,15 +1015,10 @@ def run_shard_suite(args) -> int:
     append_solver_trajectory(current)
     if args.update:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
-        if not (
-            all(current["identity"].values())
-            and current["fanout_equal"]
-            and current["affinity_equal"]
-            and current["plans_equal_16k"]
-        ):
+        if not (all(current["identity"].values()) and current["fanout_equal"]):
             print(
-                "refusing to write baseline: 1-shard identity, shard fan-out, "
-                "or sparse==dense affinity contract broken",
+                "refusing to write baseline: 1-shard identity or shard "
+                "fan-out contract broken",
                 file=sys.stderr,
             )
             return 1
@@ -1069,8 +1038,6 @@ def run_shard_suite(args) -> int:
         args.factor,
         args.min_shard_speedup,
         args.max_regression_pct,
-        args.min_shard_speedup_16k,
-        args.min_coordinator_speedup_16k,
         args.min_resolve_speedup,
     )
 
@@ -1717,29 +1684,6 @@ def main(argv=None) -> int:
             "shard suite: min wall-clock speedup of the sharded solve over "
             "the centralized solve on the scale instance (default 4.5x, "
             "under the baseline's recorded ~5.7x to absorb timing noise)"
-        ),
-    )
-    ap.add_argument(
-        "--min-shard-speedup-16k",
-        type=float,
-        default=1.15,
-        help=(
-            "shard suite: min end-to-end speedup of the sparse affinity index "
-            "over the dense reference on the 16k instance (default 1.15x, "
-            "measured ~1.4x — the identical per-shard descents floor both "
-            "arms and add ~10%% run-to-run noise to the ratio, so the floor "
-            "sits low; the coordinator-overhead floor below is the "
-            "structural gate)"
-        ),
-    )
-    ap.add_argument(
-        "--min-coordinator-speedup-16k",
-        type=float,
-        default=3.0,
-        help=(
-            "shard suite: min shrink factor of the coordinator's own overhead "
-            "(wall minus summed per-shard solve times) under the sparse index "
-            "on the 16k instance (default 3x, measured ~4.8x)"
         ),
     )
     ap.add_argument(

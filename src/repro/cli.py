@@ -86,7 +86,6 @@ def _solve(args: argparse.Namespace):
         shards=getattr(args, "shards", 1),
         shard_by=getattr(args, "shard_by", "contiguous"),
         migration_rounds=getattr(args, "migration_rounds", 3),
-        affinity=getattr(args, "affinity", "sparse"),
         nested_shards=getattr(args, "nested_shards", 0),
     )
     result = JointOptimizer(cluster, objective=objective, config=config).solve(
@@ -688,11 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--migration-rounds", type=int, default=3,
             help="cross-shard migration rounds after the shard solves",
-        )
-        p.add_argument(
-            "--affinity", choices=["sparse", "dense"], default="sparse",
-            help="cross-shard affinity index: sparse top-k shortlists "
-            "(default) or the dense reference index (bit-identical plans)",
         )
         p.add_argument(
             "--nested-shards", type=int, default=0,

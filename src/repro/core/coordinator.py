@@ -223,7 +223,7 @@ def solve_sharded(
             # incremental re-solve (1-shard solves never need it)
             t_idx = time.perf_counter()
             affinity = (
-                AffinityIndex(tasks, candsets, cluster, lm, mode=cfg.affinity)
+                AffinityIndex(tasks, candsets, cluster, lm)
                 if cfg.shards > 1
                 else None
             )
@@ -253,11 +253,7 @@ def solve_sharded(
         )
 
         views = [ShardView(cluster, ids) for ids in shard_plan.server_shards]
-        if cfg.affinity == "sparse":
-            # one pass over the homing instead of k scans of it
-            shard_tasks: List[List[int]] = shard_plan.tasks_by_shard()
-        else:
-            shard_tasks = [shard_plan.tasks_of(s) for s in range(k)]
+        shard_tasks = shard_plan.tasks_by_shard()
         stride = cfg.restarts + 1
 
         def _run(s: int) -> Optional[JointResult]:
@@ -341,10 +337,8 @@ def solve_sharded(
                 migration_history=[],
             )
 
-        sparse = cfg.affinity == "sparse"
         with tracer.span("solve.assemble"):
-            assemble = _assemble_fast if sparse else _assemble
-            (candsets, plan_idx, assignment) = assemble(
+            candsets, plan_idx, assignment = _stitch(
                 tasks, candsets, shard_results, shard_tasks, views
             )
             inc = IncrementalAllocator(tasks, candsets, cluster, lm, objective)
@@ -362,21 +356,19 @@ def solve_sharded(
         # O(1) patch of task_shard — but never move servers between shards,
         # and the bounds ignore the evolving allocation
         foreign_val, foreign_srv = affinity.foreign_mins(shard_plan.server_shards)
-        fast_state = (
-            _FastMigrationState(tasks, objective, affinity, alloc.assignment)
-            if sparse and cfg.migration_rounds > 0
+        state = (
+            _MigrationState(tasks, objective, affinity, alloc.assignment)
+            if cfg.migration_rounds > 0
             else None
         )
         for rnd in range(cfg.migration_rounds):
             with tracer.span(
                 "solve.migrate", {"round": rnd} if tracer.enabled else None
             ):
-                round_fn = _migration_round_fast if sparse else _migration_round
-                accepted, obj, base_lat, plan_idx, alloc = round_fn(
+                accepted, obj, base_lat, plan_idx, alloc = _migrate(
                     tasks, candsets, plan_idx, alloc, base_lat,
                     obj, cluster, lm, objective, cfg, shard_plan, task_shard,
-                    inc, affinity, foreign_val, foreign_srv, perf,
-                    fast_state,
+                    inc, foreign_val, foreign_srv, perf, state,
                 )
             migration_history.append(accepted)
             perf.migration_rounds += 1
@@ -411,48 +403,6 @@ def solve_sharded(
         )
 
 
-def _assemble(
-    tasks: Sequence[TaskSpec],
-    candsets: List[CandidateSet],
-    shard_results: Sequence[Optional[JointResult]],
-    shard_tasks: Sequence[Sequence[int]],
-    views: Sequence[ShardView],
-) -> Tuple[List[CandidateSet], List[int], List[Optional[int]]]:
-    """Stitch shard plans into global (candsets, plan_idx, assignment).
-
-    Shard plans are keyed by task name with shard-local server indices;
-    this maps servers back to global indices and locates each chosen
-    feature vector in the task's candidate set, appending it when the shard
-    solve's threshold refinement produced a plan outside the enumerated set.
-    """
-    out_sets = list(candsets)
-    plan_idx: List[int] = [0] * len(tasks)
-    assignment: List[Optional[int]] = [None] * len(tasks)
-    for s, res in enumerate(shard_results):
-        if res is None:
-            continue
-        for i in shard_tasks[s]:
-            name = tasks[i].name
-            assignment[i] = views[s].to_global(res.plan.assignment[name])
-            feats = res.plan.features[name]
-            flist = out_sets[i].features
-            # shard solves pick features straight out of the candidate set we
-            # handed them, so an identity scan almost always hits; equality
-            # (then append) only runs for refinement-produced plans
-            for j, f in enumerate(flist):
-                if f is feats:
-                    plan_idx[i] = j
-                    break
-            else:
-                try:
-                    plan_idx[i] = flist.index(feats)
-                except ValueError:
-                    cs = out_sets[i]
-                    out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
-                    plan_idx[i] = len(cs.features)
-    return out_sets, plan_idx, assignment
-
-
 class _PositionResolver:
     """Amortized feature-position lookup across rebound candidate sets.
 
@@ -460,9 +410,9 @@ class _PositionResolver:
     task, so thousands of :class:`CandidateSet` objects share a handful of
     ``features`` *list* objects.  Indexing each distinct list once (keyed by
     list identity) makes a full-plan stitch O(tasks + templates ×
-    candidates) instead of O(tasks × candidates).  Resolution order matches
-    the dense stitch exactly: first identity match, else first equality
-    match, else None (caller appends the refined feature row).
+    candidates) instead of O(tasks × candidates).  Resolution order: first
+    identity match, else first equality match, else None (caller appends
+    the refined feature row).
     """
 
     def __init__(self) -> None:
@@ -485,20 +435,21 @@ class _PositionResolver:
             return None
 
 
-def _assemble_fast(
+def _stitch(
     tasks: Sequence[TaskSpec],
     candsets: List[CandidateSet],
     shard_results: Sequence[Optional[JointResult]],
     shard_tasks: Sequence[Sequence[int]],
     views: Sequence[ShardView],
 ) -> Tuple[List[CandidateSet], List[int], List[Optional[int]]]:
-    """O(tasks) stitch — same outputs as :func:`_assemble`.
+    """Stitch shard plans into global (candsets, plan_idx, assignment).
 
-    Replaces the per-task identity scan + ``list.index`` of the dense stitch
-    (O(tasks × candidates), the coordinator's second-largest cost at 16k+
-    tasks) with a :class:`_PositionResolver` shared across every task of a
-    template.  Identity-then-equality resolution order is preserved, so the
-    chosen indices — and any appended refinement features — are identical.
+    Shard plans are keyed by task name with shard-local server indices;
+    this maps servers back to global indices and locates each chosen
+    feature vector in the task's candidate set through a
+    :class:`_PositionResolver` shared across every task of a template
+    (O(tasks) overall), appending it when the shard solve's threshold
+    refinement produced a plan outside the enumerated set.
     """
     out_sets = list(candsets)
     plan_idx: List[int] = [0] * len(tasks)
@@ -544,143 +495,13 @@ def _global_objective(
     return objective.evaluate(lat, tasks), lat
 
 
-def _migration_round(
-    tasks: Sequence[TaskSpec],
-    candsets: Sequence[CandidateSet],
-    plan_idx: List[int],
-    alloc: Allocation,
-    base_lat: np.ndarray,
-    obj: float,
-    cluster: EdgeCluster,
-    lm: LatencyModel,
-    objective: Objective,
-    cfg: JointSolverConfig,
-    shard_plan: ShardPlan,
-    task_shard: List[int],
-    inc: IncrementalAllocator,
-    affinity: AffinityIndex,
-    foreign_val: np.ndarray,
-    foreign_srv: np.ndarray,
-    counters: PerfCounters,
-    fast_state: Optional["_FastMigrationState"] = None,  # dense path ignores it
-) -> Tuple[int, float, np.ndarray, List[int], Allocation]:
-    """One round of cross-shard migration moves.
+class _MigrationState:
+    """Per-solve state of the migration rounds, kept so no trial pays an
+    O(tasks) rebuild:
 
-    Two stages, mirroring the local search's screen-then-verify shape:
-
-    1. **Screen.**  Every task gets an optimistic lower bound on its latency
-       at its best *foreign* server (full share, no queueing) straight from
-       the :class:`AffinityIndex`'s precomputed per-(template, home shard)
-       table.  Tasks whose bound does not undercut their current latency by
-       the hysteresis margin are dropped; survivors are ranked by bound gain
-       and the top ``max(8, n // 64)`` proceed.
-    2. **Verify.**  Each surviving (task, foreign server) move is priced
-       exactly — incremental share re-solve of the two affected groups, plan
-       re-picked for the new placement, latencies re-evaluated only for
-       tasks in those groups — and accepted iff the *global* objective
-       improves by more than the hysteresis margin.
-
-    Accepted moves update the incumbent immediately (greedy, in ranked
-    order), re-homing the task to the target server's shard.  Deterministic:
-    ranking ties break by task index, and all floating point follows the
-    same incremental kernels as the centralized local search.
-    """
-    n = len(tasks)
-    hyst = cfg.migration_hysteresis
-
-    shard_of_server = {}
-    for sh, ids in enumerate(shard_plan.server_shards):
-        for s in ids:
-            shard_of_server[s] = sh
-
-    # -- screen --------------------------------------------------------------
-    ranked: List[Tuple[float, int, int]] = []  # (-gain, task, server)
-    for i in range(n):
-        home = task_shard[i]
-        tpl = affinity.template_of[i]
-        best_bound = float(foreign_val[tpl, home])
-        best_s = int(foreign_srv[tpl, home])
-        if best_s < 0:
-            continue
-        margin = hyst * max(abs(base_lat[i]), 1e-12)
-        if best_bound < base_lat[i] - margin:
-            ranked.append((best_bound - base_lat[i], i, best_s))
-    ranked.sort(key=lambda t: (t[0], t[1]))
-    budget = max(8, n // 64)
-    trials = ranked[:budget]
-
-    # -- verify --------------------------------------------------------------
-    accepted = 0
-    assignment = list(alloc.assignment)
-    for _, i, target in trials:
-        current = assignment[i]
-        if current == target:
-            continue
-        trial_assign = list(assignment)
-        trial_assign[i] = target
-        prov = inc.update(alloc, plan_idx, trial_assign, (i,), counters)
-        device = cluster.by_name(tasks[i].device_name)
-        server = cluster.servers[target]
-        link = cluster.link(tasks[i].device_name, server.name)
-        rate = tasks[i].arrival_rate if cfg.include_queueing else None
-        lat_vec = candsets[i].latencies(
-            device, lm, server=server, link=link,
-            compute_share=float(prov.compute_shares[i]),
-            bandwidth_share=float(prov.bandwidth_shares[i]),
-            arrival_rate=rate,
-            risk=cfg.risk,
-        )
-        counters.candidate_evals += 1
-        j = int(np.argmin(lat_vec))
-        if not np.isfinite(lat_vec[j]):
-            continue
-        trial_idx = list(plan_idx)
-        trial_idx[i] = j
-        if j == plan_idx[i]:
-            trial_alloc = prov
-        else:
-            trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-        affected = {
-            t for t, a in enumerate(assignment) if a == current or a == target
-        }
-        affected.add(i)
-        trial_lat = base_lat.copy()
-        for t_i in affected:
-            trial_lat[t_i] = solution_latency_task(
-                tasks[t_i],
-                candsets[t_i],
-                trial_idx[t_i],
-                trial_alloc.assignment[t_i],
-                float(trial_alloc.compute_shares[t_i]),
-                float(trial_alloc.bandwidth_shares[t_i]),
-                cluster,
-                lm,
-                include_queueing=cfg.include_queueing,
-                overload="penalty",
-                risk=cfg.risk,
-            )
-        counters.latency_evals += len(affected)
-        trial_obj = objective.evaluate(trial_lat, tasks)
-        if trial_obj < obj - hyst * max(abs(obj), 1e-12):
-            obj = trial_obj
-            plan_idx = trial_idx
-            alloc = trial_alloc
-            base_lat = trial_lat
-            assignment[i] = target
-            task_shard[i] = shard_of_server[target]
-            accepted += 1
-    return accepted, obj, base_lat, plan_idx, alloc
-
-
-class _FastMigrationState:
-    """Per-solve accelerators for the sparse migration rounds.
-
-    Three things the dense round recomputes O(tasks)-wise per trial, hoisted
-    or maintained incrementally instead — all bit-identical:
-
-    - the objective's per-task arrays (weights / deadlines), built once; the
-      weight sum is the sum of the same array the dense path rebuilds, so
-      every evaluated objective is the same float;
+    - the objective's per-task arrays (weights / deadlines), built once;
+      every evaluated objective is the same float
+      :meth:`Objective.evaluate` returns;
     - the server → member-tasks inverse of the assignment (ascending lists,
       exactly what an index scan yields), moved under each trial and moved
       back on rejection;
@@ -733,7 +554,7 @@ class _FastMigrationState:
         insort(self.members.setdefault(dst, []), i)
 
 
-def _migration_round_fast(
+def _migrate(
     tasks: Sequence[TaskSpec],
     candsets: Sequence[CandidateSet],
     plan_idx: List[int],
@@ -747,21 +568,31 @@ def _migration_round_fast(
     shard_plan: ShardPlan,
     task_shard: List[int],
     inc: IncrementalAllocator,
-    affinity: AffinityIndex,
     foreign_val: np.ndarray,
     foreign_srv: np.ndarray,
     counters: PerfCounters,
-    state: "_FastMigrationState",
+    state: _MigrationState,
 ) -> Tuple[int, float, np.ndarray, List[int], Allocation]:
-    """Sparse-index migration round — decisions identical to
-    :func:`_migration_round`, without its O(tasks) Python loops.
+    """One round of cross-shard migration moves.
 
-    The screen is one vectorized pass over the (template, home) foreign
-    table (ranking ties break by task index via a stable sort over an
-    ascending candidate list, matching the dense tuple sort).  Verification
-    prices the same moves with the same incremental kernels, but member
-    scans, affected sets, and objective arrays come from
-    :class:`_FastMigrationState` instead of per-trial O(tasks) rebuilds.
+    Two stages, mirroring the local search's screen-then-verify shape:
+
+    1. **Screen.**  Every task gets an optimistic lower bound on its latency
+       at its best *foreign* server (full share, no queueing) straight from
+       the :class:`AffinityIndex`'s per-(template, home shard) table, in one
+       vectorized pass.  Tasks whose bound does not undercut their current
+       latency by the hysteresis margin are dropped; survivors are ranked by
+       bound gain (ties by task index, via a stable sort) and the top
+       ``max(8, n // 64)`` proceed.
+    2. **Verify.**  Each surviving (task, foreign server) move is priced
+       exactly — incremental share re-solve of the two affected groups, plan
+       re-picked for the new placement, latencies re-evaluated only for
+       tasks in those groups (read off :class:`_MigrationState`) — and
+       accepted iff the *global* objective improves by more than the
+       hysteresis margin.
+
+    Accepted moves update the incumbent immediately (greedy, in ranked
+    order), re-homing the task to the target server's shard.
     """
     n = len(tasks)
     hyst = cfg.migration_hysteresis
@@ -820,7 +651,7 @@ def _migration_round_fast(
                 members_by_server=state.members,
             )
         # the moved task is already in target's member list; the union with
-        # current's remainder plus {i} equals the dense O(tasks) scan's set
+        # current's remainder plus {i} is every task of the two groups
         affected = set(state.members.get(current, ()))
         affected.update(state.members.get(target, ()))
         affected.add(i)

@@ -118,12 +118,9 @@ class JointSolverConfig:
     to ``migration_rounds`` rounds of cross-shard migration re-home boundary
     tasks whose relative latency gain beats ``migration_hysteresis``.
 
-    ``affinity`` picks the coordinator's index build: ``"sparse"`` (default)
-    answers the same homing/migration screens from top-k shortlists at
-    sub-O(tasks × servers) cost; ``"dense"`` keeps the original full sweep
-    as a bit-identical fallback.  ``nested_shards > 1`` makes each shard's
-    solve re-shard its own server view (two-level regions → racks), running
-    the same migration machinery one level down.
+    ``nested_shards > 1`` makes each shard's solve re-shard its own server
+    view (two-level regions → racks), running the same migration machinery
+    one level down.
 
     ``restart_workers`` is the width of the solver's *one* thread pool.  With
     ``shards == 1`` it fans out restarts; with ``shards > 1`` the same pool
@@ -148,7 +145,6 @@ class JointSolverConfig:
     shard_by: str = "contiguous"  # partition strategy (see core.sharding)
     migration_rounds: int = 3  # cross-shard re-homing rounds after shard solves
     migration_hysteresis: float = 1e-3  # relative gain a migration must beat
-    affinity: str = "sparse"  # index build mode ("sparse" | "dense" fallback)
     nested_shards: int = 0  # >1: each shard re-shards its view (regions->racks)
     # chance-constrained mode: buffer every latency the solver sees to
     # μ + κ(ε)·σ (see repro.core.risk).  None (or buffer="none") keeps the
@@ -156,7 +152,7 @@ class JointSolverConfig:
     risk: Optional[RiskConfig] = None
 
     def __post_init__(self) -> None:
-        from repro.core.sharding import AFFINITY_MODES, SHARD_STRATEGIES
+        from repro.core.sharding import SHARD_STRATEGIES
 
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
@@ -178,10 +174,6 @@ class JointSolverConfig:
             raise ConfigError("migration_rounds must be >= 0")
         if self.migration_hysteresis < 0:
             raise ConfigError("migration_hysteresis must be >= 0")
-        if self.affinity not in AFFINITY_MODES:
-            raise ConfigError(
-                f"unknown affinity {self.affinity!r}; available {AFFINITY_MODES}"
-            )
         if self.nested_shards < 0:
             raise ConfigError("nested_shards must be >= 0")
 

@@ -48,10 +48,6 @@ from repro.network.link import Link
 #: Server-partition strategies understood by :func:`partition_servers`.
 SHARD_STRATEGIES = ("contiguous", "interleave")
 
-#: Affinity-index build modes understood by :class:`AffinityIndex` (and the
-#: ``affinity`` knob of :class:`~repro.core.joint.JointSolverConfig`).
-AFFINITY_MODES = ("sparse", "dense")
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -296,21 +292,15 @@ class AffinityIndex:
     templates and the O(templates × servers) sweep matrix is computed once;
     every later screen is an array lookup.
 
-    ``mode`` selects how the index is built and queried:
-
-    - ``"dense"`` — the original sweep: per-task dedup keys carry the full
-      per-server link-id row (O(tasks × servers) key build) and
-      :meth:`foreign_mins` reduces a masked copy of the bound matrix per
-      home shard.
-    - ``"sparse"`` — identical *answers* at sub-O(tasks × servers) cost:
-      dedup keys use the topology's O(1) row fingerprint
-      (:meth:`~repro.network.topology.StarTopology.row_key`) when one is
-      available, a per-template ``(bound, server)``-sorted top-k shortlist is
-      cut with ``np.argpartition`` (widened on boundary ties so order is
-      exact), and :meth:`foreign_mins` walks the shortlist instead of
-      re-reducing the matrix.  Results are bit-identical to dense — both
-      dedups are sound (tasks sharing a key share a bound row) and every
-      tie breaks by the same (value, index) order.
+    The build stays below O(tasks × servers): dedup keys use the topology's
+    O(1) row fingerprint
+    (:meth:`~repro.network.topology.StarTopology.row_key`) when one is
+    available (else the per-server link-id row), a per-template
+    ``(bound, server)``-sorted top-k shortlist is cut with
+    ``np.argpartition`` (widened on boundary ties so order is exact), and
+    :meth:`foreign_mins` walks the shortlist instead of re-reducing the
+    matrix.  Every tie breaks by (value, index) order, so each answer equals
+    a brute-force masked argmin over the bound matrix.
 
     The compressed template→tasks mapping (:attr:`template_tasks`) and the
     per-partition :meth:`foreign_mins` / :meth:`shard_orders` caches let one
@@ -324,22 +314,19 @@ class AffinityIndex:
         candsets: Sequence[CandidateSet],
         cluster: EdgeCluster,
         latency_model: Optional[LatencyModel] = None,
-        mode: str = "dense",
+        mode: str = "sparse",
     ) -> None:
         if len(candsets) != len(tasks):
             raise ConfigError("tasks/candsets length mismatch")
-        if mode not in AFFINITY_MODES:
-            raise ConfigError(
-                f"unknown affinity mode {mode!r}; available {AFFINITY_MODES}"
-            )
-        self.mode = mode
+        if mode != "sparse":
+            # the keyword survives for callers that name the one build mode
+            raise ConfigError(f"unknown affinity mode {mode!r}; only 'sparse'")
         lm = latency_model or LatencyModel()
         m = cluster.num_servers
         keys: Dict[Tuple, int] = {}
         self.template_of: List[int] = []
         reps: List[int] = []
-        topo = getattr(cluster, "topology", None) if mode == "sparse" else None
-        row_key = getattr(topo, "row_key", None)
+        row_key = getattr(getattr(cluster, "topology", None), "row_key", None)
         for i, t in enumerate(tasks):
             device = cluster.by_name(t.device_name)
             if row_key is not None:
@@ -431,10 +418,9 @@ class AffinityIndex:
     def shard_orders(self, server_shards: Sequence[Sequence[int]]) -> np.ndarray:
         """Per template, the shard preference order of :func:`home_tasks`.
 
-        Row ``t`` is ``range(k)`` sorted by ``(shard_min[t, j], j)`` — the
-        stable argsort ties exactly like the per-task Python sort the dense
-        homing path runs, but once per template instead of once per task.
-        Cached per partition.
+        Row ``t`` is ``range(k)`` sorted by ``(shard_min[t, j], j)`` (a
+        stable argsort), computed once per template instead of once per
+        task.  Cached per partition.
         """
         pkey = tuple(tuple(s) for s in server_shards)
         cached = self._orders_cache.get(pkey)
@@ -450,44 +436,16 @@ class AffinityIndex:
         """Per (template, home shard): best bound over servers *outside* the
         shard and the server achieving it (migration's screen).
 
-        Built at most once per partition (cached); the sparse mode reads the
-        answer off the top-k shortlist — the first shortlist entry outside
-        the home shard, which exists within the first ``max_shard + 1``
-        entries because a shard holds at most ``max_shard`` servers.
+        Built at most once per partition (cached) and read off the top-k
+        shortlist: the first shortlist entry outside the home shard, which
+        exists within the first ``max_shard + 1`` entries because a shard
+        holds at most ``max_shard`` servers.  A home shard with no foreign
+        server gets ``(inf, -1)``.
         """
-        pkey = tuple(tuple(s) for s in server_shards)
-        cached = self._foreign_cache.get(pkey)
+        server_shards = tuple(tuple(s) for s in server_shards)
+        cached = self._foreign_cache.get(server_shards)
         if cached is not None:
             return cached
-        if self.mode == "sparse":
-            out = self._foreign_mins_sparse(pkey)
-        else:
-            out = self._foreign_mins_dense(server_shards)
-        self._foreign_cache[pkey] = out
-        return out
-
-    def _foreign_mins_dense(
-        self, server_shards: Sequence[Sequence[int]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        m = self.bounds.shape[1]
-        vals = []
-        srvs = []
-        for shard in server_shards:
-            mask = np.ones(m, dtype=bool)
-            mask[list(shard)] = False
-            foreign = np.flatnonzero(mask)
-            if foreign.size == 0:
-                vals.append(np.full(self.bounds.shape[0], np.inf))
-                srvs.append(np.full(self.bounds.shape[0], -1))
-                continue
-            sub = self.bounds[:, foreign]
-            vals.append(sub.min(axis=1))
-            srvs.append(foreign[sub.argmin(axis=1)])
-        return np.stack(vals, axis=1), np.stack(srvs, axis=1)
-
-    def _foreign_mins_sparse(
-        self, server_shards: Tuple[Tuple[int, ...], ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
         num_templates, m = self.bounds.shape
         k = len(server_shards)
         shard_of = np.empty(m, dtype=np.int64)
@@ -516,6 +474,7 @@ class AffinityIndex:
                     vals[tpl, s0] = self.bounds[tpl, nxt]
                     srvs[tpl, s0] = nxt
                     break
+        self._foreign_cache[server_shards] = (vals, srvs)
         return vals, srvs
 
 
@@ -537,11 +496,10 @@ def home_tasks(
     cap) takes the task.  Deterministic: tasks are visited in index order
     and ties break toward the lower shard index.
 
-    A sparse index homes through per-template preference orders with a
-    monotone full-shard cursor instead of a per-task O(shards log shards)
-    sort: caps are static and loads only grow, so a shard observed full
-    stays full and the cursor never backtracks.  The chosen shard per task
-    is identical to the dense walk's.
+    Homing walks per-template preference orders with a monotone full-shard
+    cursor instead of a per-task O(shards log shards) sort: caps are static
+    and loads only grow, so a shard observed full stays full and the cursor
+    never backtracks.
     """
     if len(candsets) != len(tasks):
         raise ConfigError("tasks/candsets length mismatch")
@@ -553,33 +511,21 @@ def home_tasks(
     index = affinity or AffinityIndex(tasks, candsets, cluster, latency_model)
 
     out: List[int] = []
-    if index.mode == "sparse":
-        orders = index.shard_orders(server_shards)
-        template_of = index.template_of
-        cursor = [0] * orders.shape[0]
-        for i in range(n):
-            tpl = template_of[i]
-            order = orders[tpl]
-            c = cursor[tpl]
-            # skip shards that filled since this template last homed; every
-            # skip is permanent, so total cursor motion is O(templates × k)
-            while c < k and loads[order[c]] >= caps[order[c]]:
-                c += 1
-            cursor[tpl] = c
-            if c < k:
-                chosen = int(order[c])
-            else:  # all caps hit (rounding): least relatively loaded
-                chosen = min(range(k), key=lambda j: (loads[j] / caps[j], j))
-            loads[chosen] += 1
-            out.append(chosen)
-        return tuple(out)
-
-    shard_scores, _ = index.shard_mins(server_shards)
+    orders = index.shard_orders(server_shards)
+    template_of = index.template_of
+    cursor = [0] * orders.shape[0]
     for i in range(n):
-        scores = shard_scores[index.template_of[i]]
-        order = sorted(range(k), key=lambda j: (scores[j], j))
-        chosen = next((j for j in order if loads[j] < caps[j]), None)
-        if chosen is None:  # all caps hit (rounding): least relatively loaded
+        tpl = template_of[i]
+        order = orders[tpl]
+        c = cursor[tpl]
+        # skip shards that filled since this template last homed; every
+        # skip is permanent, so total cursor motion is O(templates × k)
+        while c < k and loads[order[c]] >= caps[order[c]]:
+            c += 1
+        cursor[tpl] = c
+        if c < k:
+            chosen = int(order[c])
+        else:  # all caps hit (rounding): least relatively loaded
             chosen = min(range(k), key=lambda j: (loads[j] / caps[j], j))
         loads[chosen] += 1
         out.append(chosen)

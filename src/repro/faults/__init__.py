@@ -2,12 +2,12 @@
 
 Deterministic, seed-derived fault schedules (:mod:`repro.faults.schedule`)
 are driven into the simulator by an injector (:mod:`repro.faults.injector`);
-the failure-aware runtime (:mod:`repro.faults.runtime`) detects failed
-offload stages and walks the :class:`FailurePolicy` recovery ladder —
-timeout, backoff retry, failover to a standby server slice, graceful
-degradation to the best on-device exit.  Entirely opt-in: with
-``SimulationConfig.faults`` unset, the base simulator paths run untouched
-and fixed-seed outputs are bit-identical to pre-fault builds.
+the failure-aware runtime (:mod:`repro.faults.runtime`), the simulator's
+one event loop, detects failed offload stages and walks the
+:class:`FailurePolicy` recovery ladder — timeout, backoff retry, failover
+to a standby server slice, graceful degradation to the best on-device
+exit.  Entirely opt-in: with ``SimulationConfig.faults`` unset the schedule
+is empty, and fixed-seed outputs are bit-identical to the vectorized sweep.
 """
 
 from repro.faults.injector import FaultInjector

@@ -1,13 +1,16 @@
-"""Failure-aware event-loop simulation of a joint plan.
+"""The discrete-event simulation loop, failure-aware.
 
-This is the fault-run counterpart of :func:`repro.sim.runner.simulate_plan`:
-the same resource model and RNG derivations, plus the machinery the base
-runner deliberately omits — a :class:`~repro.faults.injector.FaultInjector`
-driving the configured :class:`~repro.faults.schedule.FaultSchedule`,
-per-stage failure detection (down-at-submit, crash-during-service, wire
-loss, timeout), and the :class:`~repro.faults.policy.FailurePolicy` recovery
-ladder (backoff retry → failover to a standby server slice → graceful local
-degradation → lost).
+This is the one event loop behind :func:`repro.sim.runner.simulate_plan`:
+every run that cannot take the vectorized sweep (a fault schedule, an
+attached telemetry recorder, or ``fast_path=False``) lands here.  A
+fault-free run is a run with an empty schedule, and its report is
+bit-identical to the sweep's on a fixed seed.  On top of the plain
+device → uplink → server → downlink pipeline, it carries a
+:class:`~repro.faults.injector.FaultInjector` driving the configured
+:class:`~repro.faults.schedule.FaultSchedule`, per-stage failure detection
+(down-at-submit, crash-during-service, wire loss, timeout), and the
+:class:`~repro.faults.policy.FailurePolicy` recovery ladder (backoff retry
+→ failover to a standby server slice → graceful local degradation → lost).
 
 Because FIFO service times are known at submission, every stage's outcome is
 decided deterministically *at submission time*: the earliest of
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -106,11 +109,12 @@ def simulate_with_faults(
     rec: Optional[TimelineRecorder],
     plan_updates: Sequence[PlanUpdate] = (),
 ) -> SimulationReport:
-    """Run ``plan`` under ``cfg.faults`` with the ``cfg.failure_policy`` ladder."""
-    schedule: FaultSchedule = cfg.faults
+    """Run ``plan`` under ``cfg.faults`` with the ``cfg.failure_policy`` ladder.
+
+    ``cfg.faults=None`` runs the plain event loop (an empty schedule).
+    """
+    schedule: FaultSchedule = cfg.faults or FaultSchedule()
     policy: Optional[FailurePolicy] = cfg.failure_policy
-    if schedule is None:
-        raise ConfigError("simulate_with_faults requires cfg.faults")
 
     updates = sorted(plan_updates, key=lambda u: u.time_s)
     plans: List[JointPlan] = [plan] + [u.plan for u in updates]
@@ -169,6 +173,11 @@ def simulate_with_faults(
             link_map[t.name].extend((up, down))
         return _Route(server.name, srv, up, down, is_primary=primary)
 
+    # standby slices exist only where the policy can fail over to them, so
+    # fault-free and no-failover reports list no unused ":fo" slices
+    with_standby = (
+        policy is not None and policy.failover and cluster.num_servers > 1
+    )
     route_sets: List[Dict[str, _TaskRoutes]] = []
     degrade_profiles: List[Dict[str, _DegradeProfile]] = []
     for k, p in enumerate(plans):
@@ -182,7 +191,7 @@ def simulate_with_faults(
                 continue
             primary = _make_route(t, p, s, tag, primary=True)
             standby = None
-            if cluster.num_servers > 1:
+            if with_standby:
                 standby = _make_route(
                     t, p, (s + 1) % cluster.num_servers, tag + ":fo", primary=False
                 )
@@ -201,35 +210,55 @@ def simulate_with_faults(
         else None
     )
     detection_s = policy.detection_delay_s if policy is not None else 0.0
+    # targets with any window of a kind: stages on every other target skip
+    # the schedule scans (a fault-free run skips them all)
+    lossy = {e.target for e in schedule if e.kind == "request_loss"}
+    outage_links = {e.target for e in schedule if e.kind == "link_outage"}
+    crash_servers = {e.target for e in schedule if e.kind == "server_crash"}
+
+    def _stage_outcome(
+        t_submit: float, done: float, crash_at: Optional[float]
+    ) -> Optional[float]:
+        """Failure instant of a submitted stage, or None on success.
+
+        A crash strictly inside the service window always fails the stage
+        (the work is interrupted no matter when the sender finds out,
+        ``detection_s`` after the crash); a policy timeout fails it when the
+        nominal finish lies beyond the deadline.  The earlier of the two
+        failure instants wins.
+        """
+        if crash_at is None and policy is None:
+            return None
+        candidates = []
+        if crash_at is not None:
+            candidates.append(crash_at + detection_s)
+        if policy is not None and done - t_submit > policy.stage_timeout_s:
+            candidates.append(t_submit + policy.stage_timeout_s)
+        return min(candidates) if candidates else None
 
     # -- request lifecycle ----------------------------------------------------
-    def launch(task: TaskSpec, req: Request) -> None:
-        k = bisect_right(update_times, req.arrival_s)
-        if task.name in shed_sets[k]:
-            counters.shed += 1
-            if rec is not None:
-                rec.event(req.arrival_s, "shed", task.name, req.req_id)
-                rec.count("sim.shed")
-            if wm is not None and req.arrival_s >= cfg.warmup_s:
-                wm.mark(task.name, req.arrival_s, "shed")
-            return
-        active = plans[k]
-        feats = active.features[task.name]
-        rng = derive_from(exec_material[task.name], req.req_id)
-        demand = realize_request(task.model, feats.plan, req.difficulty, rng, metrics=reg)
-        if jitter_mats is not None:
-            demand = jitter_demand(
-                demand, jitter_mats[task.name], req.req_id, cfg.service_noise
-            )
-        dres = device_res[task.device_name]
-        profile = degrade_profiles[k][task.name]
-        routes = route_sets[k].get(task.name)
-        if demand.offloaded and routes is None:
-            raise SimulationError(
-                f"{task.name}: offloading demand under a local-only assignment"
-            )
+    class _Flight:
+        """One request's walk through the pipeline and the recovery ladder.
+
+        The stages are methods over per-request slots, so the continuations
+        scheduled on the simulator hold the flight but the flight holds
+        none of them: a retry loops back into an earlier stage without the
+        reference cycle sibling closures would form, and a finished request
+        is freed at once instead of by the cyclic garbage collector.
+        """
+
+        __slots__ = ("task", "req", "demand", "dres", "profile", "routes")
+
+        def __init__(self, task, req, demand, dres, profile, routes) -> None:
+            self.task = task
+            self.req = req
+            self.demand = demand
+            self.dres = dres
+            self.profile = profile
+            self.routes = routes
 
         def finish(
+            self,
             completion: float,
             dev_busy: float,
             srv_busy: float,
@@ -239,16 +268,17 @@ def simulate_with_faults(
             correct: bool,
             degraded: bool,
         ) -> None:
+            name, req = self.task.name, self.req
             if rec is not None:
-                rec.event(completion, "exit_taken", task.name, req.req_id,
+                rec.event(completion, "exit_taken", name, req.req_id,
                           value=float(exit_position))
-                rec.event(completion, "complete", task.name, req.req_id)
+                rec.event(completion, "complete", name, req.req_id)
                 rec.registry.histogram("sim.latency_ms").observe(
                     (completion - req.arrival_s) * 1e3
                 )
             metrics.record(
                 RequestRecord(
-                    task_name=task.name,
+                    task_name=name,
                     req_id=req.req_id,
                     arrival_s=req.arrival_s,
                     completion_s=completion,
@@ -264,40 +294,50 @@ def simulate_with_faults(
             )
             if wm is not None and req.arrival_s >= cfg.warmup_s:
                 wm.observe_one(
-                    task.name,
+                    name,
                     completion,
                     completion - req.arrival_s,
                     completion <= req.deadline_s + 1e-12,
                 )
                 if degraded:
-                    wm.mark(task.name, completion, "degraded")
+                    wm.mark(name, completion, "degraded")
 
         # -- recovery ladder ---------------------------------------------------
-        def attempt_failed(at: float, dev_busy: float, attempt: int, reason: str) -> None:
+        def fail(self, at: float, dev_busy: float, attempt: int, reason: str) -> None:
+            """Schedule the failure of the current attempt at ``at``."""
+            sim.schedule_at(
+                at, lambda: self.attempt_failed(at, dev_busy, attempt, reason)
+            )
+
+        def attempt_failed(
+            self, at: float, dev_busy: float, attempt: int, reason: str
+        ) -> None:
+            name, req_id = self.task.name, self.req.req_id
             if rec is not None:
-                rec.event(at, "timeout", task.name, req.req_id, resource=reason)
+                rec.event(at, "timeout", name, req_id, resource=reason)
             if policy is not None and attempt < policy.max_retries:
                 counters.retries += 1
                 if rec is not None:
-                    rec.event(at, "retry", task.name, req.req_id, value=float(attempt + 1))
+                    rec.event(at, "retry", name, req_id, value=float(attempt + 1))
                     rec.count("sim.retries")
                 sim.schedule_at(
                     at + policy.backoff_s(attempt),
-                    lambda: begin_offload(dev_busy, attempt + 1),
+                    lambda: self.begin_offload(dev_busy, attempt + 1),
                 )
                 return
             if policy is not None and policy.degrade_local:
-                sim.schedule_at(at, lambda: degrade(dev_busy))
+                sim.schedule_at(at, lambda: self.degrade(dev_busy))
                 return
             counters.lost += 1
             if rec is not None:
-                rec.event(at, "lost", task.name, req.req_id)
+                rec.event(at, "lost", name, req_id)
                 rec.count("sim.lost")
-            if wm is not None and req.arrival_s >= cfg.warmup_s:
-                wm.mark(task.name, at, "lost")
+            if wm is not None and self.req.arrival_s >= cfg.warmup_s:
+                wm.mark(name, at, "lost")
 
-        def degrade(dev_busy: float) -> None:
+        def degrade(self, dev_busy: float) -> None:
             now = sim.now
+            task, req, profile, demand = self.task, self.req, self.profile, self.demand
             if profile.on_device_pos >= 0:
                 # deepest on-device exit: backbone-to-cut and its branch were
                 # already computed, so accepting its output costs nothing extra
@@ -308,76 +348,54 @@ def simulate_with_faults(
                 )
                 p_ok = float(np.clip(p_ok, 0.01, 0.999))
                 draw = derive(cfg.seed, "fault_degrade", task.name, req.req_id)
-                complete(now, dev_busy, profile.on_device_pos,
-                         bool(draw.random() < p_ok))
+                self.complete(now, dev_busy, profile.on_device_pos,
+                              bool(draw.random() < p_ok))
                 return
             # no on-device exit kept: run the server-side remainder locally —
             # same exit, same correctness, the work just lands on the device
-            start, done = dres.submit(now, demand.srv_flops)
+            start, done = self.dres.submit(now, demand.srv_flops)
             sim.schedule_at(
                 done,
-                lambda: complete(done, dev_busy + (done - start),
-                                 demand.exit_position, demand.correct),
+                lambda: self.complete(done, dev_busy + (done - start),
+                                      demand.exit_position, demand.correct),
             )
 
-        def complete(at: float, dev_busy: float, exit_position: int, correct: bool) -> None:
+        def complete(
+            self, at: float, dev_busy: float, exit_position: int, correct: bool
+        ) -> None:
             counters.degraded_completions += 1
             if rec is not None:
-                rec.event(at, "degraded", task.name, req.req_id)
+                rec.event(at, "degraded", self.task.name, self.req.req_id)
                 rec.count("sim.degraded_completions")
-            finish(at, dev_busy, 0.0, 0.0, exit_position,
-                   offloaded=False, correct=correct, degraded=True)
+            self.finish(at, dev_busy, 0.0, 0.0, exit_position,
+                        offloaded=False, correct=correct, degraded=True)
 
         # -- offload attempt ---------------------------------------------------
-        def begin_offload(dev_busy: float, attempt: int) -> None:
+        def begin_offload(self, dev_busy: float, attempt: int) -> None:
+            routes = self.routes
             route = routes.primary
-            if (
-                policy is not None
-                and policy.failover
-                and routes.standby is not None
-                and not route.reachable
-            ):
+            if routes.standby is not None and not route.reachable:
                 route = routes.standby
                 counters.failovers += 1
                 if rec is not None:
-                    rec.event(sim.now, "failover", task.name, req.req_id,
+                    rec.event(sim.now, "failover", self.task.name, self.req.req_id,
                               resource=route.srv.name)
                     rec.count("sim.failovers")
-            stage_uplink(route, dev_busy, attempt)
+            self.stage_uplink(route, dev_busy, attempt)
 
-        def _stage_outcome(
-            t_submit: float, done: float, crash_at: Optional[float]
-        ) -> Optional[float]:
-            """Failure instant of a submitted stage, or None on success.
-
-            A crash strictly inside the service window always fails the
-            stage (the work is interrupted no matter when the sender finds
-            out, ``detection_s`` after the crash); a policy timeout fails it
-            when the nominal finish lies beyond the deadline.  The earlier
-            of the two failure instants wins.
-            """
-            candidates = []
-            if crash_at is not None:
-                candidates.append(crash_at + detection_s)
-            if policy is not None and done - t_submit > policy.stage_timeout_s:
-                candidates.append(t_submit + policy.stage_timeout_s)
-            return min(candidates) if candidates else None
-
-        def stage_uplink(route: _Route, dev_busy: float, attempt: int) -> None:
+        def stage_uplink(self, route: _Route, dev_busy: float, attempt: int) -> None:
             now = sim.now
             lres = route.up
             if lres.is_down:
-                sim.schedule_at(
-                    now + detection_s,
-                    lambda: attempt_failed(now + detection_s, dev_busy, attempt, "down"),
-                )
+                self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
-            start, done = lres.submit(now, demand.up_bytes)
-            if route.is_primary:
-                p_loss = schedule.loss_probability(task.name, now)
+            name = self.task.name
+            start, done = lres.submit(now, self.demand.up_bytes)
+            if route.is_primary and name in lossy:
+                p_loss = schedule.loss_probability(name, now)
                 if p_loss > 0.0:
                     roll = derive(
-                        cfg.seed, "fault_loss", task.name, req.req_id, attempt
+                        cfg.seed, "fault_loss", name, self.req.req_id, attempt
                     ).random()
                     if roll < p_loss:
                         # bits left the device but never arrive; without a
@@ -387,103 +405,138 @@ def simulate_with_faults(
                             if policy is not None
                             else done
                         )
-                        sim.schedule_at(
-                            at, lambda: attempt_failed(at, dev_busy, attempt, "wire_loss")
-                        )
+                        self.fail(at, dev_busy, attempt, "wire_loss")
                         return
             crash = (
-                schedule.next_failure_in("link_outage", task.name, now, done)
-                if route.is_primary
+                schedule.next_failure_in("link_outage", name, now, done)
+                if route.is_primary and name in outage_links
                 else None
             )
             fail_at = _stage_outcome(now, done, crash)
             if fail_at is not None:
-                sim.schedule_at(
-                    fail_at, lambda: attempt_failed(fail_at, dev_busy, attempt, "uplink")
-                )
+                self.fail(fail_at, dev_busy, attempt, "uplink")
                 return
             if rec is not None:
-                rec.event(start, "transfer_start", task.name, req.req_id, resource=lres.name)
-                rec.event(done, "transfer_end", task.name, req.req_id, resource=lres.name)
+                rec.event(start, "transfer_start", name, self.req.req_id,
+                          resource=lres.name)
+                rec.event(done, "transfer_end", name, self.req.req_id,
+                          resource=lres.name)
             net1 = done - start
-            sim.schedule_at(done, lambda: stage_server(route, dev_busy, net1, attempt))
+            sim.schedule_at(
+                done, lambda: self.stage_server(route, dev_busy, net1, attempt)
+            )
 
-        def stage_server(route: _Route, dev_busy: float, net1: float, attempt: int) -> None:
+        def stage_server(
+            self, route: _Route, dev_busy: float, net1: float, attempt: int
+        ) -> None:
             now = sim.now
             sres = route.srv
             if sres.is_down:
-                sim.schedule_at(
-                    now + detection_s,
-                    lambda: attempt_failed(now + detection_s, dev_busy, attempt, "down"),
-                )
+                self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
-            start, done = sres.submit(now, demand.srv_flops)
-            crash = schedule.next_failure_in("server_crash", route.server_name, now, done)
+            start, done = sres.submit(now, self.demand.srv_flops)
+            crash = (
+                schedule.next_failure_in("server_crash", route.server_name, now, done)
+                if route.server_name in crash_servers
+                else None
+            )
             fail_at = _stage_outcome(now, done, crash)
             if fail_at is not None:
-                sim.schedule_at(
-                    fail_at, lambda: attempt_failed(fail_at, dev_busy, attempt, "server")
-                )
+                self.fail(fail_at, dev_busy, attempt, "server")
                 return
             if rec is not None:
-                rec.event(start, "exec_start", task.name, req.req_id, resource=sres.name)
+                rec.event(start, "exec_start", self.task.name, self.req.req_id,
+                          resource=sres.name)
             srv_busy = done - start
             sim.schedule_at(
-                done, lambda: stage_downlink(route, dev_busy, net1, srv_busy, attempt)
+                done,
+                lambda: self.stage_downlink(route, dev_busy, net1, srv_busy, attempt),
             )
 
         def stage_downlink(
-            route: _Route, dev_busy: float, net1: float, srv_busy: float, attempt: int
+            self,
+            route: _Route,
+            dev_busy: float,
+            net1: float,
+            srv_busy: float,
+            attempt: int,
         ) -> None:
             now = sim.now
             lres = route.down
             if lres.is_down:
-                sim.schedule_at(
-                    now + detection_s,
-                    lambda: attempt_failed(now + detection_s, dev_busy, attempt, "down"),
-                )
+                self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
+            name, demand = self.task.name, self.demand
             start, done = lres.submit(now, demand.down_bytes)
             crash = (
-                schedule.next_failure_in("link_outage", task.name, now, done)
-                if route.is_primary
+                schedule.next_failure_in("link_outage", name, now, done)
+                if route.is_primary and name in outage_links
                 else None
             )
             fail_at = _stage_outcome(now, done, crash)
             if fail_at is not None:
-                sim.schedule_at(
-                    fail_at, lambda: attempt_failed(fail_at, dev_busy, attempt, "downlink")
-                )
+                self.fail(fail_at, dev_busy, attempt, "downlink")
                 return
             if rec is not None:
-                rec.event(start, "transfer_start", task.name, req.req_id, resource=lres.name)
-                rec.event(done, "transfer_end", task.name, req.req_id, resource=lres.name)
+                rec.event(start, "transfer_start", name, self.req.req_id,
+                          resource=lres.name)
+                rec.event(done, "transfer_end", name, self.req.req_id,
+                          resource=lres.name)
             net = net1 + (done - start)
             sim.schedule_at(
                 done,
-                lambda: finish(done, dev_busy, srv_busy, net, demand.exit_position,
-                               offloaded=True, correct=demand.correct, degraded=False),
+                lambda: self.finish(done, dev_busy, srv_busy, net,
+                                    demand.exit_position, offloaded=True,
+                                    correct=demand.correct, degraded=False),
             )
 
-        def stage_device() -> None:
+        def stage_device(self) -> None:
+            name, req_id, dres, demand = (
+                self.task.name, self.req.req_id, self.dres, self.demand
+            )
             if rec is not None:
-                rec.event(sim.now, "enqueue", task.name, req.req_id, resource=dres.name)
+                rec.event(sim.now, "enqueue", name, req_id, resource=dres.name)
             start, done = dres.submit(sim.now, demand.dev_flops)
             if rec is not None:
-                rec.event(start, "dequeue", task.name, req.req_id, resource=dres.name)
-                rec.event(start, "exec_start", task.name, req.req_id, resource=dres.name)
+                rec.event(start, "dequeue", name, req_id, resource=dres.name)
+                rec.event(start, "exec_start", name, req_id, resource=dres.name)
             dev_busy = done - start
             if not demand.offloaded:
                 sim.schedule_at(
                     done,
-                    lambda: finish(done, dev_busy, 0.0, 0.0, demand.exit_position,
-                                   offloaded=False, correct=demand.correct,
-                                   degraded=False),
+                    lambda: self.finish(done, dev_busy, 0.0, 0.0,
+                                        demand.exit_position, offloaded=False,
+                                        correct=demand.correct, degraded=False),
                 )
                 return
-            sim.schedule_at(done, lambda: begin_offload(dev_busy, 0))
+            sim.schedule_at(done, lambda: self.begin_offload(dev_busy, 0))
 
-        stage_device()
+    def launch(task: TaskSpec, req: Request) -> None:
+        k = bisect_right(update_times, req.arrival_s)
+        if task.name in shed_sets[k]:
+            counters.shed += 1
+            if rec is not None:
+                rec.event(req.arrival_s, "shed", task.name, req.req_id)
+                rec.count("sim.shed")
+            if wm is not None and req.arrival_s >= cfg.warmup_s:
+                wm.mark(task.name, req.arrival_s, "shed")
+            return
+        feats = plans[k].features[task.name]
+        rng = derive_from(exec_material[task.name], req.req_id)
+        demand = realize_request(task.model, feats.plan, req.difficulty, rng, metrics=reg)
+        if jitter_mats is not None:
+            demand = jitter_demand(
+                demand, jitter_mats[task.name], req.req_id, cfg.service_noise
+            )
+        routes = route_sets[k].get(task.name)
+        if demand.offloaded and routes is None:
+            raise SimulationError(
+                f"{task.name}: offloading demand under a local-only assignment"
+            )
+        _Flight(
+            task, req, demand, device_res[task.device_name],
+            degrade_profiles[k][task.name], routes,
+        ).stage_device()
 
     # -- arrivals -------------------------------------------------------------
     total = 0

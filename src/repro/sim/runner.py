@@ -20,10 +20,13 @@ Two execution engines produce **bit-identical** reports on a fixed seed:
 
 - the **fast path** (default): all stochastic realization is pre-generated
   as arrays and the FIFO pipeline is swept per resource in the event loop's
-  exact submission order (:mod:`repro.sim.fastpath`);
-- the **event loop**: the reference discrete-event engine, used whenever a
-  telemetry recorder is attached (gauges sample on event boundaries) or
-  ``fast_path=False`` forces it.
+  exact submission order (:mod:`repro.sim.fastpath`), one-shot or in
+  bounded-memory streaming chunks;
+- the **event loop**: the one discrete-event engine,
+  :func:`repro.faults.runtime.simulate_with_faults`.  A fault-free run is a
+  run with an empty fault schedule; it is used whenever a fault schedule is
+  set, a telemetry recorder is attached (gauges sample on event boundaries)
+  or ``fast_path=False`` forces it.
 
 Replications fan out deterministically via :func:`run_replications`:
 replication 0 runs ``cfg.seed`` unchanged (so one replication reproduces a
@@ -34,33 +37,24 @@ reports whether executed serially or on ``sim_workers`` processes.
 
 from __future__ import annotations
 
+import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
-from repro.errors import ConfigError, ReproError, SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
 from repro.network.wireless import BandwidthTrace
-from repro.rng import derive, derive_from, derive_material, derive_seed
-from repro.sim.engine import Simulator
-from repro.sim.entities import Request, RequestRecord
-from repro.sim.execution import jitter_demand, jitter_materials, realize_request
+from repro.rng import derive_seed
 from repro.sim.fastpath import sweep_pipeline, sweep_pipeline_streaming
-from repro.sim.metrics import (
-    MetricsCollector,
-    SimCounters,
-    SimulationReport,
-    StreamingStats,
-    merge_reports,
-)
+from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
 from repro.sim.queues import FifoResource, LinkResource
-from repro.sim.sources import arrival_times
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
@@ -82,16 +76,17 @@ class SimulationConfig:
     #: ``SimulationReport.timeline`` / ``.registry`` (off by default)
     telemetry: bool = False
     #: use the vectorized pipeline sweep when eligible (bit-identical to the
-    #: event loop); set False to force the reference event loop.  Fault runs
-    #: (``faults`` set) always use the failure-aware event loop regardless —
-    #: the sweep cannot represent interrupted service.
+    #: event loop); set False to force the event loop.  Fault runs
+    #: (``faults`` set) and telemetry runs always use the event loop — the
+    #: sweep cannot represent interrupted service or sample event boundaries.
     fast_path: bool = True
     #: independent replications to run (see :func:`run_replications`)
     replications: int = 1
     #: worker processes for replication fan-out (1 = serial)
     sim_workers: int = 1
-    #: fault schedule to inject (None = fault-free: the base simulator paths
-    #: run untouched and fixed-seed outputs are bit-identical)
+    #: fault schedule to inject.  None is fault-free: the event loop runs
+    #: with an empty schedule and the fast path stays eligible; fixed-seed
+    #: outputs are bit-identical to a run with ``faults=FaultSchedule()``
     faults: Optional[FaultSchedule] = None
     #: recovery ladder for failed offload stages; requires ``faults``.
     #: None under a schedule is the no-policy baseline (failures -> lost)
@@ -195,18 +190,17 @@ def _build_resources(
     cluster: EdgeCluster,
     lm: LatencyModel,
     cfg: SimulationConfig,
-    rec: Optional[TimelineRecorder],
 ) -> Tuple[
     Dict[str, FifoResource],
     Dict[str, FifoResource],
     Dict[str, LinkResource],
     Dict[str, LinkResource],
 ]:
-    """FIFO resources of one run: shared devices + per-task server/link slices."""
+    """FIFO resources of a sweep: shared devices + per-task server/link slices."""
     device_res: Dict[str, FifoResource] = {}
     for d in cluster.end_devices:
         device_res[d.name] = FifoResource(
-            f"dev:{d.name}", lm.throughput(d), overhead_s=d.overhead_s, recorder=rec
+            f"dev:{d.name}", lm.throughput(d), overhead_s=d.overhead_s
         )
     task_server_res: Dict[str, FifoResource] = {}
     task_uplink_res: Dict[str, LinkResource] = {}
@@ -220,8 +214,7 @@ def _build_resources(
         x = plan.compute_shares[t.name]
         y = plan.bandwidth_shares[t.name]
         task_server_res[t.name] = FifoResource(
-            f"srv:{t.name}", lm.throughput(server) * x, overhead_s=server.overhead_s,
-            recorder=rec,
+            f"srv:{t.name}", lm.throughput(server) * x, overhead_s=server.overhead_s
         )
         # full-duplex: each direction gets its own serialization queue
         for direction, store in (("up", task_uplink_res), ("down", task_downlink_res)):
@@ -231,7 +224,6 @@ def _build_resources(
                 rtt_s=link.rtt_s,
                 share=y,
                 trace=cfg.bandwidth_trace,
-                recorder=rec,
             )
     return device_res, task_server_res, task_uplink_res, task_downlink_res
 
@@ -265,11 +257,11 @@ def simulate_plan(
     always use the event loop.  Otherwise ``config.fast_path`` (default)
     selects the vectorized sweep, which is bit-identical on a fixed seed.
 
-    With ``config.faults`` set, the run dispatches to the failure-aware
-    event loop (:func:`repro.faults.runtime.simulate_with_faults`):
-    resources go down and recover per the schedule, failed offload stages
-    walk the ``config.failure_policy`` recovery ladder, and controller-
-    issued ``plan_updates`` re-provision arrivals mid-run.
+    The event loop is :func:`repro.faults.runtime.simulate_with_faults`.
+    With ``config.faults`` set, resources go down and recover per the
+    schedule, failed offload stages walk the ``config.failure_policy``
+    recovery ladder, and controller-issued ``plan_updates`` re-provision
+    arrivals mid-run; without it the schedule is empty.
     """
     cfg = config or SimulationConfig()
     lm = latency_model or LatencyModel()
@@ -280,18 +272,20 @@ def simulate_plan(
             raise ConfigError(f"plan has no entry for task {t.name!r}")
 
     rec = recorder if recorder is not None else (TimelineRecorder() if cfg.telemetry else None)
-    if cfg.faults is not None:
-        from repro.faults.runtime import simulate_with_faults
-
-        return simulate_with_faults(tasks, plan, cluster, cfg, lm, rec, plan_updates)
-    if plan_updates:
+    if plan_updates and cfg.faults is None:
         raise ConfigError("plan_updates require a fault schedule")
     if cfg.streaming and rec is not None:
         raise ConfigError(
             "streaming runs cannot attach a per-request telemetry recorder; "
             "use windows=WindowConfig(...) for streaming-compatible metrics"
         )
-    resources = _build_resources(tasks, plan, cluster, lm, cfg, rec)
+    if cfg.faults is not None or rec is not None or not cfg.fast_path:
+        # the one event loop: a fault-free run is a run with an empty schedule
+        from repro.faults.runtime import simulate_with_faults
+
+        return simulate_with_faults(tasks, plan, cluster, cfg, lm, rec, plan_updates)
+
+    resources = _build_resources(tasks, plan, cluster, lm, cfg)
     device_res, task_server_res, task_uplink_res, task_downlink_res = resources
     wm = (
         WindowedMetrics(cfg.windows, cfg.horizon_s)
@@ -314,11 +308,7 @@ def simulate_plan(
             _utilizations(device_res, task_server_res, cfg.horizon_s),
             discarded=discarded,
         )
-        report.counters = counters
-        report.windowed = wm
-        return report
-
-    if rec is None and cfg.fast_path:
+    else:
         records, discarded, counters = sweep_pipeline(
             tasks, plan, cfg,
             device_res, task_server_res, task_uplink_res, task_downlink_res,
@@ -330,150 +320,8 @@ def simulate_plan(
             _utilizations(device_res, task_server_res, cfg.horizon_s),
             discarded=discarded,
         )
-        report.counters = counters
-        report.windowed = wm
-        return report
-
-    reg = rec.registry if rec is not None else None
-    sim = Simulator()
-    if rec is not None:
-        sim.on_event = lambda now, pending: rec.sample("sim.pending_events", now, pending)
-    metrics = MetricsCollector(warmup_s=cfg.warmup_s)
-    # per-task child-seed prefix, cached so each request extends it with its
-    # id instead of re-hashing the task tokens (identical derived streams)
-    exec_material = {t.name: derive_material(cfg.seed, "exec", t.name) for t in tasks}
-    jitter_mats = (
-        {t.name: jitter_materials(cfg.seed, t.name) for t in tasks}
-        if cfg.service_noise > 0
-        else None
-    )
-
-    # -- request lifecycle -------------------------------------------------------
-    def launch(task: TaskSpec, req: Request) -> None:
-        model = task.model
-        feats = plan.features[task.name]
-        rng = derive_from(exec_material[task.name], req.req_id)
-        demand = realize_request(model, feats.plan, req.difficulty, rng, metrics=reg)
-        if jitter_mats is not None:
-            demand = jitter_demand(
-                demand, jitter_mats[task.name], req.req_id, cfg.service_noise
-            )
-        dres = device_res[task.device_name]
-
-        def finish(completion: float, dev_busy: float, srv_busy: float, net_busy: float) -> None:
-            if rec is not None:
-                rec.event(completion, "exit_taken", task.name, req.req_id,
-                          value=float(demand.exit_position))
-                rec.event(completion, "complete", task.name, req.req_id)
-                rec.registry.histogram("sim.latency_ms").observe(
-                    (completion - req.arrival_s) * 1e3
-                )
-            metrics.record(
-                RequestRecord(
-                    task_name=task.name,
-                    req_id=req.req_id,
-                    arrival_s=req.arrival_s,
-                    completion_s=completion,
-                    deadline_s=req.deadline_s,
-                    exit_position=demand.exit_position,
-                    offloaded=demand.offloaded,
-                    correct=demand.correct,
-                    dev_busy_s=dev_busy,
-                    srv_busy_s=srv_busy,
-                    net_busy_s=net_busy,
-                )
-            )
-            if wm is not None and req.arrival_s >= cfg.warmup_s:
-                # same filter, latency, and met test as the fast-path feeds —
-                # the windowed integer state stays bit-identical across engines
-                wm.observe_one(
-                    task.name,
-                    completion,
-                    completion - req.arrival_s,
-                    completion <= req.deadline_s + 1e-12,
-                )
-
-        def stage_device() -> None:
-            if rec is not None:
-                rec.event(sim.now, "enqueue", task.name, req.req_id, resource=dres.name)
-            start, done = dres.submit(sim.now, demand.dev_flops)
-            if rec is not None:
-                rec.event(start, "dequeue", task.name, req.req_id, resource=dres.name)
-                rec.event(start, "exec_start", task.name, req.req_id, resource=dres.name)
-            dev_busy = done - start
-            if not demand.offloaded:
-                sim.schedule_at(done, lambda: finish(done, dev_busy, 0.0, 0.0))
-                return
-            sim.schedule_at(done, lambda: stage_uplink(dev_busy))
-
-        def stage_uplink(dev_busy: float) -> None:
-            lres = task_uplink_res[task.name]
-            start, done = lres.submit(sim.now, demand.up_bytes)
-            if rec is not None:
-                rec.event(start, "transfer_start", task.name, req.req_id, resource=lres.name)
-                rec.event(done, "transfer_end", task.name, req.req_id, resource=lres.name)
-            net1 = done - start
-            sim.schedule_at(done, lambda: stage_server(dev_busy, net1))
-
-        def stage_server(dev_busy: float, net1: float) -> None:
-            sres = task_server_res[task.name]
-            start, done = sres.submit(sim.now, demand.srv_flops)
-            if rec is not None:
-                rec.event(start, "exec_start", task.name, req.req_id, resource=sres.name)
-            srv_busy = done - start
-            sim.schedule_at(done, lambda: stage_downlink(dev_busy, net1, srv_busy))
-
-        def stage_downlink(dev_busy: float, net1: float, srv_busy: float) -> None:
-            lres = task_downlink_res[task.name]
-            start, done = lres.submit(sim.now, demand.down_bytes)
-            if rec is not None:
-                rec.event(start, "transfer_start", task.name, req.req_id, resource=lres.name)
-                rec.event(done, "transfer_end", task.name, req.req_id, resource=lres.name)
-            net = net1 + (done - start)
-            sim.schedule_at(done, lambda: finish(done, dev_busy, srv_busy, net))
-
-        stage_device()
-
-    # -- arrivals -------------------------------------------------------------
-    total = 0
-    for t in tasks:
-        times = arrival_times(
-            t.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
-            derive(cfg.seed, "arrivals", t.name),
-        )
-        diff_rng = derive(cfg.seed, "difficulty", t.name)
-        difficulties = t.model.difficulty.sample(diff_rng, times.size)
-        for i, (at, d) in enumerate(zip(times, difficulties)):
-            req = Request(
-                task_name=t.name,
-                req_id=i,
-                arrival_s=float(at),
-                difficulty=float(np.clip(d, 0.0, 1.0)),
-                deadline_s=float(at) + t.deadline_s,
-            )
-            sim.schedule_at(float(at), (lambda tt=t, rr=req: launch(tt, rr)))
-            total += 1
-    if total == 0:
-        raise SimulationError("no requests generated; horizon or rates too small")
-
-    sim.run()  # drain everything (all arrivals are bounded by the horizon)
-
-    report = metrics.report(
-        cfg.horizon_s,
-        _utilizations(device_res, task_server_res, cfg.horizon_s),
-        timeline=rec.timeline if rec is not None else None,
-        registry=reg,
-    )
-    report.counters = SimCounters(
-        requests=total,
-        records=len(metrics.records),
-        discarded_warmup=metrics.discarded,
-        events=sim.events_processed,
-        replications=1,
-    )
+    report.counters = counters
     report.windowed = wm
-    if reg is not None:
-        report.counters.publish(reg)
     return report
 
 
@@ -516,16 +364,25 @@ def run_replications(
     return _fan_out(jobs, min(config.sim_workers, len(jobs)), config.telemetry)
 
 
+#: Failures that mean the process pool itself could not run (no fork or
+#: semaphores in a sandbox, a killed worker, an unpicklable job).  Anything
+#: else a job raises is a real error and propagates.
+_POOL_FAILURES = (OSError, NotImplementedError, BrokenProcessPool, pickle.PicklingError)
+
+
 def _fan_out(jobs, workers: int, telemetry: bool) -> List[SimulationReport]:
     """Run simulation jobs on a process pool, serially when unavailable."""
     if workers > 1 and not telemetry and len(jobs) > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_replication_worker, jobs))
-        except ReproError:
-            raise  # a job genuinely failed; don't mask it by retrying
-        except Exception:
-            pass  # pool unavailable (pickling, sandboxing): fall back to serial
+        except _POOL_FAILURES as exc:
+            warnings.warn(
+                f"simulation process pool unavailable ({type(exc).__name__}: "
+                f"{exc}); running {len(jobs)} jobs serially",
+                RuntimeWarning,
+                stacklevel=3,
+            )
     return [_replication_worker(j) for j in jobs]
 
 

@@ -1,11 +1,11 @@
-"""Sparse affinity index ≡ dense reference, nested sharding, resolve_dirty.
+"""Affinity index ≡ brute-force oracles, nested sharding, resolve_dirty.
 
-The sparse mode's fast paths (top-k shortlists, template compression,
-shortlist-walk foreign mins, cursor homing) promise *bit-identical*
-decisions to the dense reference.  The scenarios here are deliberately
-non-deduplicating — per-device heterogeneous access links (so
-``StarTopology.row_key`` falls back to per-device fingerprints) and
-``cache=False`` candidate pipelines (so no two tasks share a features
+The index's fast paths (top-k shortlists, template compression,
+shortlist-walk foreign mins, cursor homing) must decide exactly what a
+brute-force scan over every (task, server) pair decides.  The scenarios
+here are deliberately non-deduplicating — per-device heterogeneous access
+links (so ``StarTopology.row_key`` falls back to per-device fingerprints)
+and ``cache=False`` candidate pipelines (so no two tasks share a features
 list) — to exercise the index without the template merging that scenario
 presets enjoy.
 """
@@ -21,6 +21,7 @@ from repro.core.joint import JointSolverConfig
 from repro.core.plan import TaskSpec
 from repro.core.sharding import AffinityIndex, home_tasks
 from repro.devices.cluster import EdgeCluster
+from repro.devices.latency import LatencyModel
 from repro.devices.presets import SERVER_PRESETS, device_preset
 from repro.errors import ConfigError
 from repro.network.link import Link
@@ -66,7 +67,57 @@ def hetero_instance(me_resnet18, me_alexnet):
 PARTITIONS = [((0, 1), (2, 3)), ((0, 2), (1,), (3,)), ((0,), (1,), (2,), (3,))]
 
 
+def _oracle_bounds(tasks, cands, cluster):
+    """Brute force: best candidate latency of every task on every server."""
+    lm = LatencyModel()
+    out = np.empty((len(tasks), cluster.num_servers))
+    for i, t in enumerate(tasks):
+        device = cluster.by_name(t.device_name)
+        for s, server in enumerate(cluster.servers):
+            link = cluster.link(t.device_name, server.name)
+            out[i, s] = np.min(
+                cands[i].latencies(device, lm, server=server, link=link)
+            )
+    return out
+
+
+def _oracle_foreign(bounds, shards):
+    """Per (task, home shard): masked argmin over the foreign servers."""
+    n, m = bounds.shape
+    val = np.full((n, len(shards)), np.inf)
+    srv = np.full((n, len(shards)), -1)
+    for h, shard in enumerate(shards):
+        foreign = np.array([s for s in range(m) if s not in shard])
+        if foreign.size:
+            j = np.argmin(bounds[:, foreign], axis=1)
+            val[:, h] = bounds[np.arange(n), foreign[j]]
+            srv[:, h] = foreign[j]
+    return val, srv
+
+
+def _oracle_homing(bounds, shards):
+    """Capacity walk: each task takes its best-scoring shard with room."""
+    n, m = bounds.shape
+    k = len(shards)
+    caps = [max(1, -(-n * len(shard) // m)) for shard in shards]
+    loads = [0] * k
+    out = []
+    for i in range(n):
+        score = [bounds[i, list(shard)].min() for shard in shards]
+        order = sorted(range(k), key=lambda j: (score[j], j))
+        chosen = next((j for j in order if loads[j] < caps[j]), None)
+        if chosen is None:
+            chosen = min(range(k), key=lambda j: (loads[j] / caps[j], j))
+        loads[chosen] += 1
+        out.append(chosen)
+    return tuple(out)
+
+
 class TestSparseDenseEquivalence:
+    """The sparse index against the dense reference's answers: brute-force
+    oracles for bounds, foreign mins and homing, and a solve pinned from the
+    dense arm."""
+
     def test_row_key_falls_back_on_hetero_links(self, hetero_instance):
         cluster, _, _ = hetero_instance
         assert not cluster.topology.is_row_uniform
@@ -75,65 +126,52 @@ class TestSparseDenseEquivalence:
 
     def test_no_dedup_one_template_per_task(self, hetero_instance):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        assert sp.bounds.shape[0] == len(tasks)
+        idx = AffinityIndex(tasks, cands, cluster)
+        assert idx.bounds.shape[0] == len(tasks)
 
     def test_bounds_identical(self, hetero_instance):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        de = AffinityIndex(tasks, cands, cluster, mode="dense")
-        for i in range(len(tasks)):
-            np.testing.assert_array_equal(
-                sp.bounds[sp.template_of[i]], de.bounds[de.template_of[i]]
-            )
+        idx = AffinityIndex(tasks, cands, cluster)
+        np.testing.assert_array_equal(
+            idx.bounds[idx.template_of], _oracle_bounds(tasks, cands, cluster)
+        )
 
     @pytest.mark.parametrize("shards", PARTITIONS)
     def test_foreign_mins_identical(self, hetero_instance, shards):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        de = AffinityIndex(tasks, cands, cluster, mode="dense")
-        fv_s, fs_s = sp.foreign_mins(shards)
-        fv_d, fs_d = de.foreign_mins(shards)
-        for i in range(len(tasks)):
-            np.testing.assert_array_equal(
-                fv_s[sp.template_of[i]], fv_d[de.template_of[i]]
-            )
-            np.testing.assert_array_equal(
-                fs_s[sp.template_of[i]], fs_d[de.template_of[i]]
-            )
+        idx = AffinityIndex(tasks, cands, cluster)
+        fv, fs = idx.foreign_mins(shards)
+        val, srv = _oracle_foreign(_oracle_bounds(tasks, cands, cluster), shards)
+        np.testing.assert_array_equal(fv[idx.template_of], val)
+        np.testing.assert_array_equal(fs[idx.template_of], srv)
 
     @pytest.mark.parametrize("shards", PARTITIONS)
     def test_homing_identical(self, hetero_instance, shards):
         cluster, tasks, cands = hetero_instance
-        sp = AffinityIndex(tasks, cands, cluster, mode="sparse")
-        de = AffinityIndex(tasks, cands, cluster, mode="dense")
-        assert home_tasks(
-            tasks, cands, cluster, shards, affinity=sp
-        ) == home_tasks(tasks, cands, cluster, shards, affinity=de)
+        expected = _oracle_homing(_oracle_bounds(tasks, cands, cluster), shards)
+        idx = AffinityIndex(tasks, cands, cluster)
+        assert home_tasks(tasks, cands, cluster, shards, affinity=idx) == expected
+        assert home_tasks(tasks, cands, cluster, shards) == expected
 
     def test_solve_identical(self, hetero_instance):
+        # pinned from the dense reference arm before it was deleted (the
+        # sparse and dense arms were asserted bit-identical on this solve)
         cluster, tasks, cands = hetero_instance
-        results = {}
-        for mode in ("sparse", "dense"):
-            cfg = JointSolverConfig(shards=2, migration_rounds=2, affinity=mode)
-            results[mode] = solve_sharded(
-                tasks, cluster, config=cfg, candidates=cands, seed=5
-            )
-        sp, de = results["sparse"], results["dense"]
-        assert sp.plan.assignment == de.plan.assignment
-        assert sp.plan.features == de.plan.features
-        assert sp.plan.latencies == de.plan.latencies
-        assert sp.plan.compute_shares == de.plan.compute_shares
-        assert sp.plan.bandwidth_shares == de.plan.bandwidth_shares
-        assert sp.migration_history == de.migration_history
-        assert sp.plan.objective_value == de.plan.objective_value
+        cfg = JointSolverConfig(shards=2, migration_rounds=2)
+        r = solve_sharded(tasks, cluster, config=cfg, candidates=cands, seed=5)
+        assert r.plan.assignment == {
+            "t0": 2, "t1": 3, "t2": 3, "t3": 3, "t4": 2,
+            "t5": 0, "t6": 1, "t7": 1, "t8": 1,
+        }
+        assert repr(r.plan.objective_value) == "0.2804918590167214"
+        assert r.migration_history == [0]
 
     def test_invalid_mode_rejected(self, hetero_instance):
         cluster, tasks, cands = hetero_instance
         with pytest.raises(ConfigError):
-            AffinityIndex(tasks, cands, cluster, mode="hybrid")
-        with pytest.raises(ConfigError):
-            JointSolverConfig(affinity="hybrid")
+            AffinityIndex(tasks, cands, cluster, mode="dense")
+        with pytest.raises(TypeError):
+            JointSolverConfig(affinity="sparse")
 
 
 @pytest.fixture(scope="module")

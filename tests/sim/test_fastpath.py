@@ -6,6 +6,7 @@ import pytest
 from repro.core.joint import JointOptimizer
 from repro.core.candidates import build_candidates
 from repro.core.plan import TaskSpec
+from repro.faults import runtime as runtime_mod
 from repro.network.wireless import BandwidthTrace
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
@@ -92,7 +93,7 @@ class TestDispatch:
             def __init__(self):
                 raise AssertionError("event loop constructed on the fast path")
 
-        monkeypatch.setattr(runner_mod, "Simulator", Boom)
+        monkeypatch.setattr(runtime_mod, "Simulator", Boom)
         rep = simulate_plan(
             small_tasks, solved, small_cluster, SimulationConfig(horizon_s=6.0, seed=14)
         )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.joint import JointOptimizer
 from repro.errors import ConfigError
+from repro.sim import runner as runner_mod
 from repro.sim.metrics import merge_reports
 from repro.sim.runner import SimulationConfig, run_replications, simulate_plan
 
@@ -74,3 +75,51 @@ class TestReplications:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):
             SimulationConfig(**kwargs)
+
+
+class TestPoolFallback:
+    def test_pool_start_failure_warns_and_runs_serially(
+        self, small_cluster, small_tasks, solved, base_cfg, monkeypatch
+    ):
+        class NoPool:
+            def __init__(self, *a, **k):
+                raise OSError("no semaphores")
+
+        serial = run_replications(small_tasks, solved, small_cluster, base_cfg)
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", NoPool)
+        with pytest.warns(RuntimeWarning, match="OSError: no semaphores"):
+            pooled = run_replications(
+                small_tasks, solved, small_cluster,
+                dataclasses.replace(base_cfg, sim_workers=2),
+            )
+        assert len(pooled) == len(serial)
+        for s, p in zip(serial, pooled):
+            assert_reports_identical(s, p)
+
+    def test_job_error_propagates_without_serial_rerun(
+        self, small_cluster, small_tasks, solved, base_cfg, monkeypatch
+    ):
+        class FailingPool:
+            def __init__(self, *a, **k):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                raise ValueError("job failed")
+
+        calls = []
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(
+            runner_mod, "_replication_worker", lambda job: calls.append(job)
+        )
+        with pytest.raises(ValueError, match="job failed"):
+            run_replications(
+                small_tasks, solved, small_cluster,
+                dataclasses.replace(base_cfg, sim_workers=2),
+            )
+        assert calls == []
