@@ -135,7 +135,7 @@ def simulate_with_faults(
     # met/miss counters, lost/shed/degraded outcomes annotate their windows
     wm = (
         WindowedMetrics(cfg.windows, cfg.horizon_s)
-        if getattr(cfg, "windows", None) is not None else None
+        if cfg.windows is not None else None
     )
 
     # -- resources ------------------------------------------------------------

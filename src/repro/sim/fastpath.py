@@ -1,15 +1,23 @@
 """Vectorized fast path for :func:`repro.sim.runner.simulate_plan`.
 
 The event loop's work factors into (a) per-request stochastic realization —
-arrival times, difficulties, exit positions, correctness draws — and (b) a
-device→uplink→server→downlink FIFO pipeline whose only coupling is each
-resource's ``busy_until`` horizon.  Neither needs a heap: (a) vectorizes
-completely (``RealizationTable`` + :mod:`repro.rng_vec`), and (b) reduces to
-per-resource *sweeps* — one lean recurrence per resource over submissions in
-the exact order the event loop would have made them.
+arrival times, difficulties, exit positions, correctness draws, service
+jitter — and (b) a device→uplink→server→downlink FIFO pipeline whose only
+coupling is each resource's ``busy_until`` horizon.  Neither needs a heap:
+(a) vectorizes completely (``RealizationTable`` + :mod:`repro.rng_vec`), and
+(b) reduces to per-resource *sweeps* — one lean recurrence per resource over
+submissions in the exact order the event loop would have made them.
 
-The hard part is reproducing the event loop **bit for bit**, which pins two
-orderings:
+:func:`sweep_pipeline` is the one sweep.  It realizes requests in arrival
+windows of roughly ``cfg.chunk_size`` requests and sweeps every resource
+window by window (the block comment above :class:`_StageBuffer` explains
+why that is lossless), so any window size gives the same bits.  Completed
+requests flow to one of two sinks: a streaming run folds them into its
+:class:`~repro.sim.metrics.StreamingStats` accumulator as they complete;
+every other run keeps them all and builds the :class:`RequestRecord` list
+once, at the end.
+
+Reproducing the event loop **bit for bit** pins two orderings:
 
 - *submission order* per resource: the shared device resource receives
   requests in ``(arrival, global-index)`` order; each per-task stage resource
@@ -21,11 +29,12 @@ orderings:
   ``(completion time, heap sequence)``, where the sequence comparison
   recurses through each request's scheduling chain.  That collapses to a
   lexicographic key — offloaded: ``(completion, server_done,
-  uplink_delivery, device_done, arrival, gidx)``; non-offloaded:
-  ``(completion, arrival, -inf, -inf, -inf, gidx)`` (the ``-inf`` padding
-  encodes that arrival events always beat same-time dynamic events, since
-  all arrivals are scheduled before the run starts and hold the lowest
-  sequence numbers).
+  uplink_delivery, device_done, arrival, task, req_id)``; non-offloaded:
+  ``(completion, arrival, -inf, -inf, -inf, task, req_id)`` (the ``-inf``
+  padding encodes that arrival events always beat same-time dynamic events,
+  since all arrivals are scheduled before the run starts and hold the lowest
+  sequence numbers — task by task, in request order, which is what the
+  trailing ``(task, req_id)`` tie-break spells out).
 
 Eligibility is decided by the caller (:func:`~repro.sim.runner.simulate_plan`):
 any telemetry recorder forces the event loop, since gauges sample on event
@@ -36,7 +45,7 @@ is fast-path eligible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,275 +60,21 @@ from repro.sim.queues import FifoResource, LinkResource
 from repro.sim.sources import arrival_stream, arrival_times
 from repro.telemetry.windows import WindowedMetrics
 
-__all__ = ["sweep_pipeline", "sweep_pipeline_streaming"]
+__all__ = ["sweep_pipeline"]
 
 
-class _TaskStream:
-    """Realized request stream of one task (all arrays indexed by req_id)."""
-
-    __slots__ = (
-        "task", "n", "arrival", "deadline", "positions", "offloaded", "correct",
-        "dev_flops", "srv_flops", "up_bytes", "down_bytes",
-        "dev_start", "dev_done", "uplink_delivery", "server_done",
-        "completion", "srv_busy", "net_busy",
-    )
-
-    def __init__(self, task: TaskSpec, plan: JointPlan, cfg) -> None:
-        self.task = task
-        arrival = arrival_times(
-            task.arrival_rate,
-            cfg.horizon_s,
-            cfg.arrival,
-            cfg.burst_factor,
-            derive(cfg.seed, "arrivals", task.name),
-        )
-        diff_rng = derive(cfg.seed, "difficulty", task.name)
-        difficulties = np.clip(
-            task.model.difficulty.sample(diff_rng, arrival.size), 0.0, 1.0
-        )
-        n = arrival.size
-        self.n = n
-        self.arrival = arrival.astype(np.float64)
-        self.deadline = self.arrival + task.deadline_s
-
-        table = RealizationTable(task.model, plan.features[task.name].plan)
-        pos = table.positions(difficulties)
-        uniforms = first_uniforms(
-            derive_material(cfg.seed, "exec", task.name), np.arange(n)
-        )
-        self.positions = pos
-        self.offloaded = table.offloaded[pos]
-        self.correct = uniforms < table.p_correct(pos, difficulties)
-        self.dev_flops = table.dev_flops[pos]
-        self.srv_flops = table.srv_flops[pos]
-        self.up_bytes = table.up_bytes[pos]
-        self.down_bytes = table.down_bytes[pos]
-        sigma = getattr(cfg, "service_noise", 0.0)
-        if sigma > 0:
-            # per-(task, stage) counter-based draws — the same factors the
-            # event loop applies per request via jitter_demand
-            mats = jitter_materials(cfg.seed, task.name)
-            ids = np.arange(n)
-            self.dev_flops = self.dev_flops * jitter_factors(mats["dev"], ids, sigma)
-            self.srv_flops = self.srv_flops * jitter_factors(mats["srv"], ids, sigma)
-            self.up_bytes = self.up_bytes * jitter_factors(mats["up"], ids, sigma)
-            self.down_bytes = self.down_bytes * jitter_factors(mats["down"], ids, sigma)
-
-        self.dev_start = np.empty(n)
-        self.dev_done = np.empty(n)
-        self.uplink_delivery = np.full(n, -np.inf)
-        self.server_done = np.full(n, -np.inf)
-        self.completion = np.empty(n)
-        self.srv_busy = np.zeros(n)
-        self.net_busy = np.zeros(n)
-
-
-def _sweep_devices(
-    streams: Sequence[_TaskStream], device_res: Dict[str, FifoResource]
-) -> None:
-    """Run every shared device resource over its tasks' merged arrivals.
-
-    The event loop submits device work while arrival events fire, i.e. in
-    ``(arrival time, global scheduling index)`` order; concatenating the
-    device's streams in task order *is* global-index order, so a stable
-    argsort by arrival reproduces it exactly.
-    """
-    by_device: Dict[str, List[_TaskStream]] = {}
-    for s in streams:
-        by_device.setdefault(s.task.device_name, []).append(s)
-    for dname, members in by_device.items():
-        arrival = np.concatenate([s.arrival for s in members])
-        work = np.concatenate([s.dev_flops for s in members])
-        order = np.argsort(arrival, kind="stable")
-        starts, finishes = device_res[dname].sweep(arrival[order], work[order])
-        all_starts = np.empty_like(arrival)
-        all_done = np.empty_like(arrival)
-        all_starts[order] = starts
-        all_done[order] = finishes
-        off = 0
-        for s in members:
-            s.dev_start = all_starts[off : off + s.n]
-            s.dev_done = all_done[off : off + s.n]
-            off += s.n
-
-
-def _sweep_offload_stages(
-    stream: _TaskStream,
-    task_server_res: Dict[str, FifoResource],
-    task_uplink_res: Dict[str, LinkResource],
-    task_downlink_res: Dict[str, LinkResource],
-) -> None:
-    """Uplink → server → downlink for one task's offloaded requests.
-
-    Each stage's submission order is the stable sort of the previous stage's
-    completion times over the previous stage's processing order (stage
-    events inherit heap-sequence order from their schedulers), so the orders
-    chain: ``ord_u`` over device completions in request order, then re-sorts
-    by each stage's own finish times.
-    """
-    name = stream.task.name
-    off_idx = np.flatnonzero(stream.offloaded)
-    stream.completion = stream.dev_done.copy()
-    if off_idx.size == 0:
-        return
-    ord_u = off_idx[np.argsort(stream.dev_done[off_idx], kind="stable")]
-    u_start, u_deliver = task_uplink_res[name].sweep(
-        stream.dev_done[ord_u], stream.up_bytes[ord_u]
-    )
-    stream.uplink_delivery[ord_u] = u_deliver
-    stream.net_busy[ord_u] = u_deliver - u_start
-
-    ord_s = ord_u[np.argsort(u_deliver, kind="stable")]
-    s_start, s_done = task_server_res[name].sweep(
-        stream.uplink_delivery[ord_s], stream.srv_flops[ord_s]
-    )
-    stream.server_done[ord_s] = s_done
-    stream.srv_busy[ord_s] = s_done - s_start
-
-    ord_d = ord_s[np.argsort(s_done, kind="stable")]
-    d_start, d_deliver = task_downlink_res[name].sweep(
-        stream.server_done[ord_d], stream.down_bytes[ord_d]
-    )
-    stream.completion[ord_d] = d_deliver
-    stream.net_busy[ord_d] += d_deliver - d_start
-
-
-def _record_order(
-    completion: np.ndarray,
-    arrival: np.ndarray,
-    offloaded: np.ndarray,
-    server_done: np.ndarray,
-    uplink_delivery: np.ndarray,
-    device_done: np.ndarray,
-) -> np.ndarray:
-    """Global completion-callback order of the event loop.
-
-    Ties in completion time resolve by heap sequence number, which recurses
-    through each request's scheduling chain (finish ← downlink ← server ←
-    uplink ← arrival for offloaded; finish ← arrival for non-offloaded).
-    ``-inf`` in the offload-only key slots encodes that an arrival event
-    outranks any same-time dynamic event; remaining full ties fall back to
-    lexsort's stability, i.e. global scheduling index.
-    """
-    neg_inf = np.float64(-np.inf)
-    k2 = np.where(offloaded, server_done, arrival)
-    k3 = np.where(offloaded, uplink_delivery, neg_inf)
-    k4 = np.where(offloaded, device_done, neg_inf)
-    k5 = np.where(offloaded, arrival, neg_inf)
-    return np.lexsort((k5, k4, k3, k2, completion))
-
-
-def sweep_pipeline(
-    tasks: Sequence[TaskSpec],
-    plan: JointPlan,
-    cfg,
-    device_res: Dict[str, FifoResource],
-    task_server_res: Dict[str, FifoResource],
-    task_uplink_res: Dict[str, LinkResource],
-    task_downlink_res: Dict[str, LinkResource],
-    windowed: "WindowedMetrics | None" = None,
-) -> Tuple[List[RequestRecord], int, SimCounters]:
-    """Vectorized equivalent of the event loop over already-built resources.
-
-    Mutates the resources exactly as the event loop would (busy horizons,
-    busy time, job counts) and returns ``(records, discarded, counters)``
-    where ``records`` is warmup-filtered and in the event loop's completion
-    order.  Bit-identical to the event path by construction.  With
-    ``windowed`` set, warmup-filtered completions additionally fold into the
-    tumbling-window aggregator (integer state bit-identical to the event
-    loop's scalar feed — window/bin indices use the same double ops).
-    """
-    streams = [_TaskStream(t, plan, cfg) for t in tasks]
-    total = sum(s.n for s in streams)
-    if total == 0:
-        raise SimulationError("no requests generated; horizon or rates too small")
-
-    _sweep_devices(streams, device_res)
-    for s in streams:
-        _sweep_offload_stages(
-            s, task_server_res, task_uplink_res, task_downlink_res
-        )
-        if windowed is not None:
-            keep = s.arrival >= cfg.warmup_s
-            comp = s.completion[keep]
-            windowed.observe(
-                s.task.name,
-                comp,
-                comp - s.arrival[keep],
-                comp <= s.deadline[keep] + 1e-12,
-            )
-
-    arrival = np.concatenate([s.arrival for s in streams])
-    completion = np.concatenate([s.completion for s in streams])
-    offloaded = np.concatenate([s.offloaded for s in streams])
-    order = _record_order(
-        completion,
-        arrival,
-        offloaded,
-        np.concatenate([s.server_done for s in streams]),
-        np.concatenate([s.uplink_delivery for s in streams]),
-        np.concatenate([s.dev_done for s in streams]),
-    )
-    if np.any(completion < arrival):  # pragma: no cover - structural invariant
-        bad = int(np.argmax(completion < arrival))
-        raise SimulationError(f"request #{bad} completes before it arrives")
-
-    task_names = np.concatenate(
-        [np.full(s.n, i, dtype=np.intp) for i, s in enumerate(streams)]
-    )
-    req_ids = np.concatenate([np.arange(s.n, dtype=np.intp) for s in streams])
-    deadline = np.concatenate([s.deadline for s in streams])
-    positions = np.concatenate([s.positions for s in streams])
-    correct = np.concatenate([s.correct for s in streams])
-    dev_busy = np.concatenate([s.dev_done - s.dev_start for s in streams])
-    srv_busy = np.concatenate([s.srv_busy for s in streams])
-    net_busy = np.concatenate([s.net_busy for s in streams])
-
-    warmup = cfg.warmup_s
-    names = [s.task.name for s in streams]
-    records: List[RequestRecord] = []
-    for g in order.tolist():
-        a = arrival[g]
-        if a < warmup:
-            continue
-        records.append(
-            RequestRecord(
-                task_name=names[task_names[g]],
-                req_id=int(req_ids[g]),
-                arrival_s=float(a),
-                completion_s=float(completion[g]),
-                deadline_s=float(deadline[g]),
-                exit_position=int(positions[g]),
-                offloaded=bool(offloaded[g]),
-                correct=bool(correct[g]),
-                dev_busy_s=float(dev_busy[g]),
-                srv_busy_s=float(srv_busy[g]),
-                net_busy_s=float(net_busy[g]),
-            )
-        )
-    discarded = total - len(records)
-    n_off = int(np.count_nonzero(offloaded))
-    counters = SimCounters(
-        requests=total,
-        records=len(records),
-        discarded_warmup=discarded,
-        events=2 * (total - n_off) + 5 * n_off,
-        replications=1,
-    )
-    return records, discarded, counters
-
-
-# -- chunked streaming sweep ---------------------------------------------------
+# -- windowed sweep ------------------------------------------------------------
 #
-# The streaming sweep replays the exact per-resource recurrences of
-# ``sweep_pipeline`` window by window instead of over one giant array.  Three
-# facts make the chunking lossless:
+# The sweep replays the exact per-resource recurrences of the event loop
+# window by window instead of over one giant array.  Three facts make the
+# windowing lossless:
 #
-# 1. Every stochastic column is chunkable: arrival streams replay the
-#    one-shot draw order (``repro.sim.sources.ArrivalStream``), difficulty
-#    draws are stream-sequential, and exec uniforms are counter-based
-#    (addressed by request index), so realizing requests window by window
-#    yields bit-identical columns.
+# 1. Every stochastic column is chunkable: a record-backed run slices one
+#    ``arrival_times`` array (the event loop's own draws) and a streaming
+#    run draws from a replaying ``repro.sim.sources.ArrivalStream``;
+#    difficulty draws are stream-sequential, and exec and jitter uniforms
+#    are counter-based (addressed by request index), so realizing requests
+#    window by window yields the same columns for any window size.
 # 2. Device submissions are ordered by ``(arrival, task order)``, and window
 #    boundaries split by arrival — every submission of window *k* precedes
 #    every submission of window *k+1*, so per-window sweeps see the global
@@ -336,168 +91,185 @@ def sweep_pipeline(
 #
 # Each resource's ``sweep`` carries its busy horizon and busy-time
 # accumulator across calls with sequential-scalar semantics, so splitting
-# one sweep into many changes no bits.  Completed requests fold straight
-# into a ``StreamingStats`` accumulator — the event loop's record *order* is
-# not reproduced (it only affects the order of observation, not any value),
-# which is what lets the sweep retire requests without a global completion
-# buffer.
+# one sweep into many changes no bits.  Completions leave the pipeline at
+# window boundaries, not in the event loop's order; the record sink restores
+# that order once, with one lexsort over the record-order key (module
+# docstring), which is why every stage row carries its device-finish and
+# uplink-delivery times.
 
-
-#: per-request payload carried through the offload-stage buffers; a single
-#: superset of columns (all float64) keeps the buffers homogeneous
-_STAGE_COLS = (
-    "req_id", "arrival", "deadline", "position", "correct",
-    "dev_busy", "net_busy", "srv_busy", "up_bytes", "srv_flops", "down_bytes",
+#: per-request columns of one row; all float64, so a batch of requests (and
+#: every stage buffer) is one ``(n, len(_COLS))`` matrix
+_COLS = (
+    "req_id", "arrival", "deadline", "position", "offloaded", "correct",
+    "dev_flops", "up_bytes", "srv_flops", "down_bytes",
+    "dev_done", "up_done", "srv_done", "completion",
+    "dev_busy", "net_busy", "srv_busy",
 )
+(
+    _REQ, _ARR, _DEADLINE, _POS, _OFF, _CORRECT,
+    _DEV_FLOPS, _UP_BYTES, _SRV_FLOPS, _DOWN_BYTES,
+    _DEV_DONE, _UP_DONE, _SRV_DONE, _COMPLETION,
+    _DEV_BUSY, _NET_BUSY, _SRV_BUSY,
+) = range(len(_COLS))
+
+
+#: records built per step at the end of a record-backed run (bounds the
+#: transient Python lists)
+_RECORD_BLOCK = 4096
+
+
+def _no_rows() -> np.ndarray:
+    return np.empty((0, len(_COLS)))
 
 
 class _StageBuffer:
     """Pending submissions of one pipeline stage, in submission order.
 
-    Holds ``(key, payload)`` rows where ``key`` is the previous stage's
-    finish time (= this stage's submission time).  :meth:`push_flush`
-    appends a batch in request order, restores global submission order with
-    a stable argsort, and splits off every row with ``key < threshold``.
+    Rows are keyed by column ``key`` — the previous stage's finish time,
+    i.e. this stage's submission time.  :meth:`push_flush` appends a batch
+    in request order, restores global submission order with a stable
+    argsort, and splits off every row with ``key < threshold``.
     """
 
-    __slots__ = ("key", "cols")
+    __slots__ = ("key", "rows")
 
-    def __init__(self) -> None:
-        self.key = np.empty(0, dtype=np.float64)
-        self.cols = {name: np.empty(0, dtype=np.float64) for name in _STAGE_COLS}
+    def __init__(self, key: int) -> None:
+        self.key = key
+        self.rows = _no_rows()
 
-    @property
-    def pending(self) -> int:
-        return self.key.size
-
-    def push_flush(
-        self,
-        key: np.ndarray,
-        cols: Dict[str, np.ndarray],
-        threshold: float,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        if key.size:
-            merged_key = np.concatenate([self.key, key])
-            merged = {
-                name: np.concatenate([self.cols[name], cols[name]])
-                for name in _STAGE_COLS
-            }
-            order = np.argsort(merged_key, kind="stable")
-            merged_key = merged_key[order]
-            merged = {name: c[order] for name, c in merged.items()}
+    def push_flush(self, batch: np.ndarray, threshold: float) -> np.ndarray:
+        if not batch.shape[0]:
+            merged = self.rows  # the carry-over is already sorted
         else:
-            merged_key, merged = self.key, self.cols
-        split = int(np.searchsorted(merged_key, threshold, side="left"))
-        out_key = merged_key[:split]
-        out = {name: c[:split] for name, c in merged.items()}
-        self.key = merged_key[split:]
-        self.cols = {name: c[split:] for name, c in merged.items()}
-        return out_key, out
+            if self.rows.shape[0]:
+                batch = np.concatenate([self.rows, batch])
+            merged = batch[np.argsort(batch[:, self.key], kind="stable")]
+        split = int(np.searchsorted(merged[:, self.key], threshold, side="left"))
+        # an owned copy (or a fresh empty matrix), never a view: a view would
+        # pin every flushed row of ``merged`` until the next flush
+        self.rows = merged[split:].copy() if split < merged.shape[0] else _no_rows()
+        return merged[:split]
 
 
-class _ChunkedTaskStream:
+class _Replay:
+    """Window-by-window view of a precomputed arrival array."""
+
+    __slots__ = ("times", "taken")
+
+    def __init__(self, times: np.ndarray) -> None:
+        self.times = times
+        self.taken = 0
+
+    def take_until(self, t_end: float) -> np.ndarray:
+        end = int(np.searchsorted(self.times, t_end, side="left"))
+        out = self.times[self.taken : end]
+        self.taken = end
+        return out
+
+
+class _TaskStream:
     """Incremental realization of one task's request stream.
 
-    Produces the same columns as :class:`_TaskStream`, window by window:
-    arrivals come from the replaying :func:`arrival_stream`, difficulties
-    from the same derived generator (stream-sequential draws), and exec
-    uniforms from the counter-based :func:`first_uniforms` addressed by
-    request index.
+    Arrivals come from :func:`arrival_times` (record-backed runs) or
+    :func:`arrival_stream` (streaming runs), difficulties from one derived
+    generator (stream-sequential draws), and exec and jitter uniforms from
+    counter-based :func:`first_uniforms` streams addressed by request index
+    — so the realized columns do not depend on how the horizon is cut into
+    windows.  Each task owns the three offload-stage buffers.
     """
 
     __slots__ = (
-        "task", "table", "arrivals", "diff_rng", "exec_material",
-        "generated", "offloaded_total", "up_buf", "srv_buf", "down_buf",
-        "sigma", "jitter_mats",
+        "task", "table", "arrivals", "diff_rng", "exec_material", "sigma",
+        "jitter", "generated", "offloaded_total", "up_buf", "srv_buf", "down_buf",
     )
 
     def __init__(self, task: TaskSpec, plan: JointPlan, cfg) -> None:
         self.task = task
         self.table = RealizationTable(task.model, plan.features[task.name].plan)
-        self.arrivals = arrival_stream(
+        process = (
             task.arrival_rate,
             cfg.horizon_s,
             cfg.arrival,
             cfg.burst_factor,
             derive(cfg.seed, "arrivals", task.name),
         )
+        # record-backed runs replay the event loop's own arrival array; a
+        # Poisson stream sums its gaps block by block, which rounds
+        # arrivals past its first block differently
+        self.arrivals = (
+            arrival_stream(*process) if cfg.streaming
+            else _Replay(arrival_times(*process))
+        )
         self.diff_rng = derive(cfg.seed, "difficulty", task.name)
         self.exec_material = derive_material(cfg.seed, "exec", task.name)
+        self.sigma = cfg.service_noise
+        # per-(task, stage) jitter streams: the same factors the event loop
+        # applies per request via jitter_demand
+        self.jitter: List[Tuple[int, List[int]]] = []
+        if self.sigma > 0:
+            mats = jitter_materials(cfg.seed, task.name)
+            self.jitter = [
+                (_DEV_FLOPS, mats["dev"]), (_SRV_FLOPS, mats["srv"]),
+                (_UP_BYTES, mats["up"]), (_DOWN_BYTES, mats["down"]),
+            ]
         self.generated = 0
         self.offloaded_total = 0
-        self.up_buf = _StageBuffer()
-        self.srv_buf = _StageBuffer()
-        self.down_buf = _StageBuffer()
-        self.sigma = getattr(cfg, "service_noise", 0.0)
-        self.jitter_mats = (
-            jitter_materials(cfg.seed, task.name) if self.sigma > 0 else None
-        )
+        self.up_buf = _StageBuffer(_DEV_DONE)
+        self.srv_buf = _StageBuffer(_UP_DONE)
+        self.down_buf = _StageBuffer(_SRV_DONE)
 
-    def realize(self, t_end: float) -> Dict[str, np.ndarray]:
-        """Realize the requests arriving in the current window."""
+    def realize(self, t_end: float) -> np.ndarray:
+        """Rows of the requests arriving in the current window."""
         arrival = self.arrivals.take_until(t_end)
         m = arrival.size
+        table = self.table
         difficulties = np.clip(
             self.task.model.difficulty.sample(self.diff_rng, m), 0.0, 1.0
         )
-        pos = self.table.positions(difficulties)
+        pos = table.positions(difficulties)
         req_id = np.arange(self.generated, self.generated + m, dtype=np.int64)
         uniforms = first_uniforms(self.exec_material, req_id)
         self.generated += m
-        offloaded = self.table.offloaded[pos]
+        offloaded = table.offloaded[pos]
         self.offloaded_total += int(np.count_nonzero(offloaded))
-        dev_flops = self.table.dev_flops[pos]
-        srv_flops = self.table.srv_flops[pos]
-        up_bytes = self.table.up_bytes[pos]
-        down_bytes = self.table.down_bytes[pos]
-        if self.jitter_mats is not None:
-            # counter-based draws addressed by request id: identical to the
-            # one-shot sweep's arange(n) batch regardless of window splits
-            dev_flops = dev_flops * jitter_factors(
-                self.jitter_mats["dev"], req_id, self.sigma
-            )
-            srv_flops = srv_flops * jitter_factors(
-                self.jitter_mats["srv"], req_id, self.sigma
-            )
-            up_bytes = up_bytes * jitter_factors(
-                self.jitter_mats["up"], req_id, self.sigma
-            )
-            down_bytes = down_bytes * jitter_factors(
-                self.jitter_mats["down"], req_id, self.sigma
-            )
-        return {
-            "req_id": req_id,
-            "arrival": arrival.astype(np.float64),
-            "deadline": arrival + self.task.deadline_s,
-            "positions": pos,
-            "offloaded": offloaded,
-            "correct": uniforms < self.table.p_correct(pos, difficulties),
-            "dev_flops": dev_flops,
-            "srv_flops": srv_flops,
-            "up_bytes": up_bytes,
-            "down_bytes": down_bytes,
-        }
+
+        rows = np.zeros((m, len(_COLS)))
+        rows[:, _REQ] = req_id
+        rows[:, _ARR] = arrival
+        rows[:, _DEADLINE] = arrival + self.task.deadline_s
+        rows[:, _POS] = pos
+        rows[:, _OFF] = offloaded
+        rows[:, _CORRECT] = uniforms < table.p_correct(pos, difficulties)
+        rows[:, _DEV_FLOPS] = table.dev_flops[pos]
+        rows[:, _UP_BYTES] = table.up_bytes[pos]
+        rows[:, _SRV_FLOPS] = table.srv_flops[pos]
+        rows[:, _DOWN_BYTES] = table.down_bytes[pos]
+        for col, material in self.jitter:
+            rows[:, col] *= jitter_factors(material, req_id, self.sigma)
+        return rows
 
 
-def _sweep_devices_window(
-    batches: "List[Tuple[_ChunkedTaskStream, Dict[str, np.ndarray]]]",
+def _sweep_devices(
+    streams: Sequence[_TaskStream],
+    batches: Sequence[np.ndarray],
     device_res: Dict[str, FifoResource],
 ) -> None:
-    """Windowed :func:`_sweep_devices`: merged arrival-order device sweeps.
+    """Run every shared device resource over its tasks' merged arrivals.
 
-    Adds ``dev_start`` / ``dev_done`` columns to each batch in place.
+    The event loop submits device work while arrival events fire, i.e. in
+    ``(arrival time, global scheduling index)`` order; concatenating the
+    device's batches in task order *is* global-index order, so a stable
+    argsort by arrival reproduces it exactly.  Fills the device-finish,
+    device-busy and (provisional) completion columns in place.
     """
-    by_device: Dict[str, List[Tuple[_ChunkedTaskStream, Dict[str, np.ndarray]]]] = {}
-    for s, batch in batches:
-        by_device.setdefault(s.task.device_name, []).append((s, batch))
+    by_device: Dict[str, List[np.ndarray]] = {}
+    for s, rows in zip(streams, batches):
+        by_device.setdefault(s.task.device_name, []).append(rows)
     for dname, members in by_device.items():
-        arrival = np.concatenate([b["arrival"] for _, b in members])
+        arrival = np.concatenate([rows[:, _ARR] for rows in members])
         if arrival.size == 0:
-            for _, b in members:
-                b["dev_start"] = np.empty(0)
-                b["dev_done"] = np.empty(0)
             continue
-        work = np.concatenate([b["dev_flops"] for _, b in members])
+        work = np.concatenate([rows[:, _DEV_FLOPS] for rows in members])
         order = np.argsort(arrival, kind="stable")
         starts, finishes = device_res[dname].sweep(arrival[order], work[order])
         all_starts = np.empty_like(arrival)
@@ -505,141 +277,185 @@ def _sweep_devices_window(
         all_starts[order] = starts
         all_done[order] = finishes
         off = 0
-        for _, b in members:
-            n = b["arrival"].size
-            b["dev_start"] = all_starts[off : off + n]
-            b["dev_done"] = all_done[off : off + n]
+        for rows in members:
+            n = rows.shape[0]
+            done = all_done[off : off + n]
+            rows[:, _DEV_DONE] = done
+            rows[:, _COMPLETION] = done
+            rows[:, _DEV_BUSY] = done - all_starts[off : off + n]
             off += n
 
 
-def _observe_completions(
-    stats: StreamingStats,
-    task_name: str,
-    warmup_s: float,
-    req_ids: np.ndarray,
-    arrival: np.ndarray,
-    completion: np.ndarray,
-    deadline: np.ndarray,
-    positions: np.ndarray,
-    offloaded: np.ndarray,
-    correct: np.ndarray,
-    dev_busy: np.ndarray,
-    srv_busy: np.ndarray,
-    net_busy: np.ndarray,
-) -> int:
-    """Fold final completions into the accumulator; return warmup discards."""
-    keep = arrival >= warmup_s
-    kept = int(np.count_nonzero(keep))
-    if kept:
-        stats.observe(
-            task_name,
-            req_ids[keep].astype(np.int64),
-            arrival[keep],
-            completion[keep],
-            deadline[keep],
-            positions[keep].astype(np.int64),
-            offloaded[keep].astype(bool),
-            correct[keep].astype(bool),
-            dev_busy[keep],
-            srv_busy[keep],
-            net_busy[keep],
-        )
-    return int(arrival.size) - kept
-
-
 def _advance_task_window(
-    s: _ChunkedTaskStream,
-    batch: Dict[str, np.ndarray],
+    s: _TaskStream,
+    index: int,
+    rows: np.ndarray,
     threshold: float,
-    stats: StreamingStats,
-    warmup_s: float,
+    sink,
     task_server_res: Dict[str, FifoResource],
     task_uplink_res: Dict[str, LinkResource],
     task_downlink_res: Dict[str, LinkResource],
-) -> int:
+) -> None:
     """Advance one task through uplink → server → downlink for one window.
 
-    Locally-completed requests from ``batch`` are observed immediately;
-    offloaded ones enter the stage buffers and are flushed stage by stage up
-    to ``threshold`` (the window edge, or ``inf`` on the final drain).
-    Returns the number of warmup-discarded completions this window.
+    Locally-completed requests go to ``sink`` immediately; offloaded ones
+    enter the stage buffers and are flushed stage by stage up to
+    ``threshold`` (the window edge, or ``inf`` on the final drain).
     """
     name = s.task.name
-    discarded = 0
-    zeros = lambda m: np.zeros(m)  # noqa: E731 - tiny local helper
+    off = rows[:, _OFF] > 0
+    if not off.all():
+        sink.observe(index, rows[~off])
 
-    if batch["arrival"].size:
-        off = batch["offloaded"]
-        loc = ~off
-        if np.any(loc):
-            discarded += _observe_completions(
-                stats, name, warmup_s,
-                batch["req_id"][loc], batch["arrival"][loc],
-                batch["dev_done"][loc], batch["deadline"][loc],
-                batch["positions"][loc], off[loc], batch["correct"][loc],
-                batch["dev_done"][loc] - batch["dev_start"][loc],
-                zeros(int(np.count_nonzero(loc))), zeros(int(np.count_nonzero(loc))),
+    up = s.up_buf.push_flush(rows[off], threshold)
+    if up.shape[0]:
+        start, deliver = task_uplink_res[name].sweep(up[:, _DEV_DONE], up[:, _UP_BYTES])
+        up[:, _UP_DONE] = deliver
+        up[:, _NET_BUSY] = deliver - start
+
+    srv = s.srv_buf.push_flush(up, threshold)
+    if srv.shape[0]:
+        start, done = task_server_res[name].sweep(srv[:, _UP_DONE], srv[:, _SRV_FLOPS])
+        srv[:, _SRV_DONE] = done
+        srv[:, _SRV_BUSY] = done - start
+
+    down = s.down_buf.push_flush(srv, threshold)
+    if down.shape[0]:
+        start, deliver = task_downlink_res[name].sweep(
+            down[:, _SRV_DONE], down[:, _DOWN_BYTES]
+        )
+        down[:, _COMPLETION] = deliver
+        down[:, _NET_BUSY] += deliver - start
+        sink.observe(index, down)
+
+
+class _StreamingSink:
+    """Folds warmup-filtered completions into a :class:`StreamingStats`."""
+
+    __slots__ = ("stats", "names", "warmup_s", "discarded")
+
+    def __init__(self, stats: StreamingStats, names: List[str], warmup_s: float) -> None:
+        self.stats = stats
+        self.names = names
+        self.warmup_s = warmup_s
+        self.discarded = 0
+
+    def observe(self, index: int, rows: np.ndarray) -> None:
+        kept = rows[rows[:, _ARR] >= self.warmup_s]
+        self.discarded += rows.shape[0] - kept.shape[0]
+        if kept.shape[0]:
+            self.stats.observe(
+                self.names[index],
+                kept[:, _REQ].astype(np.int64),
+                kept[:, _ARR],
+                kept[:, _COMPLETION],
+                kept[:, _DEADLINE],
+                kept[:, _POS].astype(np.int64),
+                kept[:, _OFF] > 0,
+                kept[:, _CORRECT] > 0,
+                kept[:, _DEV_BUSY],
+                kept[:, _SRV_BUSY],
+                kept[:, _NET_BUSY],
             )
-        if np.any(off):
-            m = int(np.count_nonzero(off))
-            cols = {
-                "req_id": batch["req_id"][off].astype(np.float64),
-                "arrival": batch["arrival"][off],
-                "deadline": batch["deadline"][off],
-                "position": batch["positions"][off].astype(np.float64),
-                "correct": batch["correct"][off].astype(np.float64),
-                "dev_busy": batch["dev_done"][off] - batch["dev_start"][off],
-                "net_busy": zeros(m),
-                "srv_busy": zeros(m),
-                "up_bytes": batch["up_bytes"][off],
-                "srv_flops": batch["srv_flops"][off],
-                "down_bytes": batch["down_bytes"][off],
-            }
-            key = batch["dev_done"][off]
-        else:
-            key, cols = _empty_stage_batch()
-    else:
-        key, cols = _empty_stage_batch()
 
-    # uplink: submissions keyed by device completion
-    u_key, u_cols = s.up_buf.push_flush(key, cols, threshold)
-    if u_key.size:
-        u_start, u_deliver = task_uplink_res[name].sweep(u_key, u_cols["up_bytes"])
-        u_cols["net_busy"] = u_deliver - u_start
-    else:
-        u_deliver = u_key
 
-    # server: submissions keyed by uplink delivery
-    s_key, s_cols = s.srv_buf.push_flush(u_deliver, u_cols, threshold)
-    if s_key.size:
-        s_start, s_done = task_server_res[name].sweep(s_key, s_cols["srv_flops"])
-        s_cols["srv_busy"] = s_done - s_start
-    else:
-        s_done = s_key
+class _RecordSink:
+    """Keeps every completion; builds the records once, in event-loop order."""
 
-    # downlink: submissions keyed by server completion
-    d_key, d_cols = s.down_buf.push_flush(s_done, s_cols, threshold)
-    if d_key.size:
-        d_start, d_deliver = task_downlink_res[name].sweep(
-            d_key, d_cols["down_bytes"]
+    __slots__ = ("parts",)
+
+    def __init__(self) -> None:
+        self.parts: List[Tuple[int, np.ndarray]] = []
+
+    def observe(self, index: int, rows: np.ndarray) -> None:
+        self.parts.append((index, rows))
+
+    def records(
+        self,
+        names: List[str],
+        warmup_s: float,
+        windowed: Optional[WindowedMetrics],
+    ) -> List[RequestRecord]:
+        if not self.parts:
+            return []
+        rows = np.concatenate([r for _, r in self.parts])
+        task = np.concatenate(
+            [np.full(r.shape[0], i, dtype=np.intp) for i, r in self.parts]
         )
-        m = d_key.size
-        discarded += _observe_completions(
-            stats, name, warmup_s,
-            d_cols["req_id"], d_cols["arrival"], d_deliver, d_cols["deadline"],
-            d_cols["position"], np.ones(m, dtype=bool), d_cols["correct"],
-            d_cols["dev_busy"], d_cols["srv_busy"],
-            d_cols["net_busy"] + (d_deliver - d_start),
-        )
-    return discarded
+        self.parts = []
+        late = rows[:, _COMPLETION] < rows[:, _ARR]
+        if np.any(late):  # pragma: no cover - structural invariant
+            bad = int(np.argmax(late))
+            raise SimulationError(
+                f"request {names[task[bad]]}#{int(rows[bad, _REQ])} "
+                "completes before it arrives"
+            )
+        keep = rows[:, _ARR] >= warmup_s
+        rows, task = rows[keep], task[keep]
+        if windowed is not None:
+            # each task's completions in request order: the same float
+            # accumulation order as one whole-horizon batch per task
+            by_req = np.lexsort((rows[:, _REQ], task))
+            bounds = np.searchsorted(task[by_req], np.arange(len(names) + 1))
+            for i, name in enumerate(names):
+                sel = by_req[bounds[i] : bounds[i + 1]]
+                comp = rows[sel, _COMPLETION]
+                windowed.observe(
+                    name,
+                    comp,
+                    comp - rows[sel, _ARR],
+                    comp <= rows[sel, _DEADLINE] + 1e-12,
+                )
+        order = _record_order(rows, task)
+        # the record fields as columns in record order, so the rows can go
+        # before the records are built
+        fields = [
+            np.array(names, dtype=object)[task[order]],
+            rows[order, _REQ].astype(np.int64),
+            rows[order, _ARR],
+            rows[order, _COMPLETION],
+            rows[order, _DEADLINE],
+            rows[order, _POS].astype(np.int64),
+            rows[order, _OFF] > 0,
+            rows[order, _CORRECT] > 0,
+            rows[order, _DEV_BUSY],
+            rows[order, _SRV_BUSY],
+            rows[order, _NET_BUSY],
+        ]
+        del rows, task
+        records: List[RequestRecord] = []
+        for lo in range(0, order.size, _RECORD_BLOCK):
+            records.extend(
+                map(RequestRecord, *(f[lo : lo + _RECORD_BLOCK].tolist() for f in fields))
+            )
+        return records
 
 
-def _empty_stage_batch() -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    empty = np.empty(0, dtype=np.float64)
-    return empty, {name: empty for name in _STAGE_COLS}
+def _record_order(rows: np.ndarray, task: np.ndarray) -> np.ndarray:
+    """Global completion-callback order of the event loop.
+
+    Ties in completion time resolve by heap sequence number, which recurses
+    through each request's scheduling chain (finish ← downlink ← server ←
+    uplink ← arrival for offloaded; finish ← arrival for non-offloaded).
+    ``-inf`` in the offload-only key slots encodes that an arrival event
+    outranks any same-time dynamic event; remaining full ties fall back to
+    the global scheduling index ``(task, req_id)``.
+    """
+    neg_inf = np.float64(-np.inf)
+    off = rows[:, _OFF] > 0
+    arrival = rows[:, _ARR]
+    return np.lexsort((
+        rows[:, _REQ],
+        task,
+        np.where(off, arrival, neg_inf),
+        np.where(off, rows[:, _DEV_DONE], neg_inf),
+        np.where(off, rows[:, _UP_DONE], neg_inf),
+        np.where(off, rows[:, _SRV_DONE], arrival),
+        rows[:, _COMPLETION],
+    ))
 
 
-def sweep_pipeline_streaming(
+def sweep_pipeline(
     tasks: Sequence[TaskSpec],
     plan: JointPlan,
     cfg,
@@ -647,47 +463,56 @@ def sweep_pipeline_streaming(
     task_server_res: Dict[str, FifoResource],
     task_uplink_res: Dict[str, LinkResource],
     task_downlink_res: Dict[str, LinkResource],
-    stats: StreamingStats,
-) -> Tuple[int, SimCounters]:
-    """Chunked, bounded-memory equivalent of :func:`sweep_pipeline`.
+    stats: Optional[StreamingStats] = None,
+    windowed: Optional[WindowedMetrics] = None,
+) -> Tuple[List[RequestRecord], int, SimCounters]:
+    """Vectorized equivalent of the event loop over already-built resources.
 
-    Realizes arrivals in windows of roughly ``cfg.chunk_size`` requests,
+    Realizes arrivals in windows of roughly ``cfg.chunk_size`` requests and
     sweeps each resource window by window (bit-identical recurrences — see
-    module comment), and folds completions into ``stats`` instead of
-    materializing records.  Mutates the resources exactly as the one-shot
-    sweep would and returns ``(discarded, counters)``; per-request results
-    (and therefore utilizations, counters, and every integer-derived
-    aggregate) are bit-identical to the one-shot sweep on the same seed.
+    the block comment above), mutating the resources exactly as the event
+    loop would (busy horizons, busy time, job counts).  Returns
+    ``(records, discarded, counters)``.
 
-    Memory stays O(chunk + in-flight requests): stage buffers only grow
-    with queue backlog, which is bounded in any stable configuration.
+    With ``stats``, warmup-filtered completions fold into the accumulator
+    as they complete (which feeds its own ``stats.windowed``) and
+    ``records`` is empty; memory stays O(window + in-flight requests).
+    Otherwise ``records`` holds every warmup-filtered completion in the
+    event loop's completion order, and ``windowed``, if given, receives
+    them per task in request order — integer state bit-identical to the
+    event loop's scalar feed (window/bin indices use the same double ops).
     """
-    streams = [_ChunkedTaskStream(t, plan, cfg) for t in tasks]
+    streams = [_TaskStream(t, plan, cfg) for t in tasks]
+    names = [t.name for t in tasks]
+    sink = _RecordSink() if stats is None else _StreamingSink(stats, names, cfg.warmup_s)
     total_rate = sum(t.arrival_rate for t in tasks)
     window_s = max(cfg.chunk_size / total_rate, 1e-9) if total_rate > 0 else cfg.horizon_s
-    warmup = cfg.warmup_s
-    discarded = 0
 
     t = 0.0
-    while True:
+    last = False
+    while not last:
         t1 = t + window_s
         last = t1 >= cfg.horizon_s
         threshold = np.inf if last else t1
-        batches = [(s, s.realize(min(t1, cfg.horizon_s))) for s in streams]
-        _sweep_devices_window(batches, device_res)
-        for s, batch in batches:
-            discarded += _advance_task_window(
-                s, batch, threshold, stats, warmup,
+        batches = [s.realize(min(t1, cfg.horizon_s)) for s in streams]
+        _sweep_devices(streams, batches, device_res)
+        for i, (s, rows) in enumerate(zip(streams, batches)):
+            _advance_task_window(
+                s, i, rows, threshold, sink,
                 task_server_res, task_uplink_res, task_downlink_res,
             )
-        if last:
-            break
         t = t1
 
     total = sum(s.generated for s in streams)
-    if total == 0 and not getattr(cfg, "allow_empty", False):
+    if total == 0 and not cfg.allow_empty:
         raise SimulationError("no requests generated; horizon or rates too small")
     n_off = sum(s.offloaded_total for s in streams)
+    if stats is None:
+        del streams, batches  # release the last window before building records
+        records = sink.records(names, cfg.warmup_s, windowed)
+        discarded = total - len(records)
+    else:
+        records, discarded = [], sink.discarded
     counters = SimCounters(
         requests=total,
         records=total - discarded,
@@ -695,4 +520,4 @@ def sweep_pipeline_streaming(
         events=2 * (total - n_off) + 5 * n_off,
         replications=1,
     )
-    return discarded, counters
+    return records, discarded, counters

@@ -18,10 +18,11 @@ come from each model's difficulty distribution.  A
 
 Two execution engines produce **bit-identical** reports on a fixed seed:
 
-- the **fast path** (default): all stochastic realization is pre-generated
-  as arrays and the FIFO pipeline is swept per resource in the event loop's
-  exact submission order (:mod:`repro.sim.fastpath`), one-shot or in
-  bounded-memory streaming chunks;
+- the **fast path** (default): stochastic realization is generated as
+  arrays, window by window, and the FIFO pipeline is swept per resource in
+  the event loop's exact submission order (:mod:`repro.sim.fastpath`).
+  Completions either become records, in the event loop's completion order,
+  or fold into a bounded-memory streaming accumulator (``streaming``);
 - the **event loop**: the one discrete-event engine,
   :func:`repro.faults.runtime.simulate_with_faults`.  A fault-free run is a
   run with an empty fault schedule; it is used whenever a fault schedule is
@@ -37,6 +38,8 @@ reports whether executed serially or on ``sim_workers`` processes.
 
 from __future__ import annotations
 
+import math
+import numbers
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -52,13 +55,19 @@ from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
 from repro.network.wireless import BandwidthTrace
 from repro.rng import derive_seed
-from repro.sim.fastpath import sweep_pipeline, sweep_pipeline_streaming
+from repro.sim.fastpath import sweep_pipeline
 from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
 from repro.sim.queues import FifoResource, LinkResource
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
 _ARRIVALS = {"poisson", "deterministic", "mmpp"}
+#: float knobs that must be finite: an infinite horizon never ends the sweep,
+#: and NaN slips through every ``<``/``>`` range check below
+_FINITE_FIELDS = (
+    "horizon_s", "warmup_s", "burst_factor", "service_noise",
+    "hist_bin_s", "hist_max_s",
+)
 
 
 @dataclass(frozen=True)
@@ -91,14 +100,14 @@ class SimulationConfig:
     #: recovery ladder for failed offload stages; requires ``faults``.
     #: None under a schedule is the no-policy baseline (failures -> lost)
     failure_policy: Optional[FailurePolicy] = None
-    #: bounded-memory mode: sweep the pipeline in chunks and fold completions
-    #: into a streaming accumulator instead of materializing one record per
-    #: request; the report becomes records-free (see
-    #: :class:`repro.sim.metrics.StreamingStats`).  Requires the fast path
-    #: and is incompatible with telemetry and fault schedules.
+    #: bounded-memory mode: fold completions into a streaming accumulator
+    #: instead of materializing one record per request; the report becomes
+    #: records-free (see :class:`repro.sim.metrics.StreamingStats`).
+    #: Requires the fast path and is incompatible with telemetry and fault
+    #: schedules.
     streaming: bool = False
-    #: target requests per streaming window (memory/throughput trade-off;
-    #: any value yields identical results)
+    #: target requests per fast-path sweep window (memory/throughput
+    #: trade-off; any value yields identical results)
     chunk_size: int = 65536
     #: reservoir-sampled records to keep on streaming runs (0 = none)
     max_records: int = 0
@@ -108,7 +117,7 @@ class SimulationConfig:
     hist_max_s: float = 30.0
     #: tumbling-window SLO aggregation (:class:`~repro.telemetry.windows.
     #: WindowConfig`); unlike per-request telemetry this works on *every*
-    #: engine — event loop, one-shot fast path, chunked streaming sweep, and
+    #: engine — event loop, record-backed and streaming fast path, and
     #: fault runs — with bit-identical integer state, and lands in
     #: ``SimulationReport.windowed``.  None (default) costs nothing.
     windows: Optional[WindowConfig] = None
@@ -128,6 +137,14 @@ class SimulationConfig:
     epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("chunk_size", "max_records"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.service_noise < 0:
             raise ConfigError("service_noise must be >= 0")
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
@@ -292,33 +309,26 @@ def simulate_plan(
         if cfg.windows is not None else None
     )
 
-    if cfg.streaming:
-        stats = StreamingStats(
+    stats = (
+        StreamingStats(
             cfg.hist_bin_s, cfg.hist_max_s, cfg.max_records, seed=cfg.seed,
             windowed=wm,
         )
-        discarded, counters = sweep_pipeline_streaming(
-            tasks, plan, cfg,
-            device_res, task_server_res, task_uplink_res, task_downlink_res,
-            stats,
-        )
-        report = SimulationReport.from_stream(
-            stats,
-            cfg.horizon_s,
-            _utilizations(device_res, task_server_res, cfg.horizon_s),
-            discarded=discarded,
+        if cfg.streaming else None
+    )
+    records, discarded, counters = sweep_pipeline(
+        tasks, plan, cfg,
+        device_res, task_server_res, task_uplink_res, task_downlink_res,
+        stats=stats, windowed=wm,
+    )
+    utils = _utilizations(device_res, task_server_res, cfg.horizon_s)
+    if stats is None:
+        report = SimulationReport.from_records(
+            records, cfg.horizon_s, utils, discarded=discarded
         )
     else:
-        records, discarded, counters = sweep_pipeline(
-            tasks, plan, cfg,
-            device_res, task_server_res, task_uplink_res, task_downlink_res,
-            windowed=wm,
-        )
-        report = SimulationReport.from_records(
-            records,
-            cfg.horizon_s,
-            _utilizations(device_res, task_server_res, cfg.horizon_s),
-            discarded=discarded,
+        report = SimulationReport.from_stream(
+            stats, cfg.horizon_s, utils, discarded=discarded
         )
     report.counters = counters
     report.windowed = wm

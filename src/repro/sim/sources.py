@@ -150,8 +150,9 @@ class ArrivalStream:
     NumPy ``Generator`` draws are stream-sequential — splitting one
     ``rng.exponential(size=n)`` call into several smaller calls consumes the
     identical underlying bit stream and yields the identical values — so the
-    gap sequence (and therefore every arrival time) matches the one-shot
-    array exactly, independent of the window boundaries.
+    gap sequence matches the one-shot array exactly, independent of the
+    window boundaries (so do the arrival times, except as
+    :class:`PoissonStream` notes).
 
     Subclasses implement :meth:`_refill`, which extends the internal buffer
     past ``t_end`` (or to the horizon) while consuming the RNG in exactly
@@ -188,7 +189,14 @@ class ArrivalStream:
 
 
 class PoissonStream(ArrivalStream):
-    """Chunked :class:`PoissonArrivals` (identical gap sequence)."""
+    """Chunked :class:`PoissonArrivals` (identical gap sequence).
+
+    Times are ``block start + cumsum(block gaps)`` per :attr:`BLOCK`-gap
+    refill, while the one-shot generator sums one block sized to the whole
+    horizon; past the first refill the two sums associate differently, so
+    arrival times can differ from ``arrival_times`` by rounding (tens of
+    ulps).  They never depend on the window boundaries.
+    """
 
     #: exponential gaps drawn per refill; any value yields the same arrivals
     #: (stream-sequential draws), this one just amortizes call overhead
@@ -291,10 +299,11 @@ def arrival_stream(
 ) -> ArrivalStream:
     """Chunked counterpart of :func:`arrival_times`.
 
-    Consuming the returned stream window by window yields exactly the
-    arrivals ``arrival_times(rate, horizon_s, arrival, burst_factor, seed)``
-    returns in one array, for any window boundaries — the contract the
-    streaming sweep's bit-identity rests on.
+    Consuming the returned stream window by window yields the same arrivals
+    for any window boundaries — the contract the streaming sweep's
+    bit-identity rests on — and these equal ``arrival_times(rate, horizon_s,
+    arrival, burst_factor, seed)`` except for :class:`PoissonStream`'s
+    rounding drift past its first refill.
     """
     if arrival == "poisson":
         return PoissonStream(rate, horizon_s, seed)

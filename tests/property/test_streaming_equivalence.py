@@ -5,8 +5,8 @@ chunk sizes; these properties draw over the cross product —
 arrival model × chunk size × seed × shard count — and assert the
 streaming-equivalence contract every time:
 
-- chunked streaming with a keep-all reservoir reproduces the one-shot fast
-  path's record set bit-for-bit (chunking is an implementation detail, not
+- chunked streaming with a keep-all reservoir reproduces the record-backed
+  fast path's record set bit-for-bit (chunking is an implementation detail, not
   a semantic one);
 - record-free streaming summaries agree with record-backed summaries:
   integer-derived scalars exactly, mean latency to float-sum tolerance,

@@ -1,5 +1,7 @@
 """The vectorized fast path must be bit-identical to the event loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from repro.core.candidates import build_candidates
 from repro.core.plan import TaskSpec
 from repro.faults import runtime as runtime_mod
 from repro.network.wireless import BandwidthTrace
+from repro.rng import derive
+from repro.sim import fastpath
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
+from repro.sim.sources import arrival_times
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +34,23 @@ def assert_reports_identical(a, b):
 
 
 class TestBitIdentity:
+    """Fast path ≡ event loop at the default window (one window per run)."""
+
+    #: ``SimulationConfig.chunk_size`` of the fast-path arm (None = default)
+    chunk_size = None
+
+    def fast_cfg(self, **kw):
+        if self.chunk_size is not None:
+            kw["chunk_size"] = self.chunk_size
+        return SimulationConfig(**kw)
+
     @pytest.mark.parametrize("arrival", ["poisson", "deterministic", "mmpp"])
     def test_arrival_modes(self, small_cluster, small_tasks, solved, arrival):
-        cfg = SimulationConfig(horizon_s=8.0, warmup_s=1.0, seed=11, arrival=arrival)
-        fast = simulate_plan(small_tasks, solved, small_cluster, cfg)
+        kw = dict(horizon_s=8.0, warmup_s=1.0, seed=11, arrival=arrival)
+        fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
             small_tasks, solved, small_cluster,
-            SimulationConfig(
-                horizon_s=8.0, warmup_s=1.0, seed=11, arrival=arrival, fast_path=False
-            ),
+            SimulationConfig(fast_path=False, **kw),
         )
         assert_reports_identical(fast, event)
 
@@ -52,9 +65,7 @@ class TestBitIdentity:
             ),
         )
         kw = dict(horizon_s=8.0, warmup_s=1.0, seed=12, bandwidth_trace=trace)
-        fast = simulate_plan(
-            small_tasks, solved, small_cluster, SimulationConfig(**kw)
-        )
+        fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
             small_tasks, solved, small_cluster,
             SimulationConfig(fast_path=False, **kw),
@@ -77,12 +88,23 @@ class TestBitIdentity:
         cands = [build_candidates(t) for t in tasks]
         plan = JointOptimizer(small_cluster).solve(tasks, candidates=cands, seed=0).plan
         kw = dict(horizon_s=6.0, warmup_s=0.5, seed=13, arrival="deterministic")
-        fast = simulate_plan(tasks, plan, small_cluster, SimulationConfig(**kw))
+        fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
             tasks, plan, small_cluster, SimulationConfig(fast_path=False, **kw)
         )
         assert fast.total_requests > 0
         assert_reports_identical(fast, event)
+
+
+class TestBitIdentityWindowed(TestBitIdentity):
+    """The same identities with ~7 requests per sweep window.
+
+    Completions then leave the stage buffers across dozens of window
+    boundaries, so record order holds only because the sweep restores the
+    event loop's completion order at the end.
+    """
+
+    chunk_size = 7
 
 
 class TestDispatch:
@@ -129,3 +151,89 @@ class TestDispatch:
         assert fast.counters.events == event.counters.events
         assert fast.counters.requests == event.counters.requests
         assert fast.counters.events > 0
+
+
+class TestStageBuffer:
+    """Flushed rows must not stay reachable through the buffer's carry-over."""
+
+    @staticmethod
+    def _batch(keys):
+        rows = np.zeros((len(keys), len(fastpath._COLS)))
+        rows[:, fastpath._DEV_DONE] = keys
+        return rows
+
+    def test_full_flush_keeps_nothing(self):
+        buf = fastpath._StageBuffer(fastpath._DEV_DONE)
+        batch = self._batch([0.3, 0.1, 0.2])
+        out = buf.push_flush(batch, np.inf)
+        np.testing.assert_array_equal(out[:, fastpath._DEV_DONE], [0.1, 0.2, 0.3])
+        assert buf.rows.shape[0] == 0
+        # an empty view would still pin the merged batch through ``.base``
+        assert buf.rows.base is None
+        assert not np.shares_memory(buf.rows, batch)
+        assert not np.shares_memory(buf.rows, out)
+
+    def test_carry_over_is_owned_and_sorted(self):
+        buf = fastpath._StageBuffer(fastpath._DEV_DONE)
+        batch = self._batch([0.5, 0.1, 0.9, 0.2])
+        out = buf.push_flush(batch, 0.4)
+        np.testing.assert_array_equal(out[:, fastpath._DEV_DONE], [0.1, 0.2])
+        np.testing.assert_array_equal(buf.rows[:, fastpath._DEV_DONE], [0.5, 0.9])
+        assert buf.rows.base is None
+        assert not np.shares_memory(buf.rows, batch)
+        assert not np.shares_memory(buf.rows, out)
+        # an empty push drains the carry-over in order
+        rest = buf.push_flush(self._batch([]), np.inf)
+        np.testing.assert_array_equal(rest[:, fastpath._DEV_DONE], [0.5, 0.9])
+        assert buf.rows.shape[0] == 0
+
+
+def test_record_backed_arrivals_past_one_stream_block(small_cluster, small_tasks, solved):
+    """Record-backed runs use the event loop's own arrival draws.
+
+    A streaming Poisson source sums its gaps per 8192-gap block, which
+    rounds later arrivals differently from ``arrival_times``; the
+    records must carry the latter even for >8192 arrivals per task.
+    """
+    busy = [
+        dataclasses.replace(t, arrival_rate=t.arrival_rate * 1000)
+        for t in small_tasks
+    ]
+    cfg = SimulationConfig(horizon_s=4.0, warmup_s=0.0, seed=3)
+    rep = simulate_plan(busy, solved, small_cluster, cfg)
+    for t in busy:
+        want = arrival_times(
+            t.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
+            derive(cfg.seed, "arrivals", t.name),
+        )
+        got = sorted(r.arrival_s for r in rep.records if r.task_name == t.name)
+        np.testing.assert_array_equal(got, want)
+    assert max(t.arrival_rate for t in busy) * cfg.horizon_s > 8192
+
+
+def test_record_order_key():
+    """Completion ties resolve down the scheduling chain, then (task, req_id).
+
+    Offloaded: server finish → uplink delivery → device finish → arrival;
+    a local completion keys on its arrival, which outranks none of the
+    offloaded rows' earlier server finishes here.
+    """
+    inf = np.inf
+    # task, req_id, offloaded, arrival, dev_done, up_done, srv_done
+    spec = np.array([
+        (0, 0, 0, 0.50, 0.60, -inf, -inf),  # local: keys on arrival
+        (1, 5, 1, 0.10, 0.20, 0.30, 0.40),
+        (1, 3, 1, 0.10, 0.15, 0.20, 0.40),  # earlier uplink delivery
+        (0, 9, 1, 0.10, 0.20, 0.30, 0.40),  # full tie with row 1: task 0 first
+        (1, 7, 1, 0.05, 0.10, 0.30, 0.40),  # earlier device finish
+        (1, 2, 1, 0.10, 0.20, 0.30, 0.40),  # full tie with row 1: lower req_id
+    ])
+    rows = np.zeros((len(spec), len(fastpath._COLS)))
+    rows[:, fastpath._COMPLETION] = 1.0
+    layout = [
+        fastpath._REQ, fastpath._OFF, fastpath._ARR,
+        fastpath._DEV_DONE, fastpath._UP_DONE, fastpath._SRV_DONE,
+    ]
+    rows[:, layout] = spec[:, 1:]
+    task = spec[:, 0].astype(np.intp)
+    assert fastpath._record_order(rows, task).tolist() == [2, 4, 3, 5, 1, 0]

@@ -1,8 +1,8 @@
 """Per-request service-time jitter: engine equivalence and determinism.
 
 The jitter draws are counter-based (one RNG material per (task, stage),
-indexed by request id), so every engine — event loop, one-shot fast path,
-chunked streaming sweep, faults runtime — must realize the *identical*
+indexed by request id), so every engine — event loop, record-backed and
+streaming fast path, faults runtime — must realize the *identical*
 per-request factors regardless of evaluation order or chunking.
 """
 

@@ -24,6 +24,15 @@ class TestConfig:
             dict(warmup_s=50.0, horizon_s=10.0),
             dict(arrival="bursty-ish"),
             dict(burst_factor=0.5),
+            dict(horizon_s=float("inf")),
+            dict(warmup_s=float("nan")),
+            dict(burst_factor=float("nan")),
+            dict(service_noise=float("nan")),
+            dict(hist_bin_s=float("nan")),
+            dict(hist_max_s=float("inf")),
+            dict(chunk_size=2.5),
+            dict(max_records=1.0),
+            dict(horizon_s="10"),
         ],
     )
     def test_invalid(self, kwargs):

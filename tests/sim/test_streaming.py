@@ -2,9 +2,11 @@
 
 Contracts under test (see DESIGN.md "Simulator performance"):
 
-- the chunked sweep is **bit-identical** to the one-shot fast path: with a
+- streaming is **bit-identical** to the record-backed fast path: with a
   reservoir large enough to keep every record, streaming reproduces the
-  exact record set (all fields) regardless of chunk size or arrival model;
+  exact record set (all fields) regardless of chunk size or arrival model,
+  and record-backed runs give the same record list, in order, at any
+  chunk size;
 - record-free streaming reports agree with record-backed reports on every
   scalar summary — integer-derived ones (miss rate, accuracy, goodput,
   counters) exactly, mean latency to float-sum tolerance, percentiles to
@@ -60,7 +62,7 @@ def _exact_quantile(latencies: np.ndarray, q: float) -> float:
 
 
 class TestChunkedBitIdentity:
-    """Streaming with a keep-all reservoir == one-shot fast path, any chunking."""
+    """Streaming with a keep-all reservoir == record-backed run, any chunking."""
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     @pytest.mark.parametrize("chunk_size", [7, 64, 10**9])
@@ -98,6 +100,19 @@ class TestChunkedBitIdentity:
         for other in reports[1:]:
             assert _sorted_records(other) == _sorted_records(first)
             assert other.counters == first.counters
+        # record-backed runs restore the event loop's completion order, so
+        # their record lists match in order, not just as sets
+        record_backed = [
+            simulate_plan(
+                small_tasks, solved, small_cluster, _cfg(chunk_size=c)
+            )
+            for c in (3, 50, 4096)
+        ]
+        for other in record_backed:
+            assert other.records == record_backed[0].records
+            assert other.counters == record_backed[0].counters
+            assert other.utilizations == record_backed[0].utilizations
+        assert _sorted_records(record_backed[0]) == _sorted_records(first)
 
 
 class TestScalarEquivalence:
