@@ -22,6 +22,7 @@ optimizer sweep thousands of (plan, allocation) combinations per iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -64,14 +65,14 @@ class TaskSpec:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
-            raise PlanError(f"{self.name}: deadline must be positive")
+        if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):
+            raise PlanError(f"{self.name}: deadline must be finite and positive")
         if not (0.0 < self.accuracy_floor <= 1.0):
             raise PlanError(f"{self.name}: accuracy floor must be in (0,1]")
-        if self.arrival_rate <= 0:
-            raise PlanError(f"{self.name}: arrival rate must be positive")
-        if self.weight <= 0:
-            raise PlanError(f"{self.name}: weight must be positive")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise PlanError(f"{self.name}: arrival rate must be finite and positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise PlanError(f"{self.name}: weight must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -326,14 +326,9 @@ class StreamingStats:
 
     def quantile(self, q: float) -> float:
         """Global latency quantile from the bin-wise sum of task histograms."""
-        merged: Optional[LatencyHistogram] = None
-        for name in sorted(self.per_task):
-            h = self.per_task[name].hist
-            if merged is None:
-                merged = LatencyHistogram(h.bin_s, h.max_s)
-            merged.merge(h)
-        if merged is None:
-            return float("nan")
+        merged = LatencyHistogram(self.bin_s, self.max_s)
+        for stats in self.per_task.values():
+            merged.merge(stats.hist)
         return merged.quantile(q)
 
     def merge(self, other: "StreamingStats") -> "StreamingStats":

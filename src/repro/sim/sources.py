@@ -17,6 +17,13 @@ from repro.errors import ConfigError
 from repro.rng import SeedLike, as_generator
 
 
+def oneshot_block(rate: float, horizon_s: float) -> int:
+    """Gaps :class:`PoissonArrivals` draws per block: the expected arrival
+    count over the horizon plus 20% and a margin, so one block usually
+    suffices."""
+    return max(16, int(rate * horizon_s * 1.2) + 16)
+
+
 @dataclass(frozen=True)
 class PoissonArrivals:
     """Homogeneous Poisson process with mean rate ``rate`` (req/s)."""
@@ -34,7 +41,7 @@ class PoissonArrivals:
         # draw in blocks until past the horizon
         out = []
         t = 0.0
-        block = max(16, int(self.rate * horizon_s * 1.2) + 16)
+        block = oneshot_block(self.rate, horizon_s)
         while t < horizon_s:
             gaps = rng.exponential(1.0 / self.rate, size=block)
             times = t + np.cumsum(gaps)
@@ -191,15 +198,20 @@ class ArrivalStream:
 class PoissonStream(ArrivalStream):
     """Chunked :class:`PoissonArrivals` (identical gap sequence).
 
-    Times are ``block start + cumsum(block gaps)`` per :attr:`BLOCK`-gap
-    refill, while the one-shot generator sums one block sized to the whole
-    horizon; past the first refill the two sums associate differently, so
-    arrival times can differ from ``arrival_times`` by rounding (tens of
-    ulps).  They never depend on the window boundaries.
+    Times are ``block start + cumsum(block gaps)`` per refill of
+    ``min(BLOCK, oneshot_block(rate, horizon_s))`` gaps.  When the one-shot
+    block fits in :attr:`BLOCK` the refills are the one-shot generator's
+    blocks, so the arrivals equal ``arrival_times`` bit for bit and a
+    low-rate stream holds only the gaps it needs.  A larger one-shot block
+    is summed in :attr:`BLOCK`-gap pieces instead; past the first refill the
+    two sums associate differently, so arrival times can differ from
+    ``arrival_times`` by rounding (tens of ulps).  They never depend on the
+    window boundaries.
     """
 
-    #: exponential gaps drawn per refill; any value yields the same arrivals
-    #: (stream-sequential draws), this one just amortizes call overhead
+    #: largest refill in gaps; any value yields the same gap sequence
+    #: (stream-sequential draws), this one caps the buffer of a high-rate
+    #: stream while amortizing call overhead
     BLOCK = 8192
 
     def __init__(self, rate: float, horizon_s: float, seed: SeedLike = None) -> None:
@@ -207,6 +219,7 @@ class PoissonStream(ArrivalStream):
             raise ConfigError(f"Poisson rate must be positive, got {rate}")
         super().__init__(horizon_s)
         self.rate = rate
+        self._block = min(self.BLOCK, oneshot_block(rate, horizon_s))
         self._rng = as_generator(seed)
         self._t = 0.0  # last generated arrival (buffer tail)
 
@@ -215,7 +228,7 @@ class PoissonStream(ArrivalStream):
         if self._t >= self.horizon_s:
             self._exhausted = True
             return
-        gaps = self._rng.exponential(1.0 / self.rate, size=self.BLOCK)
+        gaps = self._rng.exponential(1.0 / self.rate, size=self._block)
         times = self._t + np.cumsum(gaps)
         self._t = float(times[-1])
         self._buffer = np.concatenate([self._buffer, times])
@@ -302,8 +315,9 @@ def arrival_stream(
     Consuming the returned stream window by window yields the same arrivals
     for any window boundaries — the contract the streaming sweep's
     bit-identity rests on — and these equal ``arrival_times(rate, horizon_s,
-    arrival, burst_factor, seed)`` except for :class:`PoissonStream`'s
-    rounding drift past its first refill.
+    arrival, burst_factor, seed)`` bit for bit, except for a Poisson stream
+    whose one-shot block exceeds :attr:`PoissonStream.BLOCK` gaps: that one
+    can drift by rounding past its first refill.
     """
     if arrival == "poisson":
         return PoissonStream(rate, horizon_s, seed)

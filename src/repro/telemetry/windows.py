@@ -3,8 +3,9 @@
 Per-request timelines (:mod:`repro.telemetry.timeline`) need the event loop —
 gauges sample on event boundaries the chunked fast path never visits.  This
 module provides the complement: **tumbling-window aggregates** whose state is
-a handful of fixed-size integer arrays, cheap enough to update from a
-million-request streaming sweep and exact enough to drive SLO monitoring.
+a handful of integer arrays (histograms keep only their occupied bins), cheap
+enough to update from a million-request streaming sweep and exact enough to
+drive SLO monitoring.
 
 Design contract (the basis of the gate's bit-identity check):
 
@@ -39,8 +40,9 @@ from repro.errors import ConfigError, SimulationError
 #: request); these feed the SLO error budget alongside deadline misses
 MARK_KINDS = ("lost", "shed", "degraded")
 
-#: refuse WindowedMetrics instances whose histogram planes would exceed this
-#: many int64 cells per task (guards the streaming RSS ceiling)
+#: refuse WindowedMetrics instances whose histogram planes could exceed this
+#: many int64 cells per task (planes store only occupied bins, so this bounds
+#: the worst case and guards the streaming RSS ceiling)
 _MAX_CELLS_PER_TASK = 4_000_000
 
 
@@ -74,16 +76,28 @@ class LatencyHistogram:
     tracked, so the histogram never loses counts.  Quantiles are reported as
     the upper edge of the bin holding the ceil-rank order statistic — exact
     within one ``bin_s`` of that order statistic.
+
+    Only the occupied bin range is stored: ``counts[i]`` holds global bin
+    ``lo + i``, and the range grows when an observed chunk or a merged
+    histogram falls outside it.  Memory follows the latencies seen, not
+    ``max_s``; counts, quantiles and merges equal those of the dense
+    ``ceil(max_s / bin_s)``-bin layout.
     """
 
-    __slots__ = ("bin_s", "max_s", "counts", "overflow", "min_s", "max_seen_s")
+    __slots__ = (
+        "bin_s", "max_s", "n_bins", "lo", "counts", "overflow", "min_s", "max_seen_s",
+    )
 
     def __init__(self, bin_s: float = 5e-4, max_s: float = 30.0) -> None:
-        if bin_s <= 0 or max_s <= bin_s:
+        if not (math.isfinite(bin_s) and math.isfinite(max_s)) or not (
+            0 < bin_s < max_s
+        ):
             raise SimulationError(f"invalid histogram bins: bin_s={bin_s} max_s={max_s}")
         self.bin_s = bin_s
         self.max_s = max_s
-        self.counts = np.zeros(int(np.ceil(max_s / bin_s)), dtype=np.int64)
+        self.n_bins = int(np.ceil(max_s / bin_s))
+        self.lo = 0
+        self.counts = np.zeros(0, dtype=np.int64)
         self.overflow = 0
         self.min_s = float("inf")
         self.max_seen_s = float("-inf")
@@ -96,14 +110,18 @@ class LatencyHistogram:
         """Fold a chunk of latencies (seconds) into the histogram."""
         if latencies.size == 0:
             return
-        self.min_s = min(self.min_s, float(latencies.min()))
-        self.max_seen_s = max(self.max_seen_s, float(latencies.max()))
+        lo_s, hi_s = _checked_range(latencies)
+        self.min_s = min(self.min_s, lo_s)
+        self.max_seen_s = max(self.max_seen_s, hi_s)
         idx = (latencies / self.bin_s).astype(np.int64)
-        over = idx >= self.counts.size
+        over = idx >= self.n_bins
         self.overflow += int(np.count_nonzero(over))
         inside = idx[~over]
         if inside.size:
-            self.counts += np.bincount(inside, minlength=self.counts.size)
+            lo = int(inside.min())
+            self.lo, self.counts = _add_columns(
+                self.lo, self.counts, lo, np.bincount(inside - lo)
+            )
 
     def quantile(self, q: float) -> float:
         """Latency of the ceil-rank order statistic at percentile ``q``.
@@ -112,17 +130,17 @@ class LatencyHistogram:
         the overflow region), so the error versus the exact order statistic
         is at most ``bin_s``.
         """
+        if not (0.0 <= q <= 100.0):
+            raise SimulationError(f"quantile {q} outside [0, 100]")
         n = self.count
         if n == 0:
             return float("nan")
-        if not (0.0 <= q <= 100.0):
-            raise SimulationError(f"quantile {q} outside [0, 100]")
         rank = int(np.ceil((n - 1) * q / 100.0))  # 0-based ceil rank
-        cum = np.cumsum(self.counts)
-        if rank >= int(cum[-1]):  # lands in the overflow bucket
+        if rank >= n - self.overflow:  # lands in the overflow bucket
             return self.max_seen_s
+        cum = np.cumsum(self.counts)
         b = int(np.searchsorted(cum, rank + 1, side="left"))
-        return (b + 1) * self.bin_s
+        return (self.lo + b + 1) * self.bin_s
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Exact accumulation of ``other`` (same binning) into ``self``."""
@@ -131,11 +149,45 @@ class LatencyHistogram:
                 "cannot merge histograms with different binning: "
                 f"({self.bin_s}, {self.max_s}) vs ({other.bin_s}, {other.max_s})"
             )
-        self.counts += other.counts
+        self.lo, self.counts = _add_columns(self.lo, self.counts, other.lo, other.counts)
         self.overflow += other.overflow
         self.min_s = min(self.min_s, other.min_s)
         self.max_seen_s = max(self.max_seen_s, other.max_seen_s)
         return self
+
+
+def _checked_range(latencies: np.ndarray) -> Tuple[float, float]:
+    """``(min, max)`` of a non-empty latency chunk, refusing negative and
+    non-finite values before they are cast to bin indices."""
+    lo, hi = float(latencies.min()), float(latencies.max())
+    if not (0.0 <= lo and hi < math.inf):
+        raise SimulationError(
+            f"latencies must be finite and non-negative, got [{lo}, {hi}]"
+        )
+    return lo, hi
+
+
+def _add_columns(
+    lo: int, arr: np.ndarray, at: int, block: np.ndarray
+) -> Tuple[int, np.ndarray]:
+    """Add ``block`` into ``arr`` at global bin ``at`` along the last axis.
+
+    ``arr``'s last axis holds the occupied global bins ``lo, lo + 1, ...``;
+    it is widened (zero-filled, copied) when ``block`` falls outside it.
+    Returns the new ``(lo, arr)``.
+    """
+    width, have = block.shape[-1], arr.shape[-1]
+    if width == 0:
+        return lo, arr
+    if have == 0:
+        return at, block.astype(np.int64)
+    new_lo, new_hi = min(at, lo), max(at + width, lo + have)
+    if new_lo != lo or new_hi != lo + have:
+        grown = np.zeros(arr.shape[:-1] + (new_hi - new_lo,), dtype=np.int64)
+        grown[..., lo - new_lo:lo - new_lo + have] = arr
+        lo, arr = new_lo, grown
+    arr[..., at - lo:at - lo + width] += block
+    return lo, arr
 
 
 @dataclass(frozen=True)
@@ -155,9 +207,11 @@ class WindowConfig:
     max_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ConfigError(f"window_s must be > 0, got {self.window_s}")
-        if self.bin_s <= 0 or self.max_s <= self.bin_s:
+        if not (math.isfinite(self.window_s) and self.window_s > 0):
+            raise ConfigError(f"window_s must be finite and > 0, got {self.window_s}")
+        if not (math.isfinite(self.bin_s) and math.isfinite(self.max_s)) or not (
+            0 < self.bin_s < self.max_s
+        ):
             raise ConfigError(
                 f"invalid window histogram bins: bin_s={self.bin_s} max_s={self.max_s}"
             )
@@ -168,26 +222,31 @@ class WindowConfig:
 
     def num_windows(self, horizon_s: float) -> int:
         """Windows tiling ``[0, horizon)`` plus one clamp window for drain."""
-        if horizon_s <= 0:
-            raise ConfigError(f"horizon must be > 0, got {horizon_s}")
+        if not (math.isfinite(horizon_s) and horizon_s > 0):
+            raise ConfigError(f"horizon must be finite and > 0, got {horizon_s}")
         return int(math.ceil(horizon_s / self.window_s)) + 1
 
 
 class _TaskWindows:
-    """Per-task window arrays (one row of bins per window)."""
+    """Per-task window arrays (one row of bins per window).
+
+    ``hist`` keeps only the task's occupied bin columns: column ``i`` holds
+    global bin ``lo + i`` in every window.
+    """
 
     __slots__ = (
         "counts", "met", "lost", "shed", "degraded",
-        "hist", "overflow", "lat_sum", "lat_comp", "lat_max",
+        "lo", "hist", "overflow", "lat_sum", "lat_comp", "lat_max",
     )
 
-    def __init__(self, n_windows: int, n_bins: int) -> None:
+    def __init__(self, n_windows: int) -> None:
         self.counts = np.zeros(n_windows, dtype=np.int64)
         self.met = np.zeros(n_windows, dtype=np.int64)
         self.lost = np.zeros(n_windows, dtype=np.int64)
         self.shed = np.zeros(n_windows, dtype=np.int64)
         self.degraded = np.zeros(n_windows, dtype=np.int64)
-        self.hist = np.zeros((n_windows, n_bins), dtype=np.int64)
+        self.lo = 0
+        self.hist = np.zeros((n_windows, 0), dtype=np.int64)
         self.overflow = np.zeros(n_windows, dtype=np.int64)
         self.lat_sum = np.zeros(n_windows, dtype=np.float64)
         self.lat_comp = np.zeros(n_windows, dtype=np.float64)
@@ -195,14 +254,16 @@ class _TaskWindows:
 
 
 class WindowedMetrics:
-    """Tumbling-window SLO aggregates with bounded, pre-allocated memory.
+    """Tumbling-window SLO aggregates with bounded memory.
 
     One instance covers one run: per task it keeps ``n_windows`` integer
-    counters (completions, deadline-met, fault marks), an
-    ``[n_windows, n_bins]`` int64 latency-histogram plane, and per-window
-    Kahan latency sums.  Updates come either one request at a time from the
-    event loop (:meth:`observe_one`) or as NumPy columns from the fast-path
-    sweeps (:meth:`observe`); both produce bit-identical integer state.
+    counters (completions, deadline-met, fault marks), an int64
+    latency-histogram plane holding the task's occupied columns of the
+    ``[n_windows, n_bins]`` layout (:meth:`dense_hist` expands it), and
+    per-window Kahan latency sums.  Updates come either one request at a
+    time from the event loop (:meth:`observe_one`) or as NumPy columns from
+    the fast-path sweeps (:meth:`observe`); both produce bit-identical
+    integer state.
 
     Accumulators from independent replications or traffic cells
     :meth:`merge` exactly (integer adds, compensated float adds).
@@ -228,7 +289,7 @@ class WindowedMetrics:
     def _ensure(self, task: str) -> _TaskWindows:
         tw = self.per_task.get(task)
         if tw is None:
-            tw = self.per_task[task] = _TaskWindows(self.n_windows, self.n_bins)
+            tw = self.per_task[task] = _TaskWindows(self.n_windows)
         return tw
 
     def _window_of(self, completion_s: float) -> int:
@@ -243,6 +304,10 @@ class WindowedMetrics:
         The window index uses the same double division + truncation as the
         vectorized path, so the two stay bit-identical.
         """
+        if not 0.0 <= latency_s < math.inf:
+            raise SimulationError(
+                f"latencies must be finite and non-negative, got {latency_s}"
+            )
         tw = self._ensure(task)
         w = self._window_of(completion_s)
         tw.counts[w] += 1
@@ -252,7 +317,13 @@ class WindowedMetrics:
         if b >= self.n_bins:
             tw.overflow[w] += 1
         else:
-            tw.hist[w, b] += 1
+            col = b - tw.lo
+            if 0 <= col < tw.hist.shape[1]:
+                tw.hist[w, col] += 1
+            else:  # outside the occupied columns: widen the plane
+                one = np.zeros((self.n_windows, 1), dtype=np.int64)
+                one[w] = 1
+                tw.lo, tw.hist = _add_columns(tw.lo, tw.hist, b, one)
         # Neumaier add into window w (scalar form of the chunked update)
         s = float(tw.lat_sum[w])
         t = s + latency_s
@@ -274,6 +345,7 @@ class WindowedMetrics:
         """Fold a (already warmup-filtered) chunk of completions of one task."""
         if completion_s.size == 0:
             return
+        _checked_range(latency_s)
         tw = self._ensure(task)
         nw, nb = self.n_windows, self.n_bins
         w = (completion_s / self.config.window_s).astype(np.int64)
@@ -287,12 +359,14 @@ class WindowedMetrics:
         if over.any():
             tw.overflow += np.bincount(w[over], minlength=nw)
             inside = ~over
-            w_in, b_in, lat_in = w[inside], b[inside], latency_s[inside]
+            w_in, b_in = w[inside], b[inside]
         else:
-            w_in, b_in, lat_in = w, b, latency_s
+            w_in, b_in = w, b
         if w_in.size:
-            flat = np.bincount(w_in * nb + b_in, minlength=nw * nb)
-            tw.hist += flat.reshape(nw, nb)
+            lo = int(b_in.min())
+            width = int(b_in.max()) + 1 - lo
+            flat = np.bincount(w_in * width + (b_in - lo), minlength=nw * width)
+            tw.lo, tw.hist = _add_columns(tw.lo, tw.hist, lo, flat.reshape(nw, width))
         # per-window chunk partial sums, Kahan-folded into the running sums
         part = np.bincount(w, weights=latency_s, minlength=nw)
         touched = np.flatnonzero(part)
@@ -341,7 +415,7 @@ class WindowedMetrics:
             tw.lost += o.lost
             tw.shed += o.shed
             tw.degraded += o.degraded
-            tw.hist += o.hist
+            tw.lo, tw.hist = _add_columns(tw.lo, tw.hist, o.lo, o.hist)
             tw.overflow += o.overflow
             v = o.lat_sum + o.lat_comp
             s = tw.lat_sum.copy()
@@ -367,7 +441,7 @@ class WindowedMetrics:
             tw = self.per_task[task]
             h.update(task.encode())
             for arr in (tw.counts, tw.met, tw.lost, tw.shed, tw.degraded,
-                        tw.hist, tw.overflow, tw.lat_max):
+                        self.dense_hist(task), tw.overflow, tw.lat_max):
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -383,6 +457,13 @@ class WindowedMetrics:
     @property
     def total_met(self) -> int:
         return sum(int(tw.met.sum()) for tw in self.per_task.values())
+
+    def dense_hist(self, task: str) -> np.ndarray:
+        """``task``'s full ``[n_windows, n_bins]`` histogram plane."""
+        tw = self.per_task[task]
+        dense = np.zeros((self.n_windows, self.n_bins), dtype=np.int64)
+        dense[:, tw.lo:tw.lo + tw.hist.shape[1]] = tw.hist
+        return dense
 
     def window_counts(self, task: str) -> np.ndarray:
         return self.per_task[task].counts
@@ -424,11 +505,11 @@ class WindowedMetrics:
             return out
         cum = np.cumsum(tw.hist[nonempty], axis=1)
         rank = np.ceil((n[nonempty] - 1) * q / 100.0).astype(np.int64)
-        inside = rank < cum[:, -1]
+        inside = rank < n[nonempty] - tw.overflow[nonempty]
         rows = np.flatnonzero(inside)
         for r in rows.tolist():
             b = int(np.searchsorted(cum[r], rank[r] + 1, side="left"))
-            out[nonempty[r]] = (b + 1) * self.config.bin_s
+            out[nonempty[r]] = (tw.lo + b + 1) * self.config.bin_s
         out[nonempty[~inside]] = tw.lat_max[nonempty[~inside]]
         return out
 

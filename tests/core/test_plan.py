@@ -27,6 +27,12 @@ class TestTaskSpec:
         with pytest.raises(PlanError):
             TaskSpec(**base)
 
+    @pytest.mark.parametrize("field", ["deadline_s", "arrival_rate", "weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, me_resnet18, field, value):
+        with pytest.raises(PlanError, match="finite"):
+            TaskSpec("t", me_resnet18, "dev0", **{field: value})
+
 
 class TestSurgeryPlan:
     def test_valid(self):

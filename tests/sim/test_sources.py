@@ -2,14 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.sim.sources import (
     DeterministicArrivals,
     MMPPArrivals,
     PoissonArrivals,
+    PoissonStream,
     TraceArrivals,
+    arrival_stream,
+    arrival_times,
+    oneshot_block,
 )
+
+
+def _drain(stream, boundaries):
+    """Consume ``stream`` window by window, then to its horizon."""
+    parts = [stream.take_until(t) for t in sorted(boundaries)]
+    parts.append(stream.take_until(stream.horizon_s))
+    return np.concatenate(parts)
 
 
 class TestPoisson:
@@ -85,3 +98,42 @@ class TestTrace:
     def test_negative_raises(self):
         with pytest.raises(ConfigError):
             TraceArrivals([-1.0, 1.0])
+
+
+class TestPoissonStream:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(0.05, 200.0),
+        horizon=st.floats(0.5, 30.0),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 10_000),
+    )
+    def test_equals_one_shot_bit_for_bit(self, rate, horizon, cuts, seed):
+        assert oneshot_block(rate, horizon) <= PoissonStream.BLOCK
+        stream = arrival_stream(rate, horizon, seed=seed)
+        got = _drain(stream, [c * horizon for c in cuts])
+        np.testing.assert_array_equal(got, arrival_times(rate, horizon, seed=seed))
+        # the stream consumed exactly the one-shot generator's draws
+        rng = np.random.default_rng(seed)
+        PoissonArrivals(rate).generate(horizon, rng)
+        assert stream._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_multi_block_one_shot_reproduced(self):
+        # this seed overruns the first one-shot block, so the stream must
+        # restart its cumulative sum exactly where the one-shot does
+        rate, horizon, seed = 20.0, 1.0, 12603
+        want = arrival_times(rate, horizon, seed=seed)
+        assert want.size >= oneshot_block(rate, horizon)
+        for cuts in ([], [0.3, 0.31, 0.9], np.linspace(0.0, 1.0, 17)):
+            got = _drain(PoissonStream(rate, horizon, seed=seed), cuts)
+            np.testing.assert_array_equal(got, want)
+
+    def test_high_rate_stream_independent_of_windows(self):
+        rate, horizon = 5000.0, 3.0  # one-shot block > BLOCK
+        assert oneshot_block(rate, horizon) > PoissonStream.BLOCK
+        whole = _drain(PoissonStream(rate, horizon, seed=3), [])
+        cut = _drain(PoissonStream(rate, horizon, seed=3), [0.1, 1.7, 1.70001, 2.9])
+        np.testing.assert_array_equal(whole, cut)
+        np.testing.assert_allclose(
+            whole, arrival_times(rate, horizon, seed=3), rtol=1e-12
+        )

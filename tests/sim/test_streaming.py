@@ -285,6 +285,65 @@ class TestLatencyHistogram:
         with pytest.raises(SimulationError, match="binning"):
             a.merge(b)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(bin_s=float("nan")),
+            dict(bin_s=float("inf")),
+            dict(max_s=float("nan")),
+            dict(max_s=float("inf")),
+            dict(bin_s=0.0),
+            dict(bin_s=1.0, max_s=1.0),
+        ],
+    )
+    def test_invalid_binning(self, kwargs):
+        with pytest.raises(SimulationError, match="invalid histogram bins"):
+            LatencyHistogram(**kwargs)
+
+    @pytest.mark.parametrize("q", [-5.0, 100.5, 150.0, float("nan")])
+    def test_quantile_range_checked_even_when_empty(self, q):
+        with pytest.raises(SimulationError, match="outside"):
+            LatencyHistogram().quantile(q)
+        with pytest.raises(SimulationError, match="outside"):
+            StreamingStats().quantile(q)
+        assert math.isnan(LatencyHistogram().quantile(50.0))
+        assert math.isnan(StreamingStats().quantile(50.0))
+
+    def test_stores_only_occupied_bins(self):
+        hist = LatencyHistogram(bin_s=0.1, max_s=10.0)
+        hist.observe(np.array([0.55, 0.72]))
+        assert (hist.lo, hist.counts.tolist()) == (5, [1, 0, 1])
+        hist.observe(np.array([0.05, 42.0]))  # grows down; overflow stays out
+        assert (hist.lo, hist.counts.tolist()) == (0, [1, 0, 0, 0, 0, 1, 0, 1])
+        assert hist.quantile(0.0) == pytest.approx(0.1)
+        assert hist.quantile(100.0) == 42.0
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_bad_latency_rejected(self, bad):
+        with pytest.raises(SimulationError, match="non-negative"):
+            LatencyHistogram().observe(np.array([0.1, bad]))
+
+
+def test_streaming_stats_memory_follows_traffic():
+    """1,024 tasks of 50-250 ms latencies hold under 1% of the dense layout."""
+    rng = np.random.default_rng(0)
+    stats = StreamingStats()  # default 0.5 ms bins up to 30 s: 60,000 bins
+    for i in range(1024):
+        n = 20
+        arrival = np.sort(rng.uniform(0.0, 5.0, n))
+        latency = rng.uniform(0.05, 0.25, n)
+        zeros = np.zeros(n)
+        stats.observe(
+            f"t{i}", np.arange(n), arrival, arrival + latency, arrival + 1.0,
+            np.ones(n, dtype=np.int64), np.ones(n, bool), np.ones(n, bool),
+            zeros, zeros, zeros,
+        )
+    held = sum(s.hist.counts.nbytes for s in stats.per_task.values())
+    dense = 1024 * LatencyHistogram().n_bins * 8
+    assert dense == 1024 * 480_000
+    assert held < 0.01 * dense
+    assert stats.count == 1024 * 20
+
 
 class TestStreamingStatsReservoir:
     @staticmethod

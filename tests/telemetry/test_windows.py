@@ -43,11 +43,21 @@ class TestConfig:
             dict(window_s=-1.0),
             dict(bin_s=0.0),
             dict(bin_s=0.5, max_s=0.5),  # max_s must exceed bin_s
+            dict(window_s=float("nan")),
+            dict(window_s=float("inf")),
+            dict(bin_s=float("nan")),
+            dict(max_s=float("nan")),
+            dict(max_s=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             WindowConfig(**kwargs)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon(self, horizon):
+        with pytest.raises(ConfigError):
+            WindowedMetrics(WindowConfig(), horizon)
 
     def test_layout(self):
         cfg = WindowConfig(window_s=1.0, bin_s=5e-3, max_s=2.0)
@@ -78,7 +88,7 @@ class TestFeedsIdentity:
             one.observe_one("t", float(c), float(l), bool(m))
         assert one.fingerprint() == vec.fingerprint()
         np.testing.assert_array_equal(one.per_task["t"].counts, vec.per_task["t"].counts)
-        np.testing.assert_array_equal(one.per_task["t"].hist, vec.per_task["t"].hist)
+        np.testing.assert_array_equal(one.dense_hist("t"), vec.dense_hist("t"))
         # Kahan sums agree to float tolerance (excluded from the fingerprint)
         np.testing.assert_allclose(
             one.window_mean_latency_s("t"), vec.window_mean_latency_s("t"),
@@ -119,6 +129,90 @@ class TestFeedsIdentity:
         wm.observe_one("t", 99.0, 0.01, True)  # far past the horizon
         assert wm.per_task["t"].counts[-1] == 1
         assert wm.per_task["t"].counts[:-1].sum() == 0
+
+
+class TestCompactPlanes:
+    """Planes hold only occupied bin columns, yet read as the dense layout."""
+
+    @staticmethod
+    def _workload(seed: int, n: int = 300):
+        rng = np.random.default_rng(seed)
+        comp = np.sort(rng.uniform(0.0, 9.0, n))
+        lat = np.concatenate([rng.uniform(0.05, 0.25, n - 3), [2.5, 0.001, 1.99]])
+        return comp, lat, lat <= 0.2
+
+    def test_scalar_vectorized_and_merge_planes_equal(self):
+        comp, lat, met = self._workload(11)
+        cfg = WindowConfig(window_s=1.0)
+        one = WindowedMetrics(cfg, 8.0)
+        for c, l, m in zip(comp, lat, met):
+            one.observe_one("t", float(c), float(l), bool(m))
+        vec = WindowedMetrics(cfg, 8.0)
+        vec.observe("t", comp, lat, met)
+        merged = WindowedMetrics(cfg, 8.0)
+        for part in np.array_split(np.random.default_rng(2).permutation(lat.size), 5):
+            cell = WindowedMetrics(cfg, 8.0)
+            cell.observe("t", comp[part], lat[part], met[part])
+            merged.merge(cell)
+        dense = one.dense_hist("t")
+        assert dense.shape == (one.n_windows, one.n_bins)
+        np.testing.assert_array_equal(vec.dense_hist("t"), dense)
+        np.testing.assert_array_equal(merged.dense_hist("t"), dense)
+        assert one.fingerprint() == vec.fingerprint() == merged.fingerprint()
+        # the plane spans exactly the occupied bins, not all n_bins
+        tw = vec.per_task["t"]
+        assert tw.lo == int(0.001 / cfg.bin_s)
+        assert tw.lo + tw.hist.shape[1] == int(1.99 / cfg.bin_s) + 1
+        assert tw.hist.shape[1] < one.n_bins
+
+    def test_window_quantile_matches_dense_plane(self):
+        comp, lat, met = self._workload(12)
+        lat[lat < 0.05] = 0.3  # keep bin 0 empty so the plane has an offset
+        wm = WindowedMetrics(WindowConfig(window_s=1.0), 8.0)
+        wm.observe("t", comp, lat, met)
+        dense, tw = wm.dense_hist("t"), wm.per_task["t"]
+        assert tw.lo > 0
+        for q in (0.0, 50.0, 99.0, 100.0):
+            got = wm.window_quantile("t", q)
+            for w in range(wm.n_windows):
+                n = int(dense[w].sum() + tw.overflow[w])
+                if n == 0:
+                    assert np.isnan(got[w])
+                    continue
+                rank = int(np.ceil((n - 1) * q / 100.0))
+                cum = np.cumsum(dense[w])
+                if rank >= cum[-1]:
+                    assert got[w] == tw.lat_max[w]
+                else:
+                    b = int(np.searchsorted(cum, rank + 1, side="left"))
+                    assert got[w] == (b + 1) * wm.config.bin_s
+
+    def test_fingerprint_hashes_dense_layout(self):
+        # digests recorded when every plane was stored densely
+        assert _filled(0).fingerprint() == (
+            "6335adc36e717e5f14433d8bca1b0f0a2620174f0d7c3429cf61343013c55627"
+        )
+        wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
+        wm.observe("t", np.array([0.5, 1.5]), np.array([3.0, 4.0]), np.zeros(2, bool))
+        assert wm.fingerprint() == (
+            "9a1ec8747e1e7f8db1bee7a1dda61c2052cb9aa81fd6438892f5663e734f6fbf"
+        )
+
+    def test_all_overflow_task_has_no_columns(self):
+        wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
+        wm.observe("t", np.array([0.5, 1.5]), np.array([3.0, 4.0]), np.zeros(2, bool))
+        assert wm.per_task["t"].hist.shape[1] == 0
+        assert not wm.dense_hist("t").any()
+        np.testing.assert_array_equal(wm.window_quantile("t", 50)[:2], [3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_bad_latency_rejected(self, bad):
+        wm = WindowedMetrics(WindowConfig(), 4.0)
+        with pytest.raises(SimulationError, match="non-negative"):
+            wm.observe("t", np.array([1.0, 2.0]), np.array([0.1, bad]), np.ones(2, bool))
+        with pytest.raises(SimulationError, match="non-negative"):
+            wm.observe_one("t", 1.0, bad, True)
+        assert wm.total_count == 0
 
 
 class TestMarksAndAggregates:
@@ -163,8 +257,7 @@ class TestMerge:
                 a.per_task[task].counts + b.per_task[task].counts,
             )
             np.testing.assert_array_equal(
-                pooled.per_task[task].hist,
-                a.per_task[task].hist + b.per_task[task].hist,
+                pooled.dense_hist(task), a.dense_hist(task) + b.dense_hist(task)
             )
         assert pooled.total_count == a.total_count + b.total_count
         assert pooled.total_met == a.total_met + b.total_met
