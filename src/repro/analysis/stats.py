@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from repro.errors import ConfigError
 from repro.rng import SeedLike, as_generator
@@ -54,7 +54,8 @@ def mean_ci(samples: np.ndarray, confidence: float = 0.95) -> Tuple[float, float
     if x.size == 1:
         return m, m, m
     se = float(x.std(ddof=1) / np.sqrt(x.size))
-    half = float(sps.t.ppf(0.5 + confidence / 2.0, df=x.size - 1)) * se
+    # stdtrit(df, q) is Student's t quantile, the kernel of scipy.stats.t.ppf.
+    half = float(stdtrit(x.size - 1, 0.5 + confidence / 2.0)) * se
     return m, m - half, m + half
 
 

@@ -9,6 +9,7 @@ fixed per-invocation framework overhead, and power draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -65,10 +66,14 @@ class DeviceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("end_device", "server"):
             raise ConfigError(f"{self.name}: kind must be end_device|server, got {self.kind}")
-        if self.peak_flops <= 0:
-            raise ConfigError(f"{self.name}: peak_flops must be positive")
-        if self.overhead_s < 0:
-            raise ConfigError(f"{self.name}: overhead_s must be >= 0")
+        if not (math.isfinite(self.peak_flops) and self.peak_flops > 0):
+            raise ConfigError(
+                f"{self.name}: peak_flops must be finite and positive, got {self.peak_flops}"
+            )
+        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
+            raise ConfigError(
+                f"{self.name}: overhead_s must be finite and >= 0, got {self.overhead_s}"
+            )
         for cls in LAYER_CLASSES:
             eff = self.efficiency.get(cls)
             if eff is None or not (0.0 < eff <= 1.0):

@@ -25,6 +25,12 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.special import betainc
+
+# The Beta-pdf kernel ``scipy.stats.beta.pdf`` evaluates on (0, 1); calling it
+# directly keeps the bits and skips importing ``scipy.stats``.
+# tests/test_scipy_oracle.py pins the two bit for bit.
+from scipy.special._ufuncs import _beta_pdf
 
 from repro.errors import ConfigError, PlanError
 from repro.models.accuracy import AccuracyModel
@@ -69,9 +75,8 @@ class DifficultyDistribution:
             return cached
         edges = np.linspace(0.0, 1.0, n + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
-        from scipy import stats
-
-        w = stats.beta.pdf(mid, self.alpha, self.beta)
+        with np.errstate(over="ignore"):
+            w = _beta_pdf(mid, self.alpha, self.beta)
         total = w.sum()
         if total <= 0:  # pragma: no cover - defensive
             raise ConfigError(f"degenerate difficulty distribution {self}")
@@ -82,9 +87,9 @@ class DifficultyDistribution:
         return mid, w
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray:
-        from scipy import stats
-
-        return stats.beta.cdf(np.asarray(x, dtype=float), self.alpha, self.beta)
+        # Outside (0, 1) the cdf is 0 or 1, which betainc gives at the clip.
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return betainc(self.alpha, self.beta, x)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw difficulties for ``size`` simulated inference requests."""

@@ -13,6 +13,10 @@ A :class:`ModelGraph` is an immutable single-source/single-sink DAG of
    (ResNet skip connections, Inception branches): you can only cut at block
    boundaries, which is precisely what the dominator computation yields.
 
+The graph is held as insertion-ordered predecessor/successor dicts; the three
+graph algorithms it needs (topological sort, immediate dominators, heads) are
+small enough to live here rather than pull in a graph library.
+
 The optimizer consumes only the derived arrays (cumulative head FLOPs and
 boundary activation bytes per cut point), so all graph work happens once per
 model, not per optimization step.
@@ -21,12 +25,54 @@ model, not per optimization step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from itertools import accumulate
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.models.layers import Input, Layer, Shape, layer_params, shape_bytes
+
+
+def _topological_order(
+    pred: Mapping[str, Mapping[str, None]], succ: Mapping[str, Mapping[str, None]]
+) -> List[str]:
+    """Kahn's algorithm, generation by generation (networkx 3.x's order).
+
+    Sources in node insertion order, then each node's newly freed successors
+    in edge insertion order.  Nodes on or behind a cycle never free, so the
+    result is shorter than the graph iff the graph has a cycle.
+    """
+    indegree = {n: len(p) for n, p in pred.items()}
+    order = [n for n, d in indegree.items() if d == 0]
+    for n in order:  # appending while iterating: a FIFO queue
+        for child in succ[n]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                order.append(child)
+    return order
+
+
+def _immediate_dominators(
+    order: Sequence[str], pred: Mapping[str, Mapping[str, None]]
+) -> Dict[str, str]:
+    """Immediate dominators from ``order[0]`` (Cooper, Harvey & Kennedy).
+
+    Over a topological order of a DAG every predecessor's dominator is final
+    before its successors are visited, so one pass suffices.  The source maps
+    to itself.
+    """
+    pos = {n: i for i, n in enumerate(order)}
+    idom = {order[0]: order[0]}
+    for n in order[1:]:
+        preds = iter(pred[n])
+        d = next(preds)
+        for p in preds:
+            while d != p:  # walk the later finger up to the common dominator
+                if pos[d] > pos[p]:
+                    d = idom[d]
+                else:
+                    p = idom[p]
+        idom[n] = d
+    return idom
 
 
 @dataclass(frozen=True)
@@ -75,17 +121,23 @@ class ModelGraph:
         edges: Iterable[Tuple[str, str]],
     ) -> None:
         self.name = name
-        self._g = nx.DiGraph()
+        self._layers: Dict[str, Layer] = {}
         for node, layer in layers.items():
             if layer.name != node:
                 raise ModelError(
                     f"{name}: node key {node!r} != layer.name {layer.name!r}"
                 )
-            self._g.add_node(node, layer=layer)
+            self._layers[node] = layer
+        # Insertion-ordered adjacency (dict keys as ordered sets): edge order
+        # fixes predecessor order, which merge layers and the topological
+        # order depend on.  A repeated edge is a no-op.
+        self._pred: Dict[str, Dict[str, None]] = {n: {} for n in self._layers}
+        self._succ: Dict[str, Dict[str, None]] = {n: {} for n in self._layers}
         for src, dst in edges:
-            if src not in self._g or dst not in self._g:
+            if src not in self._layers or dst not in self._layers:
                 raise ModelError(f"{name}: edge ({src},{dst}) references unknown node")
-            self._g.add_edge(src, dst)
+            self._succ[src][dst] = None
+            self._pred[dst][src] = None
         self._validate()
         self._infer()
         self._cuts = self._compute_cut_points()
@@ -106,23 +158,22 @@ class ModelGraph:
     # -- validation / inference ----------------------------------------------
 
     def _validate(self) -> None:
-        g = self._g
-        if g.number_of_nodes() == 0:
+        if not self._layers:
             raise ModelError(f"{self.name}: empty model")
-        if not nx.is_directed_acyclic_graph(g):
+        self._topo: List[str] = _topological_order(self._pred, self._succ)
+        if len(self._topo) != len(self._layers):
             raise ModelError(f"{self.name}: model graph has a cycle")
-        sources = [n for n in g if g.in_degree(n) == 0]
-        sinks = [n for n in g if g.out_degree(n) == 0]
+        sources = [n for n, p in self._pred.items() if not p]
+        sinks = [n for n, s in self._succ.items() if not s]
         if len(sources) != 1:
             raise ModelError(f"{self.name}: expected exactly 1 source, got {sources}")
         if len(sinks) != 1:
             raise ModelError(f"{self.name}: expected exactly 1 sink, got {sinks}")
         self._source, self._sink = sources[0], sinks[0]
-        if not isinstance(g.nodes[self._source]["layer"], Input):
+        if not isinstance(self._layers[self._source], Input):
             raise ModelError(f"{self.name}: source {self._source} is not an Input layer")
-        for n in g:
-            layer: Layer = g.nodes[n]["layer"]
-            indeg = g.in_degree(n)
+        for n, layer in self._layers.items():
+            indeg = len(self._pred[n])
             if isinstance(layer, Input):
                 if indeg != 0:
                     raise ModelError(f"{self.name}: Input {n} has predecessors")
@@ -137,15 +188,13 @@ class ModelGraph:
                 )
 
     def _infer(self) -> None:
-        g = self._g
-        self._topo: List[str] = list(nx.topological_sort(g))
         self._shape: Dict[str, Shape] = {}
         self._flops: Dict[str, int] = {}
         self._params: Dict[str, int] = {}
         self._out_bytes: Dict[str, int] = {}
         for n in self._topo:
-            layer: Layer = g.nodes[n]["layer"]
-            preds = list(g.predecessors(n))
+            layer = self._layers[n]
+            preds = list(self._pred[n])
             if isinstance(layer, Input):
                 out = layer.output_shape(())
                 fl = 0
@@ -168,19 +217,20 @@ class ModelGraph:
         self._total_params = sum(self._params.values())
 
     def _compute_cut_points(self) -> List[CutPoint]:
-        idom = nx.immediate_dominators(self._g, self._source)
+        idom = _immediate_dominators(self._topo, self._pred)
         # Walk the dominator chain of the sink up to the source: these are all
         # nodes through which every input->output path passes.
         chain = [self._sink]
         while chain[-1] != self._source:
             chain.append(idom[chain[-1]])
         chain.reverse()  # source .. sink in dominance (= topological) order
+        # Heads are topological prefixes (see head_nodes).
+        prefix_flops = dict(
+            zip(self._topo, accumulate(self._flops[n] for n in self._topo))
+        )
         cuts: List[CutPoint] = []
-        anc_cache: Dict[str, set] = {}
         for idx, node in enumerate(chain):
-            ancestors = nx.ancestors(self._g, node)
-            anc_cache[node] = ancestors
-            head_flops = self._flops[node] + sum(self._flops[a] for a in ancestors)
+            head_flops = prefix_flops[node]
             cuts.append(
                 CutPoint(
                     name=node,
@@ -192,9 +242,6 @@ class ModelGraph:
                     ),
                 )
             )
-        self._head_nodes = {
-            node: anc_cache[node] | {node} for node in (c.name for c in cuts)
-        }
         return cuts
 
     # -- public accessors ------------------------------------------------------
@@ -228,7 +275,7 @@ class ModelGraph:
 
     @property
     def num_layers(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._layers)
 
     @property
     def topological_order(self) -> List[str]:
@@ -240,7 +287,7 @@ class ModelGraph:
         return list(self._cuts)
 
     def layer(self, node: str) -> Layer:
-        return self._g.nodes[node]["layer"]
+        return self._layers[node]
 
     def output_shape_of(self, node: str) -> Shape:
         return self._shape[node]
@@ -255,16 +302,20 @@ class ModelGraph:
         return self._out_bytes[node]
 
     def predecessors(self, node: str) -> List[str]:
-        return list(self._g.predecessors(node))
+        return list(self._pred[node])
 
     def successors(self, node: str) -> List[str]:
-        return list(self._g.successors(node))
+        return list(self._succ[node])
 
     def head_nodes(self, cut: str) -> set:
-        """All nodes executed by the head when cutting after ``cut``."""
-        if cut not in self._head_nodes:
-            raise ModelError(f"{self.name}: {cut!r} is not a valid cut point")
-        return set(self._head_nodes[cut])
+        """All nodes executed by the head when cutting after ``cut``.
+
+        Every node is reached from the source and reaches the sink, so a node
+        that does not descend from the sink dominator ``cut`` is one of its
+        ancestors: the head is the topological prefix ending at ``cut``.
+        """
+        self.cut_by_name(cut)  # raises ModelError for a non-cut
+        return set(self._topo[: self._topo.index(cut) + 1])
 
     def cut_by_name(self, name: str) -> CutPoint:
         for c in self._cuts:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -28,15 +29,22 @@ class Link:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigError(f"link {self.name!r}: bandwidth must be positive")
-        if self.rtt_s < 0:
-            raise ConfigError(f"link {self.name!r}: rtt must be >= 0")
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ConfigError(
+                f"link {self.name!r}: bandwidth must be finite and positive, "
+                f"got {self.bandwidth_bps}"
+            )
+        if not (math.isfinite(self.rtt_s) and self.rtt_s >= 0):
+            raise ConfigError(
+                f"link {self.name!r}: rtt must be finite and >= 0, got {self.rtt_s}"
+            )
 
     def scaled(self, factor: float) -> "Link":
         """A copy with bandwidth multiplied by ``factor`` (fading, sharing)."""
-        if factor <= 0:
-            raise ConfigError(f"link scale factor must be positive, got {factor}")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ConfigError(
+                f"link scale factor must be finite and positive, got {factor}"
+            )
         return Link(self.bandwidth_bps * factor, self.rtt_s, self.name)
 
     def with_bandwidth(self, bandwidth_bps: float) -> "Link":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -28,10 +29,17 @@ class LayerProfile:
     latency_var_s2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.flops < 0 or self.output_bytes < 0 or self.latency_s < 0:
+        if self.flops < 0 or self.output_bytes < 0:
             raise ProfileError(f"negative profile entry for {self.layer_name}")
-        if self.latency_var_s2 < 0:
-            raise ProfileError(f"negative latency variance for {self.layer_name}")
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
+            raise ProfileError(
+                f"{self.layer_name}: latency must be finite and >= 0, got {self.latency_s}"
+            )
+        if not (math.isfinite(self.latency_var_s2) and self.latency_var_s2 >= 0):
+            raise ProfileError(
+                f"{self.layer_name}: latency variance must be finite and >= 0, "
+                f"got {self.latency_var_s2}"
+            )
 
 
 @dataclass

@@ -58,6 +58,7 @@ from repro.rng import derive_seed
 from repro.sim.fastpath import sweep_pipeline
 from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
 from repro.sim.queues import FifoResource, LinkResource
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
@@ -381,12 +382,17 @@ _POOL_FAILURES = (OSError, NotImplementedError, BrokenProcessPool, pickle.Pickli
 
 
 def _fan_out(jobs, workers: int, telemetry: bool) -> List[SimulationReport]:
-    """Run simulation jobs on a process pool, serially when unavailable."""
+    """Run simulation jobs on a process pool, serially when unavailable.
+
+    Each fallback to serial warns and counts ``sim.pool.fallbacks`` in the
+    process-wide metrics registry.
+    """
     if workers > 1 and not telemetry and len(jobs) > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_replication_worker, jobs))
         except _POOL_FAILURES as exc:
+            get_registry().counter("sim.pool.fallbacks").inc()
             warnings.warn(
                 f"simulation process pool unavailable ({type(exc).__name__}: "
                 f"{exc}); running {len(jobs)} jobs serially",

@@ -28,6 +28,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             make(overhead_s=-1e-3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["peak_flops", "overhead_s"])
+    def test_nonfinite_rejected(self, field, bad):
+        with pytest.raises(ConfigError):
+            make(**{field: bad})
+
     def test_efficiency_must_cover_all_classes(self):
         with pytest.raises(ConfigError):
             make(efficiency={"conv": 0.5})

@@ -30,6 +30,18 @@ class TestLink:
         with pytest.raises(ConfigError):
             Link(mbps(10)).scaled(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["bandwidth_bps", "rtt_s"])
+    def test_nonfinite_rejected(self, field, bad):
+        kwargs = {"bandwidth_bps": mbps(10), "rtt_s": 5e-3, field: bad}
+        with pytest.raises(ConfigError):
+            Link(**kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_scaled_nonfinite_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            Link(mbps(10)).scaled(bad)
+
     def test_with_bandwidth(self):
         l = Link(mbps(10), rtt_s=5e-3)
         assert l.with_bandwidth(123.0).bandwidth_bps == 123.0

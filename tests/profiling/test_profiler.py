@@ -103,3 +103,10 @@ class TestTableValidation:
     def test_negative_entry_raises(self):
         with pytest.raises(ProfileError):
             LayerProfile("l", "Conv2D", "conv", flops=-1, output_bytes=0, latency_s=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["latency_s", "latency_var_s2"])
+    def test_nonfinite_rejected(self, field, bad):
+        kwargs = {"latency_s": 1e-3, "latency_var_s2": 0.0, field: bad}
+        with pytest.raises(ProfileError):
+            LayerProfile("l", "Conv2D", "conv", flops=10, output_bytes=4, **kwargs)

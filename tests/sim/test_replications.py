@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.sim import runner as runner_mod
 from repro.sim.metrics import merge_reports
 from repro.sim.runner import SimulationConfig, run_replications, simulate_plan
+from repro.telemetry.metrics import get_registry
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +86,16 @@ class TestPoolFallback:
             def __init__(self, *a, **k):
                 raise OSError("no semaphores")
 
+        fallbacks = get_registry().counter("sim.pool.fallbacks")
         serial = run_replications(small_tasks, solved, small_cluster, base_cfg)
         monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", NoPool)
+        before = fallbacks.value
         with pytest.warns(RuntimeWarning, match="OSError: no semaphores"):
             pooled = run_replications(
                 small_tasks, solved, small_cluster,
                 dataclasses.replace(base_cfg, sim_workers=2),
             )
+        assert fallbacks.value == before + 1
         assert len(pooled) == len(serial)
         for s, p in zip(serial, pooled):
             assert_reports_identical(s, p)
