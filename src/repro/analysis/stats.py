@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 from repro.errors import ConfigError
 from repro.rng import SeedLike, as_generator
@@ -53,6 +52,8 @@ def mean_ci(samples: np.ndarray, confidence: float = 0.95) -> Tuple[float, float
     m = float(x.mean())
     if x.size == 1:
         return m, m, m
+    from scipy.special import stdtrit
+
     se = float(x.std(ddof=1) / np.sqrt(x.size))
     # stdtrit(df, q) is Student's t quantile, the kernel of scipy.stats.t.ppf.
     half = float(stdtrit(x.size - 1, 0.5 + confidence / 2.0)) * se

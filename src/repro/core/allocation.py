@@ -11,11 +11,11 @@ by expected bytes.  Tasks with zero expected work on a resource receive a
 full (unused) share of 1.
 
 **Assignment (Hungarian).**  Tasks are matched to replicated "server slots"
-(plus a private local-execution column per task) via
-``scipy.optimize.linear_sum_assignment`` on a cost matrix of best-candidate
-latencies under an equal-share estimate.  Slot replication bounds how many
-tasks an assignment round can pile onto one server; the joint optimizer's
-share re-solve then refines within each server.
+(plus a private local-execution column per task) by a min-cost matching
+(:func:`_min_cost_matching`, Crouse's shortest augmenting path) on a cost
+matrix of best-candidate latencies under an equal-share estimate.  Slot
+replication bounds how many tasks an assignment round can pile onto one
+server; the joint optimizer's share re-solve then refines within each server.
 
 **Evaluation.**  :func:`solution_latencies` is the single source of truth for
 "what latency does this complete solution predict" — used identically by the
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.candidates import CandidateSet
 from repro.core.objectives import Objective
@@ -46,7 +45,7 @@ from repro.core.plan import TaskSpec
 from repro.core.queueing import mg1_wait
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
-from repro.errors import ConfigError, PlanError
+from repro.errors import ConfigError, InfeasibleError, PlanError
 from repro.telemetry.trace import traced
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -538,6 +537,93 @@ def solution_latency_task(
     return float(np.inf)
 
 
+def _min_cost_matching(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Match every row of a wide cost matrix to a distinct column at least cost.
+
+    Crouse's shortest augmenting path (D. F. Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016): one Dijkstra
+    search over reduced costs per row, then a dual update and an augment.
+    This is a scalar port of SciPy's ``rectangular_lsap.cpp`` (the kernel of
+    ``linear_sum_assignment``) that keeps its tie-breaking: ``remaining`` is
+    filled in reverse column order, a column is taken on a strictly lower
+    reduced cost or on an equal one if it is unassigned, taken columns are
+    swap-removed, and reduced costs ``((min_val + c) - u[i]) - v[j]`` and
+    the dual updates are evaluated as SciPy does.  Replicated server slots
+    make exact ties common, so those rules decide which slot a task gets;
+    tests/core/test_matching_oracle.py pins the result equal to SciPy's.
+    A row is copied to a list when its scan needs it, so the port never
+    holds more than one row of the matrix as Python floats.
+
+    Returns ``(rows, cols)`` with ``rows = arange(nr)`` and ``cols[r]`` the
+    column matched to row ``r``.  Raises :class:`ConfigError` on a tall or
+    non-2-D matrix or a NaN or ``-inf`` entry, and :class:`InfeasibleError`
+    when ``+inf`` entries leave no complete matching.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2:
+        raise ConfigError(f"cost matrix must be 2-D, got shape {c.shape}")
+    nr, nc = c.shape
+    if nr > nc:
+        raise ConfigError(f"cost matrix must not have more rows than columns, got {c.shape}")
+    if not (c > -np.inf).all():
+        raise ConfigError("cost matrix contains NaN or -inf")
+    inf = float("inf")
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row `cur` to an unassigned column;
+        # `remaining` holds the columns not yet on the path tree
+        remaining = list(range(nc - 1, -1, -1))
+        spc = [inf] * nc  # shortest path cost per column
+        seen_rows: List[int] = []
+        seen_cols: List[int] = []
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            seen_rows.append(i)
+            ci, ui = c[i].tolist(), u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                sj = spc[j]
+                if r < sj:
+                    path[j] = i
+                    spc[j] = sj = r
+                if sj < lowest or (sj == lowest and row4col[j] == -1):
+                    lowest = sj
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise InfeasibleError("cost matrix admits no complete matching")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - spc[j]
+        # augment along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(nr), np.array(col4row, dtype=np.intp)
+
+
 @traced("alloc.assign_servers")
 def assign_servers(
     tasks: Sequence[TaskSpec],
@@ -589,11 +675,11 @@ def assign_servers(
         local_lat = candsets[i].latencies(device, latency_model, risk=risk)
         cost[i, m * slots_per_server + i] = float(np.min(local_lat))
 
-    # linear_sum_assignment rejects inf rows; replace with a huge finite cost
+    # inf entries can leave no complete matching; use a huge finite cost
     finite_max = np.nanmax(np.where(np.isinf(cost), np.nan, cost))
     big = (finite_max if np.isfinite(finite_max) else 1.0) * 1e6 + 1e3
     cost_f = np.where(np.isinf(cost), big, cost)
-    rows, cols_sel = linear_sum_assignment(cost_f)
+    rows, cols_sel = _min_cost_matching(cost_f)
     assignment: List[Optional[int]] = [None] * n
     for r, c in zip(rows, cols_sel):
         if c < m * slots_per_server and cost[r, c] != np.inf:

@@ -40,6 +40,9 @@ class EdgeCluster:
         sn = [s.name for s in self.servers]
         if len(set(dn)) != len(dn) or len(set(sn)) != len(sn):
             raise ConfigError("duplicate device/server names in cluster")
+        shared = sorted(set(dn) & set(sn))
+        if shared:
+            raise ConfigError(f"names used by both an end device and a server: {shared}")
         if set(self.topology.device_names) != set(dn) or set(
             self.topology.server_names
         ) != set(sn):

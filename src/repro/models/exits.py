@@ -25,12 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc
-
-# The Beta-pdf kernel ``scipy.stats.beta.pdf`` evaluates on (0, 1); calling it
-# directly keeps the bits and skips importing ``scipy.stats``.
-# tests/test_scipy_oracle.py pins the two bit for bit.
-from scipy.special._ufuncs import _beta_pdf
 
 from repro.errors import ConfigError, PlanError
 from repro.models.accuracy import AccuracyModel
@@ -73,6 +67,12 @@ class DifficultyDistribution:
         cached = _GRID_CACHE.get(key)
         if cached is not None:
             return cached
+        # The Beta-pdf kernel ``scipy.stats.beta.pdf`` evaluates on (0, 1);
+        # calling it directly keeps the bits and skips importing
+        # ``scipy.stats``.  tests/test_scipy_oracle.py pins the two bit for
+        # bit.  Imported here so that importing the library loads no scipy.
+        from scipy.special._ufuncs import _beta_pdf
+
         edges = np.linspace(0.0, 1.0, n + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         with np.errstate(over="ignore"):
@@ -87,6 +87,8 @@ class DifficultyDistribution:
         return mid, w
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray:
+        from scipy.special import betainc
+
         # Outside (0, 1) the cdf is 0 or 1, which betainc gives at the clip.
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return betainc(self.alpha, self.beta, x)

@@ -66,6 +66,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             EdgeCluster.star([pi4, pi4], [srv], Link(mbps(10)))
 
+    def test_name_shared_by_device_and_server(self, pi4):
+        srv = dataclasses.replace(SERVER_PRESETS["edge_cpu"], name=pi4.name)
+        with pytest.raises(ConfigError, match="both an end device and a server"):
+            EdgeCluster.star([pi4], [srv], Link(mbps(10)))
+
     def test_with_topology_replaces(self, small_cluster):
         topo = small_cluster.topology.scale_all(2.0)
         c2 = small_cluster.with_topology(topo)
