@@ -154,10 +154,11 @@ class CandidateSet:
     def pruned(self) -> "CandidateSet":
         """Drop plans dominated on every resource at no accuracy gain.
 
-        The pairwise dominance tests run as one blocked NumPy pass (the block
-        bounds the broadcast temporaries); only the order-dependent keep scan
-        — a kept plan cannot be disqualified by a plan dropped earlier —
-        remains a Python loop, over precomputed booleans.
+        Plans are scanned by accuracy descending (stable), so dominators are
+        examined first, and each is tested only against the plans kept so
+        far — a plan dropped earlier never disqualifies a later one.  The
+        kept-so-far costs live in one preallocated buffer, so memory is
+        O(n) and each test is one vectorized pass over at most the kept set.
         """
         n = len(self.features)
         if n <= 1:
@@ -166,29 +167,26 @@ class CandidateSet:
             [self.dev_flops, self.srv_flops, self.wire_bytes, self.p_offload], axis=1
         )
         acc = self.accuracy
-        # dom[a, b]: a weakly dominates b on accuracy and every resource, and
-        # is strictly better somewhere (same tolerances as the scalar test)
-        dom = np.empty((n, n), dtype=bool)
-        block = max(1, (1 << 22) // n)
-        for start in range(0, n, block):
-            sl = slice(start, min(start + block, n))
-            dom[:, sl] = (
-                (acc[:, None] >= (acc[sl] - 1e-12)[None, :])
-                & np.all(cost[:, None, :] <= (cost[sl] + 1e-9)[None, :, :], axis=2)
-                & (
-                    (acc[:, None] > (acc[sl] + 1e-12)[None, :])
-                    | np.any(cost[:, None, :] < (cost[sl] - 1e-9)[None, :, :], axis=2)
-                )
-            )
-        keep_mask = np.ones(n, dtype=bool)
-        kept_sofar = np.zeros(n, dtype=bool)
-        # scan by accuracy descending so dominators are examined first
+        # a kept plan (ka, kc) dominates (a, c) when it weakly dominates on
+        # accuracy and every resource and is strictly better somewhere
+        cost_hi, cost_lo = cost + 1e-9, cost - 1e-9
+        acc_lo, acc_hi = acc - 1e-12, acc + 1e-12
+        kept = np.empty(n, dtype=np.intp)
+        kacc = np.empty(n)
+        kcost = np.empty((n, 4))
+        k = 0
         for idx in np.argsort(-acc, kind="stable"):
-            if np.any(dom[:, idx] & kept_sofar):
-                keep_mask[idx] = False
-            else:
-                kept_sofar[idx] = True
-        return self._take(np.flatnonzero(keep_mask))
+            if k:
+                ka, kc = kacc[:k], kcost[:k]
+                if np.any(
+                    (ka >= acc_lo[idx])
+                    & np.all(kc <= cost_hi[idx], axis=1)
+                    & ((ka > acc_hi[idx]) | np.any(kc < cost_lo[idx], axis=1))
+                ):
+                    continue
+            kept[k], kacc[k], kcost[k] = idx, acc[idx], cost[idx]
+            k += 1
+        return self._take(np.sort(kept[:k]))
 
     def subsample(self, k: int) -> "CandidateSet":
         """Evenly thin the set to at most ``k`` plans (accuracy-ordered).

@@ -33,7 +33,7 @@ re-homing tasks between shards after the initial solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -330,7 +330,7 @@ class AffinityIndex:
         for i, t in enumerate(tasks):
             device = cluster.by_name(t.device_name)
             if row_key is not None:
-                links_part: Tuple = row_key(t.device_name)
+                links_part: Hashable = row_key(t.device_name)
             else:
                 links_part = tuple(
                     id(cluster.link(t.device_name, srv.name))

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.candidates import CandidateSet, build_candidates
+from repro.core.candidates import _ARRAY_FIELDS, CandidateSet, build_candidates
 from repro.core.plan import TaskSpec
-from repro.core.surgery import enumerate_features
+from repro.core.surgery import DEFAULT_THRESHOLD_GRID, enumerate_features
 from repro.errors import InfeasibleError, PlanError
+from repro.models.quantization import ALL_LEVELS
 from repro.network.link import Link
 from repro.units import mbps
+from repro.workloads.scenarios import SCENARIOS, multiexit_model
 
 LINK = Link(mbps(40), rtt_s=10e-3)
 
@@ -119,3 +121,65 @@ class TestEvaluation:
             pi4, latency_model, server=edge_gpu, link=LINK, compute_share=0.9
         )
         assert np.all(hi <= lo + 1e-12)
+
+
+def _blocked_matrix_prune(cs):
+    """Reference prune: the full n × n dominance matrix, built in column
+    blocks, then the accuracy-descending keep scan over its columns."""
+    n = len(cs)
+    cost = np.stack([cs.dev_flops, cs.srv_flops, cs.wire_bytes, cs.p_offload], axis=1)
+    acc = cs.accuracy
+    # dom[a, b]: a weakly dominates b on accuracy and every resource, and is
+    # strictly better somewhere
+    dom = np.empty((n, n), dtype=bool)
+    block = max(1, (1 << 22) // n)
+    for start in range(0, n, block):
+        sl = slice(start, min(start + block, n))
+        dom[:, sl] = (
+            (acc[:, None] >= (acc[sl] - 1e-12)[None, :])
+            & np.all(cost[:, None, :] <= (cost[sl] + 1e-9)[None, :, :], axis=2)
+            & (
+                (acc[:, None] > (acc[sl] + 1e-12)[None, :])
+                | np.any(cost[:, None, :] < (cost[sl] - 1e-9)[None, :, :], axis=2)
+            )
+        )
+    keep = np.ones(n, dtype=bool)
+    kept_sofar = np.zeros(n, dtype=bool)
+    for idx in np.argsort(-acc, kind="stable"):
+        if np.any(dom[:, idx] & kept_sofar):
+            keep[idx] = False
+        else:
+            kept_sofar[idx] = True
+    return np.flatnonzero(keep)
+
+
+#: (scenario, model, exits, difficulty, accuracy floor) of every preset template
+PRESET_TEMPLATES = [
+    (sc.name, model, sc.num_exits, diff, floor)
+    for sc in SCENARIOS.values()
+    for (model, _dev, _deadline, floor, _rate, diff) in sc.task_templates
+]
+GRID7 = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+
+
+class TestPruneOracle:
+    """The kept-set prune keeps exactly what the n × n matrix prune keeps."""
+
+    @pytest.mark.parametrize("levels", [("fp32",), ALL_LEVELS], ids=["fp32", "all_levels"])
+    @pytest.mark.parametrize("grid", [DEFAULT_THRESHOLD_GRID, GRID7], ids=["grid5", "grid7"])
+    @pytest.mark.parametrize(
+        "template", PRESET_TEMPLATES, ids=[f"{t[0]}-{t[1]}" for t in PRESET_TEMPLATES]
+    )
+    def test_matches_blocked_matrix(self, template, grid, levels):
+        _, model_name, exits, diff, floor = template
+        model = multiexit_model(model_name, exits, diff)
+        task = TaskSpec("t", model, "dev0", deadline_s=0.1, accuracy_floor=floor)
+        feats = enumerate_features(model, threshold_grid=grid, quantization_levels=levels)
+        cs = CandidateSet(task, feats).filter_accuracy(floor)
+        keep = _blocked_matrix_prune(cs)
+        pruned = cs.pruned()
+        assert 0 < len(pruned) < len(cs)
+        assert len(pruned.features) == len(keep)
+        assert all(f is cs.features[i] for f, i in zip(pruned.features, keep))
+        for name in _ARRAY_FIELDS:
+            np.testing.assert_array_equal(getattr(pruned, name), getattr(cs, name)[keep])

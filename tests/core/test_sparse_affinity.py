@@ -4,7 +4,7 @@ The index's fast paths (top-k shortlists, template compression,
 shortlist-walk foreign mins, cursor homing) must decide exactly what a
 brute-force scan over every (task, server) pair decides.  The scenarios
 here are deliberately non-deduplicating — per-device heterogeneous access
-links (so ``StarTopology.row_key`` falls back to per-device fingerprints)
+links (so ``StarTopology.row_key`` gives every device its own fingerprint)
 and ``cache=False`` candidate pipelines (so no two tasks share a features
 list) — to exercise the index without the template merging that scenario
 presets enjoy.
