@@ -11,7 +11,10 @@ submissions in the exact order the event loop would have made them.
 :func:`sweep_pipeline` is the one sweep.  It realizes requests in arrival
 windows of roughly ``cfg.chunk_size`` requests and sweeps every resource
 window by window (the block comment above :class:`_StageBuffer` explains
-why that is lossless), so any window size gives the same bits.  Completed
+why that is lossless), so any window size gives the same bits.  Within a
+window it realizes one device group (the tasks sharing a device) at a
+time and drops each task's rows once the task has advanced, so the live
+rows follow the requests in flight rather than the whole window.  Completed
 requests flow to one of two sinks: a streaming run folds them into its
 :class:`~repro.sim.metrics.StreamingStats` accumulator as they complete;
 every other run keeps them all and builds the :class:`RequestRecord` list
@@ -49,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.plan import JointPlan, TaskSpec
+from repro.core.plan import JointPlan, SurgeryPlan, TaskSpec
 from repro.errors import SimulationError
 from repro.rng import derive, derive_material
 from repro.rng_vec import first_uniforms
@@ -91,11 +94,17 @@ __all__ = ["sweep_pipeline"]
 #
 # Each resource's ``sweep`` carries its busy horizon and busy-time
 # accumulator across calls with sequential-scalar semantics, so splitting
-# one sweep into many changes no bits.  Completions leave the pipeline at
-# window boundaries, not in the event loop's order; the record sink restores
-# that order once, with one lexsort over the record-order key (module
-# docstring), which is why every stage row carries its device-finish and
-# uplink-delivery times.
+# one sweep into many changes no bits.  Inside a window, tasks are walked
+# in task order; at the turn of a device group's first task the whole group
+# is realized and swept through its device, and the other members' rows
+# wait until their turn.  Per-task random streams are independent, so the
+# realization order changes no column, and the sink receives its
+# ``observe`` calls task by task in task order for any device layout.
+#
+# Completions leave the pipeline at window boundaries, not in the event
+# loop's order; the record sink restores that order once, with one lexsort
+# over the record-order key (module docstring), which is why every stage row
+# carries its device-finish and uplink-delivery times.
 
 #: per-request columns of one row; all float64, so a batch of requests (and
 #: every stage buffer) is one ``(n, len(_COLS))`` matrix
@@ -128,7 +137,10 @@ class _StageBuffer:
     Rows are keyed by column ``key`` — the previous stage's finish time,
     i.e. this stage's submission time.  :meth:`push_flush` appends a batch
     in request order, restores global submission order with a stable
-    argsort, and splits off every row with ``key < threshold``.
+    argsort, and splits off every row with ``key < threshold``.  A FIFO
+    predecessor finishes a task's requests in request order, so without a
+    carry-over the batch is usually in key order already; the sort (an
+    identity permutation then) and its copy are skipped.
     """
 
     __slots__ = ("key", "rows")
@@ -143,7 +155,11 @@ class _StageBuffer:
         else:
             if self.rows.shape[0]:
                 batch = np.concatenate([self.rows, batch])
-            merged = batch[np.argsort(batch[:, self.key], kind="stable")]
+            key = batch[:, self.key]
+            if np.all(key[1:] >= key[:-1]):
+                merged = batch
+            else:
+                merged = batch[np.argsort(key, kind="stable")]
         split = int(np.searchsorted(merged[:, self.key], threshold, side="left"))
         # an owned copy (or a fresh empty matrix), never a view: a view would
         # pin every flushed row of ``merged`` until the next flush
@@ -175,7 +191,9 @@ class _TaskStream:
     generator (stream-sequential draws), and exec and jitter uniforms from
     counter-based :func:`first_uniforms` streams addressed by request index
     — so the realized columns do not depend on how the horizon is cut into
-    windows.  Each task owns the three offload-stage buffers.
+    windows.  Each task owns the three offload-stage buffers; tasks with the
+    same model and surgery plan share one read-only :class:`RealizationTable`
+    through ``tables``.
     """
 
     __slots__ = (
@@ -183,9 +201,19 @@ class _TaskStream:
         "jitter", "generated", "offloaded_total", "up_buf", "srv_buf", "down_buf",
     )
 
-    def __init__(self, task: TaskSpec, plan: JointPlan, cfg) -> None:
+    def __init__(
+        self,
+        task: TaskSpec,
+        plan: JointPlan,
+        cfg,
+        tables: Dict[Tuple[int, SurgeryPlan], RealizationTable],
+    ) -> None:
         self.task = task
-        self.table = RealizationTable(task.model, plan.features[task.name].plan)
+        surgery = plan.features[task.name].plan
+        key = (id(task.model), surgery)
+        if key not in tables:
+            tables[key] = RealizationTable(task.model, surgery)
+        self.table = tables[key]
         process = (
             task.arrival_rate,
             cfg.horizon_s,
@@ -249,12 +277,8 @@ class _TaskStream:
         return rows
 
 
-def _sweep_devices(
-    streams: Sequence[_TaskStream],
-    batches: Sequence[np.ndarray],
-    device_res: Dict[str, FifoResource],
-) -> None:
-    """Run every shared device resource over its tasks' merged arrivals.
+def _sweep_device(device: FifoResource, members: Sequence[np.ndarray]) -> None:
+    """Run one shared device resource over its tasks' merged arrivals.
 
     The event loop submits device work while arrival events fire, i.e. in
     ``(arrival time, global scheduling index)`` order; concatenating the
@@ -262,28 +286,24 @@ def _sweep_devices(
     argsort by arrival reproduces it exactly.  Fills the device-finish,
     device-busy and (provisional) completion columns in place.
     """
-    by_device: Dict[str, List[np.ndarray]] = {}
-    for s, rows in zip(streams, batches):
-        by_device.setdefault(s.task.device_name, []).append(rows)
-    for dname, members in by_device.items():
-        arrival = np.concatenate([rows[:, _ARR] for rows in members])
-        if arrival.size == 0:
-            continue
-        work = np.concatenate([rows[:, _DEV_FLOPS] for rows in members])
-        order = np.argsort(arrival, kind="stable")
-        starts, finishes = device_res[dname].sweep(arrival[order], work[order])
-        all_starts = np.empty_like(arrival)
-        all_done = np.empty_like(arrival)
-        all_starts[order] = starts
-        all_done[order] = finishes
-        off = 0
-        for rows in members:
-            n = rows.shape[0]
-            done = all_done[off : off + n]
-            rows[:, _DEV_DONE] = done
-            rows[:, _COMPLETION] = done
-            rows[:, _DEV_BUSY] = done - all_starts[off : off + n]
-            off += n
+    arrival = np.concatenate([rows[:, _ARR] for rows in members])
+    if arrival.size == 0:
+        return
+    work = np.concatenate([rows[:, _DEV_FLOPS] for rows in members])
+    order = np.argsort(arrival, kind="stable")
+    starts, finishes = device.sweep(arrival[order], work[order])
+    all_starts = np.empty_like(arrival)
+    all_done = np.empty_like(arrival)
+    all_starts[order] = starts
+    all_done[order] = finishes
+    off = 0
+    for rows in members:
+        n = rows.shape[0]
+        done = all_done[off : off + n]
+        rows[:, _DEV_DONE] = done
+        rows[:, _COMPLETION] = done
+        rows[:, _DEV_BUSY] = done - all_starts[off : off + n]
+        off += n
 
 
 def _advance_task_window(
@@ -307,26 +327,32 @@ def _advance_task_window(
     if not off.all():
         sink.observe(index, rows[~off])
 
-    up = s.up_buf.push_flush(rows[off], threshold)
-    if up.shape[0]:
-        start, deliver = task_uplink_res[name].sweep(up[:, _DEV_DONE], up[:, _UP_BYTES])
-        up[:, _UP_DONE] = deliver
-        up[:, _NET_BUSY] = deliver - start
-
-    srv = s.srv_buf.push_flush(up, threshold)
-    if srv.shape[0]:
-        start, done = task_server_res[name].sweep(srv[:, _UP_DONE], srv[:, _SRV_FLOPS])
-        srv[:, _SRV_DONE] = done
-        srv[:, _SRV_BUSY] = done - start
-
-    down = s.down_buf.push_flush(srv, threshold)
-    if down.shape[0]:
-        start, deliver = task_downlink_res[name].sweep(
-            down[:, _SRV_DONE], down[:, _DOWN_BYTES]
+    # each stage's input goes as soon as its flush exists (the caller hands
+    # ``rows`` over without keeping a reference), so at most about two
+    # copies of the task's offloaded rows are live at a time
+    batch = s.up_buf.push_flush(rows[off], threshold)
+    del rows
+    if batch.shape[0]:
+        start, deliver = task_uplink_res[name].sweep(
+            batch[:, _DEV_DONE], batch[:, _UP_BYTES]
         )
-        down[:, _COMPLETION] = deliver
-        down[:, _NET_BUSY] += deliver - start
-        sink.observe(index, down)
+        batch[:, _UP_DONE] = deliver
+        batch[:, _NET_BUSY] = deliver - start
+
+    batch = s.srv_buf.push_flush(batch, threshold)
+    if batch.shape[0]:
+        start, done = task_server_res[name].sweep(batch[:, _UP_DONE], batch[:, _SRV_FLOPS])
+        batch[:, _SRV_DONE] = done
+        batch[:, _SRV_BUSY] = done - start
+
+    batch = s.down_buf.push_flush(batch, threshold)
+    if batch.shape[0]:
+        start, deliver = task_downlink_res[name].sweep(
+            batch[:, _SRV_DONE], batch[:, _DOWN_BYTES]
+        )
+        batch[:, _COMPLETION] = deliver
+        batch[:, _NET_BUSY] += deliver - start
+        sink.observe(index, batch)
 
 
 class _StreamingSink:
@@ -341,7 +367,8 @@ class _StreamingSink:
         self.discarded = 0
 
     def observe(self, index: int, rows: np.ndarray) -> None:
-        kept = rows[rows[:, _ARR] >= self.warmup_s]
+        keep = rows[:, _ARR] >= self.warmup_s
+        kept = rows if keep.all() else rows[keep]
         self.discarded += rows.shape[0] - kept.shape[0]
         if kept.shape[0]:
             self.stats.observe(
@@ -482,23 +509,35 @@ def sweep_pipeline(
     them per task in request order — integer state bit-identical to the
     event loop's scalar feed (window/bin indices use the same double ops).
     """
-    streams = [_TaskStream(t, plan, cfg) for t in tasks]
+    tables: Dict[Tuple[int, SurgeryPlan], RealizationTable] = {}
+    streams = [_TaskStream(t, plan, cfg, tables) for t in tasks]
     names = [t.name for t in tasks]
     sink = _RecordSink() if stats is None else _StreamingSink(stats, names, cfg.warmup_s)
     total_rate = sum(t.arrival_rate for t in tasks)
     window_s = max(cfg.chunk_size / total_rate, 1e-9) if total_rate > 0 else cfg.horizon_s
+    # each task's device group: every task sharing its device, in task order
+    groups: Dict[str, List[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault(task.device_name, []).append(i)
 
     t = 0.0
     last = False
     while not last:
         t1 = t + window_s
         last = t1 >= cfg.horizon_s
+        t_end = min(t1, cfg.horizon_s)
         threshold = np.inf if last else t1
-        batches = [s.realize(min(t1, cfg.horizon_s)) for s in streams]
-        _sweep_devices(streams, batches, device_res)
-        for i, (s, rows) in enumerate(zip(streams, batches)):
+        # realized rows of group members whose turn has not come yet
+        parked: Dict[int, np.ndarray] = {}
+        for i, s in enumerate(streams):
+            if i not in parked:  # the first member of its group in this window
+                members = groups[s.task.device_name]
+                batch = [streams[j].realize(t_end) for j in members]
+                _sweep_device(device_res[s.task.device_name], batch)
+                parked.update(zip(members, batch))
+                del batch
             _advance_task_window(
-                s, i, rows, threshold, sink,
+                s, i, parked.pop(i), threshold, sink,
                 task_server_res, task_uplink_res, task_downlink_res,
             )
         t = t1
@@ -508,7 +547,6 @@ def sweep_pipeline(
         raise SimulationError("no requests generated; horizon or rates too small")
     n_off = sum(s.offloaded_total for s in streams)
     if stats is None:
-        del streams, batches  # release the last window before building records
         records = sink.records(names, cfg.warmup_s, windowed)
         discarded = total - len(records)
     else:

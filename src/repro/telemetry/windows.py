@@ -3,9 +3,12 @@
 Per-request timelines (:mod:`repro.telemetry.timeline`) need the event loop —
 gauges sample on event boundaries the chunked fast path never visits.  This
 module provides the complement: **tumbling-window aggregates** whose state is
-a handful of integer arrays (histograms keep only their occupied bins), cheap
-enough to update from a million-request streaming sweep and exact enough to
-drive SLO monitoring.
+a handful of integer arrays, cheap enough to update from a million-request
+streaming sweep and exact enough to drive SLO monitoring.  The per-window
+latency histograms are stored sparsely — only non-zero ``(window, bin)``
+cells, as sorted int64 keys ``window·n_bins + bin`` with their counts — so
+their memory follows the cells the run actually fills, not the
+``n_windows × n_bins`` plane.
 
 Design contract (the basis of the gate's bit-identity check):
 
@@ -15,6 +18,8 @@ Design contract (the basis of the gate's bit-identity check):
   fast path (chunked column observes in stream order) produce **bit-identical**
   arrays for the same seeded workload.  Window and bin indices are computed
   with the same IEEE-754 double division + truncation in both paths.
+  Negative or non-finite completion, mark and latency times are refused with
+  :class:`~repro.errors.SimulationError` before any state changes.
 * Float state (Kahan-compensated latency sums) is accumulation-order
   dependent at the ulp level and therefore *excluded* from
   :meth:`WindowedMetrics.fingerprint`; per-window maxima are order-independent
@@ -41,8 +46,8 @@ from repro.errors import ConfigError, SimulationError
 MARK_KINDS = ("lost", "shed", "degraded")
 
 #: refuse WindowedMetrics instances whose histogram planes could exceed this
-#: many int64 cells per task (planes store only occupied bins, so this bounds
-#: the worst case and guards the streaming RSS ceiling)
+#: many int64 cells per task (planes store only non-zero cells, but
+#: ``dense_hist`` expands the whole plane, so this bounds its worst case)
 _MAX_CELLS_PER_TASK = 4_000_000
 
 
@@ -156,38 +161,69 @@ class LatencyHistogram:
         return self
 
 
-def _checked_range(latencies: np.ndarray) -> Tuple[float, float]:
-    """``(min, max)`` of a non-empty latency chunk, refusing negative and
-    non-finite values before they are cast to bin indices."""
-    lo, hi = float(latencies.min()), float(latencies.max())
+def _checked_range(values: np.ndarray, what: str = "latencies") -> Tuple[float, float]:
+    """``(min, max)`` of a non-empty chunk of times, refusing negative and
+    non-finite values before they are cast to window or bin indices."""
+    lo, hi = float(values.min()), float(values.max())
     if not (0.0 <= lo and hi < math.inf):
-        raise SimulationError(
-            f"latencies must be finite and non-negative, got [{lo}, {hi}]"
-        )
+        raise SimulationError(f"{what} must be finite and non-negative, got [{lo}, {hi}]")
     return lo, hi
+
+
+def _checked_time(value: float, what: str) -> None:
+    """Scalar form of :func:`_checked_range`."""
+    if not 0.0 <= value < math.inf:
+        raise SimulationError(f"{what} must be finite and non-negative, got {value}")
 
 
 def _add_columns(
     lo: int, arr: np.ndarray, at: int, block: np.ndarray
 ) -> Tuple[int, np.ndarray]:
-    """Add ``block`` into ``arr`` at global bin ``at`` along the last axis.
+    """Add ``block`` into ``arr`` at global bin ``at``.
 
-    ``arr``'s last axis holds the occupied global bins ``lo, lo + 1, ...``;
-    it is widened (zero-filled, copied) when ``block`` falls outside it.
-    Returns the new ``(lo, arr)``.
+    ``arr`` holds the occupied global bins ``lo, lo + 1, ...``; it is
+    widened (zero-filled, copied) when ``block`` falls outside it.  Returns
+    the new ``(lo, arr)``.
     """
-    width, have = block.shape[-1], arr.shape[-1]
+    width, have = block.size, arr.size
     if width == 0:
         return lo, arr
     if have == 0:
         return at, block.astype(np.int64)
     new_lo, new_hi = min(at, lo), max(at + width, lo + have)
     if new_lo != lo or new_hi != lo + have:
-        grown = np.zeros(arr.shape[:-1] + (new_hi - new_lo,), dtype=np.int64)
-        grown[..., lo - new_lo:lo - new_lo + have] = arr
+        grown = np.zeros(new_hi - new_lo, dtype=np.int64)
+        grown[lo - new_lo:lo - new_lo + have] = arr
         lo, arr = new_lo, grown
-    arr[..., at - lo:at - lo + width] += block
+    arr[at - lo:at - lo + width] += block
     return lo, arr
+
+
+def _add_cells(
+    keys: np.ndarray, cells: np.ndarray, new_keys: np.ndarray, new_cells: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Add the sorted, distinct ``new_keys`` cells into a sorted cell set.
+
+    Appends when every new key lies past the last stored one (a forward
+    stream of completions opens later windows); otherwise adds into the
+    matching cells in place and inserts the rest.  Returns the new
+    ``(keys, cells)``.
+    """
+    if not new_keys.size:
+        return keys, cells
+    if not keys.size or new_keys[0] > keys[-1]:
+        return np.concatenate([keys, new_keys]), np.concatenate([cells, new_cells])
+    pos = np.searchsorted(keys, new_keys)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == new_keys[hit]
+    cells[pos[hit]] += new_cells[hit]
+    if hit.all():
+        return keys, cells
+    miss = ~hit
+    return (
+        np.insert(keys, pos[miss], new_keys[miss]),
+        np.insert(cells, pos[miss], new_cells[miss]),
+    )
 
 
 @dataclass(frozen=True)
@@ -228,15 +264,20 @@ class WindowConfig:
 
 
 class _TaskWindows:
-    """Per-task window arrays (one row of bins per window).
+    """Per-task window arrays plus the task's sparse histogram cells.
 
-    ``hist`` keeps only the task's occupied bin columns: column ``i`` holds
-    global bin ``lo + i`` in every window.
+    ``keys`` holds, sorted, every non-zero cell ``window·n_bins + bin`` of
+    the ``[n_windows, n_bins]`` histogram plane and ``cells`` its count.
+    The scalar feed counts into one dense row for its current window,
+    ``open_w``, which is folded into the cells when the feed moves to
+    another window or the cells are read (a binary search per request
+    would cost more than the rest of the update).
     """
 
     __slots__ = (
         "counts", "met", "lost", "shed", "degraded",
-        "lo", "hist", "overflow", "lat_sum", "lat_comp", "lat_max",
+        "keys", "cells", "open_w", "open_row", "overflow",
+        "lat_sum", "lat_comp", "lat_max",
     )
 
     def __init__(self, n_windows: int) -> None:
@@ -245,8 +286,10 @@ class _TaskWindows:
         self.lost = np.zeros(n_windows, dtype=np.int64)
         self.shed = np.zeros(n_windows, dtype=np.int64)
         self.degraded = np.zeros(n_windows, dtype=np.int64)
-        self.lo = 0
-        self.hist = np.zeros((n_windows, 0), dtype=np.int64)
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.cells = np.zeros(0, dtype=np.int64)
+        self.open_w = 0
+        self.open_row: Optional[np.ndarray] = None
         self.overflow = np.zeros(n_windows, dtype=np.int64)
         self.lat_sum = np.zeros(n_windows, dtype=np.float64)
         self.lat_comp = np.zeros(n_windows, dtype=np.float64)
@@ -257,13 +300,12 @@ class WindowedMetrics:
     """Tumbling-window SLO aggregates with bounded memory.
 
     One instance covers one run: per task it keeps ``n_windows`` integer
-    counters (completions, deadline-met, fault marks), an int64
-    latency-histogram plane holding the task's occupied columns of the
-    ``[n_windows, n_bins]`` layout (:meth:`dense_hist` expands it), and
-    per-window Kahan latency sums.  Updates come either one request at a
-    time from the event loop (:meth:`observe_one`) or as NumPy columns from
-    the fast-path sweeps (:meth:`observe`); both produce bit-identical
-    integer state.
+    counters (completions, deadline-met, fault marks), the non-zero cells
+    of its ``[n_windows, n_bins]`` latency-histogram plane
+    (:meth:`dense_hist` expands them), and per-window Kahan latency sums.
+    Updates come either one request at a time from the event loop
+    (:meth:`observe_one`) or as NumPy columns from the fast-path sweeps
+    (:meth:`observe`); both produce bit-identical integer state.
 
     Accumulators from independent replications or traffic cells
     :meth:`merge` exactly (integer adds, compensated float adds).
@@ -304,10 +346,8 @@ class WindowedMetrics:
         The window index uses the same double division + truncation as the
         vectorized path, so the two stay bit-identical.
         """
-        if not 0.0 <= latency_s < math.inf:
-            raise SimulationError(
-                f"latencies must be finite and non-negative, got {latency_s}"
-            )
+        _checked_time(completion_s, "completion times")
+        _checked_time(latency_s, "latencies")
         tw = self._ensure(task)
         w = self._window_of(completion_s)
         tw.counts[w] += 1
@@ -317,13 +357,10 @@ class WindowedMetrics:
         if b >= self.n_bins:
             tw.overflow[w] += 1
         else:
-            col = b - tw.lo
-            if 0 <= col < tw.hist.shape[1]:
-                tw.hist[w, col] += 1
-            else:  # outside the occupied columns: widen the plane
-                one = np.zeros((self.n_windows, 1), dtype=np.int64)
-                one[w] = 1
-                tw.lo, tw.hist = _add_columns(tw.lo, tw.hist, b, one)
+            if tw.open_row is None or w != tw.open_w:
+                self._settle(tw)
+                tw.open_w, tw.open_row = w, np.zeros(self.n_bins, dtype=np.int64)
+            tw.open_row[b] += 1
         # Neumaier add into window w (scalar form of the chunked update)
         s = float(tw.lat_sum[w])
         t = s + latency_s
@@ -345,28 +382,30 @@ class WindowedMetrics:
         """Fold a (already warmup-filtered) chunk of completions of one task."""
         if completion_s.size == 0:
             return
+        _checked_range(completion_s, "completion times")
         _checked_range(latency_s)
         tw = self._ensure(task)
         nw, nb = self.n_windows, self.n_bins
-        w = (completion_s / self.config.window_s).astype(np.int64)
-        np.minimum(w, nw - 1, out=w)
+        # clamp in floating point before the cast: truncation commutes with
+        # the clamp, and no finite time overflows int64
+        w = np.minimum(completion_s / self.config.window_s, nw - 1).astype(np.int64)
         tw.counts += np.bincount(w, minlength=nw)
         wm = w[met]
         if wm.size:
             tw.met += np.bincount(wm, minlength=nw)
-        b = (latency_s / self.config.bin_s).astype(np.int64)
+        b = np.minimum(latency_s / self.config.bin_s, nb).astype(np.int64)
         over = b >= nb
         if over.any():
             tw.overflow += np.bincount(w[over], minlength=nw)
             inside = ~over
-            w_in, b_in = w[inside], b[inside]
+            key = w[inside] * nb + b[inside]
         else:
-            w_in, b_in = w, b
-        if w_in.size:
-            lo = int(b_in.min())
-            width = int(b_in.max()) + 1 - lo
-            flat = np.bincount(w_in * width + (b_in - lo), minlength=nw * width)
-            tw.lo, tw.hist = _add_columns(tw.lo, tw.hist, lo, flat.reshape(nw, width))
+            key = w * nb + b
+        if key.size:
+            lo = int(key.min())
+            flat = np.bincount(key - lo)
+            nz = np.flatnonzero(flat)
+            tw.keys, tw.cells = _add_cells(tw.keys, tw.cells, nz + lo, flat[nz])
         # per-window chunk partial sums, Kahan-folded into the running sums
         part = np.bincount(w, weights=latency_s, minlength=nw)
         touched = np.flatnonzero(part)
@@ -379,6 +418,16 @@ class WindowedMetrics:
             tw.lat_sum[touched] = t
         np.maximum.at(tw.lat_max, w, latency_s)
 
+    def _settle(self, tw: _TaskWindows) -> None:
+        """Fold the scalar feed's open window row into the sorted cells."""
+        row = tw.open_row
+        if row is not None:
+            nz = np.flatnonzero(row)
+            tw.keys, tw.cells = _add_cells(
+                tw.keys, tw.cells, tw.open_w * self.n_bins + nz, row[nz]
+            )
+            tw.open_row = None
+
     def mark(self, task: str, time_s: float, kind: str) -> None:
         """Record a fault outcome (``lost``/``shed``/``degraded``) at ``time_s``.
 
@@ -389,6 +438,7 @@ class WindowedMetrics:
         """
         if kind not in MARK_KINDS:
             raise ConfigError(f"unknown window mark kind {kind!r}; want {MARK_KINDS}")
+        _checked_time(time_s, "mark times")
         tw = self._ensure(task)
         getattr(tw, kind)[self._window_of(time_s)] += 1
 
@@ -415,7 +465,7 @@ class WindowedMetrics:
             tw.lost += o.lost
             tw.shed += o.shed
             tw.degraded += o.degraded
-            tw.lo, tw.hist = _add_columns(tw.lo, tw.hist, o.lo, o.hist)
+            tw.keys, tw.cells = _add_cells(tw.keys, tw.cells, *other.cells(task))
             tw.overflow += o.overflow
             v = o.lat_sum + o.lat_comp
             s = tw.lat_sum.copy()
@@ -458,12 +508,19 @@ class WindowedMetrics:
     def total_met(self) -> int:
         return sum(int(tw.met.sum()) for tw in self.per_task.values())
 
+    def cells(self, task: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``task``'s non-zero histogram cells: sorted keys
+        ``window·n_bins + bin`` and their counts."""
+        tw = self.per_task[task]
+        self._settle(tw)
+        return tw.keys, tw.cells
+
     def dense_hist(self, task: str) -> np.ndarray:
         """``task``'s full ``[n_windows, n_bins]`` histogram plane."""
-        tw = self.per_task[task]
-        dense = np.zeros((self.n_windows, self.n_bins), dtype=np.int64)
-        dense[:, tw.lo:tw.lo + tw.hist.shape[1]] = tw.hist
-        return dense
+        keys, cells = self.cells(task)
+        dense = np.zeros(self.n_windows * self.n_bins, dtype=np.int64)
+        dense[keys] = cells
+        return dense.reshape(self.n_windows, self.n_bins)
 
     def window_counts(self, task: str) -> np.ndarray:
         return self.per_task[task].counts
@@ -498,18 +555,24 @@ class WindowedMetrics:
         if not (0.0 <= q <= 100.0):
             raise SimulationError(f"quantile {q} outside [0, 100]")
         tw = self.per_task[task]
+        keys, cells = self.cells(task)
         out = np.full(self.n_windows, np.nan)
-        n = tw.hist.sum(axis=1) + tw.overflow
+        # window w's cells are the slice bounds[w]:bounds[w + 1] of the keys;
+        # cum[k] counts every request in the first k cells
+        bounds = np.searchsorted(keys // self.n_bins, np.arange(self.n_windows + 1))
+        cum = np.concatenate([[0], np.cumsum(cells)])
+        n_in = cum[bounds[1:]] - cum[bounds[:-1]]
+        n = n_in + tw.overflow
         nonempty = np.flatnonzero(n)
         if nonempty.size == 0:
             return out
-        cum = np.cumsum(tw.hist[nonempty], axis=1)
         rank = np.ceil((n[nonempty] - 1) * q / 100.0).astype(np.int64)
-        inside = rank < n[nonempty] - tw.overflow[nonempty]
-        rows = np.flatnonzero(inside)
-        for r in rows.tolist():
-            b = int(np.searchsorted(cum[r], rank[r] + 1, side="left"))
-            out[nonempty[r]] = (tw.lo + b + 1) * self.config.bin_s
+        inside = rank < n_in[nonempty]
+        rows = nonempty[inside]
+        # stored cells are non-zero, so cum rises strictly: the first prefix
+        # covering the rank lies inside the window's own slice
+        cell = np.searchsorted(cum, cum[bounds[rows]] + rank[inside] + 1, side="left") - 1
+        out[rows] = (keys[cell] % self.n_bins + 1) * self.config.bin_s
         out[nonempty[~inside]] = tw.lat_max[nonempty[~inside]]
         return out
 

@@ -1,6 +1,7 @@
 """The vectorized fast path must be bit-identical to the event loop."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.sim import fastpath
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
 from repro.sim.sources import arrival_times
+from repro.telemetry.windows import WindowConfig
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +24,24 @@ def solved(small_cluster, small_tasks, small_candidates):
     return JointOptimizer(small_cluster).solve(
         small_tasks, candidates=small_candidates, seed=0
     ).plan
+
+
+@pytest.fixture(scope="module")
+def interleaved(small_cluster, me_resnet18, me_alexnet):
+    """Four tasks on two devices in interleaved task order."""
+    tasks = [
+        TaskSpec(f"i{k}", model, dev, deadline_s=0.3, accuracy_floor=floor,
+                 arrival_rate=rate)
+        for k, (model, dev, floor, rate) in enumerate([
+            (me_resnet18, "dev0", 0.6, 3.0),
+            (me_alexnet, "dev1", 0.5, 2.0),
+            (me_alexnet, "dev0", 0.5, 2.5),
+            (me_resnet18, "dev1", 0.6, 1.5),
+        ])
+    ]
+    cands = [build_candidates(t) for t in tasks]
+    plan = JointOptimizer(small_cluster).solve(tasks, candidates=cands, seed=0).plan
+    return tasks, plan
 
 
 def assert_reports_identical(a, b):
@@ -95,6 +115,22 @@ class TestBitIdentity:
         assert fast.total_requests > 0
         assert_reports_identical(fast, event)
 
+    def test_interleaved_shared_devices(self, small_cluster, interleaved):
+        """Two devices shared by interleaved tasks: ``[dev0, dev1, dev0, dev1]``.
+
+        Each device's submissions merge tasks that are not adjacent in task
+        order, so the device sweep and the per-task advance must still see
+        the event loop's (arrival time, schedule order) tie-break.
+        """
+        tasks, plan = interleaved
+        kw = dict(horizon_s=6.0, warmup_s=0.5, seed=17, arrival="deterministic")
+        fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
+        event = simulate_plan(
+            tasks, plan, small_cluster, SimulationConfig(fast_path=False, **kw)
+        )
+        assert {r.task_name for r in fast.records} == {t.name for t in tasks}
+        assert_reports_identical(fast, event)
+
 
 class TestBitIdentityWindowed(TestBitIdentity):
     """The same identities with ~7 requests per sweep window.
@@ -151,6 +187,36 @@ class TestDispatch:
         assert fast.counters.events == event.counters.events
         assert fast.counters.requests == event.counters.requests
         assert fast.counters.events > 0
+
+
+def test_realization_tables_shared_per_model_plan(
+    small_cluster, small_tasks, solved, monkeypatch
+):
+    """Tasks with the same model and surgery plan share one table."""
+    twins = [dataclasses.replace(t, name=t.name + "b") for t in small_tasks]
+    tasks = list(small_tasks) + twins
+    fields = ("assignment", "features", "compute_shares", "bandwidth_shares", "latencies")
+
+    def with_twins(by_task):
+        return {**by_task, **{t.name + "b": by_task[t.name] for t in small_tasks}}
+
+    plan = dataclasses.replace(solved, **{f: with_twins(getattr(solved, f)) for f in fields})
+    built = []
+    real = fastpath.RealizationTable
+
+    def counting(model, surgery):
+        built.append((model, surgery))
+        return real(model, surgery)
+
+    monkeypatch.setattr(fastpath, "RealizationTable", counting)
+    kw = dict(horizon_s=6.0, warmup_s=0.5, seed=21)
+    fast = simulate_plan(tasks, plan, small_cluster, SimulationConfig(**kw))
+    assert [m for m, _ in built] == [t.model for t in small_tasks]
+    event = simulate_plan(
+        tasks, plan, small_cluster, SimulationConfig(fast_path=False, **kw)
+    )
+    assert {r.task_name for r in fast.records} == {t.name for t in tasks}
+    assert_reports_identical(fast, event)
 
 
 class TestStageBuffer:
@@ -237,3 +303,48 @@ def test_record_order_key():
     rows[:, layout] = spec[:, 1:]
     task = spec[:, 0].astype(np.intp)
     assert fastpath._record_order(rows, task).tolist() == [2, 4, 3, 5, 1, 0]
+
+
+def _stream_digest(rep) -> str:
+    """sha256 over everything the sink's observe order can reach.
+
+    The reservoir sample follows the global accumulation order; per-task and
+    per-window Kahan sums follow each task's chunk order.
+    """
+    h = hashlib.sha256()
+    h.update(repr([dataclasses.astuple(r) for r in rep.records]).encode())
+    h.update(rep.summary().encode())
+    h.update(repr(rep.mean_latency_s).encode())
+    for name in sorted(rep.per_task):
+        h.update(repr(rep.per_task[name].mean_latency_s).encode())
+        h.update(rep.windowed.window_mean_latency_s(name).tobytes())
+    h.update(rep.windowed.fingerprint().encode())
+    return h.hexdigest()
+
+
+#: digests recorded before the sweep realized one device group at a time
+_INTERLEAVED_DIGESTS = {
+    None: "e49f22b702e31b45dc6a7f1b5805f2bb481f7d27cee177b724ecfb9cb2d13ba3",
+    7: "83f39bed55700ba59de9e4bba1335cd51d4bb833dfaf69d285b41d9a78f0aef6",
+}
+
+
+@pytest.mark.parametrize("chunk_size", sorted(_INTERLEAVED_DIGESTS, key=str))
+def test_interleaved_streaming_observe_order(small_cluster, interleaved, chunk_size):
+    """The streaming sink sees completions in the same order as always.
+
+    A reservoir smaller than the completions evicts by accumulation order,
+    so any change to the order of ``sink.observe`` calls changes the digest.
+    """
+    tasks, plan = interleaved
+    kw = dict(
+        horizon_s=8.0, warmup_s=0.5, seed=19, streaming=True, max_records=24,
+        windows=WindowConfig(window_s=1.0),
+    )
+    if chunk_size is not None:
+        kw["chunk_size"] = chunk_size
+    rep = simulate_plan(tasks, plan, small_cluster, SimulationConfig(**kw))
+    assert len(rep.records) == 24
+    assert rep.total_requests > 24
+    assert any(r.offloaded for r in rep.records)
+    assert _stream_digest(rep) == _INTERLEAVED_DIGESTS[chunk_size]

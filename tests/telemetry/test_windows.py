@@ -132,7 +132,7 @@ class TestFeedsIdentity:
 
 
 class TestCompactPlanes:
-    """Planes hold only occupied bin columns, yet read as the dense layout."""
+    """Planes hold only their non-zero cells, yet read as the dense layout."""
 
     @staticmethod
     def _workload(seed: int, n: int = 300):
@@ -150,28 +150,36 @@ class TestCompactPlanes:
         vec = WindowedMetrics(cfg, 8.0)
         vec.observe("t", comp, lat, met)
         merged = WindowedMetrics(cfg, 8.0)
-        for part in np.array_split(np.random.default_rng(2).permutation(lat.size), 5):
+        shuffled = WindowedMetrics(cfg, 8.0)  # scalar feed revisiting windows
+        perm = np.random.default_rng(2).permutation(lat.size)
+        for part in np.array_split(perm, 5):
             cell = WindowedMetrics(cfg, 8.0)
             cell.observe("t", comp[part], lat[part], met[part])
             merged.merge(cell)
+        for i in perm.tolist():
+            shuffled.observe_one("t", float(comp[i]), float(lat[i]), bool(met[i]))
         dense = one.dense_hist("t")
         assert dense.shape == (one.n_windows, one.n_bins)
         np.testing.assert_array_equal(vec.dense_hist("t"), dense)
         np.testing.assert_array_equal(merged.dense_hist("t"), dense)
         assert one.fingerprint() == vec.fingerprint() == merged.fingerprint()
-        # the plane spans exactly the occupied bins, not all n_bins
-        tw = vec.per_task["t"]
-        assert tw.lo == int(0.001 / cfg.bin_s)
-        assert tw.lo + tw.hist.shape[1] == int(1.99 / cfg.bin_s) + 1
-        assert tw.hist.shape[1] < one.n_bins
+        assert shuffled.fingerprint() == one.fingerprint()
+        # every feed stores exactly the non-zero cells of the plane, in order
+        keys = np.flatnonzero(dense)
+        assert 0 < keys.size < dense.size
+        for wm in (one, vec, merged, shuffled):
+            got_keys, got_cells = wm.cells("t")
+            np.testing.assert_array_equal(got_keys, keys)
+            np.testing.assert_array_equal(got_cells, dense.ravel()[keys])
 
     def test_window_quantile_matches_dense_plane(self):
         comp, lat, met = self._workload(12)
-        lat[lat < 0.05] = 0.3  # keep bin 0 empty so the plane has an offset
+        lat[lat < 0.05] = 0.3  # keep bin 0 empty: no window's cells start there
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 8.0)
         wm.observe("t", comp, lat, met)
         dense, tw = wm.dense_hist("t"), wm.per_task["t"]
-        assert tw.lo > 0
+        assert not dense[:, 0].any()
+        np.testing.assert_array_equal(wm.cells("t")[0], np.flatnonzero(dense))
         for q in (0.0, 50.0, 99.0, 100.0):
             got = wm.window_quantile("t", q)
             for w in range(wm.n_windows):
@@ -201,7 +209,8 @@ class TestCompactPlanes:
     def test_all_overflow_task_has_no_columns(self):
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
         wm.observe("t", np.array([0.5, 1.5]), np.array([3.0, 4.0]), np.zeros(2, bool))
-        assert wm.per_task["t"].hist.shape[1] == 0
+        keys, cells = wm.cells("t")
+        assert keys.size == cells.size == 0
         assert not wm.dense_hist("t").any()
         np.testing.assert_array_equal(wm.window_quantile("t", 50)[:2], [3.0, 4.0])
 
@@ -213,6 +222,46 @@ class TestCompactPlanes:
         with pytest.raises(SimulationError, match="non-negative"):
             wm.observe_one("t", 1.0, bad, True)
         assert wm.total_count == 0
+
+    @pytest.mark.parametrize("bad", [-1.5, float("nan"), float("inf"), float("-inf")])
+    def test_bad_completion_and_mark_times_rejected(self, bad):
+        """A negative time must not index from the end of the window arrays."""
+        wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
+        assert wm.n_windows == 5
+        with pytest.raises(SimulationError, match="completion times"):
+            wm.observe_one("t", bad, 0.1, True)
+        with pytest.raises(SimulationError, match="completion times"):
+            wm.observe("t", np.array([1.0, bad]), np.array([0.1, 0.1]), np.ones(2, bool))
+        for kind in MARK_KINDS:
+            with pytest.raises(SimulationError, match="mark times"):
+                wm.mark("t", bad, kind)
+        assert wm.per_task == {}
+
+    def test_huge_finite_times_clamp_alike(self):
+        """Times far past any int64 index clamp the same way in both feeds."""
+        cfg = WindowConfig(window_s=1.0)
+        one, vec = WindowedMetrics(cfg, 4.0), WindowedMetrics(cfg, 4.0)
+        comp, lat = np.array([1e300, 2.5]), np.array([0.01, 1e300])
+        for c, l in zip(comp, lat):
+            one.observe_one("t", float(c), float(l), False)
+        vec.observe("t", comp, lat, np.zeros(2, bool))
+        assert one.fingerprint() == vec.fingerprint()
+        np.testing.assert_array_equal(vec.per_task["t"].counts, [0, 0, 1, 0, 1])
+        np.testing.assert_array_equal(vec.per_task["t"].overflow, [0, 0, 1, 0, 0])
+        assert vec.cells("t")[0].tolist() == [4 * vec.n_bins + 2]
+
+    def test_out_of_order_chunks_insert_cells(self):
+        """Chunks that revisit earlier windows merge into the stored cells."""
+        comp, lat, met = self._workload(13)
+        cfg = WindowConfig(window_s=1.0)
+        whole = WindowedMetrics(cfg, 8.0)
+        whole.observe("t", comp, lat, met)
+        backwards = WindowedMetrics(cfg, 8.0)
+        for part in reversed(np.array_split(np.arange(comp.size), 7)):
+            backwards.observe("t", comp[part], lat[part], met[part])
+        for got, want in zip(backwards.cells("t"), whole.cells("t")):
+            np.testing.assert_array_equal(got, want)
+        assert backwards.fingerprint() == whole.fingerprint()
 
 
 class TestMarksAndAggregates:
