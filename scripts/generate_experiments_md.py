@@ -229,11 +229,11 @@ WALL_CLOCK_APPENDICES = """\
 ## Appendix: simulator wall-clock (fast path + replication fan-out)
 
 Before/after of the simulator hot-path work (`sim/fastpath.py`,
-`run_replications`), measured on the reference container with
-`benchmarks/bench_p02_sim_hotpath.py` on the E4-style workload
-(smart_city × 64 tasks, 60 s horizon, ≈14 k requests per replication).
-Reports are byte-identical between configurations (asserted by the bench),
-so only wall time changes.
+`run_replications`), measured on the reference container on the E4-style
+workload (smart_city × 64 tasks, 60 s horizon, ≈14 k requests per
+replication); `benchmarks/bench_p02_sim_hotpath.py` re-times the
+8-replication row. Reports are byte-identical between configurations
+(asserted by that bench and by `tests/sim`), so only wall time changes.
 
 | configuration | before (event loop, serial) | after | speedup |
 |---|---:|---:|---:|
@@ -271,8 +271,9 @@ now simulable. The 4-cell process-pool fan-out merges to byte-identical
 counters vs. the serial fan-out (gated); on this 1-core container the
 pool is pure overhead (0.6× vs. serial cells), so the gated speedup is
 sharded-streaming vs. record-backed (≈10×, floor 3×) and the
-serial-vs-pooled cell ratio is recorded as information in
-`benchmarks/baselines/BENCH_stream.json`. On a ≥4-core machine the cell
+serial-vs-pooled cell ratio is recorded as information (`cell_pool_ratio`
+in the gate's `stream_measure.json`; `benchmarks/baselines/BENCH_stream.json`
+keeps the runs up to 2026-08-08 as frozen history). On a ≥4-core machine the cell
 fan-out additionally parallelizes the remaining wall clock.
 
 ## Appendix: sharded control-plane wall-clock
@@ -294,8 +295,9 @@ restricted per-shard search escapes the local optimum the centralized
 descent settles into, and cross-shard migration repairs the partition
 coupling (6 moves, then quiescent). `shards=1` reproduces the centralized
 solver bit-exactly on all 7 reference instances (gated), so the hierarchy
-is pay-as-you-go. Every gate run appends the trajectory to
-`benchmarks/baselines/BENCH_solver.json`.
+is pay-as-you-go. A gate run with `--artifacts-dir` writes its numbers to
+`shard_measure.json`; `benchmarks/baselines/BENCH_solver.json` keeps the
+trajectory up to 2026-08-08 as frozen history.
 """
 
 

@@ -142,7 +142,7 @@ class SimulationConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("chunk_size", "max_records"):
+        for name in ("chunk_size", "max_records", "replications", "sim_workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -226,6 +226,36 @@ class TestPerfCounters:
         assert second.perf.candidate_cache_hits == len(small_tasks)
         assert second.perf.candidate_cache_misses == 0
 
+    def test_local_search_sweep_is_incremental(self):
+        """One sweep never worsens the objective, and its trial moves re-solve
+        only the touched server/link groups: a from-scratch solve of this
+        16-task x 4-server instance pays 20 groups per call."""
+        from repro.core.allocation import Allocation, assign_servers
+        from repro.core.joint import _SolveContext
+        from repro.profiling.counters import PerfCounters
+        from repro.workloads.scenarios import build_scenario
+
+        cluster, tasks = build_scenario(
+            "smart_city", num_tasks=16, num_servers=4, server_spread=4.0, seed=0
+        )
+        cands = [build_candidates(t) for t in tasks]
+        opt = JointOptimizer(cluster)
+        ctx = _SolveContext(cluster, opt.latency_model, opt.objective, tasks, cands)
+        setup = PerfCounters()
+        assignment = assign_servers(tasks, cands, cluster, opt.latency_model)
+        boot = Allocation(list(assignment), np.ones(len(tasks)), np.ones(len(tasks)))
+        plan_idx = opt._surgery_step(tasks, cands, boot, ctx, setup)
+        alloc = ctx.allocator.solve(plan_idx, assignment, setup)
+        obj = opt._objective(tasks, cands, plan_idx, alloc, setup)
+
+        counters = PerfCounters()
+        _, _, new_obj = opt._local_search(
+            tasks, cands, list(plan_idx), alloc, obj, ctx, counters
+        )
+        assert new_obj <= obj
+        assert counters.allocate_calls > 0
+        assert counters.allocate_group_solves <= counters.allocate_calls * 4
+
     def test_as_dict_round_trips(self, small_cluster, small_tasks, small_candidates):
         res = JointOptimizer(small_cluster).solve(
             small_tasks, candidates=small_candidates, seed=3

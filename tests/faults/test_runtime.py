@@ -83,7 +83,9 @@ class TestRecoveryDemonstration:
         assert c.lost == 0 and c.shed == 0
         # every launched request is in the report (warmup_s=0: none discarded)
         assert c.records == c.requests
-        assert c.retries + c.failovers + c.degraded_completions > 0
+        # the ladder recovers by retrying or failing over, not only by
+        # degrading to local execution
+        assert c.retries + c.failovers > 0
         assert c.conserved()
 
     def test_recovery_restores_nominal_latency(

@@ -32,6 +32,10 @@ class TestConfig:
             dict(hist_max_s=float("inf")),
             dict(chunk_size=2.5),
             dict(max_records=1.0),
+            dict(replications=2.5),
+            dict(replications=True),
+            dict(sim_workers=1.5),
+            dict(sim_workers=float("nan")),
             dict(horizon_s="10"),
         ],
     )
