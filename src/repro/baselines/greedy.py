@@ -10,11 +10,9 @@ strand later tasks.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
-from repro.core.allocation import allocate_shares, solution_latencies
+from repro.core.allocation import GroupState
 from repro.baselines.base import Strategy
 from repro.core.plan import JointPlan
 from repro.rng import SeedLike
@@ -29,61 +27,43 @@ class GreedyJoint(Strategy):
         candsets = self._candidates(tasks, candidates)
         n, m = len(tasks), cluster.num_servers
         order = sorted(range(n), key=lambda i: tasks[i].deadline_s)
-        assignment: List[Optional[int]] = [None] * n
-        plan_idx = [0] * n
         # start everyone on their best local plan so partially-built states
         # are always evaluable
-        for i, t in enumerate(tasks):
-            device = cluster.by_name(t.device_name)
-            plan_idx[i] = int(np.argmin(candsets[i].latencies(device, self.latency_model)))
-
-        placed: List[int] = []
+        plan_idx = [
+            int(np.argmin(candsets[i].latencies(
+                cluster.by_name(t.device_name), self.latency_model
+            )))
+            for i, t in enumerate(tasks)
+        ]
+        state = GroupState(
+            tasks, candsets, cluster, self.latency_model, [None] * n, plan_idx,
+            objective=self.objective, include_queueing=self.include_queueing,
+        )
         for i in order:
-            t = tasks[i]
-            device = cluster.by_name(t.device_name)
+            device = state.devices[i]
             best_lat = np.inf
-            best_choice: tuple = (None, plan_idx[i])
-            for option in [None] + list(range(m)):
-                assignment[i] = option
+            best_choice: tuple = (None, state.plan_idx[i])
+            for option in [None, *range(m)]:
                 if option is None:
-                    lat_vec = candsets[i].latencies(device, self.latency_model)
-                    j = int(np.argmin(lat_vec))
+                    j = int(np.argmin(candsets[i].latencies(device, self.latency_model)))
+                    x = y = 1.0
                 else:
-                    server = cluster.servers[option]
-                    link = cluster.link(t.device_name, server.name)
-                    prov = allocate_shares(
-                        tasks, candsets, plan_idx, assignment, cluster,
-                        self.latency_model, self.objective,
-                    )
+                    # the plan is picked under the shares the current plan
+                    # would get there, then priced under its own
+                    x, y = state.shares_if_placed(i, option, state.plan_idx[i])
                     lat_vec = candsets[i].latencies(
                         device,
                         self.latency_model,
-                        server=server,
-                        link=link,
-                        compute_share=float(prov.compute_shares[i]),
-                        bandwidth_share=float(prov.bandwidth_shares[i]),
+                        server=cluster.servers[option],
+                        link=state.link(i, option),
+                        compute_share=x,
+                        bandwidth_share=y,
                     )
                     j = int(np.argmin(lat_vec))
-                saved = plan_idx[i]
-                plan_idx[i] = j
-                alloc = allocate_shares(
-                    tasks, candsets, plan_idx, assignment, cluster,
-                    self.latency_model, self.objective,
-                )
-                lat_all = solution_latencies(
-                    tasks, candsets, plan_idx, alloc, cluster,
-                    self.latency_model, self.include_queueing,
-                    overload="penalty",
-                )
-                my_lat = float(lat_all[i])
-                plan_idx[i] = saved
+                    x, y = state.shares_if_placed(i, option, j)
+                my_lat = state.price(i, option, j, x, y)
                 if my_lat < best_lat:
                     best_lat = my_lat
                     best_choice = (option, j)
-            assignment[i], plan_idx[i] = best_choice
-            placed.append(i)
-
-        alloc = allocate_shares(
-            tasks, candsets, plan_idx, assignment, cluster, self.latency_model, self.objective
-        )
-        return self._finish(tasks, candsets, plan_idx, alloc, cluster)
+            state.move(i, *best_choice)
+        return self._finish(tasks, candsets, state.plan_idx, state.allocation(), cluster)

@@ -17,6 +17,14 @@ matrix of best-candidate latencies under an equal-share estimate.  Slot
 replication bounds how many tasks an assignment round can pile onto one
 server; the joint optimizer's share re-solve then refines within each server.
 
+**Move pricing.**  :class:`GroupState` holds one solution's per-server and
+per-link member lists, its shares and its per-task search latencies, and
+keeps them current under single-task moves and plan changes by re-solving
+only the touched groups.  It is the one kernel through which the joint
+optimizer's surgery step and local search, the coordinator's cross-shard
+migration, the best-response game and the greedy baseline price a move;
+:func:`allocate_shares` stays the full solve and its test oracle.
+
 **Evaluation.**  :func:`solution_latencies` is the single source of truth for
 "what latency does this complete solution predict" — used identically by the
 BCD solver, the best-response game, the exhaustive optimum, and the
@@ -34,8 +42,10 @@ Experiment E14 validates this against the discrete-event simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+import copy
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +55,8 @@ from repro.core.plan import TaskSpec
 from repro.core.queueing import mg1_wait
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
-from repro.errors import ConfigError, InfeasibleError, PlanError
+from repro.errors import ConfigError, InfeasibleError
+from repro.network.link import Link
 from repro.telemetry.trace import traced
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -177,40 +188,74 @@ def allocate_shares(
     return Allocation(list(assignment), compute, bandwidth)
 
 
-class _LazyLinkBW(dict):
-    """``(device_name, server_idx) -> bandwidth_bps``, fetched on first use."""
-
-    def __init__(self, cluster: "EdgeCluster") -> None:
-        super().__init__()
-        self._cluster = cluster
-
-    def __missing__(self, key: Tuple[str, int]) -> float:
-        name, s = key
-        bw = self._cluster.link(name, self._cluster.servers[s].name).bandwidth_bps
-        self[key] = bw
-        return bw
+def _joined(members: List[int], i: int) -> List[int]:
+    """``members`` (ascending) with ``i`` in order: the list itself when it
+    holds ``i``, else a copy."""
+    k = bisect_left(members, i)
+    if k < len(members) and members[k] == i:
+        return members
+    return members[:k] + [i] + members[k:]
 
 
-class IncrementalAllocator:
-    """Share allocator with O(affected groups) incremental re-solves.
+def _left(members: List[int], i: int) -> List[int]:
+    """A copy of ``members`` (ascending, holding ``i``) without ``i``."""
+    k = bisect_left(members, i)
+    return members[:k] + members[k + 1:]
 
-    The share problem decomposes exactly: compute shares couple only tasks on
-    the same server, bandwidth shares only tasks on the same (device, server)
-    access link.  A single-task move or plan change therefore invalidates at
-    most two server groups and two link groups; every other task's shares are
-    unchanged.  :meth:`update` exploits this, while :meth:`solve` is a full
-    solve bit-identical to :func:`allocate_shares` (same grouping order, same
-    weight expressions, same float operation order) for a fixed problem.
 
-    The constructor hoists everything that is invariant across re-solves —
-    per-task ``weight × arrival_rate`` products, server throughputs, and link
-    bandwidths — so the per-trial cost in the joint optimizer's local search
-    drops from O(n + groups) dictionary/cluster lookups to O(|group|).
+#: ``(group key, ascending members, their shares)`` of one re-solved group
+_Group = Tuple[object, List[int], np.ndarray]
 
-    Instances are safe to share across parallel restart threads: the only
-    post-construction mutation is the lazy link-bandwidth memo, whose entries
-    are deterministic (a racing double-fetch writes the same value); per-call
-    work counters are passed in explicitly.
+
+@dataclass
+class Move:
+    """A priced change to a :class:`GroupState`; :meth:`GroupState.commit`
+    installs it.
+
+    ``objective`` is the search objective the state would have after the
+    change.  The rest is what a commit writes: new placements and plans,
+    each re-solved server and link group (member list and shares), and the
+    re-priced latencies of the tasks in those groups.
+    """
+
+    objective: float
+    placements: Dict[int, Optional[int]]
+    plans: Dict[int, int]
+    servers: List[_Group]
+    links: List[_Group]
+    repriced: np.ndarray
+    latencies: np.ndarray
+
+
+class GroupState:
+    """One solution's placement, plans, sqrt-rule shares and per-task search
+    latencies, kept current under single-task moves and plan changes.
+
+    The share problem decomposes exactly: compute shares couple only the
+    tasks on one server, bandwidth shares only the tasks on one (device,
+    server) access link.  The state keeps each server's and each link's
+    member list in ascending task order (what an index scan yields), so a
+    change re-solves only the groups it touches, with the weight expressions
+    and member order of :func:`allocate_shares`: every share equals a full
+    solve's bit for bit.  Latencies carry the search's graded overload
+    surrogate (``overload="penalty"``); a change re-prices only the members
+    of the groups it touches, and :meth:`objective` returns the float
+    :meth:`Objective.evaluate` returns over them.
+
+    Every search prices moves here, each with its own accept rule: the joint
+    optimizer's surgery step and local search, the coordinator's cross-shard
+    migration, the best-response game and the greedy baseline.  Move
+    pricing is :meth:`trial` (one task) or :meth:`trial_plans` (a surgery
+    step); a trial leaves the state as it was, and :meth:`commit` installs a
+    priced move.  :meth:`move` applies a change unpriced and leaves the
+    touched latencies to be re-priced on the next read.
+
+    ``plan_idx=None`` starts each task on its fastest plan at its placement
+    under full shares.  Work lands in ``counters``: ``allocate_calls`` per
+    share re-solve, ``allocate_group_solves`` per group in it,
+    ``latency_evals`` per task re-priced and ``candidate_evals`` per
+    candidate-set sweep.  A state is mutable and not thread-safe: every
+    descent builds its own.
     """
 
     def __init__(
@@ -219,149 +264,329 @@ class IncrementalAllocator:
         candsets: Sequence[CandidateSet],
         cluster: EdgeCluster,
         latency_model: LatencyModel,
+        assignment: Sequence[Optional[int]],
+        plan_idx: Optional[Sequence[int]] = None,
         objective: Objective = Objective.AVG_LATENCY,
-        share_exponent: float = 0.5,
+        include_queueing: bool = True,
+        risk: Optional["RiskConfig"] = None,
+        counters: Optional["PerfCounters"] = None,
     ) -> None:
-        if len(candsets) != len(tasks):
-            raise ConfigError("tasks/candsets length mismatch")
+        n = len(tasks)
+        if len(candsets) != n or len(assignment) != n or (
+            plan_idx is not None and len(plan_idx) != n
+        ):
+            raise ConfigError("tasks/candsets/plan_idx/assignment length mismatch")
         self.tasks = list(tasks)
         self.candsets = list(candsets)
         self.cluster = cluster
-        self.exponent = share_exponent
-        self._n = len(self.tasks)
-        # invariant per-task factors of the share weights, multiplied in the
-        # same order as allocate_shares: (weight * rate) * work / capacity
+        self.latency_model = latency_model
+        self.include_queueing = include_queueing
+        self.risk = risk
+        self.counters = counters
+        self.devices = [cluster.by_name(t.device_name) for t in self.tasks]
+        self._dev = [t.device_name for t in self.tasks]
+        # invariant factors of the share weights, multiplied in the order of
+        # allocate_shares: (weight * rate) * work / capacity
         self._base_w = [objective.task_weight(t) * t.arrival_rate for t in self.tasks]
         self._srv_rate = [latency_model.throughput(s) for s in cluster.servers]
-        self._dev_name = [t.device_name for t in self.tasks]
-        # link bandwidths resolve lazily: hoisting all devices × servers
-        # upfront is O(n·m) cluster lookups on big instances, while a solve
-        # only ever touches the (device, assigned-server) pairs it visits —
-        # hot-path hits stay plain dict lookups
-        self._link_bw = _LazyLinkBW(cluster)
-
-    # -- group kernels ------------------------------------------------------
-
-    def _solve_server(
-        self, s: int, members: List[int], plan_idx: Sequence[int], out: np.ndarray
-    ) -> None:
-        rate = self._srv_rate[s]
-        weights = np.array(
-            [
-                self._base_w[i] * self.candsets[i].srv_flops[plan_idx[i]] / rate
-                for i in members
+        # access links resolve on first use: hoisting devices × servers up
+        # front is O(n·m) lookups, while a search prices only some pairs
+        self._links: Dict[Tuple[str, int], Link] = {}
+        self._evaluate = objective.evaluator(self.tasks)
+        self.assignment: List[Optional[int]] = list(assignment)
+        if plan_idx is None:
+            plan_idx = [
+                int(np.argmin(self.plan_latencies(i, s)))
+                for i, s in enumerate(self.assignment)
             ]
-        )
-        out[members] = power_shares(weights, self.exponent)
+        self._load(plan_idx)
 
-    def _solve_link(
-        self,
-        dev_name: str,
-        s: int,
-        members: List[int],
-        plan_idx: Sequence[int],
-        out: np.ndarray,
-    ) -> None:
-        bw = self._link_bw[(dev_name, s)]
-        weights = np.array(
-            [
-                self._base_w[i] * self.candsets[i].wire_bytes[plan_idx[i]] / bw
-                for i in members
-            ]
-        )
-        out[members] = power_shares(weights, self.exponent)
-
-    # -- public API ---------------------------------------------------------
-
-    def solve(
-        self,
-        plan_idx: Sequence[int],
-        assignment: Sequence[Optional[int]],
-        counters: Optional["PerfCounters"] = None,
-    ) -> Allocation:
-        """Full share solve — bit-identical to :func:`allocate_shares`."""
-        n = self._n
-        if not (len(plan_idx) == len(assignment) == n):
-            raise ConfigError("plan_idx/assignment length mismatch")
-        compute = np.ones(n)
-        bandwidth = np.ones(n)
-        by_server: Dict[int, List[int]] = {}
-        by_link: Dict[Tuple[str, int], List[int]] = {}
-        for i, s in enumerate(assignment):
+    def _load(self, plan_idx: Sequence[int]) -> None:
+        """Full share solve of ``self.assignment`` under ``plan_idx``."""
+        n = len(self.tasks)
+        self.plan_idx = list(plan_idx)
+        self.server_members: Dict[int, List[int]] = {}
+        self.link_members: Dict[Tuple[str, int], List[int]] = {}
+        for i, s in enumerate(self.assignment):
             if s is not None:
-                by_server.setdefault(s, []).append(i)
-                by_link.setdefault((self._dev_name[i], s), []).append(i)
-        for s, members in by_server.items():
-            self._solve_server(s, members, plan_idx, compute)
-        for (dev_name, s), members in by_link.items():
-            self._solve_link(dev_name, s, members, plan_idx, bandwidth)
-        if counters is not None:
-            counters.allocate_calls += 1
-            counters.allocate_group_solves += len(by_server) + len(by_link)
-        return Allocation(list(assignment), compute, bandwidth)
+                self.server_members.setdefault(s, []).append(i)
+                self.link_members.setdefault((self._dev[i], s), []).append(i)
+        self.compute = np.ones(n)
+        self.bandwidth = np.ones(n)
+        for s, members in self.server_members.items():
+            self.compute[members] = self._server_shares(s, members, self.plan_idx)
+        for key, members in self.link_members.items():
+            self.bandwidth[members] = self._link_shares(key, members, self.plan_idx)
+        self._count(len(self.server_members) + len(self.link_members))
+        self._lat = np.empty(n)
+        self._stale = set(range(n))
 
-    def update(
-        self,
-        base: Allocation,
-        plan_idx: Sequence[int],
-        assignment: Sequence[Optional[int]],
-        changed: Sequence[int],
-        counters: Optional["PerfCounters"] = None,
-        members_by_server: Optional[Dict[Optional[int], List[int]]] = None,
-    ) -> Allocation:
-        """Shares for ``(plan_idx, assignment)``, reusing a solved ``base``.
+    def reassigned(self, assignment: Sequence[Optional[int]]) -> "GroupState":
+        """A new state over ``assignment`` with this state's plans, sharing
+        its hoisted invariants."""
+        other = copy.copy(self)
+        other.assignment = list(assignment)
+        other._load(self.plan_idx)
+        return other
 
-        ``base`` must be a valid allocation for a state that differs from the
-        requested one only in the placement and/or plan of the tasks listed in
-        ``changed``.  Only the server and link groups containing a changed
-        task (in either the old or the new state) are re-solved; every other
-        share is carried over.  The result is bit-identical to a full
-        :meth:`solve` of the new state.
+    # -- kernels ------------------------------------------------------------
 
-        ``members_by_server`` may supply the server→tasks inverse of
-        ``assignment`` (each list ascending, exactly the order an index scan
-        would produce) so touched groups resolve without the O(tasks) member
-        scans — the cross-shard migration loop at 100k tasks maintains this
-        inverse incrementally.  Shares are bit-identical either way because
-        member order (hence float summation order) is unchanged.
+    def _count(self, groups: int) -> None:
+        if self.counters is not None:
+            self.counters.allocate_calls += 1
+            self.counters.allocate_group_solves += groups
+
+    def _server_shares(
+        self, s: int, members: List[int], plan: Sequence[int], i: int = -1, j: int = -1
+    ) -> np.ndarray:
+        """Compute shares of ``members`` on server ``s`` (task ``i`` on plan ``j``)."""
+        rate = self._srv_rate[s]
+        base_w, cs = self._base_w, self.candsets
+        return sqrt_shares(np.array(
+            [base_w[t] * cs[t].srv_flops[j if t == i else plan[t]] / rate for t in members]
+        ))
+
+    def _link_shares(
+        self, key: Tuple[str, int], members: List[int], plan: Sequence[int],
+        i: int = -1, j: int = -1,
+    ) -> np.ndarray:
+        """Bandwidth shares of ``members`` on link ``key`` (task ``i`` on plan ``j``)."""
+        bw = self._link(key).bandwidth_bps
+        base_w, cs = self._base_w, self.candsets
+        return sqrt_shares(np.array(
+            [base_w[t] * cs[t].wire_bytes[j if t == i else plan[t]] / bw for t in members]
+        ))
+
+    def _link(self, key: Tuple[str, int]) -> Link:
+        link = self._links.get(key)
+        if link is None:
+            name, s = key
+            link = self._links[key] = self.cluster.link(name, self.cluster.servers[s].name)
+        return link
+
+    def link(self, i: int, s: int) -> Link:
+        """Task ``i``'s access link to server ``s``."""
+        return self._link((self._dev[i], s))
+
+    def _leave(self, i: int) -> Tuple[_Group, _Group]:
+        """Task ``i``'s server and link groups without it, re-solved."""
+        s = self.assignment[i]
+        key = (self._dev[i], s)
+        srv = _left(self.server_members[s], i)
+        lnk = _left(self.link_members[key], i)
+        return (
+            (s, srv, self._server_shares(s, srv, self.plan_idx)),
+            (key, lnk, self._link_shares(key, lnk, self.plan_idx)),
+        )
+
+    def _join(self, i: int, s: int, j: int) -> Tuple[_Group, _Group]:
+        """Server ``s``'s and task ``i``'s link group to it with ``i`` added
+        on plan ``j``, re-solved."""
+        key = (self._dev[i], s)
+        srv = _joined(self.server_members.get(s, []), i)
+        lnk = _joined(self.link_members.get(key, []), i)
+        return (
+            (s, srv, self._server_shares(s, srv, self.plan_idx, i, j)),
+            (key, lnk, self._link_shares(key, lnk, self.plan_idx, i, j)),
+        )
+
+    def _regroup(self, i: int, s: Optional[int], j: int) -> Tuple[List[_Group], List[_Group]]:
+        """The groups task ``i`` leaves and joins moving to ``s`` on plan ``j``."""
+        groups = []
+        if self.assignment[i] is not None and self.assignment[i] != s:
+            groups.append(self._leave(i))
+        if s is not None:
+            groups.append(self._join(i, s, j))
+        self._count(2 * len(groups))
+        return [g[0] for g in groups], [g[1] for g in groups]
+
+    # -- queries ------------------------------------------------------------
+
+    def plan_latencies(
+        self, i: int, s: Optional[int], x: float = 1.0, y: float = 1.0
+    ) -> np.ndarray:
+        """Latency of each candidate plan of task ``i`` at ``s`` (``None``:
+        local) under shares ``(x, y)``, queueing included if the state's is."""
+        if self.counters is not None:
+            self.counters.candidate_evals += 1
+        rate = self.tasks[i].arrival_rate if self.include_queueing else None
+        if s is None:
+            return self.candsets[i].latencies(
+                self.devices[i], self.latency_model, arrival_rate=rate, risk=self.risk
+            )
+        return self.candsets[i].latencies(
+            self.devices[i],
+            self.latency_model,
+            server=self.cluster.servers[s],
+            link=self.link(i, s),
+            compute_share=x,
+            bandwidth_share=y,
+            arrival_rate=rate,
+            risk=self.risk,
+        )
+
+    def best_plans(self) -> List[int]:
+        """Each task's fastest plan at its current placement and shares."""
+        return [
+            int(np.argmin(self.plan_latencies(
+                i, s, float(self.compute[i]), float(self.bandwidth[i])
+            )))
+            for i, s in enumerate(self.assignment)
+        ]
+
+    def price(self, i: int, s: Optional[int], j: int, x: float, y: float) -> float:
+        """Search latency of task ``i`` on plan ``j`` at ``s`` with shares ``(x, y)``."""
+        return solution_latency_task(
+            self.tasks[i], self.candsets[i], j, s, x, y, self.cluster,
+            self.latency_model, include_queueing=self.include_queueing,
+            overload="penalty", device=self.devices[i], risk=self.risk,
+        )
+
+    def shares_if_placed(self, i: int, s: int, j: int) -> Tuple[float, float]:
+        """Compute and bandwidth shares task ``i`` would get on plan ``j`` at
+        server ``s``, every other task as it is.  Pure."""
+        (_, srv, x), (_, lnk, y) = self._join(i, s, j)
+        return float(x[bisect_left(srv, i)]), float(y[bisect_left(lnk, i)])
+
+    def latencies(self) -> np.ndarray:
+        """Per-task search latencies of the current state (do not modify)."""
+        stale = self._stale
+        if stale:
+            for t in stale:
+                self._lat[t] = self.price(
+                    t, self.assignment[t], self.plan_idx[t],
+                    float(self.compute[t]), float(self.bandwidth[t]),
+                )
+            if self.counters is not None:
+                self.counters.latency_evals += len(stale)
+            stale.clear()
+        return self._lat
+
+    def objective(self) -> float:
+        """Search objective of the current state."""
+        return self._evaluate(self.latencies())
+
+    def allocation(self) -> Allocation:
+        """The current placement and shares as an :class:`Allocation`."""
+        return Allocation(list(self.assignment), self.compute.copy(), self.bandwidth.copy())
+
+    # -- moves --------------------------------------------------------------
+
+    def trial(self, i: int, s: Optional[int]) -> Optional[Move]:
+        """Price moving task ``i`` from its placement to ``s`` (``None``: local).
+
+        The groups ``i`` leaves and joins re-solve with its plan unchanged;
+        those provisional shares pick its fastest plan at ``s``, and the
+        joined groups re-solve again if the plan changed.  Only the members
+        of the touched groups are re-priced.  Returns ``None`` when no plan
+        of ``i`` has a finite latency at ``s``.
         """
-        compute = base.compute_shares.copy()
-        bandwidth = base.bandwidth_shares.copy()
-        servers: Set[int] = set()
-        links: Set[Tuple[str, int]] = set()
-        for i in changed:
-            compute[i] = 1.0
-            bandwidth[i] = 1.0
-            for s in (base.assignment[i], assignment[i]):
-                if s is not None:
-                    servers.add(s)
-                    links.add((self._dev_name[i], s))
-        for s in sorted(servers):
-            if members_by_server is not None:
-                members = members_by_server.get(s, [])
+        lat = self.latencies()
+        j0 = self.plan_idx[i]
+        servers, links = self._regroup(i, s, j0)
+        x = y = 1.0
+        if s is not None:
+            (_, srv, xs), (_, lnk, ys) = servers[-1], links[-1]
+            x, y = float(xs[bisect_left(srv, i)]), float(ys[bisect_left(lnk, i)])
+        plan_lat = self.plan_latencies(i, s, x, y)
+        j = int(np.argmin(plan_lat))
+        if not np.isfinite(plan_lat[j]):
+            return None
+        if j != j0:
+            if s is not None:
+                servers[-1], links[-1] = self._join(i, s, j)
+            self._count(2 if s is not None else 0)
+        return self._price(lat, {i: s}, {i: j}, servers, links)
+
+    def trial_plans(self, plan_idx: Sequence[int]) -> Move:
+        """Price switching every task to ``plan_idx`` at its placement."""
+        lat = self.latencies()
+        plans = {t: j for t, j in enumerate(plan_idx) if j != self.plan_idx[t]}
+        placed = [t for t in plans if self.assignment[t] is not None]
+        servers = [
+            (s, self.server_members[s], self._server_shares(s, self.server_members[s], plan_idx))
+            for s in sorted({self.assignment[t] for t in placed})
+        ]
+        links = [
+            (key, self.link_members[key], self._link_shares(key, self.link_members[key], plan_idx))
+            for key in sorted({(self._dev[t], self.assignment[t]) for t in placed})
+        ]
+        self._count(len(servers) + len(links))
+        return self._price(lat, {}, plans, servers, links)
+
+    def _price(
+        self,
+        lat: np.ndarray,
+        placements: Dict[int, Optional[int]],
+        plans: Dict[int, int],
+        servers: List[_Group],
+        links: List[_Group],
+    ) -> Move:
+        """Re-price the tasks a change touches and score the objective."""
+        x_of: Dict[int, float] = {}
+        y_of: Dict[int, float] = {}
+        for _, members, x in servers:
+            x_of.update(zip(members, x.tolist()))
+        for _, members, y in links:
+            y_of.update(zip(members, y.tolist()))
+        touched = set(x_of)
+        touched.update(placements)
+        touched.update(plans)
+        idx = np.fromiter(touched, dtype=np.intp, count=len(touched))
+        vals = np.empty(len(idx))
+        for k, t in enumerate(touched):
+            s = placements.get(t, self.assignment[t])
+            j = plans.get(t, self.plan_idx[t])
+            if s is None:
+                vals[k] = self.price(t, None, j, 1.0, 1.0)
             else:
-                members = [i for i, a in enumerate(assignment) if a == s]
-            if members:
-                self._solve_server(s, members, plan_idx, compute)
-        for dev_name, s in sorted(links):
-            if members_by_server is not None:
-                members = [
-                    i
-                    for i in members_by_server.get(s, [])
-                    if self._dev_name[i] == dev_name
-                ]
-            else:
-                members = [
-                    i
-                    for i, a in enumerate(assignment)
-                    if a == s and self._dev_name[i] == dev_name
-                ]
-            if members:
-                self._solve_link(dev_name, s, members, plan_idx, bandwidth)
-        if counters is not None:
-            counters.allocate_calls += 1
-            counters.allocate_group_solves += len(servers) + len(links)
-        return Allocation(list(assignment), compute, bandwidth)
+                y = y_of[t] if t in y_of else float(self.bandwidth[t])
+                vals[k] = self.price(t, s, j, x_of[t], y)
+        if self.counters is not None:
+            self.counters.latency_evals += len(idx)
+        saved = lat[idx]
+        lat[idx] = vals
+        obj = self._evaluate(lat)
+        lat[idx] = saved
+        return Move(obj, placements, plans, servers, links, idx, vals)
+
+    def _apply(
+        self,
+        placements: Dict[int, Optional[int]],
+        plans: Dict[int, int],
+        servers: List[_Group],
+        links: List[_Group],
+    ) -> None:
+        for t, s in placements.items():
+            self.assignment[t] = s
+            if s is None:
+                self.compute[t] = self.bandwidth[t] = 1.0
+        for t, j in plans.items():
+            self.plan_idx[t] = j
+        for groups, shares, changed in (
+            (self.server_members, self.compute, servers),
+            (self.link_members, self.bandwidth, links),
+        ):
+            for key, members, values in changed:
+                if members:
+                    groups[key] = members
+                    shares[members] = values
+                else:
+                    groups.pop(key, None)
+
+    def commit(self, move: Move) -> None:
+        """Install a move priced by :meth:`trial` or :meth:`trial_plans`
+        against the current state."""
+        self._apply(move.placements, move.plans, move.servers, move.links)
+        self._lat[move.repriced] = move.latencies
+
+    def move(self, i: int, s: Optional[int], j: int) -> None:
+        """Place task ``i`` at ``s`` on plan ``j`` without pricing the move."""
+        servers, links = self._regroup(i, s, j)
+        self._apply({i: s}, {i: j}, servers, links)
+        self._stale.add(i)
+        for _, members, _ in servers:
+            self._stale.update(members)
 
 
 #: Surrogate latency (seconds per unit of bottleneck utilization) used in

@@ -30,6 +30,11 @@ Determinism contract (gated by ``perf_gate.py --suite shard``):
   stitched global allocation is re-solved once from the stitched plan and
   matches the union of the shard solutions.
 
+Migration prices each move with the same
+:class:`~repro.core.allocation.GroupState` kernel as the shard solves' local
+search.  :func:`resolve_dirty` re-plans a subset of shards through the same
+shard fan-out, stitch and stats code as :func:`solve_sharded`.
+
 Telemetry: shard ``s`` records on the stream block ``1 + s*(restarts+1)``
 (solve root span) through ``(s+1)*(restarts+1)`` (its restarts), so parallel
 shard traces merge deterministically; migration rounds are spans on the
@@ -39,32 +44,24 @@ coordinator's stream 0.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.allocation import (
-    Allocation,
-    IncrementalAllocator,
-    solution_latencies,
-    solution_latency_task,
-)
-from repro.core.candidates import (
-    CandidateSet,
-    build_candidates,
-    candidate_cache_stats,
-)
+from repro.core.allocation import GroupState
+from repro.core.candidates import CandidateSet
 from repro.core.joint import (
     JointOptimizer,
     JointResult,
     JointSolverConfig,
     package_plan,
+    prepare_candidates,
 )
 from repro.core.objectives import Objective
-from repro.core.plan import TaskSpec
+from repro.core.plan import PlanFeatures, TaskSpec
 from repro.core.sharding import (
     AffinityIndex,
     ShardPlan,
@@ -181,14 +178,6 @@ def solve_sharded(
     t_start = time.perf_counter()
     cfg = config or JointSolverConfig()
     lm = latency_model or LatencyModel()
-    if not tasks:
-        raise ConfigError("no tasks to optimize")
-    names = [t.name for t in tasks]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate task names: {names}")
-    for t in tasks:
-        cluster.by_name(t.device_name)  # validates membership
-
     perf = PerfCounters()
     tracer = get_tracer()
     with tracer.span(
@@ -197,25 +186,7 @@ def solve_sharded(
         if tracer.enabled
         else None,
     ) as root:
-        if candidates is None:
-            with tracer.span("solve.candidates"):
-                stats_before = candidate_cache_stats()
-                candsets = [
-                    build_candidates(
-                        t,
-                        threshold_grid=cfg.threshold_grid,
-                        max_cuts=cfg.max_cuts,
-                        cache=cfg.candidate_cache,
-                    )
-                    for t in tasks
-                ]
-                stats_after = candidate_cache_stats()
-                perf.candidate_cache_hits += stats_after.hits - stats_before.hits
-                perf.candidate_cache_misses += stats_after.misses - stats_before.misses
-        else:
-            if len(candidates) != len(tasks):
-                raise ConfigError("candidates/tasks length mismatch")
-            candsets = list(candidates)
+        candsets = prepare_candidates(tasks, cluster, cfg, candidates, perf)
 
         with tracer.span("solve.shard_plan"):
             # one affinity index serves the homing scores, every migration
@@ -234,82 +205,15 @@ def solve_sharded(
                 perf.index_build_s += time.perf_counter() - t_idx
         k = shard_plan.num_shards
 
-        # shard seeds, all derived upfront in shard order so the outcome is
-        # independent of execution order; shard 0 keeps the base seed so a
-        # 1-shard run reproduces the centralized descent exactly
-        shard_seeds: List[SeedLike] = [None] * k
-        for s in range(1, k):
-            shard_seeds[s] = derive_seed(seed, "shard", s)
-        shard_seeds[0] = seed
-
-        # shard fan-out reuses the restart pool: when it is parallel, each
-        # shard solves its restarts serially (never nested pools)
-        workers = min(cfg.restart_workers, k)
-        inner_cfg = replace(
-            cfg,
-            shards=1,
-            nested_shards=0,  # recursion is one level deep: racks never re-shard
-            restart_workers=1 if workers > 1 else cfg.restart_workers,
-        )
-
-        views = [ShardView(cluster, ids) for ids in shard_plan.server_shards]
         shard_tasks = shard_plan.tasks_by_shard()
-        stride = cfg.restarts + 1
-
-        def _run(s: int) -> Optional[JointResult]:
-            ids = shard_tasks[s]
-            if not ids:
-                return None
-            cfg_s = inner_cfg
-            if cfg.nested_shards > 1 and views[s].num_servers > 1:
-                # two-level sharding: this region's solve re-shards its view
-                # into racks and runs the same coordinator one level down
-                cfg_s = replace(
-                    inner_cfg,
-                    shards=min(cfg.nested_shards, views[s].num_servers),
-                )
-            solver = JointOptimizer(
-                views[s],
-                latency_model=lm,
-                objective=objective,
-                config=cfg_s,
-                stream_base=1 + s * stride,
-            )
-            with tracer.stream(1 + s * stride, parent=root.span_id):
-                return solver.solve(
-                    [tasks[i] for i in ids],
-                    candidates=[candsets[i] for i in ids],
-                    seed=shard_seeds[s],
-                )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                shard_results = list(pool.map(_run, range(k)))
-        else:
-            shard_results = [_run(s) for s in range(k)]
-
-        # merge per-shard counters in shard order (order-independent of the
-        # pool's completion order); per-shard wall time stays in ShardStats
-        perf.merge(
-            PerfCounters.merged(
-                {s: r.perf for s, r in enumerate(shard_results) if r is not None}
-            )
+        shard_results = _solve_shards(
+            tasks, candsets, cluster, shard_plan, shard_tasks, range(k),
+            lm, objective, cfg, seed, perf, root.span_id,
         )
-        perf.shard_solves += sum(1 for r in shard_results if r is not None)
-
-        shard_stats = []
-        for s, r in enumerate(shard_results):
-            st = ShardStats(
-                shard=s,
-                servers=shard_plan.server_shards[s],
-                num_tasks=len(shard_tasks[s]),
-            )
-            if r is not None:
-                st.iterations = r.iterations
-                st.converged = r.converged
-                st.objective = r.plan.objective_value
-                st.solve_s = r.perf.solve_s
-            shard_stats.append(st)
+        shard_stats = [
+            _shard_stats(shard_plan, shard_tasks, s, r)
+            for s, r in enumerate(shard_results)
+        ]
 
         iterations = max((st.iterations for st in shard_stats), default=0)
         shards_converged = all(st.converged for st in shard_stats)
@@ -339,15 +243,17 @@ def solve_sharded(
 
         with tracer.span("solve.assemble"):
             candsets, plan_idx, assignment = _stitch(
-                tasks, candsets, shard_results, shard_tasks, views
+                tasks, candsets,
+                _shard_placements(tasks, shard_plan, shard_tasks, range(k), shard_results),
             )
-            inc = IncrementalAllocator(tasks, candsets, cluster, lm, objective)
-            alloc = inc.solve(plan_idx, assignment, perf)
+            state = GroupState(
+                tasks, candsets, cluster, lm, assignment, plan_idx,
+                objective=objective, include_queueing=cfg.include_queueing,
+                risk=cfg.risk, counters=perf,
+            )
 
         task_shard = list(shard_plan.task_shard)
-        obj, base_lat = _global_objective(
-            tasks, candsets, plan_idx, alloc, cluster, lm, objective, cfg, perf
-        )
+        obj = state.objective()
         history = [obj]
         migration_history: List[int] = []
         # the screen's (template, home-shard) → best-foreign-server table is
@@ -356,19 +262,14 @@ def solve_sharded(
         # O(1) patch of task_shard — but never move servers between shards,
         # and the bounds ignore the evolving allocation
         foreign_val, foreign_srv = affinity.foreign_mins(shard_plan.server_shards)
-        state = (
-            _MigrationState(tasks, objective, affinity, alloc.assignment)
-            if cfg.migration_rounds > 0
-            else None
-        )
+        tpl = np.asarray(affinity.template_of, dtype=np.int64)
         for rnd in range(cfg.migration_rounds):
             with tracer.span(
                 "solve.migrate", {"round": rnd} if tracer.enabled else None
             ):
-                accepted, obj, base_lat, plan_idx, alloc = _migrate(
-                    tasks, candsets, plan_idx, alloc, base_lat,
-                    obj, cluster, lm, objective, cfg, shard_plan, task_shard,
-                    inc, foreign_val, foreign_srv, perf, state,
+                accepted, obj = _migrate(
+                    state, obj, cfg.migration_hysteresis, shard_plan, task_shard,
+                    tpl, foreign_val, foreign_srv,
                 )
             migration_history.append(accepted)
             perf.migration_rounds += 1
@@ -385,8 +286,8 @@ def solve_sharded(
 
         with tracer.span("solve.package"):
             jp = package_plan(
-                tasks, candsets, plan_idx, alloc, cluster, lm, objective,
-                include_queueing=cfg.include_queueing, counters=perf,
+                tasks, candsets, state.plan_idx, state.allocation(), cluster, lm,
+                objective, include_queueing=cfg.include_queueing, counters=perf,
                 risk=cfg.risk,
             )
         perf.solve_s = time.perf_counter() - t_start
@@ -401,6 +302,96 @@ def solve_sharded(
             shard_stats=shard_stats,
             migration_history=migration_history,
         )
+
+
+def _solve_shards(
+    tasks: Sequence[TaskSpec],
+    candsets: Sequence[CandidateSet],
+    cluster: EdgeCluster,
+    shard_plan: ShardPlan,
+    shard_tasks: Sequence[Sequence[int]],
+    shard_ids: Sequence[int],
+    lm: LatencyModel,
+    objective: Objective,
+    cfg: JointSolverConfig,
+    seed: SeedLike,
+    perf: PerfCounters,
+    parent_span: Optional[int],
+) -> List[Optional[JointResult]]:
+    """Solve the listed shards, each against its server view; ``None`` for a
+    shard with no tasks.
+
+    Shard ``s`` solves with seed ``derive_seed(seed, "shard", s)`` (the base
+    seed for shard 0), all derived up front in shard order.  The fan-out
+    reuses the restart pool (``restart_workers`` wide): when it runs shards
+    in parallel, each shard runs its restarts serially.  Shard ``s`` records
+    telemetry on the stream block starting at ``1 + s * (restarts + 1)``.
+    The shards' counters merge into ``perf`` in shard order.
+    """
+    tracer = get_tracer()
+    seeds = {s: seed if s == 0 else derive_seed(seed, "shard", s) for s in shard_ids}
+    workers = min(cfg.restart_workers, len(shard_ids))
+    inner_cfg = replace(
+        cfg,
+        shards=1,
+        nested_shards=0,  # recursion is one level deep: racks never re-shard
+        restart_workers=1 if workers > 1 else cfg.restart_workers,
+    )
+    stride = cfg.restarts + 1
+
+    def _run(s: int) -> Optional[JointResult]:
+        ids = shard_tasks[s]
+        if not ids:
+            return None
+        view = ShardView(cluster, shard_plan.server_shards[s])
+        cfg_s = inner_cfg
+        if cfg.nested_shards > 1 and view.num_servers > 1:
+            # two-level sharding: this region's solve re-shards its view
+            # into racks and runs the same coordinator one level down
+            cfg_s = replace(inner_cfg, shards=min(cfg.nested_shards, view.num_servers))
+        solver = JointOptimizer(
+            view,
+            latency_model=lm,
+            objective=objective,
+            config=cfg_s,
+            stream_base=1 + s * stride,
+        )
+        with tracer.stream(1 + s * stride, parent=parent_span):
+            return solver.solve(
+                [tasks[i] for i in ids],
+                candidates=[candsets[i] for i in ids],
+                seed=seeds[s],
+            )
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run, shard_ids))
+    else:
+        results = [_run(s) for s in shard_ids]
+    perf.merge(
+        PerfCounters.merged(
+            {s: r.perf for s, r in zip(shard_ids, results) if r is not None}
+        )
+    )
+    perf.shard_solves += sum(1 for r in results if r is not None)
+    return results
+
+
+def _shard_stats(
+    shard_plan: ShardPlan,
+    shard_tasks: Sequence[Sequence[int]],
+    s: int,
+    res: Optional[JointResult],
+) -> ShardStats:
+    st = ShardStats(
+        shard=s, servers=shard_plan.server_shards[s], num_tasks=len(shard_tasks[s])
+    )
+    if res is not None:
+        st.iterations = res.iterations
+        st.converged = res.converged
+        st.objective = res.plan.objective_value
+        st.solve_s = res.perf.solve_s
+    return st
 
 
 class _PositionResolver:
@@ -435,175 +426,90 @@ class _PositionResolver:
             return None
 
 
+def _shard_placements(
+    tasks: Sequence[TaskSpec],
+    shard_plan: ShardPlan,
+    shard_tasks: Sequence[Sequence[int]],
+    shard_ids: Sequence[int],
+    results: Sequence[Optional[JointResult]],
+) -> Iterator[Tuple[int, Optional[int], PlanFeatures]]:
+    """``(task, global server, features)`` of every task the shard results
+    place; shard plans key tasks by name with shard-local server indices."""
+    for s, res in zip(shard_ids, results):
+        if res is None:
+            continue
+        server_ids = shard_plan.server_shards[s]
+        for i in shard_tasks[s]:
+            name = tasks[i].name
+            local = res.plan.assignment[name]
+            server = None if local is None else int(server_ids[local])
+            yield i, server, res.plan.features[name]
+
+
 def _stitch(
     tasks: Sequence[TaskSpec],
-    candsets: List[CandidateSet],
-    shard_results: Sequence[Optional[JointResult]],
-    shard_tasks: Sequence[Sequence[int]],
-    views: Sequence[ShardView],
+    candsets: Sequence[CandidateSet],
+    placements: Iterable[Tuple[int, Optional[int], PlanFeatures]],
 ) -> Tuple[List[CandidateSet], List[int], List[Optional[int]]]:
-    """Stitch shard plans into global (candsets, plan_idx, assignment).
+    """Global ``(candsets, plan_idx, assignment)`` from per-task placements.
 
-    Shard plans are keyed by task name with shard-local server indices;
-    this maps servers back to global indices and locates each chosen
-    feature vector in the task's candidate set through a
-    :class:`_PositionResolver` shared across every task of a template
-    (O(tasks) overall), appending it when the shard solve's threshold
+    Each chosen feature vector is located in the task's candidate set
+    through a :class:`_PositionResolver` shared across every task of a
+    template (O(tasks) overall), and appended when a shard solve's threshold
     refinement produced a plan outside the enumerated set.
     """
     out_sets = list(candsets)
     plan_idx: List[int] = [0] * len(tasks)
     assignment: List[Optional[int]] = [None] * len(tasks)
     positions = _PositionResolver()
-    for s, res in enumerate(shard_results):
-        if res is None:
-            continue
-        server_ids = views[s].server_ids
-        plan_assignment = res.plan.assignment
-        plan_features = res.plan.features
-        for i in shard_tasks[s]:
-            name = tasks[i].name
-            local = plan_assignment[name]
-            assignment[i] = None if local is None else server_ids[local]
-            feats = plan_features[name]
-            j = positions.resolve(out_sets[i], feats)
-            if j is None:
-                cs = out_sets[i]
-                out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
-                j = len(cs.features)
-            plan_idx[i] = j
+    for i, server, feats in placements:
+        assignment[i] = server
+        j = positions.resolve(out_sets[i], feats)
+        if j is None:
+            cs = out_sets[i]
+            out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
+            j = len(cs.features)
+        plan_idx[i] = j
     return out_sets, plan_idx, assignment
 
 
-def _global_objective(
-    tasks: Sequence[TaskSpec],
-    candsets: Sequence[CandidateSet],
-    plan_idx: Sequence[int],
-    alloc: Allocation,
-    cluster: EdgeCluster,
-    lm: LatencyModel,
-    objective: Objective,
-    cfg: JointSolverConfig,
-    counters: PerfCounters,
-) -> Tuple[float, np.ndarray]:
-    lat = solution_latencies(
-        tasks, candsets, plan_idx, alloc, cluster, lm,
-        include_queueing=cfg.include_queueing, overload="penalty",
-        risk=cfg.risk,
-    )
-    counters.latency_evals += len(tasks)
-    return objective.evaluate(lat, tasks), lat
-
-
-class _MigrationState:
-    """Per-solve state of the migration rounds, kept so no trial pays an
-    O(tasks) rebuild:
-
-    - the objective's per-task arrays (weights / deadlines), built once;
-      every evaluated objective is the same float
-      :meth:`Objective.evaluate` returns;
-    - the server → member-tasks inverse of the assignment (ascending lists,
-      exactly what an index scan yields), moved under each trial and moved
-      back on rejection;
-    - the task → template array for the vectorized screen.
-    """
-
-    def __init__(
-        self,
-        tasks: Sequence[TaskSpec],
-        objective: Objective,
-        affinity: AffinityIndex,
-        assignment: Sequence[Optional[int]],
-    ) -> None:
-        self.objective = objective
-        self.tpl = np.asarray(affinity.template_of, dtype=np.int64)
-        self.w: Optional[np.ndarray] = None
-        self.w_sum = 0.0
-        self.deadlines: Optional[np.ndarray] = None
-        if objective is Objective.AVG_LATENCY:
-            self.w = np.array([t.weight for t in tasks])
-            self.w_sum = self.w.sum()
-        elif objective is Objective.DEADLINE_MISS:
-            self.deadlines = np.array([t.deadline_s for t in tasks])
-        self.members: Dict[Optional[int], List[int]] = {}
-        for i, a in enumerate(assignment):
-            self.members.setdefault(a, []).append(i)
-
-    def evaluate(self, lat: np.ndarray, tasks: Sequence[TaskSpec]) -> float:
-        """Same value as :meth:`Objective.evaluate`, without the per-call
-        Python array rebuilds."""
-        if np.any(np.isinf(lat)):
-            return float("inf")
-        if self.objective is Objective.AVG_LATENCY:
-            return float(np.dot(self.w, lat) / self.w_sum)
-        if self.objective is Objective.MAX_LATENCY:
-            return float(lat.max())
-        if self.objective is Objective.DEADLINE_MISS:
-            norm = lat / self.deadlines
-            miss = float(np.mean(norm > 1.0))
-            return miss + 1e-3 * float(np.mean(np.minimum(norm, 10.0)))
-        return self.objective.evaluate(lat, tasks)  # pragma: no cover
-
-    def move(self, i: int, src: Optional[int], dst: Optional[int]) -> None:
-        """Re-home task ``i``'s membership from server ``src`` to ``dst``."""
-        lst = self.members.get(src)
-        if lst is not None:
-            pos = bisect_left(lst, i)
-            if pos < len(lst) and lst[pos] == i:
-                lst.pop(pos)
-        insort(self.members.setdefault(dst, []), i)
-
-
 def _migrate(
-    tasks: Sequence[TaskSpec],
-    candsets: Sequence[CandidateSet],
-    plan_idx: List[int],
-    alloc: Allocation,
-    base_lat: np.ndarray,
+    state: GroupState,
     obj: float,
-    cluster: EdgeCluster,
-    lm: LatencyModel,
-    objective: Objective,
-    cfg: JointSolverConfig,
+    hyst: float,
     shard_plan: ShardPlan,
     task_shard: List[int],
-    inc: IncrementalAllocator,
+    tpl: np.ndarray,
     foreign_val: np.ndarray,
     foreign_srv: np.ndarray,
-    counters: PerfCounters,
-    state: _MigrationState,
-) -> Tuple[int, float, np.ndarray, List[int], Allocation]:
-    """One round of cross-shard migration moves.
+) -> Tuple[int, float]:
+    """One round of cross-shard migration moves; returns (accepted, objective).
 
     Two stages, mirroring the local search's screen-then-verify shape:
 
     1. **Screen.**  Every task gets an optimistic lower bound on its latency
        at its best *foreign* server (full share, no queueing) straight from
        the :class:`AffinityIndex`'s per-(template, home shard) table, in one
-       vectorized pass.  Tasks whose bound does not undercut their current
-       latency by the hysteresis margin are dropped; survivors are ranked by
-       bound gain (ties by task index, via a stable sort) and the top
-       ``max(8, n // 64)`` proceed.
+       vectorized pass over the template array ``tpl``.  Tasks whose bound
+       does not undercut their current latency by the hysteresis margin are
+       dropped; survivors are ranked by bound gain (ties by task index, via
+       a stable sort) and the top ``max(8, n // 64)`` proceed.
     2. **Verify.**  Each surviving (task, foreign server) move is priced
-       exactly — incremental share re-solve of the two affected groups, plan
-       re-picked for the new placement, latencies re-evaluated only for
-       tasks in those groups (read off :class:`_MigrationState`) — and
-       accepted iff the *global* objective improves by more than the
-       hysteresis margin.
+       exactly by :meth:`GroupState.trial` and committed iff the *global*
+       objective improves by more than the hysteresis margin.
 
     Accepted moves update the incumbent immediately (greedy, in ranked
     order), re-homing the task to the target server's shard.
     """
-    n = len(tasks)
-    hyst = cfg.migration_hysteresis
+    base_lat = state.latencies()
 
     # -- screen (vectorized) -------------------------------------------------
     home = np.asarray(task_shard, dtype=np.int64)
-    fv = foreign_val[state.tpl, home]
-    fs = foreign_srv[state.tpl, home]
+    fv = foreign_val[tpl, home]
+    fs = foreign_srv[tpl, home]
     margin = hyst * np.maximum(np.abs(base_lat), 1e-12)
     idx = np.flatnonzero((fs >= 0) & (fv < base_lat - margin))
-    budget = max(8, n // 64)
+    budget = max(8, len(base_lat) // 64)
     if idx.size:
         gains = fv[idx] - base_lat[idx]
         take = idx[np.argsort(gains, kind="stable")[:budget]]
@@ -613,76 +519,16 @@ def _migrate(
 
     # -- verify --------------------------------------------------------------
     accepted = 0
-    assignment = list(alloc.assignment)
     for i, target in trials:
-        current = assignment[i]
-        if current == target:
+        if state.assignment[i] == target:
             continue
-        trial_assign = list(assignment)
-        trial_assign[i] = target
-        state.move(i, current, target)
-        prov = inc.update(
-            alloc, plan_idx, trial_assign, (i,), counters,
-            members_by_server=state.members,
-        )
-        device = cluster.by_name(tasks[i].device_name)
-        server = cluster.servers[target]
-        link = cluster.link(tasks[i].device_name, server.name)
-        rate = tasks[i].arrival_rate if cfg.include_queueing else None
-        lat_vec = candsets[i].latencies(
-            device, lm, server=server, link=link,
-            compute_share=float(prov.compute_shares[i]),
-            bandwidth_share=float(prov.bandwidth_shares[i]),
-            arrival_rate=rate,
-            risk=cfg.risk,
-        )
-        counters.candidate_evals += 1
-        j = int(np.argmin(lat_vec))
-        if not np.isfinite(lat_vec[j]):
-            state.move(i, target, current)
-            continue
-        trial_idx = list(plan_idx)
-        trial_idx[i] = j
-        if j == plan_idx[i]:
-            trial_alloc = prov
-        else:
-            trial_alloc = inc.update(
-                prov, trial_idx, trial_assign, (i,), counters,
-                members_by_server=state.members,
-            )
-        # the moved task is already in target's member list; the union with
-        # current's remainder plus {i} is every task of the two groups
-        affected = set(state.members.get(current, ()))
-        affected.update(state.members.get(target, ()))
-        affected.add(i)
-        trial_lat = base_lat.copy()
-        for t_i in affected:
-            trial_lat[t_i] = solution_latency_task(
-                tasks[t_i],
-                candsets[t_i],
-                trial_idx[t_i],
-                trial_alloc.assignment[t_i],
-                float(trial_alloc.compute_shares[t_i]),
-                float(trial_alloc.bandwidth_shares[t_i]),
-                cluster,
-                lm,
-                include_queueing=cfg.include_queueing,
-                overload="penalty",
-                risk=cfg.risk,
-            )
-        counters.latency_evals += len(affected)
-        trial_obj = state.evaluate(trial_lat, tasks)
-        if trial_obj < obj - hyst * max(abs(obj), 1e-12):
-            obj = trial_obj
-            plan_idx = trial_idx
-            alloc = trial_alloc
-            base_lat = trial_lat
-            assignment[i] = target
+        move = state.trial(i, target)
+        if move is not None and move.objective < obj - hyst * max(abs(obj), 1e-12):
+            state.commit(move)
+            obj = move.objective
             task_shard[i] = shard_plan.shard_of_server(target)
             accepted += 1
-        else:
-            state.move(i, target, current)
-    return accepted, obj, base_lat, plan_idx, alloc
+    return accepted, obj
 
 
 def resolve_dirty(
@@ -710,10 +556,12 @@ def resolve_dirty(
     - ``prior`` must come from a solve over the same ``tasks`` sequence
       (same order) on this cluster; the server partition and task homing are
       carried over unchanged.
-    - Dirty shard ``s`` re-solves with the same derived seed a full solve
-      would give it (``derive_seed(seed, "shard", s)``, base seed for shard
-      0), so a re-solve with every shard dirty reproduces the fan-out of a
-      fresh solve.
+    - Dirty shard ``s`` re-solves through the fan-out of a full solve, with
+      the seed it would give it (``derive_seed(seed, "shard", s)``, base
+      seed for shard 0) and the same nested re-sharding, so a re-solve with
+      every shard dirty reproduces the fan-out of a fresh solve.
+    - ``tasks`` are validated like a full solve's (names unique, devices in
+      the cluster).
     - Cross-shard migration is **not** re-run: a delta re-plan deliberately
       leaves the homing alone.  When drift is global (every shard flagged,
       or servers changed), escalate to a full ``solve_sharded`` — the online
@@ -749,129 +597,39 @@ def resolve_dirty(
         if tracer.enabled
         else None,
     ) as root:
-        if candidates is None:
-            stats_before = candidate_cache_stats()
-            candsets = [
-                build_candidates(
-                    t,
-                    threshold_grid=cfg.threshold_grid,
-                    max_cuts=cfg.max_cuts,
-                    cache=cfg.candidate_cache,
-                )
-                for t in tasks
-            ]
-            stats_after = candidate_cache_stats()
-            perf.candidate_cache_hits += stats_after.hits - stats_before.hits
-            perf.candidate_cache_misses += stats_after.misses - stats_before.misses
-        else:
-            if len(candidates) != len(tasks):
-                raise ConfigError("candidates/tasks length mismatch")
-            candsets = list(candidates)
-
+        candsets = prepare_candidates(tasks, cluster, cfg, candidates, perf)
         shard_tasks = shard_plan.tasks_by_shard()
-        views = {s: ShardView(cluster, shard_plan.server_shards[s]) for s in dirty}
-        stride = cfg.restarts + 1
-        workers = min(cfg.restart_workers, len(dirty))
-        inner_cfg = replace(
-            cfg,
-            shards=1,
-            nested_shards=0,
-            restart_workers=1 if workers > 1 else cfg.restart_workers,
+        results = _solve_shards(
+            tasks, candsets, cluster, shard_plan, shard_tasks, dirty,
+            lm, objective, cfg, seed, perf, root.span_id,
         )
-
-        def _run(s: int) -> Optional[JointResult]:
-            ids = shard_tasks[s]
-            if not ids:
-                return None
-            shard_seed = seed if s == 0 else derive_seed(seed, "shard", s)
-            solver = JointOptimizer(
-                views[s],
-                latency_model=lm,
-                objective=objective,
-                config=inner_cfg,
-                stream_base=1 + s * stride,
-            )
-            with tracer.stream(1 + s * stride, parent=root.span_id):
-                return solver.solve(
-                    [tasks[i] for i in ids],
-                    candidates=[candsets[i] for i in ids],
-                    seed=shard_seed,
-                )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run, dirty))
-        else:
-            results = [_run(s) for s in dirty]
-
-        perf.merge(
-            PerfCounters.merged(
-                {s: r.perf for s, r in zip(dirty, results) if r is not None}
-            )
-        )
-        perf.shard_solves += sum(1 for r in results if r is not None)
 
         # stitch: clean shards by identity from the prior plan, dirty shards
         # from the fresh shard results
-        n = len(tasks)
-        out_sets = list(candsets)
-        plan_idx: List[int] = [0] * n
-        assignment: List[Optional[int]] = [None] * n
         dirty_set = set(dirty)
-
-        positions = _PositionResolver()
-
-        def _place(i: int, local_or_global, feats, server_ids=None) -> None:
-            if server_ids is None:
-                assignment[i] = local_or_global
-            else:
-                assignment[i] = (
-                    None if local_or_global is None else server_ids[local_or_global]
-                )
-            j = positions.resolve(out_sets[i], feats)
-            if j is None:
-                cs = out_sets[i]
-                out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
-                j = len(cs.features)
-            plan_idx[i] = j
-
-        for i, t in enumerate(tasks):
-            if shard_plan.task_shard[i] in dirty_set:
-                continue
-            _place(i, prior.plan.assignment[t.name], prior.plan.features[t.name])
-        for s, res in zip(dirty, results):
-            if res is None:
-                continue
-            for i in shard_tasks[s]:
-                name = tasks[i].name
-                _place(
-                    i,
-                    res.plan.assignment[name],
-                    res.plan.features[name],
-                    views[s].server_ids,
-                )
-
-        inc = IncrementalAllocator(tasks, out_sets, cluster, lm, objective)
-        alloc = inc.solve(plan_idx, assignment, perf)
+        clean = (
+            (i, prior.plan.assignment[t.name], prior.plan.features[t.name])
+            for i, t in enumerate(tasks)
+            if shard_plan.task_shard[i] not in dirty_set
+        )
+        out_sets, plan_idx, assignment = _stitch(
+            tasks, candsets,
+            chain(clean, _shard_placements(tasks, shard_plan, shard_tasks, dirty, results)),
+        )
+        state = GroupState(
+            tasks, out_sets, cluster, lm, assignment, plan_idx,
+            objective=objective, include_queueing=cfg.include_queueing,
+            risk=cfg.risk, counters=perf,
+        )
         jp = package_plan(
-            tasks, out_sets, plan_idx, alloc, cluster, lm, objective,
+            tasks, out_sets, plan_idx, state.allocation(), cluster, lm, objective,
             include_queueing=cfg.include_queueing, counters=perf,
             risk=cfg.risk,
         )
 
         stats_by_shard = {st.shard: st for st in prior.shard_stats}
         for s, res in zip(dirty, results):
-            st = ShardStats(
-                shard=s,
-                servers=shard_plan.server_shards[s],
-                num_tasks=len(shard_tasks[s]),
-            )
-            if res is not None:
-                st.iterations = res.iterations
-                st.converged = res.converged
-                st.objective = res.plan.objective_value
-                st.solve_s = res.perf.solve_s
-            stats_by_shard[s] = st
+            stats_by_shard[s] = _shard_stats(shard_plan, shard_tasks, s, res)
         shard_stats = [stats_by_shard[s] for s in sorted(stats_by_shard)]
 
         candidate_counts = dict(prior.candidate_counts)

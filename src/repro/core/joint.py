@@ -19,11 +19,11 @@ perturbed initial assignments — each from its own deterministically spawned
 random stream, optionally in parallel (``restart_workers``) — and returns
 the best fixed point found.
 
-**Hot path.**  The share problem decomposes per server / per access link, so
-trial moves in the local search re-solve only the (at most two) groups a task
-moves between (:class:`~repro.core.allocation.IncrementalAllocator`), and
-trial objectives re-evaluate only the tasks in those groups.  Candidate sets
-come from a process-wide memoized pipeline (see
+**Hot path.**  Each descent holds its solution in its own
+:class:`~repro.core.allocation.GroupState`.  The share problem decomposes
+per server / per access link, so a surgery step or a local-search trial
+move re-solves only the groups it touches and re-prices only their members.
+Candidate sets come from a process-wide memoized pipeline (see
 :func:`repro.core.candidates.build_candidates`).  Both optimizations are
 bit-exact: a solve produces the same plan, shares, and objective as the
 non-incremental code path.  :class:`~repro.profiling.counters.PerfCounters`
@@ -33,6 +33,7 @@ threaded through :class:`JointResult` counts the work actually done.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,11 +43,10 @@ import numpy as np
 
 from repro.core.allocation import (
     Allocation,
-    IncrementalAllocator,
+    GroupState,
     allocate_shares,
     assign_servers,
     solution_latencies,
-    solution_latency_task,
 )
 from repro.core.candidates import (
     CandidateSet,
@@ -108,6 +108,50 @@ def package_plan(
     )
 
 
+def prepare_candidates(
+    tasks: Sequence[TaskSpec],
+    cluster: EdgeCluster,
+    config: "JointSolverConfig",
+    candidates: Optional[Sequence[CandidateSet]],
+    counters: PerfCounters,
+) -> List[CandidateSet]:
+    """Validate ``tasks`` and return one candidate set per task.
+
+    Raises :class:`ConfigError` on no tasks, duplicate task names, a device
+    the cluster lacks, or a ``candidates`` list of the wrong length.  Without
+    ``candidates`` the sets come from the memoized pipeline under
+    ``config``'s grid, cut budget and cache switch (span
+    ``solve.candidates``), and the cache traffic lands in ``counters``.
+    Shared by the centralized solve and both sharded entry points.
+    """
+    if not tasks:
+        raise ConfigError("no tasks to optimize")
+    names = [t.name for t in tasks]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate task names: {names}")
+    for t in tasks:
+        cluster.by_name(t.device_name)  # validates membership
+    if candidates is not None:
+        if len(candidates) != len(tasks):
+            raise ConfigError("candidates/tasks length mismatch")
+        return list(candidates)
+    with get_tracer().span("solve.candidates"):
+        before = candidate_cache_stats()
+        candsets = [
+            build_candidates(
+                t,
+                threshold_grid=config.threshold_grid,
+                max_cuts=config.max_cuts,
+                cache=config.candidate_cache,
+            )
+            for t in tasks
+        ]
+        after = candidate_cache_stats()
+    counters.candidate_cache_hits += after.hits - before.hits
+    counters.candidate_cache_misses += after.misses - before.misses
+    return candsets
+
+
 @dataclass(frozen=True)
 class JointSolverConfig:
     """Tunables of the BCD joint optimizer.
@@ -154,28 +198,38 @@ class JointSolverConfig:
     def __post_init__(self) -> None:
         from repro.core.sharding import SHARD_STRATEGIES
 
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.tol < 0:
-            raise ConfigError("tol must be >= 0")
-        if self.reassign_every < 1:
-            raise ConfigError("reassign_every must be >= 1")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.restart_workers < 1:
-            raise ConfigError("restart_workers must be >= 1")
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
+        for name, low in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        for name in ("tol", "migration_hysteresis"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.shard_by not in SHARD_STRATEGIES:
             raise ConfigError(
                 f"unknown shard_by {self.shard_by!r}; available {SHARD_STRATEGIES}"
             )
-        if self.migration_rounds < 0:
-            raise ConfigError("migration_rounds must be >= 0")
-        if self.migration_hysteresis < 0:
-            raise ConfigError("migration_hysteresis must be >= 0")
-        if self.nested_shards < 0:
-            raise ConfigError("nested_shards must be >= 0")
+
+
+#: Integer fields of :class:`JointSolverConfig` and their lower bounds.
+_INT_FIELDS = (
+    ("max_iterations", 1),
+    ("reassign_every", 1),
+    ("restarts", 1),
+    ("restart_workers", 1),
+    ("shards", 1),
+    ("migration_rounds", 0),
+    ("nested_shards", 0),
+)
 
 
 @dataclass
@@ -188,32 +242,6 @@ class JointResult:
     history: List[float] = field(default_factory=list)  # objective per iteration
     candidate_counts: Dict[str, int] = field(default_factory=dict)
     perf: PerfCounters = field(default_factory=PerfCounters)
-
-
-class _SolveContext:
-    """Per-solve hoisted lookups shared (read-only) by all restarts.
-
-    ``cluster.by_name`` / ``cluster.link`` resolve the same handful of objects
-    for every task on every iteration of every trial move; resolving them once
-    per solve removes dictionary traffic from the innermost loops.
-    """
-
-    def __init__(
-        self,
-        cluster: EdgeCluster,
-        latency_model: LatencyModel,
-        objective: Objective,
-        tasks: Sequence[TaskSpec],
-        candsets: Sequence[CandidateSet],
-    ) -> None:
-        self.devices = [cluster.by_name(t.device_name) for t in tasks]
-        self.links = [
-            [cluster.link(t.device_name, s.name) for s in cluster.servers]
-            for t in tasks
-        ]
-        self.allocator = IncrementalAllocator(
-            tasks, candsets, cluster, latency_model, objective
-        )
 
 
 class JointOptimizer:
@@ -291,39 +319,8 @@ class JointOptimizer:
         root: Span,
     ) -> JointResult:
         t_start = time.perf_counter()
-        if not tasks:
-            raise ConfigError("no tasks to optimize")
-        names = [t.name for t in tasks]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate task names: {names}")
-        for t in tasks:
-            self.cluster.by_name(t.device_name)  # validates membership
-
         perf = PerfCounters()
-        if candidates is None:
-            with tracer.span("solve.candidates"):
-                stats_before = candidate_cache_stats()
-                candsets = [
-                    build_candidates(
-                        t,
-                        threshold_grid=self.config.threshold_grid,
-                        max_cuts=self.config.max_cuts,
-                        cache=self.config.candidate_cache,
-                    )
-                    for t in tasks
-                ]
-                stats_after = candidate_cache_stats()
-                perf.candidate_cache_hits += stats_after.hits - stats_before.hits
-                perf.candidate_cache_misses += stats_after.misses - stats_before.misses
-        else:
-            if len(candidates) != len(tasks):
-                raise ConfigError("candidates/tasks length mismatch")
-            candsets = list(candidates)
-
-        with tracer.span("solve.context"):
-            ctx = _SolveContext(
-                self.cluster, self.latency_model, self.objective, tasks, candsets
-            )
+        candsets = prepare_candidates(tasks, self.cluster, self.config, candidates, perf)
 
         # one deterministic stream per restart: restart 0 reproduces the
         # single-restart descent exactly, and the spawned streams make the
@@ -333,7 +330,7 @@ class JointOptimizer:
         streams = [rng] if restarts == 1 else spawn(rng, restarts)
         restart_counters = [PerfCounters() for _ in range(restarts)]
 
-        def _run(r: int) -> Tuple[float, List[int], Allocation, List[float], int, bool]:
+        def _run(r: int) -> Tuple[float, GroupState, List[float], int, bool]:
             # telemetry stream base+r+1 == seed stream r; stream 0 is the
             # orchestrating thread, so restart spans merge deterministically
             # whether restarts run serially or on pool threads
@@ -341,7 +338,7 @@ class JointOptimizer:
                 with tracer.span("solve.descend", {"restart": r} if tracer.enabled else None):
                     return self._descend(
                         tasks, candsets, streams[r], perturb=(r > 0),
-                        ctx=ctx, counters=restart_counters[r], tracer=tracer,
+                        counters=restart_counters[r], tracer=tracer,
                     )
 
         workers = min(self.config.restart_workers, restarts)
@@ -351,7 +348,7 @@ class JointOptimizer:
         else:
             outs = [_run(r) for r in range(restarts)]
 
-        best: Optional[Tuple[float, List[int], Allocation, List[float], int, bool]] = None
+        best: Optional[Tuple[float, GroupState, List[float], int, bool]] = None
         for out in outs:
             if best is None or out[0] < best[0]:
                 best = out
@@ -361,7 +358,7 @@ class JointOptimizer:
         perf.merge(PerfCounters.merged(dict(enumerate(restart_counters))))
         perf.restarts += restarts
 
-        obj, plan_idx, alloc, history, iters, converged = best
+        obj, state, history, iters, converged = best
         if not converged and self.config.strict_convergence:
             raise ConvergenceError(
                 f"joint optimizer did not converge in {self.config.max_iterations} iterations"
@@ -372,8 +369,10 @@ class JointOptimizer:
         if self.config.refine_thresholds:
             with tracer.span("solve.refine"):
                 candsets, plan_idx, alloc, obj = self._refine(
-                    tasks, list(candsets), list(plan_idx), alloc, obj, ctx, perf
+                    tasks, list(candsets), state, obj, perf
                 )
+        else:
+            plan_idx, alloc = state.plan_idx, state.allocation()
         with tracer.span("solve.package"):
             jp = self._package(tasks, candsets, plan_idx, alloc, obj, perf)
         perf.solve_s = time.perf_counter() - t_start
@@ -394,15 +393,13 @@ class JointOptimizer:
         candsets: Sequence[CandidateSet],
         rng: np.random.Generator,
         perturb: bool,
-        ctx: _SolveContext,
         counters: PerfCounters,
         tracer: Optional[Tracer] = None,
-    ) -> Tuple[float, List[int], Allocation, List[float], int, bool]:
+    ) -> Tuple[float, GroupState, List[float], int, bool]:
         cfg = self.config
         if tracer is None:
             tracer = get_tracer()
         n = len(tasks)
-        inc = ctx.allocator
         with tracer.span("solve.descend.init"):
             assignment = assign_servers(
                 tasks, candsets, self.cluster, self.latency_model, risk=cfg.risk
@@ -413,44 +410,39 @@ class JointOptimizer:
                 for i in rng.choice(n, size=max(1, n // 3), replace=False):
                     choice = int(rng.integers(m + 1))
                     assignment[i] = None if choice == m else choice
-
-            plan_idx = [0] * n
-            # bootstrap plans under optimistic full shares
-            alloc = Allocation(list(assignment), np.ones(n), np.ones(n))
-            plan_idx = self._surgery_step(tasks, candsets, alloc, ctx, counters)
-            alloc = inc.solve(plan_idx, assignment, counters)
-            obj = self._objective(tasks, candsets, plan_idx, alloc, counters)
+            # plans bootstrap under optimistic full shares
+            state = GroupState(
+                tasks, candsets, self.cluster, self.latency_model, assignment,
+                objective=self.objective, include_queueing=cfg.include_queueing,
+                risk=cfg.risk, counters=counters,
+            )
+            obj = state.objective()
 
         history = [obj]
         converged = False
         iters = 0
         for it in range(1, cfg.max_iterations + 1):
             iters = it
-            # surgery step; `alloc` is always solved for the current plan_idx,
-            # so the share re-solve only needs the groups of changed tasks
-            new_idx = self._surgery_step(tasks, candsets, alloc, ctx, counters)
-            changed = [i for i in range(n) if new_idx[i] != plan_idx[i]]
-            new_alloc = inc.update(alloc, new_idx, alloc.assignment, changed, counters)
-            new_obj = self._objective(tasks, candsets, new_idx, new_alloc, counters)
-            if new_obj <= obj:
-                plan_idx, alloc, obj = new_idx, new_alloc, new_obj
+            # surgery step: plans re-picked under the current shares; only
+            # the groups of tasks whose plan changed re-solve
+            move = state.trial_plans(state.best_plans())
+            if move.objective <= obj:
+                state.commit(move)
+                obj = move.objective
 
             # periodic re-assignment (accepted only on improvement)
             if it % cfg.reassign_every == 0:
                 with tracer.span("solve.descend.reassign", {"iteration": it} if tracer.enabled else None):
-                    cand_assignment = assign_servers(
+                    cand = state.reassigned(assign_servers(
                         tasks, candsets, self.cluster, self.latency_model,
                         risk=cfg.risk,
-                    )
-                    cand_alloc = inc.solve(plan_idx, cand_assignment, counters)
-                    cand_obj = self._objective(tasks, candsets, plan_idx, cand_alloc, counters)
+                    ))
+                    cand_obj = cand.objective()
                     if cand_obj < obj:
-                        alloc, obj = cand_alloc, cand_obj
+                        state, obj = cand, cand_obj
                 if cfg.local_search:
                     with tracer.span("solve.descend.local_search", {"iteration": it} if tracer.enabled else None):
-                        plan_idx, alloc, obj = self._local_search(
-                            tasks, candsets, plan_idx, alloc, obj, ctx, counters
-                        )
+                        obj = self._local_search(state, obj)
 
             history.append(obj)
             prev = history[-2]
@@ -464,9 +456,7 @@ class JointOptimizer:
                 # escaping the fixed point (unless it just ran this iteration)
                 if cfg.local_search and it % cfg.reassign_every != 0:
                     with tracer.span("solve.descend.local_search", {"iteration": it} if tracer.enabled else None):
-                        plan_idx, alloc, new_obj = self._local_search(
-                            tasks, candsets, plan_idx, alloc, obj, ctx, counters
-                        )
+                        new_obj = self._local_search(state, obj)
                     if new_obj < obj - cfg.tol * max(abs(obj), 1e-12):
                         obj = new_obj
                         history[-1] = obj
@@ -475,16 +465,14 @@ class JointOptimizer:
                     history[-1] = obj
                 converged = True
                 break
-        return obj, plan_idx, alloc, history, iters, converged
+        return obj, state, history, iters, converged
 
     def _refine(
         self,
         tasks: Sequence[TaskSpec],
         candsets: List[CandidateSet],
-        plan_idx: List[int],
-        alloc: Allocation,
+        state: GroupState,
         obj: float,
-        ctx: _SolveContext,
         counters: PerfCounters,
     ) -> Tuple[List[CandidateSet], List[int], Allocation, float]:
         """Per-exit threshold polish of the winning solution.
@@ -496,6 +484,7 @@ class JointOptimizer:
         """
         from repro.core.surgery import refine_thresholds
 
+        plan_idx, alloc = state.plan_idx, state.allocation()
         new_candsets = list(candsets)
         new_idx = list(plan_idx)
         touched = False
@@ -504,18 +493,15 @@ class JointOptimizer:
             feats = cs.features[plan_idx[i]]
             if len(feats.plan.kept_exits) <= 1:
                 continue  # no early exits to tune
-            device = ctx.devices[i]
             s = alloc.assignment[i]
-            server = self.cluster.servers[s] if s is not None else None
-            link = ctx.links[i][s] if s is not None else None
             refined_plan, refined_feats = refine_thresholds(
                 task.model,
                 feats.plan,
-                device,
+                state.devices[i],
                 self.latency_model,
                 task.accuracy_floor,
-                server=server,
-                link=link,
+                server=self.cluster.servers[s] if s is not None else None,
+                link=state.link(i, s) if s is not None else None,
                 compute_share=float(alloc.compute_shares[i]),
                 bandwidth_share=float(alloc.bandwidth_shares[i]),
             )
@@ -525,8 +511,8 @@ class JointOptimizer:
                 touched = True
         if not touched:
             return candsets, plan_idx, alloc, obj
-        # refined candidate sets differ from the ones the incremental
-        # allocator was built over, so this one-off re-solve stays full
+        # refined candidate sets differ from the ones the group state was
+        # built over, so this one-off re-solve stays full
         new_alloc = allocate_shares(
             tasks, new_candsets, new_idx, alloc.assignment,
             self.cluster, self.latency_model, self.objective,
@@ -537,147 +523,29 @@ class JointOptimizer:
             return new_candsets, new_idx, new_alloc, new_obj
         return candsets, plan_idx, alloc, obj
 
-    def _local_search(
-        self,
-        tasks: Sequence[TaskSpec],
-        candsets: Sequence[CandidateSet],
-        plan_idx: List[int],
-        alloc: Allocation,
-        obj: float,
-        ctx: _SolveContext,
-        counters: PerfCounters,
-    ) -> Tuple[List[int], Allocation, float]:
-        """One greedy sweep of single-task (server, plan) moves.
+    def _local_search(self, state: GroupState, obj: float) -> float:
+        """One sweep of single-task (server, plan) moves; returns the objective.
 
-        For each task, try every alternative placement (each server and
-        local) with the plan re-picked for that placement; accept the first
-        configuration that improves the *global* objective.  Escapes
-        assignment local optima the Hungarian step cannot see because it
-        prices all tasks at once.
-
-        A trial move touches at most the server/link groups the task leaves
-        and joins, so shares are re-solved incrementally and the trial
-        objective re-evaluates only the tasks in those groups — everything
-        else is carried over from the incumbent, bit-exact.
+        For each task, every alternative placement (each server and local)
+        is priced with the plan re-picked for it (:meth:`GroupState.trial`),
+        and the best one is committed if it improves the *global* objective.
+        Escapes assignment local optima the Hungarian step cannot see because
+        it prices all tasks at once.
         """
-        cfg = self.config
         m = self.cluster.num_servers
-        inc = ctx.allocator
-        assignment = list(alloc.assignment)
-        # incumbent per-task latencies, kept in sync with accepted moves
-        base_lat = solution_latencies(
-            tasks, candsets, plan_idx, alloc, self.cluster, self.latency_model,
-            include_queueing=cfg.include_queueing, overload="penalty",
-            risk=cfg.risk,
-        )
-        counters.latency_evals += len(tasks)
-        for i, task in enumerate(tasks):
-            device = ctx.devices[i]
-            current = assignment[i]
-            best = (obj, assignment[i], plan_idx[i], alloc, base_lat)
-            rate = task.arrival_rate if cfg.include_queueing else None
-            for option in [None] + list(range(m)):
+        for i in range(len(state.tasks)):
+            current = state.assignment[i]
+            best, best_obj = None, obj
+            for option in [None, *range(m)]:
                 if option == current:
                     continue
-                trial_assign = list(assignment)
-                trial_assign[i] = option
-                trial_idx = list(plan_idx)
-                # shares with task i moved (plan unchanged yet): only the two
-                # affected groups are re-solved
-                prov = inc.update(alloc, plan_idx, trial_assign, (i,), counters)
-                if option is None:
-                    lat = candsets[i].latencies(
-                        device, self.latency_model, arrival_rate=rate,
-                        risk=cfg.risk,
-                    )
-                else:
-                    server = self.cluster.servers[option]
-                    link = ctx.links[i][option]
-                    lat = candsets[i].latencies(
-                        device,
-                        self.latency_model,
-                        server=server,
-                        link=link,
-                        compute_share=float(prov.compute_shares[i]),
-                        bandwidth_share=float(prov.bandwidth_shares[i]),
-                        arrival_rate=rate,
-                        risk=cfg.risk,
-                    )
-                counters.candidate_evals += 1
-                j = int(np.argmin(lat))
-                if not np.isfinite(lat[j]):
-                    continue
-                trial_idx[i] = j
-                if j == plan_idx[i]:
-                    # the provisional solve already is the trial allocation
-                    trial_alloc = prov
-                else:
-                    trial_alloc = inc.update(prov, trial_idx, trial_assign, (i,), counters)
-                # only tasks sharing a touched group can change latency
-                affected = {
-                    t for t, a in enumerate(assignment)
-                    if a == current or a == option
-                }
-                affected.add(i)
-                trial_lat = base_lat.copy()
-                for t_i in affected:
-                    trial_lat[t_i] = solution_latency_task(
-                        tasks[t_i],
-                        candsets[t_i],
-                        trial_idx[t_i],
-                        trial_alloc.assignment[t_i],
-                        float(trial_alloc.compute_shares[t_i]),
-                        float(trial_alloc.bandwidth_shares[t_i]),
-                        self.cluster,
-                        self.latency_model,
-                        include_queueing=cfg.include_queueing,
-                        overload="penalty",
-                        device=ctx.devices[t_i],
-                        risk=cfg.risk,
-                    )
-                counters.latency_evals += len(affected)
-                trial_obj = self.objective.evaluate(trial_lat, tasks)
-                if trial_obj < best[0]:
-                    best = (trial_obj, option, j, trial_alloc, trial_lat)
-            if best[0] < obj:
-                obj, assignment[i], plan_idx[i], alloc, base_lat = best
-        return plan_idx, alloc, obj
-
-    def _surgery_step(
-        self,
-        tasks: Sequence[TaskSpec],
-        candsets: Sequence[CandidateSet],
-        alloc: Allocation,
-        ctx: _SolveContext,
-        counters: PerfCounters,
-    ) -> List[int]:
-        """Per task, pick the latency-minimal candidate under current shares."""
-        rate = lambda t: (t.arrival_rate if self.config.include_queueing else None)
-        out: List[int] = []
-        for i, task in enumerate(tasks):
-            device = ctx.devices[i]
-            s = alloc.assignment[i]
-            if s is None:
-                lat = candsets[i].latencies(
-                    device, self.latency_model, arrival_rate=rate(task),
-                    risk=self.config.risk,
-                )
-            else:
-                server = self.cluster.servers[s]
-                link = ctx.links[i][s]
-                lat = candsets[i].latencies(
-                    device,
-                    self.latency_model,
-                    server=server,
-                    link=link,
-                    compute_share=float(alloc.compute_shares[i]),
-                    bandwidth_share=float(alloc.bandwidth_shares[i]),
-                    arrival_rate=rate(task),
-                    risk=self.config.risk,
-                )
-            counters.candidate_evals += 1
-            out.append(int(np.argmin(lat)))
-        return out
+                move = state.trial(i, option)
+                if move is not None and move.objective < best_obj:
+                    best, best_obj = move, move.objective
+            if best is not None:
+                state.commit(best)
+                obj = best_obj
+        return obj
 
     def _objective(
         self,

@@ -150,3 +150,20 @@ class TestEqualShares:
     def test_local_tasks_full_share(self, small_tasks):
         alloc = equal_share_allocation([None, None], small_tasks)
         np.testing.assert_allclose(alloc.compute_shares, 1.0)
+
+
+class TestGreedyPinned:
+    """Fixed GreedyJoint plans pinned by sha256, recorded before its option
+    pricing moved onto the shared group state."""
+
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (16, 4, 0, "0d2ae4ee209f68457a4c3bf3e9537ab19da1a0047d6ee4d8ac44fda878cb1fe0"),
+            (40, 8, 1, "1f51edfa04304baceda74583f14aa4e67c5929417b9f1d7f235de93d1bcff01e"),
+        ],
+    )
+    def test_plan_digest(self, city_instance, plan_digest, n, m, seed, digest):
+        cluster, tasks, cands = city_instance(n, m, seed)
+        plan = GreedyJoint().solve(tasks, cluster, candidates=cands)
+        assert plan_digest(plan) == digest

@@ -8,6 +8,7 @@ tests only saves time.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -99,3 +100,46 @@ def small_tasks(me_resnet18, me_alexnet):
 @pytest.fixture(scope="session")
 def small_candidates(small_tasks):
     return [build_candidates(t) for t in small_tasks]
+
+
+def _plan_digest(plan, *extra) -> str:
+    """sha256 over every task's placement, surgery plan, shares and latency
+    (floats by ``repr``, so a one-ulp drift changes it), the objective, and
+    the ``repr`` of each extra diagnostic (rounds, histories, ...)."""
+    h = hashlib.sha256()
+    for name in sorted(plan.assignment):
+        f = plan.features[name]
+        h.update(
+            f"{name}:{plan.assignment[name]}:{f.plan}:{plan.compute_shares[name]!r}:"
+            f"{plan.bandwidth_shares[name]!r}:{plan.latencies[name]!r}".encode()
+        )
+    h.update(repr(plan.objective_value).encode())
+    for e in extra:
+        h.update(repr(e).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def plan_digest():
+    """The pinned-digest function the fixed-seed solver oracles compare."""
+    return _plan_digest
+
+
+@pytest.fixture(scope="session")
+def city_instance():
+    """``(cluster, tasks, candidates)`` of a smart_city instance, arrival
+    rates optionally scaled: ``city_instance(tasks, servers, seed, rate)``."""
+
+    def build(n: int, m: int, seed: int, rate: float = 1.0):
+        from repro.workloads.scenarios import build_scenario
+
+        cluster, tasks = build_scenario(
+            "smart_city", num_tasks=n, num_servers=m, server_spread=4.0, seed=seed
+        )
+        if rate != 1.0:
+            tasks = [
+                dataclasses.replace(t, arrival_rate=t.arrival_rate * rate) for t in tasks
+            ]
+        return cluster, tasks, [build_candidates(t) for t in tasks]
+
+    return build

@@ -58,6 +58,37 @@ class TestBestResponse:
         with pytest.raises(ConfigError):
             best_response_offloading([], small_cluster)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_rounds=0),
+            dict(max_rounds=-2),
+            dict(max_rounds=2.0),
+            dict(max_rounds=True),
+            dict(improvement_eps=float("nan")),
+            dict(improvement_eps=float("inf")),
+            dict(improvement_eps=-1.0),
+            dict(improvement_eps=None),
+        ],
+    )
+    def test_invalid_game_settings_raise(
+        self, small_cluster, small_tasks, small_candidates, kwargs
+    ):
+        with pytest.raises(ConfigError):
+            best_response_offloading(
+                small_tasks, small_cluster, candidates=small_candidates, **kwargs
+            )
+
+    def test_zero_eps_and_one_round_accepted(
+        self, small_cluster, small_tasks, small_candidates
+    ):
+        res = best_response_offloading(
+            small_tasks, small_cluster, candidates=small_candidates,
+            max_rounds=1, improvement_eps=0, seed=0,
+        )
+        assert res.rounds == 1
+        assert np.isfinite(res.plan.objective_value)
+
     def test_candidates_mismatch_raises(self, small_cluster, small_tasks, small_candidates):
         with pytest.raises(ConfigError):
             best_response_offloading(
@@ -119,3 +150,31 @@ class TestBestResponseAtScale:
         assert again.plan.objective_value == res.plan.objective_value
         assert again.history == res.history
         assert again.plan.assignment == res.plan.assignment
+
+
+class TestPinnedGames:
+    """Fixed-seed games pinned by sha256 (plan, rounds, moves, convergence and
+    the ``repr`` of the history), recorded before the share engine was folded
+    into the shared group state: the move pricing must reproduce them bit for
+    bit."""
+
+    @pytest.mark.parametrize(
+        "n, m, rate, seed, rounds, moves, digest",
+        [
+            (24, 6, 1.0, 0, 3, 26,
+             "da6e4f3dda6f5b8210c960ba8aa7bc50186a1fbbc14ab71234b271c483731669"),
+            (24, 6, 1.0, 1, 6, 30,
+             "2afdd7eb2a5cc0e76694ba96a31c97108c3bfe8793efa6f28b7a044ea7a0b306"),
+            (96, 12, 0.25, 0, 3, 98,
+             "8130590cb94a949cf78c58a1d452e96d9cbda62b1f021774f8ec45d3dc8e69f6"),
+            (96, 12, 0.25, 1, 3, 98,
+             "ff4e1c8a8c63d1e6ea2ef98077313b014e68c6f20a0039c88ee9dea7b2ecea34"),
+        ],
+    )
+    def test_game_digest(
+        self, city_instance, plan_digest, n, m, rate, seed, rounds, moves, digest
+    ):
+        cluster, tasks, cands = city_instance(n, m, seed, rate)
+        res = best_response_offloading(tasks, cluster, candidates=cands, seed=seed)
+        assert (res.rounds, res.moves, res.converged) == (rounds, moves, True)
+        assert plan_digest(res.plan, res.rounds, res.moves, res.converged, res.history) == digest

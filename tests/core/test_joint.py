@@ -19,11 +19,31 @@ class TestConfig:
             dict(tol=-1.0),
             dict(reassign_every=0),
             dict(restarts=0),
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
+            dict(migration_hysteresis=float("nan")),
+            dict(migration_hysteresis=float("inf")),
+            dict(max_iterations=2.5),
+            dict(max_iterations=True),
+            dict(reassign_every=5.0),
+            dict(restarts=True),
+            dict(restart_workers=2.0),
+            dict(shards=2.0),
+            dict(migration_rounds=1.5),
+            dict(nested_shards=False),
+            dict(tol="0.1"),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             JointSolverConfig(**kwargs)
+
+
+    def test_integer_like_values_accepted(self):
+        cfg = JointSolverConfig(
+            max_iterations=np.int64(3), shards=np.int32(2), tol=0, migration_hysteresis=1
+        )
+        assert cfg.max_iterations == 3 and cfg.shards == 2
 
 
 class TestSolve:
@@ -118,3 +138,38 @@ class TestSolve:
         s = res.plan.summary()
         for t in small_tasks:
             assert t.name in s
+
+
+class TestLocalSearchPinned:
+    """A centralized 32 x 8 solve (the stream_city seed-1 instance) where the
+    local search changes the result, pinned by sha256 of the plan and the
+    history, both with and without the local search."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.core.candidates import build_candidates
+        from repro.rng import derive_seed
+        from repro.workloads.scenarios import build_scenario
+
+        cluster, tasks = build_scenario(
+            "smart_city", num_tasks=32, num_servers=8, server_spread=8.0,
+            access_mbps=100.0, seed=derive_seed(1, "scenario"),
+        )
+        return cluster, tasks, [build_candidates(t) for t in tasks], derive_seed(1, "solver")
+
+    @pytest.mark.parametrize(
+        "local_search, objective, digest",
+        [
+            (False, 0.12649146483657656,
+             "b4b3f0dc276a884f16a2d5760875659d1d58322df8e29406eecf058ca3f6895a"),
+            (True, 0.12361334469183573,
+             "2f674caa6c648c9878083d41efd301bc027b648c16012b344770f4e29bdac856"),
+        ],
+    )
+    def test_solve_digest(self, instance, plan_digest, local_search, objective, digest):
+        cluster, tasks, cands, seed = instance
+        res = JointOptimizer(
+            cluster, config=JointSolverConfig(local_search=local_search)
+        ).solve(tasks, candidates=cands, seed=seed)
+        assert res.plan.objective_value == objective
+        assert plan_digest(res.plan, res.history) == digest

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import (
-    IncrementalAllocator,
+    GroupState,
     allocate_shares,
     solution_latencies,
     solution_latency_task,
@@ -19,6 +19,7 @@ from repro.core.candidates import (
     clear_candidate_cache,
 )
 from repro.core.joint import JointOptimizer, JointSolverConfig
+from repro.core.objectives import Objective
 from repro.core.plan import TaskSpec
 from repro.devices.latency import LatencyModel
 
@@ -106,38 +107,49 @@ class TestCandidateCache:
 
 
 class TestIncrementalAllocator:
+    """The incremental allocator is :class:`GroupState`: its shares after
+    any move equal a from-scratch :func:`allocate_shares`, bit for bit."""
+
     @pytest.fixture()
     def state(self, small_cluster, small_tasks, small_candidates):
-        inc = IncrementalAllocator(
-            small_tasks, small_candidates, small_cluster, LatencyModel()
-        )
         plan_idx = [len(c) // 2 for c in small_candidates]
         assignment = [0, 1]
-        return inc, plan_idx, assignment
+        gs = GroupState(
+            small_tasks, small_candidates, small_cluster, LatencyModel(),
+            assignment, plan_idx,
+        )
+        return gs, plan_idx, assignment
 
     def test_solve_bitequal_to_allocate_shares(
         self, state, small_cluster, small_tasks, small_candidates
     ):
-        inc, plan_idx, assignment = state
-        a = inc.solve(plan_idx, assignment)
+        gs, plan_idx, assignment = state
+        a = gs.allocation()
         b = allocate_shares(
             small_tasks, small_candidates, plan_idx, assignment,
             small_cluster, LatencyModel(),
         )
+        assert a.assignment == b.assignment
         np.testing.assert_array_equal(a.compute_shares, b.compute_shares)
         np.testing.assert_array_equal(a.bandwidth_shares, b.bandwidth_shares)
 
     @pytest.mark.parametrize("move", [(0, None), (0, 1), (1, 0), (1, None)])
-    def test_update_bitequal_to_full_solve(self, state, move):
-        inc, plan_idx, assignment = state
-        base = inc.solve(plan_idx, assignment)
+    def test_update_bitequal_to_full_solve(
+        self, state, move, small_cluster, small_tasks, small_candidates
+    ):
+        gs, plan_idx, assignment = state
         task, dest = move
         new_assign = list(assignment)
         new_assign[task] = dest
         new_idx = list(plan_idx)
         new_idx[task] = 0
-        incremental = inc.update(base, new_idx, new_assign, (task,))
-        full = inc.solve(new_idx, new_assign)
+        gs.move(task, dest, 0)
+        incremental = gs.allocation()
+        full = allocate_shares(
+            small_tasks, small_candidates, new_idx, new_assign,
+            small_cluster, LatencyModel(),
+        )
+        assert gs.plan_idx == new_idx
         assert incremental.assignment == full.assignment
         np.testing.assert_array_equal(
             incremental.compute_shares, full.compute_shares
@@ -149,8 +161,8 @@ class TestIncrementalAllocator:
     def test_task_kernel_matches_solution_latencies(
         self, state, small_cluster, small_tasks, small_candidates
     ):
-        inc, plan_idx, assignment = state
-        alloc = inc.solve(plan_idx, assignment)
+        gs, plan_idx, assignment = state
+        alloc = gs.allocation()
         lat = solution_latencies(
             small_tasks, small_candidates, plan_idx, alloc,
             small_cluster, LatencyModel(), overload="penalty",
@@ -162,6 +174,9 @@ class TestIncrementalAllocator:
                 small_cluster, LatencyModel(), overload="penalty",
             )
             assert one == lat[i]
+        # the state's own latencies and objective are the same floats
+        np.testing.assert_array_equal(gs.latencies(), lat)
+        assert gs.objective() == Objective.AVG_LATENCY.evaluate(lat, small_tasks)
 
 
 class TestSolverDeterminism:
@@ -230,8 +245,7 @@ class TestPerfCounters:
         """One sweep never worsens the objective, and its trial moves re-solve
         only the touched server/link groups: a from-scratch solve of this
         16-task x 4-server instance pays 20 groups per call."""
-        from repro.core.allocation import Allocation, assign_servers
-        from repro.core.joint import _SolveContext
+        from repro.core.allocation import assign_servers
         from repro.profiling.counters import PerfCounters
         from repro.workloads.scenarios import build_scenario
 
@@ -240,19 +254,17 @@ class TestPerfCounters:
         )
         cands = [build_candidates(t) for t in tasks]
         opt = JointOptimizer(cluster)
-        ctx = _SolveContext(cluster, opt.latency_model, opt.objective, tasks, cands)
-        setup = PerfCounters()
         assignment = assign_servers(tasks, cands, cluster, opt.latency_model)
-        boot = Allocation(list(assignment), np.ones(len(tasks)), np.ones(len(tasks)))
-        plan_idx = opt._surgery_step(tasks, cands, boot, ctx, setup)
-        alloc = ctx.allocator.solve(plan_idx, assignment, setup)
-        obj = opt._objective(tasks, cands, plan_idx, alloc, setup)
-
-        counters = PerfCounters()
-        _, _, new_obj = opt._local_search(
-            tasks, cands, list(plan_idx), alloc, obj, ctx, counters
+        state = GroupState(
+            tasks, cands, cluster, opt.latency_model, assignment,
+            counters=PerfCounters(),
         )
+        obj = state.objective()
+
+        counters = state.counters = PerfCounters()
+        new_obj = opt._local_search(state, obj)
         assert new_obj <= obj
+        assert new_obj == state.objective()
         assert counters.allocate_calls > 0
         assert counters.allocate_group_solves <= counters.allocate_calls * 4
 

@@ -261,6 +261,34 @@ class TestResolveDirty:
         assert re.plan.latencies == fresh.plan.latencies
         assert re.plan.objective_value == fresh.plan.objective_value
 
+    def test_all_dirty_reproduces_nested_fanout(self, scenario_instance):
+        # the delta path fans out through the same shard solver as a fresh
+        # solve, so nested racks re-shard there too
+        cluster, tasks, cands = scenario_instance
+        cfg = JointSolverConfig(shards=2, nested_shards=2, migration_rounds=0)
+        fresh = solve_sharded(tasks, cluster, config=cfg, candidates=cands, seed=3)
+        re = resolve_dirty(
+            tasks, cluster, fresh, [0, 1], config=cfg, candidates=cands, seed=3
+        )
+        assert re.plan.assignment == fresh.plan.assignment
+        assert re.plan.features == fresh.plan.features
+        assert re.plan.latencies == fresh.plan.latencies
+        assert [dataclasses.replace(st, solve_s=0.0) for st in re.shard_stats] == [
+            dataclasses.replace(st, solve_s=0.0) for st in fresh.shard_stats
+        ]
+
+    def test_task_validation(self, scenario_instance, prior):
+        cluster, tasks, cands = scenario_instance
+        cfg, before = prior
+        dup = list(tasks)
+        dup[1] = dataclasses.replace(dup[1], name=dup[0].name)
+        with pytest.raises(ConfigError):
+            resolve_dirty(dup, cluster, before, [0], config=cfg, candidates=cands)
+        stray = list(tasks)
+        stray[0] = dataclasses.replace(stray[0], device_name="no-such-device")
+        with pytest.raises(ConfigError):
+            resolve_dirty(stray, cluster, before, [0], config=cfg, candidates=cands)
+
     def test_validation(self, scenario_instance, prior):
         cluster, tasks, cands = scenario_instance
         cfg, before = prior
