@@ -12,6 +12,7 @@ from time import perf_counter
 
 from repro.core.candidates import build_candidates
 from repro.core.joint import JointOptimizer
+from repro.faults import FaultSchedule
 from repro.sim import SimulationConfig, merge_reports, run_replications
 from repro.workloads.scenarios import build_scenario
 
@@ -33,7 +34,7 @@ def test_replication_fanout_speedup(benchmark):
     fast_cfg = SimulationConfig(
         horizon_s=60.0, warmup_s=2.0, seed=0, replications=8, sim_workers=4
     )
-    seed_cfg = replace(fast_cfg, fast_path=False, sim_workers=1)
+    seed_cfg = replace(fast_cfg, faults=FaultSchedule(), sim_workers=1)
 
     t0 = perf_counter()
     event_reports = run_replications(tasks, plan, cluster, seed_cfg)

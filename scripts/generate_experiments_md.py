@@ -242,8 +242,8 @@ replication); `benchmarks/bench_p02_sim_hotpath.py` re-times the
 | perf-gate workload (16 tasks, 20 s) | 0.146 s | 0.018 s | ≈8× |
 
 The single event loop (`faults/runtime.py`; a fault-free run is a run with
-an empty fault schedule) remains the reference: telemetry runs, fault runs
-and `fast_path=False` use it, and `scripts/perf_gate.py --suite sim`
+an empty fault schedule) remains the reference: telemetry runs and fault
+runs use it, `faults=FaultSchedule()` selects it, and `scripts/perf_gate.py --suite sim`
 re-verifies fast ≡ event identity plus exact `sim.*` counter equality on
 every run.
 

@@ -41,6 +41,7 @@ from repro.core.coordinator import resolve_dirty, solve_sharded
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.risk import RiskConfig
 from repro.experiments import e09_scalability, e18_risk
+from repro.faults import FaultSchedule
 from repro.sim import SimulationConfig
 from repro.sim.runner import run_cells, simulate_plan
 from repro.telemetry import (
@@ -390,7 +391,7 @@ def measure_sim() -> dict:
     """Both engines on the fixed workload, interleaved best of 3, and the
     fast-path ≡ event-loop report identity."""
     tasks, plan, cluster, cfg = _sim_workload()
-    event_cfg = replace(cfg, fast_path=False)
+    event_cfg = replace(cfg, faults=FaultSchedule())
     runs = rounds(
         3,
         clock(lambda: simulate_plan(tasks, plan, cluster, cfg)),
@@ -547,7 +548,9 @@ def _obs_identity() -> dict:
         engine: (r.windowed.fingerprint(), evaluate_slos(r.windowed).fingerprint())
         for engine, r in (
             ("fast", simulate_plan(tasks, plan, cluster, wcfg)),
-            ("event", simulate_plan(tasks, plan, cluster, replace(wcfg, fast_path=False))),
+            ("event", simulate_plan(
+                tasks, plan, cluster, replace(wcfg, faults=FaultSchedule())
+            )),
             ("stream", simulate_plan(
                 tasks, plan, cluster, replace(wcfg, streaming=True, chunk_size=4096)
             )),
@@ -621,7 +624,7 @@ def measure_risk() -> dict:
     # record-backed (counters + scalar summary exact)
     jcfg = replace(cfg, service_noise=RISK_JITTER_SIGMA)
     fast = simulate_plan(tasks, plan, cluster, jcfg)
-    event = simulate_plan(tasks, plan, cluster, replace(jcfg, fast_path=False))
+    event = simulate_plan(tasks, plan, cluster, replace(jcfg, faults=FaultSchedule()))
     stream = simulate_plan(tasks, plan, cluster, replace(jcfg, streaming=True, chunk_size=4096))
 
     cluster, tasks = build_scenario("smart_city", num_tasks=16, seed=0)

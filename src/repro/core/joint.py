@@ -58,7 +58,7 @@ from repro.core.plan import JointPlan, TaskSpec
 from repro.core.risk import RiskConfig
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
-from repro.errors import ConfigError, ConvergenceError
+from repro.errors import ConfigError
 from repro.profiling.counters import PerfCounters
 from repro.rng import SeedLike, as_generator, spawn
 from repro.telemetry.trace import Span, Tracer, get_tracer
@@ -184,7 +184,6 @@ class JointSolverConfig:
     threshold_grid: Optional[Tuple[float, ...]] = None
     max_cuts: Optional[int] = None
     candidate_cache: bool = True  # reuse the memoized candidate pipeline
-    strict_convergence: bool = False  # raise instead of warn on budget hit
     shards: int = 1  # server partitions solved independently (1 = centralized)
     shard_by: str = "contiguous"  # partition strategy (see core.sharding)
     migration_rounds: int = 3  # cross-shard re-homing rounds after shard solves
@@ -359,10 +358,6 @@ class JointOptimizer:
         perf.restarts += restarts
 
         obj, state, history, iters, converged = best
-        if not converged and self.config.strict_convergence:
-            raise ConvergenceError(
-                f"joint optimizer did not converge in {self.config.max_iterations} iterations"
-            )
         # counts reflect the enumerated search space (before any refinement
         # appends the polished plan as an extra candidate)
         counts = {t.name: len(c) for t, c in zip(tasks, candsets)}

@@ -52,10 +52,5 @@ class ResourceUnavailableError(FaultError):
     therefore indicates a policy-layer bug, not a simulated outcome."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative solver exceeded its iteration budget without
-    satisfying its convergence criterion."""
-
-
 class ConfigError(ReproError):
     """Invalid configuration value."""

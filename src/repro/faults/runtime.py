@@ -1,11 +1,21 @@
 """The discrete-event simulation loop, failure-aware.
 
 This is the one event loop behind :func:`repro.sim.runner.simulate_plan`:
-every run that cannot take the vectorized sweep (a fault schedule, an
-attached telemetry recorder, or ``fast_path=False``) lands here.  A
+every run that cannot take the vectorized sweep (a fault schedule, the
+empty one included, or an attached telemetry recorder) lands here.  A
 fault-free run is a run with an empty schedule, and its report is
-bit-identical to the sweep's on a fixed seed.  On top of the plain
-device → uplink → server → downlink pipeline, it carries a
+bit-identical to the sweep's on a fixed seed.
+
+Requests are not realized here: each task's rows come from the sweep's
+realizer (:class:`~repro.sim.execution.TaskRealizer`) before the run, cut at
+every :class:`~repro.faults.policy.PlanUpdate` time so the requests arriving
+under plan generation *k* take generation *k*'s realization table, and the
+loop replays them request by request.  Completions are written back into
+the rows, which become records and the windowed SLO feed through the
+sweep's builder (:func:`~repro.sim.execution.record_fields`), in completion
+order.
+
+On top of the plain device → uplink → server → downlink pipeline, it carries a
 :class:`~repro.faults.injector.FaultInjector` driving the configured
 :class:`~repro.faults.schedule.FaultSchedule`, per-stage failure detection
 (down-at-submit, crash-during-service, wire loss, timeout), and the
@@ -29,9 +39,9 @@ checked before the report is returned.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,13 +53,15 @@ from repro.faults.injector import FaultInjector
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
 from repro.models.multiexit import MultiExitModel
-from repro.rng import derive, derive_from, derive_material
+from repro.rng import derive
 from repro.sim.engine import Simulator
-from repro.sim.entities import Request, RequestRecord
-from repro.sim.execution import jitter_demand, jitter_materials, realize_request
-from repro.sim.metrics import MetricsCollector, SimCounters, SimulationReport
+from repro.sim.execution import (
+    ARR, COLS, COMPLETION, CORRECT, DEV_FLOPS, DOWN_BYTES, OFF, POS,
+    SRV_FLOPS, UP_BYTES, RealizationTable, TaskRealizer, build_records, record_fields,
+    shared_table,
+)
+from repro.sim.metrics import SimCounters, SimulationReport
 from repro.sim.queues import FifoResource, LinkResource
-from repro.sim.sources import arrival_times
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowedMetrics
 
@@ -130,7 +142,6 @@ def simulate_with_faults(
     sim = Simulator()
     if rec is not None:
         sim.on_event = lambda now, pending: rec.sample("sim.pending_events", now, pending)
-    metrics = MetricsCollector(warmup_s=cfg.warmup_s)
     # windowed SLO aggregation works on fault runs too: completions feed the
     # met/miss counters, lost/shed/degraded outcomes annotate their windows
     wm = (
@@ -203,12 +214,6 @@ def simulate_with_faults(
     injector = FaultInjector(schedule, server_map, link_map, counters, recorder=rec)
     injector.arm(sim)
 
-    exec_material = {t.name: derive_material(cfg.seed, "exec", t.name) for t in tasks}
-    jitter_mats = (
-        {t.name: jitter_materials(cfg.seed, t.name) for t in tasks}
-        if cfg.service_noise > 0
-        else None
-    )
     detection_s = policy.detection_delay_s if policy is not None else 0.0
     # targets with any window of a kind: stages on every other target skip
     # the schedule scans (a fault-free run skips them all)
@@ -236,23 +241,38 @@ def simulate_with_faults(
             candidates.append(t_submit + policy.stage_timeout_s)
         return min(candidates) if candidates else None
 
+    # -- realized requests ----------------------------------------------------
+    # Row j of ``task_rows[i]`` is task i's request j, realized before the run
+    # (see the arrivals below); completions write their times and busy
+    # columns back into it.  Difficulties stay beside the rows for the
+    # degrade path.
+    task_rows: List[np.ndarray] = []
+    task_difficulty: List[np.ndarray] = []
+    # completion order: (task index, request id, degraded) per completion
+    done_task: List[int] = []
+    done_req: List[int] = []
+    done_degraded: List[bool] = []
+
     # -- request lifecycle ----------------------------------------------------
     class _Flight:
         """One request's walk through the pipeline and the recovery ladder.
 
-        The stages are methods over per-request slots, so the continuations
-        scheduled on the simulator hold the flight but the flight holds
-        none of them: a retry loops back into an earlier stage without the
-        reference cycle sibling closures would form, and a finished request
-        is freed at once instead of by the cyclic garbage collector.
+        ``row`` is the request's realized row as a list (its demands); the
+        outcome is written back into ``task_rows``.  The stages are methods
+        over per-request slots, so the continuations scheduled on the
+        simulator hold the flight but the flight holds none of them: a retry
+        loops back into an earlier stage without the reference cycle sibling
+        closures would form, and a finished request is freed at once instead
+        of by the cyclic garbage collector.
         """
 
-        __slots__ = ("task", "req", "demand", "dres", "profile", "routes")
+        __slots__ = ("tidx", "req_id", "task", "row", "dres", "profile", "routes")
 
-        def __init__(self, task, req, demand, dres, profile, routes) -> None:
+        def __init__(self, tidx, req_id, task, row, dres, profile, routes) -> None:
+            self.tidx = tidx
+            self.req_id = req_id
             self.task = task
-            self.req = req
-            self.demand = demand
+            self.row = row
             self.dres = dres
             self.profile = profile
             self.routes = routes
@@ -263,44 +283,23 @@ def simulate_with_faults(
             dev_busy: float,
             srv_busy: float,
             net_busy: float,
-            exit_position: int,
-            offloaded: bool,
-            correct: bool,
-            degraded: bool,
+            degraded: bool = False,
         ) -> None:
-            name, req = self.task.name, self.req
+            name, req_id, row = self.task.name, self.req_id, self.row
             if rec is not None:
-                rec.event(completion, "exit_taken", name, req.req_id,
-                          value=float(exit_position))
-                rec.event(completion, "complete", name, req.req_id)
+                rec.event(completion, "exit_taken", name, req_id, value=row[POS])
+                rec.event(completion, "complete", name, req_id)
                 rec.registry.histogram("sim.latency_ms").observe(
-                    (completion - req.arrival_s) * 1e3
+                    (completion - row[ARR]) * 1e3
                 )
-            metrics.record(
-                RequestRecord(
-                    task_name=name,
-                    req_id=req.req_id,
-                    arrival_s=req.arrival_s,
-                    completion_s=completion,
-                    deadline_s=req.deadline_s,
-                    exit_position=exit_position,
-                    offloaded=offloaded,
-                    correct=correct,
-                    dev_busy_s=dev_busy,
-                    srv_busy_s=srv_busy,
-                    net_busy_s=net_busy,
-                    degraded=degraded,
-                )
+            task_rows[self.tidx][req_id, COMPLETION:] = (
+                completion, dev_busy, net_busy, srv_busy
             )
-            if wm is not None and req.arrival_s >= cfg.warmup_s:
-                wm.observe_one(
-                    name,
-                    completion,
-                    completion - req.arrival_s,
-                    completion <= req.deadline_s + 1e-12,
-                )
-                if degraded:
-                    wm.mark(name, completion, "degraded")
+            done_task.append(self.tidx)
+            done_req.append(req_id)
+            done_degraded.append(degraded)
+            if degraded and wm is not None and row[ARR] >= cfg.warmup_s:
+                wm.mark(name, completion, "degraded")
 
         # -- recovery ladder ---------------------------------------------------
         def fail(self, at: float, dev_busy: float, attempt: int, reason: str) -> None:
@@ -312,7 +311,7 @@ def simulate_with_faults(
         def attempt_failed(
             self, at: float, dev_busy: float, attempt: int, reason: str
         ) -> None:
-            name, req_id = self.task.name, self.req.req_id
+            name, req_id = self.task.name, self.req_id
             if rec is not None:
                 rec.event(at, "timeout", name, req_id, resource=reason)
             if policy is not None and attempt < policy.max_retries:
@@ -332,43 +331,46 @@ def simulate_with_faults(
             if rec is not None:
                 rec.event(at, "lost", name, req_id)
                 rec.count("sim.lost")
-            if wm is not None and self.req.arrival_s >= cfg.warmup_s:
+            if wm is not None and self.row[ARR] >= cfg.warmup_s:
                 wm.mark(name, at, "lost")
 
         def degrade(self, dev_busy: float) -> None:
             now = sim.now
-            task, req, profile, demand = self.task, self.req, self.profile, self.demand
+            task, profile, row = self.task, self.profile, self.row
             if profile.on_device_pos >= 0:
                 # deepest on-device exit: backbone-to-cut and its branch were
                 # already computed, so accepting its output costs nothing extra
+                difficulty = task_difficulty[self.tidx][self.req_id]
                 p_ok = float(
                     task.model.accuracy_model.correctness(
-                        np.array([profile.competence]), np.array([req.difficulty])
+                        np.array([profile.competence]), np.array([difficulty])
                     )[0, 0]
                 )
                 p_ok = float(np.clip(p_ok, 0.01, 0.999))
-                draw = derive(cfg.seed, "fault_degrade", task.name, req.req_id)
+                draw = derive(cfg.seed, "fault_degrade", task.name, self.req_id)
                 self.complete(now, dev_busy, profile.on_device_pos,
-                              bool(draw.random() < p_ok))
+                              draw.random() < p_ok)
                 return
             # no on-device exit kept: run the server-side remainder locally —
             # same exit, same correctness, the work just lands on the device
-            start, done = self.dres.submit(now, demand.srv_flops)
+            start, done = self.dres.submit(now, row[SRV_FLOPS])
             sim.schedule_at(
                 done,
                 lambda: self.complete(done, dev_busy + (done - start),
-                                      demand.exit_position, demand.correct),
+                                      row[POS], row[CORRECT]),
             )
 
         def complete(
-            self, at: float, dev_busy: float, exit_position: int, correct: bool
+            self, at: float, dev_busy: float, exit_position: float, correct: float
         ) -> None:
             counters.degraded_completions += 1
             if rec is not None:
-                rec.event(at, "degraded", self.task.name, self.req.req_id)
+                rec.event(at, "degraded", self.task.name, self.req_id)
                 rec.count("sim.degraded_completions")
-            self.finish(at, dev_busy, 0.0, 0.0, exit_position,
-                        offloaded=False, correct=correct, degraded=True)
+            row = self.row
+            row[POS], row[OFF], row[CORRECT] = float(exit_position), 0.0, float(correct)
+            task_rows[self.tidx][self.req_id, POS:CORRECT + 1] = row[POS:CORRECT + 1]
+            self.finish(at, dev_busy, 0.0, 0.0, degraded=True)
 
         # -- offload attempt ---------------------------------------------------
         def begin_offload(self, dev_busy: float, attempt: int) -> None:
@@ -378,7 +380,7 @@ def simulate_with_faults(
                 route = routes.standby
                 counters.failovers += 1
                 if rec is not None:
-                    rec.event(sim.now, "failover", self.task.name, self.req.req_id,
+                    rec.event(sim.now, "failover", self.task.name, self.req_id,
                               resource=route.srv.name)
                     rec.count("sim.failovers")
             self.stage_uplink(route, dev_busy, attempt)
@@ -390,12 +392,12 @@ def simulate_with_faults(
                 self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
             name = self.task.name
-            start, done = lres.submit(now, self.demand.up_bytes)
+            start, done = lres.submit(now, self.row[UP_BYTES])
             if route.is_primary and name in lossy:
                 p_loss = schedule.loss_probability(name, now)
                 if p_loss > 0.0:
                     roll = derive(
-                        cfg.seed, "fault_loss", name, self.req.req_id, attempt
+                        cfg.seed, "fault_loss", name, self.req_id, attempt
                     ).random()
                     if roll < p_loss:
                         # bits left the device but never arrive; without a
@@ -417,9 +419,9 @@ def simulate_with_faults(
                 self.fail(fail_at, dev_busy, attempt, "uplink")
                 return
             if rec is not None:
-                rec.event(start, "transfer_start", name, self.req.req_id,
+                rec.event(start, "transfer_start", name, self.req_id,
                           resource=lres.name)
-                rec.event(done, "transfer_end", name, self.req.req_id,
+                rec.event(done, "transfer_end", name, self.req_id,
                           resource=lres.name)
             net1 = done - start
             sim.schedule_at(
@@ -434,7 +436,7 @@ def simulate_with_faults(
             if sres.is_down:
                 self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
-            start, done = sres.submit(now, self.demand.srv_flops)
+            start, done = sres.submit(now, self.row[SRV_FLOPS])
             crash = (
                 schedule.next_failure_in("server_crash", route.server_name, now, done)
                 if route.server_name in crash_servers
@@ -445,7 +447,7 @@ def simulate_with_faults(
                 self.fail(fail_at, dev_busy, attempt, "server")
                 return
             if rec is not None:
-                rec.event(start, "exec_start", self.task.name, self.req.req_id,
+                rec.event(start, "exec_start", self.task.name, self.req_id,
                           resource=sres.name)
             srv_busy = done - start
             sim.schedule_at(
@@ -466,8 +468,8 @@ def simulate_with_faults(
             if lres.is_down:
                 self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
-            name, demand = self.task.name, self.demand
-            start, done = lres.submit(now, demand.down_bytes)
+            name = self.task.name
+            start, done = lres.submit(now, self.row[DOWN_BYTES])
             crash = (
                 schedule.next_failure_in("link_outage", name, now, done)
                 if route.is_primary and name in outage_links
@@ -478,85 +480,82 @@ def simulate_with_faults(
                 self.fail(fail_at, dev_busy, attempt, "downlink")
                 return
             if rec is not None:
-                rec.event(start, "transfer_start", name, self.req.req_id,
+                rec.event(start, "transfer_start", name, self.req_id,
                           resource=lres.name)
-                rec.event(done, "transfer_end", name, self.req.req_id,
+                rec.event(done, "transfer_end", name, self.req_id,
                           resource=lres.name)
             net = net1 + (done - start)
-            sim.schedule_at(
-                done,
-                lambda: self.finish(done, dev_busy, srv_busy, net,
-                                    demand.exit_position, offloaded=True,
-                                    correct=demand.correct, degraded=False),
-            )
+            sim.schedule_at(done, lambda: self.finish(done, dev_busy, srv_busy, net))
 
         def stage_device(self) -> None:
-            name, req_id, dres, demand = (
-                self.task.name, self.req.req_id, self.dres, self.demand
-            )
+            name, req_id, dres = self.task.name, self.req_id, self.dres
             if rec is not None:
                 rec.event(sim.now, "enqueue", name, req_id, resource=dres.name)
-            start, done = dres.submit(sim.now, demand.dev_flops)
+            start, done = dres.submit(sim.now, self.row[DEV_FLOPS])
             if rec is not None:
                 rec.event(start, "dequeue", name, req_id, resource=dres.name)
                 rec.event(start, "exec_start", name, req_id, resource=dres.name)
             dev_busy = done - start
-            if not demand.offloaded:
-                sim.schedule_at(
-                    done,
-                    lambda: self.finish(done, dev_busy, 0.0, 0.0,
-                                        demand.exit_position, offloaded=False,
-                                        correct=demand.correct, degraded=False),
-                )
+            if not self.row[OFF]:
+                sim.schedule_at(done, lambda: self.finish(done, dev_busy, 0.0, 0.0))
                 return
             sim.schedule_at(done, lambda: self.begin_offload(dev_busy, 0))
 
-    def launch(task: TaskSpec, req: Request) -> None:
-        k = bisect_right(update_times, req.arrival_s)
+    def launch(i: int, k: int, req_id: int) -> None:
+        task = tasks[i]
         if task.name in shed_sets[k]:
+            now = sim.now
             counters.shed += 1
             if rec is not None:
-                rec.event(req.arrival_s, "shed", task.name, req.req_id)
+                rec.event(now, "shed", task.name, req_id)
                 rec.count("sim.shed")
-            if wm is not None and req.arrival_s >= cfg.warmup_s:
-                wm.mark(task.name, req.arrival_s, "shed")
+            if wm is not None and now >= cfg.warmup_s:
+                wm.mark(task.name, now, "shed")
             return
-        feats = plans[k].features[task.name]
-        rng = derive_from(exec_material[task.name], req.req_id)
-        demand = realize_request(task.model, feats.plan, req.difficulty, rng, metrics=reg)
-        if jitter_mats is not None:
-            demand = jitter_demand(
-                demand, jitter_mats[task.name], req.req_id, cfg.service_noise
-            )
+        row = task_rows[i][req_id].tolist()
+        if reg is not None:
+            reg.counter("sim.realized.requests").inc()
+            reg.counter(f"sim.realized.exit{int(row[POS])}").inc()
+            if row[OFF]:
+                reg.counter("sim.realized.offloaded").inc()
         routes = route_sets[k].get(task.name)
-        if demand.offloaded and routes is None:
+        if row[OFF] and routes is None:
             raise SimulationError(
                 f"{task.name}: offloading demand under a local-only assignment"
             )
         _Flight(
-            task, req, demand, device_res[task.device_name],
+            i, req_id, task, row, device_res[task.device_name],
             degrade_profiles[k][task.name], routes,
         ).stage_device()
 
     # -- arrivals -------------------------------------------------------------
+    # each task's requests are realized segment by segment, cut at every plan
+    # update: the requests arriving under plan generation k take generation
+    # k's realization table (shed segments keep only their arrivals).  They
+    # are scheduled task by task in request order, before the run: arrival
+    # events hold the lowest sequence numbers, which the sweep's record
+    # order encodes.
+    tables: Dict[Tuple[int, SurgeryPlan], RealizationTable] = {}
     total = 0
-    for t in tasks:
-        times = arrival_times(
-            t.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
-            derive(cfg.seed, "arrivals", t.name),
-        )
-        diff_rng = derive(cfg.seed, "difficulty", t.name)
-        difficulties = t.model.difficulty.sample(diff_rng, times.size)
-        for i, (at, d) in enumerate(zip(times, difficulties)):
-            req = Request(
-                task_name=t.name,
-                req_id=i,
-                arrival_s=float(at),
-                difficulty=float(np.clip(d, 0.0, 1.0)),
-                deadline_s=float(at) + t.deadline_s,
-            )
-            sim.schedule_at(float(at), (lambda tt=t, rr=req: launch(tt, rr)))
-            total += 1
+    for i, t in enumerate(tasks):
+        realizer = TaskRealizer(t, cfg)
+        rows_parts, diff_parts = [], []
+        for k, p in enumerate(plans):
+            t_end = update_times[k] if k < len(update_times) else cfg.horizon_s
+            req_id, arrival, difficulty = realizer.draw(t_end)
+            if t.name in shed_sets[k]:
+                rows = np.zeros((arrival.size, len(COLS)))
+                rows[:, ARR] = arrival
+            else:
+                table = shared_table(tables, t.model, p.features[t.name].plan)
+                rows = realizer.rows(table, req_id, arrival, difficulty)
+            for j, at in zip(req_id.tolist(), arrival.tolist()):
+                sim.schedule_at(at, partial(launch, i, k, j))
+            rows_parts.append(rows)
+            diff_parts.append(difficulty)
+        task_rows.append(np.concatenate(rows_parts))
+        task_difficulty.append(np.concatenate(diff_parts))
+        total += realizer.generated
     if total == 0:
         raise SimulationError("no requests generated; horizon or rates too small")
 
@@ -569,15 +568,37 @@ def simulate_with_faults(
             if tr.standby is not None:
                 utils[tr.standby.srv.name] = tr.standby.srv.utilization(cfg.horizon_s)
 
-    report = metrics.report(
+    # completed rows in completion order; the per-task rows go before the
+    # records are built
+    task_of = np.array(done_task, dtype=np.intp)
+    req_of = np.array(done_req, dtype=np.intp)
+    done_rows = np.empty((task_of.size, len(COLS)))
+    for i, rows in enumerate(task_rows):
+        sel = task_of == i
+        done_rows[sel] = rows[req_of[sel]]
+    task_rows.clear()
+    task_difficulty.clear()
+    fields = record_fields(
+        done_rows,
+        task_of,
+        [t.name for t in tasks],
+        cfg.warmup_s,
+        wm,
+        degraded=np.array(done_degraded, dtype=bool),
+    )
+    del done_rows
+    records = build_records(fields)
+    report = SimulationReport.from_records(
+        records,
         cfg.horizon_s,
         utils,
+        task_of.size - len(records),
         timeline=rec.timeline if rec is not None else None,
         registry=reg,
     )
     counters.requests = total
-    counters.records = len(metrics.records)
-    counters.discarded_warmup = metrics.discarded
+    counters.records = len(records)
+    counters.discarded_warmup = report.discarded_warmup
     counters.events = sim.events_processed
     report.counters = counters
     report.windowed = wm

@@ -49,11 +49,11 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
 def derive_material(seed: SeedLike, *tokens: Union[int, str]) -> list[int]:
     """Entropy material for :func:`derive`, exposed for stream caching.
 
-    The simulator's fast path derives one child stream per request by
-    appending the request id to a fixed per-task prefix; computing the prefix
-    once via this helper (and finishing with :func:`derive_from` or
-    :mod:`repro.rng_vec`) avoids re-hashing the task tokens per request while
-    producing byte-identical streams to ``derive(seed, *tokens, req_id)``.
+    The simulator derives one child stream per request by appending the
+    request id to a fixed per-task prefix; computing the prefix once via
+    this helper (and finishing with :mod:`repro.rng_vec`) avoids re-hashing
+    the task tokens per request while producing byte-identical streams to
+    ``derive(seed, *tokens, req_id)``.
 
     Note the generator case consumes one draw from ``seed`` exactly like
     :func:`derive` does.
@@ -70,19 +70,6 @@ def derive_material(seed: SeedLike, *tokens: Union[int, str]) -> list[int]:
         t if isinstance(t, int) else int.from_bytes(t.encode()[:8].ljust(8, b"\0"), "little")
         for t in tokens
     ]
-
-
-def derive_from(material: list[int], *tokens: Union[int, str]) -> np.random.Generator:
-    """Finish a derivation started with :func:`derive_material`.
-
-    ``derive_from(derive_material(seed, "exec", name), req_id)`` is the same
-    stream as ``derive(seed, "exec", name, req_id)``.
-    """
-    extra = [
-        t if isinstance(t, int) else int.from_bytes(t.encode()[:8].ljust(8, b"\0"), "little")
-        for t in tokens
-    ]
-    return np.random.default_rng(np.random.SeedSequence(material + extra))
 
 
 def derive_seed(seed: SeedLike, *tokens: Union[int, str]) -> int:

@@ -9,11 +9,10 @@ simulator-driven; E14 validates the analytic queueing terms against it.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.entities import Request, RequestDemand, RequestRecord
-from repro.sim.execution import RealizationTable, realize_request, sample_exit
+from repro.sim.entities import RequestRecord
+from repro.sim.execution import RealizationTable, TaskRealizer
 from repro.sim.metrics import (
     LatencyHistogram,
-    MetricsCollector,
     SimCounters,
     SimulationReport,
     StreamingStats,
@@ -41,24 +40,20 @@ __all__ = [
     "LatencyHistogram",
     "LinkResource",
     "MMPPArrivals",
-    "MetricsCollector",
     "PoissonArrivals",
     "RealizationTable",
-    "Request",
-    "RequestDemand",
     "RequestRecord",
     "SimCounters",
     "SimulationConfig",
     "SimulationReport",
     "Simulator",
     "StreamingStats",
+    "TaskRealizer",
     "TraceArrivals",
     "arrival_stream",
     "arrival_times",
     "merge_reports",
-    "realize_request",
     "run_cells",
     "run_replications",
-    "sample_exit",
     "simulate_plan",
 ]

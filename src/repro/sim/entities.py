@@ -1,53 +1,8 @@
-"""Simulation entities: requests, realized demands, and completion records."""
+"""Simulation entities: the per-request completion record."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.errors import SimulationError
-
-
-@dataclass(frozen=True)
-class Request:
-    """One inference request of a task's stream."""
-
-    task_name: str
-    req_id: int
-    arrival_s: float
-    difficulty: float  # sampled input difficulty in [0, 1]
-    deadline_s: float  # absolute deadline (arrival + task deadline)
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.difficulty <= 1.0):
-            raise SimulationError(f"difficulty {self.difficulty} outside [0,1]")
-        if self.arrival_s < 0:
-            raise SimulationError(f"negative arrival time {self.arrival_s}")
-
-
-@dataclass(frozen=True)
-class RequestDemand:
-    """Resource demands of one request under a concrete surgery plan.
-
-    Unlike :class:`~repro.core.plan.PlanFeatures` (expectations over the
-    difficulty distribution), this is the *realized* demand for one sampled
-    input: which exit it takes, how many FLOPs run on each side, and what
-    crosses the wire.
-    """
-
-    exit_position: int  # index within the plan's kept exits
-    dev_flops: float
-    srv_flops: float
-    up_bytes: float
-    down_bytes: float
-    offloaded: bool
-    correct: bool  # sampled prediction correctness
-
-    def __post_init__(self) -> None:
-        if min(self.dev_flops, self.srv_flops, self.up_bytes, self.down_bytes) < 0:
-            raise SimulationError("negative realized demand")
-        if not self.offloaded and (self.srv_flops > 0 or self.up_bytes > 0):
-            raise SimulationError("non-offloaded request with server/network demand")
 
 
 @dataclass(frozen=True)

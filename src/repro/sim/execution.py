@@ -1,34 +1,65 @@
 """Per-request plan realization: difficulty -> exit -> resource demands.
 
 The optimizer works with expectations; the simulator needs the *realized*
-behaviour of each sampled input.  :func:`sample_exit` applies the exact
-threshold semantics of :mod:`repro.models.exits` (exit fires iff difficulty
-is below the exit's cutoff), and :func:`realize_request` charges the same
-cumulative branch costs and partition accounting as
-:func:`repro.core.surgery.evaluate_plan` — by construction, averaging
-realized demands over the difficulty distribution reproduces the plan's
-:class:`~repro.core.plan.PlanFeatures` (a property test pins this).
+behaviour of each sampled input.  Both simulator engines realize requests
+here, as rows of one float64 matrix (:data:`COLS`):
+
+- :class:`TaskRealizer` draws one task's arrivals
+  (:func:`~repro.sim.sources.arrival_stream`), difficulties (one derived,
+  stream-sequential generator), correctness and jitter uniforms
+  (counter-based, addressed by request id), window by window, so the rows
+  do not depend on how the horizon is cut;
+- :class:`RealizationTable` maps a difficulty to its exit position (an exit
+  fires iff the difficulty is below its cutoff, the threshold semantics of
+  :mod:`repro.models.exits`) and the position to the demands, with the same
+  cumulative branch costs and partition accounting as
+  :func:`repro.core.surgery.evaluate_plan` — averaging realized demands over
+  the difficulty distribution reproduces the plan's
+  :class:`~repro.core.plan.PlanFeatures` (a property test pins this);
+- :func:`record_fields` and :func:`build_records` turn completed rows into
+  :class:`~repro.sim.entities.RequestRecord` objects and the windowed SLO
+  feed.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.plan import SurgeryPlan
+from repro.core.plan import SurgeryPlan, TaskSpec
+from repro.errors import SimulationError
 from repro.models.exits import GATE_SHARPNESS, difficulty_cutoffs
 from repro.models.multiexit import MultiExitModel
-from repro.rng import derive_material
+from repro.rng import derive, derive_material
 from repro.rng_vec import first_uniforms
-from repro.sim.entities import RequestDemand
-from repro.telemetry.metrics import MetricsRegistry
+from repro.sim.entities import RequestRecord
+from repro.sim.sources import arrival_stream
+from repro.telemetry.windows import WindowedMetrics
+
+#: per-request columns of one realized row; all float64, so a batch of
+#: requests (and every stage buffer of the sweep) is one ``(n, len(COLS))``
+#: matrix.  The first ten are realized; the engines fill in the rest.
+COLS = (
+    "req_id", "arrival", "deadline", "position", "offloaded", "correct",
+    "dev_flops", "up_bytes", "srv_flops", "down_bytes",
+    "dev_done", "up_done", "srv_done", "completion",
+    "dev_busy", "net_busy", "srv_busy",
+)
+(
+    REQ, ARR, DEADLINE, POS, OFF, CORRECT,
+    DEV_FLOPS, UP_BYTES, SRV_FLOPS, DOWN_BYTES,
+    DEV_DONE, UP_DONE, SRV_DONE, COMPLETION,
+    DEV_BUSY, NET_BUSY, SRV_BUSY,
+) = range(len(COLS))
+
+#: records built per step (bounds the transient Python lists)
+_RECORD_BLOCK = 4096
 
 #: Jittered pipeline stages, in submission order.  Each (task, stage) pair
 #: owns one derived RNG material; request ``req_id`` draws its per-stage
-#: factors counter-style from those materials, so the scalar event loop and
-#: the vectorized sweep produce bit-identical draws in any evaluation order.
+#: factors counter-style from those materials, so the draws do not depend
+#: on the evaluation order.
 JITTER_STAGES = ("dev", "srv", "up", "down")
 
 
@@ -56,55 +87,13 @@ def jitter_factors(
     return np.exp(sigma * ndtri(u) - 0.5 * sigma * sigma)
 
 
-def jitter_demand(
-    demand: RequestDemand,
-    materials: Dict[str, List[int]],
-    req_id: int,
-    sigma: float,
-) -> RequestDemand:
-    """Scalar counterpart of :func:`jitter_factors`: jitter one request.
-
-    Scales the four demand columns by their per-stage factors; each factor
-    is the one-element batch draw, so event-loop runs match the vectorized
-    sweep bit for bit.
-    """
-    ids = np.array([req_id])
-    f = {
-        st: float(jitter_factors(materials[st], ids, sigma)[0])
-        for st in JITTER_STAGES
-    }
-    return dataclasses.replace(
-        demand,
-        dev_flops=demand.dev_flops * f["dev"],
-        srv_flops=demand.srv_flops * f["srv"],
-        up_bytes=demand.up_bytes * f["up"],
-        down_bytes=demand.down_bytes * f["down"],
-    )
-
-
-def sample_exit(
-    model: MultiExitModel, plan: SurgeryPlan, difficulty: float
-) -> int:
-    """Index (within the plan's kept exits) where this input exits."""
-    kept = list(plan.kept_exits)
-    comp = model.competences[kept]
-    cutoffs = difficulty_cutoffs(comp, np.asarray(plan.thresholds), GATE_SHARPNESS)
-    fires = difficulty <= cutoffs
-    # final exit has threshold 0 -> cutoff inf -> always fires
-    return int(np.argmax(fires))
-
-
 class RealizationTable:
-    """Per-(model, plan) realization precompute for the vectorized fast path.
+    """Per-(model, plan) realization precompute.
 
     Demands depend on the sampled difficulty only through the taken exit
-    position, so one plan admits a table of per-position
-    :class:`RequestDemand` prototypes plus the exit cutoffs; realizing a
-    batch is then an ``argmax`` over cutoffs, a table gather, and one
-    vectorized correctness draw.  Every per-position entry is computed with
-    the same scalar expressions (and the same summation/clipping order) as
-    :func:`realize_request`, so batch realization is bit-identical to the
-    per-request path — a pin test asserts this.
+    position, so one plan admits a table of per-position demands plus the
+    exit cutoffs; realizing a batch is then an ``argmax`` over cutoffs, a
+    table gather, and one vectorized correctness draw.
     """
 
     def __init__(self, model: MultiExitModel, plan: SurgeryPlan) -> None:
@@ -151,7 +140,9 @@ class RealizationTable:
             self.offloaded[pos] = offloaded
 
     def positions(self, difficulties: np.ndarray) -> np.ndarray:
-        """Vectorized :func:`sample_exit` over a difficulty batch."""
+        """Exit position (within the kept exits) of each difficulty: the
+        first kept exit whose cutoff the difficulty does not exceed (the
+        final exit's cutoff is infinite, so it always fires)."""
         fires = difficulties[:, None] <= self.cutoffs[None, :]
         return np.argmax(fires, axis=1)
 
@@ -159,8 +150,8 @@ class RealizationTable:
         """Clipped per-request correctness probability at the taken exits.
 
         Same elementwise ops as ``accuracy_model.correctness`` on the
-        (competence, difficulty) pairs — computed directly instead of through
-        the broadcasting (n, n) matrix the scalar path slices one cell from.
+        (competence, difficulty) pairs, computed directly instead of through
+        its broadcasting (n, n) matrix.
         """
         from repro.models.accuracy import sigmoid
 
@@ -169,68 +160,166 @@ class RealizationTable:
         return np.clip(probs + self.accuracy_delta, 0.01, 0.999)
 
 
-def realize_request(
+def shared_table(
+    tables: Dict[Tuple[int, SurgeryPlan], RealizationTable],
     model: MultiExitModel,
     plan: SurgeryPlan,
-    difficulty: float,
-    rng: np.random.Generator,
-    metrics: Optional[MetricsRegistry] = None,
-) -> RequestDemand:
-    """Realized resource demands of one input under ``plan``.
+) -> RealizationTable:
+    """``model``'s read-only table for ``plan``, built once per ``tables``:
+    tasks with the same model and surgery plan share it."""
+    key = (id(model), plan)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = RealizationTable(model, plan)
+    return table
 
-    Correctness is sampled from the accuracy model's per-difficulty
-    correctness probability at the taken exit.  With a ``metrics`` registry
-    attached, the realization increments ``sim.realized.requests``,
-    ``sim.realized.exit<i>`` (taken-exit position within the kept exits), and
-    ``sim.realized.offloaded`` work counters.
+
+class TaskRealizer:
+    """One task's request stream, realized window by window.
+
+    :meth:`draw` takes the next window's arrivals, request ids and clipped
+    difficulties; :meth:`rows` realizes them under one plan's
+    :class:`RealizationTable`.  Arrivals and difficulties are
+    stream-sequential and the correctness and jitter uniforms counter-based,
+    so the rows do not depend on the window boundaries — nor on which
+    table realizes which window, which is how a run switches plans
+    mid-stream.
     """
-    from repro.models.quantization import quantization_level
 
-    plan.validate_against(model)
-    lvl = quantization_level(plan.quantization)
-    kept = list(plan.kept_exits)
-    pos = sample_exit(model, plan, difficulty)
-
-    c = plan.partition_cut
-    cut_flops = model.cut_flops
-    cut_bytes = model.cut_bytes
-    attach = model.exit_cut_indices[kept]
-    backbone = np.array([model.exits[k].backbone_flops for k in kept], dtype=float)
-    branch = np.array([model.exits[k].branch_flops for k in kept], dtype=float)
-
-    on_device = attach <= c
-    taken_attach = int(attach[pos])
-    offloaded = taken_attach > c
-
-    dev_backbone = min(float(backbone[pos]), float(cut_flops[c]))
-    srv_backbone = max(float(backbone[pos]) - float(cut_flops[c]), 0.0)
-    dev_branch = float(np.sum(np.where(on_device[: pos + 1], branch[: pos + 1], 0.0)))
-    srv_branch = float(np.sum(np.where(on_device[: pos + 1], 0.0, branch[: pos + 1])))
-
-    up = float(cut_bytes[c]) * lvl.wire_scale if offloaded else 0.0
-    down = float(model.result_bytes) * lvl.wire_scale if offloaded else 0.0
-
-    comp_taken = float(model.competences[kept][pos])
-    p_correct = float(
-        model.accuracy_model.correctness(
-            np.array([comp_taken]), np.array([difficulty])
-        )[0, 0]
+    __slots__ = (
+        "task", "arrivals", "diff_rng", "exec_material", "sigma", "jitter", "generated",
     )
-    p_correct = float(np.clip(p_correct + lvl.accuracy_delta, 0.01, 0.999))
-    correct = bool(rng.random() < p_correct)
 
-    if metrics is not None:
-        metrics.counter("sim.realized.requests").inc()
-        metrics.counter(f"sim.realized.exit{pos}").inc()
-        if offloaded:
-            metrics.counter("sim.realized.offloaded").inc()
+    def __init__(self, task: TaskSpec, cfg) -> None:
+        self.task = task
+        self.arrivals = arrival_stream(
+            task.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
+            derive(cfg.seed, "arrivals", task.name),
+        )
+        self.diff_rng = derive(cfg.seed, "difficulty", task.name)
+        self.exec_material = derive_material(cfg.seed, "exec", task.name)
+        self.sigma = cfg.service_noise
+        # per-(task, stage) jitter streams, applied to the demand columns
+        self.jitter: List[Tuple[int, List[int]]] = []
+        if self.sigma > 0:
+            mats = jitter_materials(cfg.seed, task.name)
+            self.jitter = [
+                (DEV_FLOPS, mats["dev"]), (SRV_FLOPS, mats["srv"]),
+                (UP_BYTES, mats["up"]), (DOWN_BYTES, mats["down"]),
+            ]
+        self.generated = 0
 
-    return RequestDemand(
-        exit_position=pos,
-        dev_flops=(dev_backbone + dev_branch) / lvl.compute_speedup,
-        srv_flops=(srv_backbone + (srv_branch if offloaded else 0.0)) / lvl.compute_speedup,
-        up_bytes=up,
-        down_bytes=down,
-        offloaded=offloaded,
-        correct=correct,
-    )
+    def draw(self, t_end: float):
+        """``(req_id, arrival, difficulty)`` of the requests arriving
+        between the previous call's ``t_end`` and this one's."""
+        arrival = self.arrivals.take_until(t_end)
+        m = arrival.size
+        difficulty = np.clip(self.task.model.difficulty.sample(self.diff_rng, m), 0.0, 1.0)
+        req_id = np.arange(self.generated, self.generated + m, dtype=np.int64)
+        self.generated += m
+        return req_id, arrival, difficulty
+
+    def rows(
+        self,
+        table: RealizationTable,
+        req_id: np.ndarray,
+        arrival: np.ndarray,
+        difficulty: np.ndarray,
+    ) -> np.ndarray:
+        """Realized rows of drawn requests under ``table``'s plan."""
+        pos = table.positions(difficulty)
+        rows = np.zeros((arrival.size, len(COLS)))
+        rows[:, REQ] = req_id
+        rows[:, ARR] = arrival
+        rows[:, DEADLINE] = arrival + self.task.deadline_s
+        rows[:, POS] = pos
+        rows[:, OFF] = table.offloaded[pos]
+        rows[:, CORRECT] = (
+            first_uniforms(self.exec_material, req_id) < table.p_correct(pos, difficulty)
+        )
+        rows[:, DEV_FLOPS] = table.dev_flops[pos]
+        rows[:, UP_BYTES] = table.up_bytes[pos]
+        rows[:, SRV_FLOPS] = table.srv_flops[pos]
+        rows[:, DOWN_BYTES] = table.down_bytes[pos]
+        for col, material in self.jitter:
+            rows[:, col] *= jitter_factors(material, req_id, self.sigma)
+        return rows
+
+    def realize(self, table: RealizationTable, t_end: float) -> np.ndarray:
+        """Rows of the requests arriving in the next window."""
+        return self.rows(table, *self.draw(t_end))
+
+
+def record_fields(
+    rows: np.ndarray,
+    task: np.ndarray,
+    names: Sequence[str],
+    warmup_s: float,
+    windowed: Optional[WindowedMetrics] = None,
+    order: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    degraded: Optional[np.ndarray] = None,
+) -> List[np.ndarray]:
+    """The record fields of completed rows, and their windowed SLO feed.
+
+    ``task`` holds each row's index into ``names``.  Rows arriving before
+    ``warmup_s`` are dropped; the rest yield one column per
+    :class:`~repro.sim.entities.RequestRecord` field, in ``order(rows,
+    task)`` (the rows' own order when ``order`` is None).  ``windowed``, if
+    given, receives each task's completions in request order — one
+    whole-horizon batch per task, so both engines feed it the same float
+    accumulation order.  ``degraded`` flags rows completed by graceful
+    degradation.  The columns hold no reference to ``rows``, so a caller
+    can free the rows before :func:`build_records` makes the records.
+    """
+    late = rows[:, COMPLETION] < rows[:, ARR]
+    if np.any(late):
+        bad = int(np.argmax(late))
+        raise SimulationError(
+            f"request {names[task[bad]]}#{int(rows[bad, REQ])} "
+            "completes before it arrives"
+        )
+    # orders over every row, then filtered: the kept rows keep their
+    # relative order, and no filtered copy of the rows is made
+    keep = rows[:, ARR] >= warmup_s
+    if windowed is not None:
+        by_req = np.lexsort((rows[:, REQ], task))
+        by_req = by_req[keep[by_req]]
+        bounds = np.searchsorted(task[by_req], np.arange(len(names) + 1))
+        for i, name in enumerate(names):
+            sel = by_req[bounds[i] : bounds[i + 1]]
+            comp = rows[sel, COMPLETION]
+            windowed.observe(
+                name,
+                comp,
+                comp - rows[sel, ARR],
+                comp <= rows[sel, DEADLINE] + 1e-12,
+            )
+    perm = order(rows, task) if order is not None else np.arange(rows.shape[0])
+    perm = perm[keep[perm]]
+    fields = [
+        np.array(names, dtype=object)[task[perm]],
+        rows[perm, REQ].astype(np.int64),
+        rows[perm, ARR],
+        rows[perm, COMPLETION],
+        rows[perm, DEADLINE],
+        rows[perm, POS].astype(np.int64),
+        rows[perm, OFF] > 0,
+        rows[perm, CORRECT] > 0,
+        rows[perm, DEV_BUSY],
+        rows[perm, SRV_BUSY],
+        rows[perm, NET_BUSY],
+    ]
+    if degraded is not None:
+        fields.append(degraded[perm])
+    return fields
+
+
+def build_records(fields: List[np.ndarray]) -> List[RequestRecord]:
+    """:class:`~repro.sim.entities.RequestRecord` objects from
+    :func:`record_fields` columns, built a block at a time."""
+    records: List[RequestRecord] = []
+    for lo in range(0, fields[0].size, _RECORD_BLOCK):
+        records.extend(
+            map(RequestRecord, *(f[lo : lo + _RECORD_BLOCK].tolist() for f in fields))
+        )
+    return records

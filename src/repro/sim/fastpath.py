@@ -4,7 +4,8 @@ The event loop's work factors into (a) per-request stochastic realization —
 arrival times, difficulties, exit positions, correctness draws, service
 jitter — and (b) a device→uplink→server→downlink FIFO pipeline whose only
 coupling is each resource's ``busy_until`` horizon.  Neither needs a heap:
-(a) vectorizes completely (``RealizationTable`` + :mod:`repro.rng_vec`), and
+(a) is one realizer for both engines (:class:`~repro.sim.execution.
+TaskRealizer`, whose rows the event loop replays request by request), and
 (b) reduces to per-resource *sweeps* — one lean recurrence per resource over
 submissions in the exact order the event loop would have made them.
 
@@ -18,7 +19,8 @@ rows follow the requests in flight rather than the whole window.  Completed
 requests flow to one of two sinks: a streaming run folds them into its
 :class:`~repro.sim.metrics.StreamingStats` accumulator as they complete;
 every other run keeps them all and builds the :class:`RequestRecord` list
-once, at the end.
+once, at the end, with the event loop's builder
+(:func:`~repro.sim.execution.record_fields`).
 
 Reproducing the event loop **bit for bit** pins two orderings:
 
@@ -40,10 +42,11 @@ Reproducing the event loop **bit for bit** pins two orderings:
   trailing ``(task, req_id)`` tie-break spells out).
 
 Eligibility is decided by the caller (:func:`~repro.sim.runner.simulate_plan`):
-any telemetry recorder forces the event loop, since gauges sample on event
+a fault schedule (the empty one included) or a telemetry recorder selects
+the event loop, since faults interrupt service and gauges sample on event
 boundaries the fast path does not visit.  Everything else — bandwidth
 traces included (``LinkResource.sweep`` reuses the exact trace integration) —
-is fast-path eligible.
+takes the sweep.
 """
 
 from __future__ import annotations
@@ -54,13 +57,15 @@ import numpy as np
 
 from repro.core.plan import JointPlan, SurgeryPlan, TaskSpec
 from repro.errors import SimulationError
-from repro.rng import derive, derive_material
-from repro.rng_vec import first_uniforms
 from repro.sim.entities import RequestRecord
-from repro.sim.execution import RealizationTable, jitter_factors, jitter_materials
+from repro.sim.execution import (
+    ARR, COLS, COMPLETION, CORRECT, DEADLINE, DEV_BUSY, DEV_DONE, DEV_FLOPS,
+    DOWN_BYTES, NET_BUSY, OFF, POS, REQ, SRV_BUSY, SRV_DONE, SRV_FLOPS, UP_BYTES,
+    UP_DONE, RealizationTable, TaskRealizer, build_records, record_fields,
+    shared_table,
+)
 from repro.sim.metrics import SimCounters, StreamingStats
 from repro.sim.queues import FifoResource, LinkResource
-from repro.sim.sources import arrival_stream, arrival_times
 from repro.telemetry.windows import WindowedMetrics
 
 __all__ = ["sweep_pipeline"]
@@ -72,12 +77,11 @@ __all__ = ["sweep_pipeline"]
 # window by window instead of over one giant array.  Three facts make the
 # windowing lossless:
 #
-# 1. Every stochastic column is chunkable: a record-backed run slices one
-#    ``arrival_times`` array (the event loop's own draws) and a streaming
-#    run draws from a replaying ``repro.sim.sources.ArrivalStream``;
-#    difficulty draws are stream-sequential, and exec and jitter uniforms
-#    are counter-based (addressed by request index), so realizing requests
-#    window by window yields the same columns for any window size.
+# 1. Every stochastic column is chunkable: arrivals come from a
+#    ``repro.sim.sources.ArrivalStream`` and difficulty draws are
+#    stream-sequential, and exec and jitter uniforms are counter-based
+#    (addressed by request index), so realizing requests window by window
+#    yields the same columns for any window size.
 # 2. Device submissions are ordered by ``(arrival, task order)``, and window
 #    boundaries split by arrival — every submission of window *k* precedes
 #    every submission of window *k+1*, so per-window sweeps see the global
@@ -106,29 +110,9 @@ __all__ = ["sweep_pipeline"]
 # over the record-order key (module docstring), which is why every stage row
 # carries its device-finish and uplink-delivery times.
 
-#: per-request columns of one row; all float64, so a batch of requests (and
-#: every stage buffer) is one ``(n, len(_COLS))`` matrix
-_COLS = (
-    "req_id", "arrival", "deadline", "position", "offloaded", "correct",
-    "dev_flops", "up_bytes", "srv_flops", "down_bytes",
-    "dev_done", "up_done", "srv_done", "completion",
-    "dev_busy", "net_busy", "srv_busy",
-)
-(
-    _REQ, _ARR, _DEADLINE, _POS, _OFF, _CORRECT,
-    _DEV_FLOPS, _UP_BYTES, _SRV_FLOPS, _DOWN_BYTES,
-    _DEV_DONE, _UP_DONE, _SRV_DONE, _COMPLETION,
-    _DEV_BUSY, _NET_BUSY, _SRV_BUSY,
-) = range(len(_COLS))
-
-
-#: records built per step at the end of a record-backed run (bounds the
-#: transient Python lists)
-_RECORD_BLOCK = 4096
-
 
 def _no_rows() -> np.ndarray:
-    return np.empty((0, len(_COLS)))
+    return np.empty((0, len(COLS)))
 
 
 class _StageBuffer:
@@ -167,38 +151,12 @@ class _StageBuffer:
         return merged[:split]
 
 
-class _Replay:
-    """Window-by-window view of a precomputed arrival array."""
-
-    __slots__ = ("times", "taken")
-
-    def __init__(self, times: np.ndarray) -> None:
-        self.times = times
-        self.taken = 0
-
-    def take_until(self, t_end: float) -> np.ndarray:
-        end = int(np.searchsorted(self.times, t_end, side="left"))
-        out = self.times[self.taken : end]
-        self.taken = end
-        return out
-
-
 class _TaskStream:
-    """Incremental realization of one task's request stream.
-
-    Arrivals come from :func:`arrival_times` (record-backed runs) or
-    :func:`arrival_stream` (streaming runs), difficulties from one derived
-    generator (stream-sequential draws), and exec and jitter uniforms from
-    counter-based :func:`first_uniforms` streams addressed by request index
-    — so the realized columns do not depend on how the horizon is cut into
-    windows.  Each task owns the three offload-stage buffers; tasks with the
-    same model and surgery plan share one read-only :class:`RealizationTable`
-    through ``tables``.
-    """
+    """One task in the sweep: its realizer, its plan's shared read-only
+    :class:`RealizationTable` and its three offload-stage buffers."""
 
     __slots__ = (
-        "task", "table", "arrivals", "diff_rng", "exec_material", "sigma",
-        "jitter", "generated", "offloaded_total", "up_buf", "srv_buf", "down_buf",
+        "task", "table", "realizer", "offloaded_total", "up_buf", "srv_buf", "down_buf",
     )
 
     def __init__(
@@ -209,71 +167,17 @@ class _TaskStream:
         tables: Dict[Tuple[int, SurgeryPlan], RealizationTable],
     ) -> None:
         self.task = task
-        surgery = plan.features[task.name].plan
-        key = (id(task.model), surgery)
-        if key not in tables:
-            tables[key] = RealizationTable(task.model, surgery)
-        self.table = tables[key]
-        process = (
-            task.arrival_rate,
-            cfg.horizon_s,
-            cfg.arrival,
-            cfg.burst_factor,
-            derive(cfg.seed, "arrivals", task.name),
-        )
-        # record-backed runs replay the event loop's own arrival array; a
-        # Poisson stream sums its gaps block by block, which rounds
-        # arrivals past its first block differently
-        self.arrivals = (
-            arrival_stream(*process) if cfg.streaming
-            else _Replay(arrival_times(*process))
-        )
-        self.diff_rng = derive(cfg.seed, "difficulty", task.name)
-        self.exec_material = derive_material(cfg.seed, "exec", task.name)
-        self.sigma = cfg.service_noise
-        # per-(task, stage) jitter streams: the same factors the event loop
-        # applies per request via jitter_demand
-        self.jitter: List[Tuple[int, List[int]]] = []
-        if self.sigma > 0:
-            mats = jitter_materials(cfg.seed, task.name)
-            self.jitter = [
-                (_DEV_FLOPS, mats["dev"]), (_SRV_FLOPS, mats["srv"]),
-                (_UP_BYTES, mats["up"]), (_DOWN_BYTES, mats["down"]),
-            ]
-        self.generated = 0
+        self.table = shared_table(tables, task.model, plan.features[task.name].plan)
+        self.realizer = TaskRealizer(task, cfg)
         self.offloaded_total = 0
-        self.up_buf = _StageBuffer(_DEV_DONE)
-        self.srv_buf = _StageBuffer(_UP_DONE)
-        self.down_buf = _StageBuffer(_SRV_DONE)
+        self.up_buf = _StageBuffer(DEV_DONE)
+        self.srv_buf = _StageBuffer(UP_DONE)
+        self.down_buf = _StageBuffer(SRV_DONE)
 
     def realize(self, t_end: float) -> np.ndarray:
         """Rows of the requests arriving in the current window."""
-        arrival = self.arrivals.take_until(t_end)
-        m = arrival.size
-        table = self.table
-        difficulties = np.clip(
-            self.task.model.difficulty.sample(self.diff_rng, m), 0.0, 1.0
-        )
-        pos = table.positions(difficulties)
-        req_id = np.arange(self.generated, self.generated + m, dtype=np.int64)
-        uniforms = first_uniforms(self.exec_material, req_id)
-        self.generated += m
-        offloaded = table.offloaded[pos]
-        self.offloaded_total += int(np.count_nonzero(offloaded))
-
-        rows = np.zeros((m, len(_COLS)))
-        rows[:, _REQ] = req_id
-        rows[:, _ARR] = arrival
-        rows[:, _DEADLINE] = arrival + self.task.deadline_s
-        rows[:, _POS] = pos
-        rows[:, _OFF] = offloaded
-        rows[:, _CORRECT] = uniforms < table.p_correct(pos, difficulties)
-        rows[:, _DEV_FLOPS] = table.dev_flops[pos]
-        rows[:, _UP_BYTES] = table.up_bytes[pos]
-        rows[:, _SRV_FLOPS] = table.srv_flops[pos]
-        rows[:, _DOWN_BYTES] = table.down_bytes[pos]
-        for col, material in self.jitter:
-            rows[:, col] *= jitter_factors(material, req_id, self.sigma)
+        rows = self.realizer.realize(self.table, t_end)
+        self.offloaded_total += int(np.count_nonzero(rows[:, OFF]))
         return rows
 
 
@@ -286,10 +190,10 @@ def _sweep_device(device: FifoResource, members: Sequence[np.ndarray]) -> None:
     argsort by arrival reproduces it exactly.  Fills the device-finish,
     device-busy and (provisional) completion columns in place.
     """
-    arrival = np.concatenate([rows[:, _ARR] for rows in members])
+    arrival = np.concatenate([rows[:, ARR] for rows in members])
     if arrival.size == 0:
         return
-    work = np.concatenate([rows[:, _DEV_FLOPS] for rows in members])
+    work = np.concatenate([rows[:, DEV_FLOPS] for rows in members])
     order = np.argsort(arrival, kind="stable")
     starts, finishes = device.sweep(arrival[order], work[order])
     all_starts = np.empty_like(arrival)
@@ -300,9 +204,9 @@ def _sweep_device(device: FifoResource, members: Sequence[np.ndarray]) -> None:
     for rows in members:
         n = rows.shape[0]
         done = all_done[off : off + n]
-        rows[:, _DEV_DONE] = done
-        rows[:, _COMPLETION] = done
-        rows[:, _DEV_BUSY] = done - all_starts[off : off + n]
+        rows[:, DEV_DONE] = done
+        rows[:, COMPLETION] = done
+        rows[:, DEV_BUSY] = done - all_starts[off : off + n]
         off += n
 
 
@@ -323,7 +227,7 @@ def _advance_task_window(
     ``threshold`` (the window edge, or ``inf`` on the final drain).
     """
     name = s.task.name
-    off = rows[:, _OFF] > 0
+    off = rows[:, OFF] > 0
     if not off.all():
         sink.observe(index, rows[~off])
 
@@ -334,24 +238,24 @@ def _advance_task_window(
     del rows
     if batch.shape[0]:
         start, deliver = task_uplink_res[name].sweep(
-            batch[:, _DEV_DONE], batch[:, _UP_BYTES]
+            batch[:, DEV_DONE], batch[:, UP_BYTES]
         )
-        batch[:, _UP_DONE] = deliver
-        batch[:, _NET_BUSY] = deliver - start
+        batch[:, UP_DONE] = deliver
+        batch[:, NET_BUSY] = deliver - start
 
     batch = s.srv_buf.push_flush(batch, threshold)
     if batch.shape[0]:
-        start, done = task_server_res[name].sweep(batch[:, _UP_DONE], batch[:, _SRV_FLOPS])
-        batch[:, _SRV_DONE] = done
-        batch[:, _SRV_BUSY] = done - start
+        start, done = task_server_res[name].sweep(batch[:, UP_DONE], batch[:, SRV_FLOPS])
+        batch[:, SRV_DONE] = done
+        batch[:, SRV_BUSY] = done - start
 
     batch = s.down_buf.push_flush(batch, threshold)
     if batch.shape[0]:
         start, deliver = task_downlink_res[name].sweep(
-            batch[:, _SRV_DONE], batch[:, _DOWN_BYTES]
+            batch[:, SRV_DONE], batch[:, DOWN_BYTES]
         )
-        batch[:, _COMPLETION] = deliver
-        batch[:, _NET_BUSY] += deliver - start
+        batch[:, COMPLETION] = deliver
+        batch[:, NET_BUSY] += deliver - start
         sink.observe(index, batch)
 
 
@@ -367,22 +271,22 @@ class _StreamingSink:
         self.discarded = 0
 
     def observe(self, index: int, rows: np.ndarray) -> None:
-        keep = rows[:, _ARR] >= self.warmup_s
+        keep = rows[:, ARR] >= self.warmup_s
         kept = rows if keep.all() else rows[keep]
         self.discarded += rows.shape[0] - kept.shape[0]
         if kept.shape[0]:
             self.stats.observe(
                 self.names[index],
-                kept[:, _REQ].astype(np.int64),
-                kept[:, _ARR],
-                kept[:, _COMPLETION],
-                kept[:, _DEADLINE],
-                kept[:, _POS].astype(np.int64),
-                kept[:, _OFF] > 0,
-                kept[:, _CORRECT] > 0,
-                kept[:, _DEV_BUSY],
-                kept[:, _SRV_BUSY],
-                kept[:, _NET_BUSY],
+                kept[:, REQ].astype(np.int64),
+                kept[:, ARR],
+                kept[:, COMPLETION],
+                kept[:, DEADLINE],
+                kept[:, POS].astype(np.int64),
+                kept[:, OFF] > 0,
+                kept[:, CORRECT] > 0,
+                kept[:, DEV_BUSY],
+                kept[:, SRV_BUSY],
+                kept[:, NET_BUSY],
             )
 
 
@@ -410,52 +314,9 @@ class _RecordSink:
             [np.full(r.shape[0], i, dtype=np.intp) for i, r in self.parts]
         )
         self.parts = []
-        late = rows[:, _COMPLETION] < rows[:, _ARR]
-        if np.any(late):  # pragma: no cover - structural invariant
-            bad = int(np.argmax(late))
-            raise SimulationError(
-                f"request {names[task[bad]]}#{int(rows[bad, _REQ])} "
-                "completes before it arrives"
-            )
-        keep = rows[:, _ARR] >= warmup_s
-        rows, task = rows[keep], task[keep]
-        if windowed is not None:
-            # each task's completions in request order: the same float
-            # accumulation order as one whole-horizon batch per task
-            by_req = np.lexsort((rows[:, _REQ], task))
-            bounds = np.searchsorted(task[by_req], np.arange(len(names) + 1))
-            for i, name in enumerate(names):
-                sel = by_req[bounds[i] : bounds[i + 1]]
-                comp = rows[sel, _COMPLETION]
-                windowed.observe(
-                    name,
-                    comp,
-                    comp - rows[sel, _ARR],
-                    comp <= rows[sel, _DEADLINE] + 1e-12,
-                )
-        order = _record_order(rows, task)
-        # the record fields as columns in record order, so the rows can go
-        # before the records are built
-        fields = [
-            np.array(names, dtype=object)[task[order]],
-            rows[order, _REQ].astype(np.int64),
-            rows[order, _ARR],
-            rows[order, _COMPLETION],
-            rows[order, _DEADLINE],
-            rows[order, _POS].astype(np.int64),
-            rows[order, _OFF] > 0,
-            rows[order, _CORRECT] > 0,
-            rows[order, _DEV_BUSY],
-            rows[order, _SRV_BUSY],
-            rows[order, _NET_BUSY],
-        ]
+        fields = record_fields(rows, task, names, warmup_s, windowed, order=_record_order)
         del rows, task
-        records: List[RequestRecord] = []
-        for lo in range(0, order.size, _RECORD_BLOCK):
-            records.extend(
-                map(RequestRecord, *(f[lo : lo + _RECORD_BLOCK].tolist() for f in fields))
-            )
-        return records
+        return build_records(fields)
 
 
 def _record_order(rows: np.ndarray, task: np.ndarray) -> np.ndarray:
@@ -469,16 +330,16 @@ def _record_order(rows: np.ndarray, task: np.ndarray) -> np.ndarray:
     the global scheduling index ``(task, req_id)``.
     """
     neg_inf = np.float64(-np.inf)
-    off = rows[:, _OFF] > 0
-    arrival = rows[:, _ARR]
+    off = rows[:, OFF] > 0
+    arrival = rows[:, ARR]
     return np.lexsort((
-        rows[:, _REQ],
+        rows[:, REQ],
         task,
         np.where(off, arrival, neg_inf),
-        np.where(off, rows[:, _DEV_DONE], neg_inf),
-        np.where(off, rows[:, _UP_DONE], neg_inf),
-        np.where(off, rows[:, _SRV_DONE], arrival),
-        rows[:, _COMPLETION],
+        np.where(off, rows[:, DEV_DONE], neg_inf),
+        np.where(off, rows[:, UP_DONE], neg_inf),
+        np.where(off, rows[:, SRV_DONE], arrival),
+        rows[:, COMPLETION],
     ))
 
 
@@ -506,8 +367,8 @@ def sweep_pipeline(
     ``records`` is empty; memory stays O(window + in-flight requests).
     Otherwise ``records`` holds every warmup-filtered completion in the
     event loop's completion order, and ``windowed``, if given, receives
-    them per task in request order — integer state bit-identical to the
-    event loop's scalar feed (window/bin indices use the same double ops).
+    them per task in request order, through the builder the event loop
+    uses too.
     """
     tables: Dict[Tuple[int, SurgeryPlan], RealizationTable] = {}
     streams = [_TaskStream(t, plan, cfg, tables) for t in tasks]
@@ -542,7 +403,7 @@ def sweep_pipeline(
             )
         t = t1
 
-    total = sum(s.generated for s in streams)
+    total = sum(s.realizer.generated for s in streams)
     if total == 0 and not cfg.allow_empty:
         raise SimulationError("no requests generated; horizon or rates too small")
     n_off = sum(s.offloaded_total for s in streams)

@@ -351,39 +351,6 @@ class StreamingStats:
         return self
 
 
-class MetricsCollector:
-    """Accumulates :class:`RequestRecord` objects during a run."""
-
-    def __init__(self, warmup_s: float = 0.0) -> None:
-        if warmup_s < 0:
-            raise SimulationError("warmup must be >= 0")
-        self.warmup_s = warmup_s
-        self.records: List[RequestRecord] = []
-        self.discarded = 0
-
-    def record(self, rec: RequestRecord) -> None:
-        if rec.completion_s < rec.arrival_s:
-            raise SimulationError(
-                f"request {rec.task_name}#{rec.req_id} completes before it arrives"
-            )
-        if rec.arrival_s < self.warmup_s:
-            self.discarded += 1
-            return
-        self.records.append(rec)
-
-    def report(
-        self,
-        horizon_s: float,
-        utilizations: Optional[Dict[str, float]] = None,
-        timeline: Optional[Timeline] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> "SimulationReport":
-        return SimulationReport.from_records(
-            self.records, horizon_s, utilizations or {}, self.discarded,
-            timeline=timeline, registry=registry,
-        )
-
-
 @dataclass
 class SimulationReport:
     """Aggregated outcome of one simulation run.

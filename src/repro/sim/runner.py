@@ -16,18 +16,23 @@ come from each model's difficulty distribution.  A
 :class:`~repro.network.wireless.BandwidthTrace` makes every link time-varying
 (experiment E11).
 
-Two execution engines produce **bit-identical** reports on a fixed seed:
+Two execution engines produce **bit-identical** reports on a fixed seed.
+Both realize requests from one source — each task's
+:class:`~repro.sim.execution.TaskRealizer`, over its
+:func:`~repro.sim.sources.arrival_stream` — and build records and the
+windowed SLO feed with one builder (:func:`~repro.sim.execution.
+record_fields`):
 
-- the **fast path** (default): stochastic realization is generated as
-  arrays, window by window, and the FIFO pipeline is swept per resource in
-  the event loop's exact submission order (:mod:`repro.sim.fastpath`).
-  Completions either become records, in the event loop's completion order,
-  or fold into a bounded-memory streaming accumulator (``streaming``);
+- the **fast path** (default): requests are realized window by window and
+  the FIFO pipeline is swept per resource in the event loop's exact
+  submission order (:mod:`repro.sim.fastpath`).  Completions either become
+  records, in the event loop's completion order, or fold into a
+  bounded-memory streaming accumulator (``streaming``);
 - the **event loop**: the one discrete-event engine,
-  :func:`repro.faults.runtime.simulate_with_faults`.  A fault-free run is a
-  run with an empty fault schedule; it is used whenever a fault schedule is
-  set, a telemetry recorder is attached (gauges sample on event boundaries)
-  or ``fast_path=False`` forces it.
+  :func:`repro.faults.runtime.simulate_with_faults`, which replays the
+  realized rows request by request.  It runs whenever a fault schedule is
+  set (``faults=FaultSchedule()`` selects it for a fault-free run) or a
+  telemetry recorder is attached (gauges sample on event boundaries).
 
 Replications fan out deterministically via :func:`run_replications`:
 replication 0 runs ``cfg.seed`` unchanged (so one replication reproduces a
@@ -85,18 +90,14 @@ class SimulationConfig:
     #: record per-request event timelines + queue/utilization gauges into
     #: ``SimulationReport.timeline`` / ``.registry`` (off by default)
     telemetry: bool = False
-    #: use the vectorized pipeline sweep when eligible (bit-identical to the
-    #: event loop); set False to force the event loop.  Fault runs
-    #: (``faults`` set) and telemetry runs always use the event loop — the
-    #: sweep cannot represent interrupted service or sample event boundaries.
-    fast_path: bool = True
     #: independent replications to run (see :func:`run_replications`)
     replications: int = 1
     #: worker processes for replication fan-out (1 = serial)
     sim_workers: int = 1
-    #: fault schedule to inject.  None is fault-free: the event loop runs
-    #: with an empty schedule and the fast path stays eligible; fixed-seed
-    #: outputs are bit-identical to a run with ``faults=FaultSchedule()``
+    #: fault schedule to inject; any schedule, the empty one included,
+    #: selects the event loop.  None is fault-free and takes the sweep,
+    #: whose fixed-seed outputs are bit-identical to a run with
+    #: ``faults=FaultSchedule()``
     faults: Optional[FaultSchedule] = None
     #: recovery ladder for failed offload stages; requires ``faults``.
     #: None under a schedule is the no-policy baseline (failures -> lost)
@@ -104,8 +105,8 @@ class SimulationConfig:
     #: bounded-memory mode: fold completions into a streaming accumulator
     #: instead of materializing one record per request; the report becomes
     #: records-free (see :class:`repro.sim.metrics.StreamingStats`).
-    #: Requires the fast path and is incompatible with telemetry and fault
-    #: schedules.
+    #: Incompatible with telemetry and fault schedules (both need the event
+    #: loop).
     streaming: bool = False
     #: target requests per fast-path sweep window (memory/throughput
     #: trade-off; any value yields identical results)
@@ -174,8 +175,6 @@ class SimulationConfig:
                 f"hist_max_s={self.hist_max_s}"
             )
         if self.streaming:
-            if not self.fast_path:
-                raise ConfigError("streaming requires the fast path")
             if self.telemetry:
                 raise ConfigError(
                     "streaming is incompatible with per-request telemetry: "
@@ -272,8 +271,8 @@ def simulate_plan(
     lifecycle (enqueue → dequeue → exec-start → transfer → exit-taken →
     complete) lands in ``report.timeline`` and queue-depth / utilization
     gauges sampled on event boundaries land in ``report.registry``; such runs
-    always use the event loop.  Otherwise ``config.fast_path`` (default)
-    selects the vectorized sweep, which is bit-identical on a fixed seed.
+    always use the event loop.  Otherwise a run without a fault schedule
+    takes the vectorized sweep, which is bit-identical on a fixed seed.
 
     The event loop is :func:`repro.faults.runtime.simulate_with_faults`.
     With ``config.faults`` set, resources go down and recover per the
@@ -297,7 +296,7 @@ def simulate_plan(
             "streaming runs cannot attach a per-request telemetry recorder; "
             "use windows=WindowConfig(...) for streaming-compatible metrics"
         )
-    if cfg.faults is not None or rec is not None or not cfg.fast_path:
+    if cfg.faults is not None or rec is not None:
         # the one event loop: a fault-free run is a run with an empty schedule
         from repro.faults.runtime import simulate_with_faults
 

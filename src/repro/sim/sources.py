@@ -4,12 +4,17 @@ Every source yields strictly increasing arrival times until a horizon.
 Poisson is the default (and what the analytic queueing terms assume); MMPP
 adds burstiness for robustness experiments; deterministic and trace sources
 support closed-form sanity checks and replay.
+
+Each generated process has one generator, its :class:`ArrivalStream`:
+``generate`` and :func:`arrival_times` drain the stream to the horizon, and
+both simulator engines read it window by window (:func:`arrival_stream`),
+so every consumer sees the same arrivals bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,14 +23,25 @@ from repro.rng import SeedLike, as_generator
 
 
 def oneshot_block(rate: float, horizon_s: float) -> int:
-    """Gaps :class:`PoissonArrivals` draws per block: the expected arrival
+    """Gaps per summation block of a Poisson stream: the expected arrival
     count over the horizon plus 20% and a margin, so one block usually
-    suffices."""
+    covers the horizon."""
     return max(16, int(rate * horizon_s * 1.2) + 16)
 
 
+class _Process:
+    """An arrival process: :meth:`stream` yields it window by window, and
+    :meth:`generate` is that stream drained to the horizon."""
+
+    def stream(self, horizon_s: float, seed: SeedLike = None) -> "ArrivalStream":
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def generate(self, horizon_s: float, seed: SeedLike = None) -> np.ndarray:
+        return self.stream(horizon_s, seed).take_until(horizon_s)
+
+
 @dataclass(frozen=True)
-class PoissonArrivals:
+class PoissonArrivals(_Process):
     """Homogeneous Poisson process with mean rate ``rate`` (req/s)."""
 
     rate: float
@@ -34,25 +50,12 @@ class PoissonArrivals:
         if self.rate <= 0:
             raise ConfigError(f"Poisson rate must be positive, got {self.rate}")
 
-    def generate(self, horizon_s: float, seed: SeedLike = None) -> np.ndarray:
-        if horizon_s <= 0:
-            raise ConfigError("horizon must be positive")
-        rng = as_generator(seed)
-        # draw in blocks until past the horizon
-        out = []
-        t = 0.0
-        block = oneshot_block(self.rate, horizon_s)
-        while t < horizon_s:
-            gaps = rng.exponential(1.0 / self.rate, size=block)
-            times = t + np.cumsum(gaps)
-            out.append(times)
-            t = float(times[-1])
-        arr = np.concatenate(out)
-        return arr[arr < horizon_s]
+    def stream(self, horizon_s: float, seed: SeedLike = None) -> "PoissonStream":
+        return PoissonStream(self.rate, horizon_s, seed)
 
 
 @dataclass(frozen=True)
-class DeterministicArrivals:
+class DeterministicArrivals(_Process):
     """Evenly spaced arrivals (period = 1/rate), starting at one period."""
 
     rate: float
@@ -61,17 +64,12 @@ class DeterministicArrivals:
         if self.rate <= 0:
             raise ConfigError(f"rate must be positive, got {self.rate}")
 
-    def generate(self, horizon_s: float, seed: SeedLike = None) -> np.ndarray:
-        if horizon_s <= 0:
-            raise ConfigError("horizon must be positive")
-        period = 1.0 / self.rate
-        n = int(np.floor(horizon_s / period))
-        times = np.arange(1, n + 1) * period
-        return times[times < horizon_s]  # arrivals strictly before the horizon
+    def stream(self, horizon_s: float, seed: SeedLike = None) -> "DeterministicStream":
+        return DeterministicStream(self.rate, horizon_s, seed)
 
 
 @dataclass(frozen=True)
-class MMPPArrivals:
+class MMPPArrivals(_Process):
     """2-state Markov-modulated Poisson process (bursty arrivals).
 
     Alternates between a low-rate and a high-rate phase with exponential
@@ -96,28 +94,43 @@ class MMPPArrivals:
         total = self.mean_low_s + self.mean_high_s
         return (self.low_rate * self.mean_low_s + self.high_rate * self.mean_high_s) / total
 
-    def generate(self, horizon_s: float, seed: SeedLike = None) -> np.ndarray:
-        if horizon_s <= 0:
-            raise ConfigError("horizon must be positive")
-        rng = as_generator(seed)
-        out = []
-        t = 0.0
-        high = bool(rng.integers(2))
-        while t < horizon_s:
-            hold = float(
-                rng.exponential(self.mean_high_s if high else self.mean_low_s)
-            )
-            phase_end = min(t + hold, horizon_s)
-            rate = self.high_rate if high else self.low_rate
-            tt = t
-            while True:
-                tt += float(rng.exponential(1.0 / rate))
-                if tt >= phase_end:
-                    break
-                out.append(tt)
-            t = phase_end
-            high = not high
-        return np.array(out)
+    def stream(self, horizon_s: float, seed: SeedLike = None) -> "MMPPStream":
+        return MMPPStream(self, horizon_s, seed)
+
+
+def _process(rate: float, arrival: str, burst_factor: float) -> _Process:
+    """The arrival process of one request stream of mean ``rate``.
+
+    For ``"mmpp"`` the low rate is solved so the long-run mean matches
+    ``rate`` at a high phase of ``burst_factor × rate``.
+    """
+    if arrival == "poisson":
+        return PoissonArrivals(rate)
+    if arrival == "deterministic":
+        return DeterministicArrivals(rate)
+    if arrival != "mmpp":
+        raise ConfigError(f"unknown arrival process {arrival!r}")
+    high = rate * burst_factor
+    mean_low_s, mean_high_s = 5.0, 1.0
+    low = (rate * (mean_low_s + mean_high_s) - high * mean_high_s) / mean_low_s
+    low = max(low, rate * 0.05)
+    return MMPPArrivals(low, high, mean_low_s, mean_high_s)
+
+
+def arrival_stream(
+    rate: float,
+    horizon_s: float,
+    arrival: str = "poisson",
+    burst_factor: float = 4.0,
+    seed: SeedLike = None,
+) -> "ArrivalStream":
+    """Arrivals of one request stream of mean ``rate``, window by window.
+
+    Both simulator engines realize requests from this stream.  Consuming it
+    window by window yields the same arrivals for any window boundaries, and
+    those equal :func:`arrival_times` bit for bit.
+    """
+    return _process(rate, arrival, burst_factor).stream(horizon_s, seed)
 
 
 def arrival_times(
@@ -127,43 +140,24 @@ def arrival_times(
     burst_factor: float = 4.0,
     seed: SeedLike = None,
 ) -> np.ndarray:
-    """Arrival-time vector for one request stream of mean ``rate``.
-
-    Shared by the event-loop and fast-path simulators so both consume the
-    exact same draws from ``seed``.  ``arrival`` selects the process; for
-    ``"mmpp"`` the low rate is solved so the long-run mean matches ``rate``
-    at a high phase of ``burst_factor × rate``.
-    """
-    if arrival == "poisson":
-        return PoissonArrivals(rate).generate(horizon_s, seed)
-    if arrival == "deterministic":
-        return DeterministicArrivals(rate).generate(horizon_s, seed)
-    if arrival != "mmpp":
-        raise ConfigError(f"unknown arrival process {arrival!r}")
-    high = rate * burst_factor
-    mean_low_s, mean_high_s = 5.0, 1.0
-    low = (rate * (mean_low_s + mean_high_s) - high * mean_high_s) / mean_low_s
-    low = max(low, rate * 0.05)
-    return MMPPArrivals(low, high, mean_low_s, mean_high_s).generate(horizon_s, seed)
+    """Every arrival of :func:`arrival_stream` before the horizon, at once."""
+    return _process(rate, arrival, burst_factor).generate(horizon_s, seed)
 
 
 class ArrivalStream:
-    """Incremental arrival generation for the chunked streaming sweep.
+    """Incremental arrival generation, the one generator of each process.
 
-    Yields the *same* arrival times as the one-shot ``arrival_times`` call
-    for the same seed, but window by window:  :meth:`take_until` returns the
-    arrivals in ``[previous boundary, t_end)`` and can be called with
-    increasing boundaries until the horizon.  Bit-identity holds because
-    NumPy ``Generator`` draws are stream-sequential — splitting one
+    :meth:`take_until` returns the arrivals in ``[previous boundary,
+    t_end)`` and can be called with increasing boundaries until the
+    horizon.  The arrivals do not depend on the boundaries because NumPy
+    ``Generator`` draws are stream-sequential — splitting one
     ``rng.exponential(size=n)`` call into several smaller calls consumes the
-    identical underlying bit stream and yields the identical values — so the
-    gap sequence matches the one-shot array exactly, independent of the
-    window boundaries (so do the arrival times, except as
-    :class:`PoissonStream` notes).
+    identical underlying bit stream and yields the identical values — and
+    every running sum is carried across refills.
 
-    Subclasses implement :meth:`_refill`, which extends the internal buffer
-    past ``t_end`` (or to the horizon) while consuming the RNG in exactly
-    the order the corresponding one-shot generator does.
+    Subclasses implement :meth:`_refill`, which returns the next piece of
+    arrivals (possibly empty) and sets ``_exhausted`` once no arrival before
+    the horizon is left.
     """
 
     def __init__(self, horizon_s: float) -> None:
@@ -174,7 +168,7 @@ class ArrivalStream:
         self._cursor = 0.0  # previous window boundary
         self._exhausted = False
 
-    def _refill(self, t_end: float) -> None:  # pragma: no cover - abstract
+    def _refill(self) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def take_until(self, t_end: float) -> np.ndarray:
@@ -184,34 +178,32 @@ class ArrivalStream:
                 f"window end {t_end:.6g} precedes cursor {self._cursor:.6g}"
             )
         t_end = min(t_end, self.horizon_s)
-        while not self._exhausted and (
-            self._buffer.size == 0 or self._buffer[-1] < t_end
-        ):
-            self._refill(t_end)
-        split = int(np.searchsorted(self._buffer, t_end, side="left"))
-        out = self._buffer[:split]
-        self._buffer = self._buffer[split:]
+        parts = [self._buffer]
+        last = self._buffer[-1] if self._buffer.size else -np.inf
+        while not self._exhausted and last < t_end:
+            piece = self._refill()
+            if piece.size:
+                parts.append(piece)
+                last = piece[-1]
+        buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        split = int(np.searchsorted(buf, t_end, side="left"))
+        self._buffer = buf[split:]
         self._cursor = t_end
-        return out[out < self.horizon_s]
+        return buf[:split]
 
 
 class PoissonStream(ArrivalStream):
-    """Chunked :class:`PoissonArrivals` (identical gap sequence).
+    """Poisson arrivals: cumulative sums of exponential gaps.
 
-    Times are ``block start + cumsum(block gaps)`` per refill of
-    ``min(BLOCK, oneshot_block(rate, horizon_s))`` gaps.  When the one-shot
-    block fits in :attr:`BLOCK` the refills are the one-shot generator's
-    blocks, so the arrivals equal ``arrival_times`` bit for bit and a
-    low-rate stream holds only the gaps it needs.  A larger one-shot block
-    is summed in :attr:`BLOCK`-gap pieces instead; past the first refill the
-    two sums associate differently, so arrival times can differ from
-    ``arrival_times`` by rounding (tens of ulps).  They never depend on the
-    window boundaries.
+    Gaps are summed in blocks of :func:`oneshot_block` gaps, each block
+    starting from the previous block's last arrival, and a block is drawn in
+    pieces of at most :attr:`BLOCK` gaps with its running sum carried from
+    piece to piece — so a piece's sums are the sequential sums of the whole
+    block, and the arrivals are the same for any piece size.
     """
 
-    #: largest refill in gaps; any value yields the same gap sequence
-    #: (stream-sequential draws), this one caps the buffer of a high-rate
-    #: stream while amortizing call overhead
+    #: largest refill in gaps; any value yields the same arrivals, this one
+    #: caps the buffer of a high-rate stream while amortizing call overhead
     BLOCK = 8192
 
     def __init__(self, rate: float, horizon_s: float, seed: SeedLike = None) -> None:
@@ -219,23 +211,32 @@ class PoissonStream(ArrivalStream):
             raise ConfigError(f"Poisson rate must be positive, got {rate}")
         super().__init__(horizon_s)
         self.rate = rate
-        self._block = min(self.BLOCK, oneshot_block(rate, horizon_s))
+        self._block = oneshot_block(rate, horizon_s)
         self._rng = as_generator(seed)
-        self._t = 0.0  # last generated arrival (buffer tail)
+        self._start = 0.0  # the current block's origin
+        self._left = 0  # gaps of the current block not drawn yet
+        self._sum = 0.0  # running gap sum of the current block
+        self._last = 0.0  # last generated arrival
 
-    def _refill(self, t_end: float) -> None:
-        del t_end
-        if self._t >= self.horizon_s:
-            self._exhausted = True
-            return
-        gaps = self._rng.exponential(1.0 / self.rate, size=self._block)
-        times = self._t + np.cumsum(gaps)
-        self._t = float(times[-1])
-        self._buffer = np.concatenate([self._buffer, times])
+    def _refill(self) -> np.ndarray:
+        if self._left == 0:
+            # a new block starts from the last arrival
+            self._start, self._left, self._sum = self._last, self._block, 0.0
+        gaps = self._rng.exponential(1.0 / self.rate, size=min(self.BLOCK, self._left))
+        self._left -= gaps.size
+        # the carried sum joins the first gap: cumsum then adds in the same
+        # order as one cumsum over the whole block
+        gaps[0] += self._sum
+        sums = np.cumsum(gaps)
+        self._sum = float(sums[-1])
+        times = self._start + sums
+        self._last = float(times[-1])
+        self._exhausted = self._last >= self.horizon_s
+        return times
 
 
 class DeterministicStream(ArrivalStream):
-    """Chunked :class:`DeterministicArrivals` (pure arithmetic, no RNG)."""
+    """Arrival ``k`` at ``k / rate`` (pure arithmetic, no RNG)."""
 
     def __init__(self, rate: float, horizon_s: float, seed: SeedLike = None) -> None:
         del seed
@@ -245,28 +246,22 @@ class DeterministicStream(ArrivalStream):
         self.rate = rate
         self._next = 1  # next arrival index (arrival k occurs at k/rate)
 
-    def _refill(self, t_end: float) -> None:
+    def _refill(self) -> np.ndarray:
         period = 1.0 / self.rate
-        # mirror the one-shot construction exactly: times = arange(...) * period
         last = int(np.floor(self.horizon_s / period))
         hi = min(self._next + 8192, last + 1)
-        if self._next > last:
-            self._exhausted = True
-            return
         times = np.arange(self._next, hi) * period
         self._next = hi
-        if hi > last:
-            self._exhausted = True
-        self._buffer = np.concatenate([self._buffer, times[times < self.horizon_s]])
+        self._exhausted = hi > last
+        return times[times < self.horizon_s]
 
 
 class MMPPStream(ArrivalStream):
-    """Chunked :class:`MMPPArrivals`, consuming draws in the one-shot order.
+    """:class:`MMPPArrivals`, one phase per refill.
 
-    The one-shot generator alternates phases (one exponential holding-time
-    draw each) and draws per-arrival gaps one at a time, discarding the
-    overshoot draw that crosses the phase boundary; this stream replays that
-    exact sequence, so the produced arrivals are bit-identical.
+    Each phase draws one exponential holding time, then per-arrival gaps
+    one at a time, discarding the overshoot draw that crosses the phase
+    boundary.
     """
 
     def __init__(self, process: MMPPArrivals, horizon_s: float, seed: SeedLike = None) -> None:
@@ -276,12 +271,8 @@ class MMPPStream(ArrivalStream):
         self._t = 0.0
         self._high = bool(self._rng.integers(2))
 
-    def _refill(self, t_end: float) -> None:
-        del t_end
+    def _refill(self) -> np.ndarray:
         p = self.process
-        if self._t >= self.horizon_s:
-            self._exhausted = True
-            return
         out = []
         # one phase per refill: the arrivals of a phase share one rate
         hold = float(
@@ -297,41 +288,8 @@ class MMPPStream(ArrivalStream):
             out.append(tt)
         self._t = phase_end
         self._high = not self._high
-        if out:
-            self._buffer = np.concatenate([self._buffer, np.array(out)])
-        if self._t >= self.horizon_s:
-            self._exhausted = True
-
-
-def arrival_stream(
-    rate: float,
-    horizon_s: float,
-    arrival: str = "poisson",
-    burst_factor: float = 4.0,
-    seed: SeedLike = None,
-) -> ArrivalStream:
-    """Chunked counterpart of :func:`arrival_times`.
-
-    Consuming the returned stream window by window yields the same arrivals
-    for any window boundaries — the contract the streaming sweep's
-    bit-identity rests on — and these equal ``arrival_times(rate, horizon_s,
-    arrival, burst_factor, seed)`` bit for bit, except for a Poisson stream
-    whose one-shot block exceeds :attr:`PoissonStream.BLOCK` gaps: that one
-    can drift by rounding past its first refill.
-    """
-    if arrival == "poisson":
-        return PoissonStream(rate, horizon_s, seed)
-    if arrival == "deterministic":
-        return DeterministicStream(rate, horizon_s, seed)
-    if arrival != "mmpp":
-        raise ConfigError(f"unknown arrival process {arrival!r}")
-    high = rate * burst_factor
-    mean_low_s, mean_high_s = 5.0, 1.0
-    low = (rate * (mean_low_s + mean_high_s) - high * mean_high_s) / mean_low_s
-    low = max(low, rate * 0.05)
-    return MMPPStream(
-        MMPPArrivals(low, high, mean_low_s, mean_high_s), horizon_s, seed
-    )
+        self._exhausted = self._t >= self.horizon_s
+        return np.array(out, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,9 @@ Design contract (the basis of the gate's bit-identity check):
 
 * All *integer* state — request counts, deadline-met counts, per-window
   latency-histogram bins, fault marks — is order-independent under addition,
-  so the event loop (scalar observes in completion order) and the vectorized
-  fast path (chunked column observes in stream order) produce **bit-identical**
-  arrays for the same seeded workload.  Window and bin indices are computed
-  with the same IEEE-754 double division + truncation in both paths.
+  so any split of the same completions into chunks (one batch per task on
+  record-backed runs, window by window on streaming runs) produces
+  **bit-identical** arrays for the same seeded workload.
   Negative or non-finite completion, mark and latency times are refused with
   :class:`~repro.errors.SimulationError` before any state changes.
 * Float state (Kahan-compensated latency sums) is accumulation-order
@@ -268,16 +267,11 @@ class _TaskWindows:
 
     ``keys`` holds, sorted, every non-zero cell ``window·n_bins + bin`` of
     the ``[n_windows, n_bins]`` histogram plane and ``cells`` its count.
-    The scalar feed counts into one dense row for its current window,
-    ``open_w``, which is folded into the cells when the feed moves to
-    another window or the cells are read (a binary search per request
-    would cost more than the rest of the update).
     """
 
     __slots__ = (
         "counts", "met", "lost", "shed", "degraded",
-        "keys", "cells", "open_w", "open_row", "overflow",
-        "lat_sum", "lat_comp", "lat_max",
+        "keys", "cells", "overflow", "lat_sum", "lat_comp", "lat_max",
     )
 
     def __init__(self, n_windows: int) -> None:
@@ -288,8 +282,6 @@ class _TaskWindows:
         self.degraded = np.zeros(n_windows, dtype=np.int64)
         self.keys = np.zeros(0, dtype=np.int64)
         self.cells = np.zeros(0, dtype=np.int64)
-        self.open_w = 0
-        self.open_row: Optional[np.ndarray] = None
         self.overflow = np.zeros(n_windows, dtype=np.int64)
         self.lat_sum = np.zeros(n_windows, dtype=np.float64)
         self.lat_comp = np.zeros(n_windows, dtype=np.float64)
@@ -303,9 +295,8 @@ class WindowedMetrics:
     counters (completions, deadline-met, fault marks), the non-zero cells
     of its ``[n_windows, n_bins]`` latency-histogram plane
     (:meth:`dense_hist` expands them), and per-window Kahan latency sums.
-    Updates come either one request at a time from the event loop
-    (:meth:`observe_one`) or as NumPy columns from the fast-path sweeps
-    (:meth:`observe`); both produce bit-identical integer state.
+    Completions arrive as NumPy columns (:meth:`observe`) from both
+    simulator engines; fault outcomes one at a time (:meth:`mark`).
 
     Accumulators from independent replications or traffic cells
     :meth:`merge` exactly (integer adds, compensated float adds).
@@ -337,40 +328,6 @@ class WindowedMetrics:
     def _window_of(self, completion_s: float) -> int:
         w = int(completion_s / self.config.window_s)
         return w if w < self.n_windows else self.n_windows - 1
-
-    def observe_one(
-        self, task: str, completion_s: float, latency_s: float, met: bool
-    ) -> None:
-        """Fold one completed request (event-loop feed).
-
-        The window index uses the same double division + truncation as the
-        vectorized path, so the two stay bit-identical.
-        """
-        _checked_time(completion_s, "completion times")
-        _checked_time(latency_s, "latencies")
-        tw = self._ensure(task)
-        w = self._window_of(completion_s)
-        tw.counts[w] += 1
-        if met:
-            tw.met[w] += 1
-        b = int(latency_s / self.config.bin_s)
-        if b >= self.n_bins:
-            tw.overflow[w] += 1
-        else:
-            if tw.open_row is None or w != tw.open_w:
-                self._settle(tw)
-                tw.open_w, tw.open_row = w, np.zeros(self.n_bins, dtype=np.int64)
-            tw.open_row[b] += 1
-        # Neumaier add into window w (scalar form of the chunked update)
-        s = float(tw.lat_sum[w])
-        t = s + latency_s
-        if abs(s) >= abs(latency_s):
-            tw.lat_comp[w] += (s - t) + latency_s
-        else:
-            tw.lat_comp[w] += (latency_s - t) + s
-        tw.lat_sum[w] = t
-        if latency_s > tw.lat_max[w]:
-            tw.lat_max[w] = latency_s
 
     def observe(
         self,
@@ -418,22 +375,12 @@ class WindowedMetrics:
             tw.lat_sum[touched] = t
         np.maximum.at(tw.lat_max, w, latency_s)
 
-    def _settle(self, tw: _TaskWindows) -> None:
-        """Fold the scalar feed's open window row into the sorted cells."""
-        row = tw.open_row
-        if row is not None:
-            nz = np.flatnonzero(row)
-            tw.keys, tw.cells = _add_cells(
-                tw.keys, tw.cells, tw.open_w * self.n_bins + nz, row[nz]
-            )
-            tw.open_row = None
-
     def mark(self, task: str, time_s: float, kind: str) -> None:
         """Record a fault outcome (``lost``/``shed``/``degraded``) at ``time_s``.
 
         Lost and shed requests never complete, so they enter the SLO error
         budget through these marks instead of the miss counters; degraded
-        completions are counted both as completions (via ``observe_one``) and
+        completions are counted both as completions (via :meth:`observe`) and
         annotated here.
         """
         if kind not in MARK_KINDS:
@@ -512,7 +459,6 @@ class WindowedMetrics:
         """``task``'s non-zero histogram cells: sorted keys
         ``window·n_bins + bin`` and their counts."""
         tw = self.per_task[task]
-        self._settle(tw)
         return tw.keys, tw.cells
 
     def dense_hist(self, task: str) -> np.ndarray:

@@ -77,6 +77,19 @@ class TestE7:
         assert r.extras["bcd_converged"]
 
 
+class TestE8:
+    def test_defaults_complete(self):
+        """Instance 5 of the default draw has no feasible plan: it gets a
+        marked row and stays out of the gap means."""
+        r = run_experiment("E8")
+        assert [row[0] for row in r.rows] == [0, 1, 2, 3, 4, 5, "mean"]
+        assert r.extras["infeasible"] == 1
+        assert r.rows[5][2] == "infeasible"
+        assert len(r.extras["gaps_bcd"]) == len(r.extras["gaps_br"]) == 5
+        assert any("1 of 6 instances infeasible" in n for n in r.notes)
+        assert math.isfinite(r.rows[-1][4]) and math.isfinite(r.rows[-1][6])
+
+
 class TestE9:
     def test_runs_small(self):
         r = run_experiment("E9", sizes=((4, 2),))

@@ -99,16 +99,15 @@ class TestSurgeryIntegration:
             enumerate_features(me_alexnet, quantization_levels=())
 
     def test_sim_realization_scales(self, me_resnet18):
-        from repro.sim.execution import realize_request
+        from repro.sim.execution import RealizationTable
 
-        rng = np.random.default_rng(0)
-        p32 = self._plan(me_resnet18, "fp32")
-        p8 = self._plan(me_resnet18, "int8")
-        d32 = realize_request(me_resnet18, p32, 0.5, rng)
-        d8 = realize_request(me_resnet18, p8, 0.5, rng)
+        d = np.array([0.5])
+        t32 = RealizationTable(me_resnet18, self._plan(me_resnet18, "fp32"))
+        t8 = RealizationTable(me_resnet18, self._plan(me_resnet18, "int8"))
+        p32, p8 = t32.positions(d)[0], t8.positions(d)[0]
         lvl = quantization_level("int8")
-        assert d8.srv_flops == pytest.approx(d32.srv_flops / lvl.compute_speedup)
-        assert d8.up_bytes == pytest.approx(d32.up_bytes * lvl.wire_scale)
+        assert t8.srv_flops[p8] == pytest.approx(t32.srv_flops[p32] / lvl.compute_speedup)
+        assert t8.up_bytes[p8] == pytest.approx(t32.up_bytes[p32] * lvl.wire_scale)
 
     def test_quantized_plan_speeds_up_starved_link(self, me_resnet18, pi4, edge_gpu, latency_model):
         """On a thin link the int8 plan's smaller boundary wins."""

@@ -9,10 +9,11 @@ import pytest
 from repro.core.joint import JointOptimizer
 from repro.core.candidates import build_candidates
 from repro.core.plan import TaskSpec
+from repro.faults import FaultSchedule
 from repro.faults import runtime as runtime_mod
 from repro.network.wireless import BandwidthTrace
 from repro.rng import derive
-from repro.sim import fastpath
+from repro.sim import execution, fastpath
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
 from repro.sim.sources import arrival_times
@@ -70,7 +71,7 @@ class TestBitIdentity:
         fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
             small_tasks, solved, small_cluster,
-            SimulationConfig(fast_path=False, **kw),
+            SimulationConfig(faults=FaultSchedule(), **kw),
         )
         assert_reports_identical(fast, event)
 
@@ -88,7 +89,7 @@ class TestBitIdentity:
         fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
             small_tasks, solved, small_cluster,
-            SimulationConfig(fast_path=False, **kw),
+            SimulationConfig(faults=FaultSchedule(), **kw),
         )
         assert_reports_identical(fast, event)
 
@@ -110,7 +111,7 @@ class TestBitIdentity:
         kw = dict(horizon_s=6.0, warmup_s=0.5, seed=13, arrival="deterministic")
         fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
-            tasks, plan, small_cluster, SimulationConfig(fast_path=False, **kw)
+            tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
         )
         assert fast.total_requests > 0
         assert_reports_identical(fast, event)
@@ -126,7 +127,7 @@ class TestBitIdentity:
         kw = dict(horizon_s=6.0, warmup_s=0.5, seed=17, arrival="deterministic")
         fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
         event = simulate_plan(
-            tasks, plan, small_cluster, SimulationConfig(fast_path=False, **kw)
+            tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
         )
         assert {r.task_name for r in fast.records} == {t.name for t in tasks}
         assert_reports_identical(fast, event)
@@ -159,7 +160,7 @@ class TestDispatch:
         with pytest.raises(AssertionError):
             simulate_plan(
                 small_tasks, solved, small_cluster,
-                SimulationConfig(horizon_s=6.0, seed=14, fast_path=False),
+                SimulationConfig(horizon_s=6.0, seed=14, faults=FaultSchedule()),
             )
 
     def test_telemetry_forces_event_loop(self, small_cluster, small_tasks, solved, monkeypatch):
@@ -182,7 +183,7 @@ class TestDispatch:
         fast = simulate_plan(small_tasks, solved, small_cluster, cfg)
         event = simulate_plan(
             small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=8.0, seed=16, fast_path=False),
+            SimulationConfig(horizon_s=8.0, seed=16, faults=FaultSchedule()),
         )
         assert fast.counters.events == event.counters.events
         assert fast.counters.requests == event.counters.requests
@@ -202,19 +203,20 @@ def test_realization_tables_shared_per_model_plan(
 
     plan = dataclasses.replace(solved, **{f: with_twins(getattr(solved, f)) for f in fields})
     built = []
-    real = fastpath.RealizationTable
+    real = execution.RealizationTable
 
     def counting(model, surgery):
         built.append((model, surgery))
         return real(model, surgery)
 
-    monkeypatch.setattr(fastpath, "RealizationTable", counting)
+    monkeypatch.setattr(execution, "RealizationTable", counting)
     kw = dict(horizon_s=6.0, warmup_s=0.5, seed=21)
     fast = simulate_plan(tasks, plan, small_cluster, SimulationConfig(**kw))
     assert [m for m, _ in built] == [t.model for t in small_tasks]
     event = simulate_plan(
-        tasks, plan, small_cluster, SimulationConfig(fast_path=False, **kw)
+        tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
     )
+    assert [m for m, _ in built] == [t.model for t in small_tasks] * 2
     assert {r.task_name for r in fast.records} == {t.name for t in tasks}
     assert_reports_identical(fast, event)
 
@@ -224,15 +226,15 @@ class TestStageBuffer:
 
     @staticmethod
     def _batch(keys):
-        rows = np.zeros((len(keys), len(fastpath._COLS)))
-        rows[:, fastpath._DEV_DONE] = keys
+        rows = np.zeros((len(keys), len(fastpath.COLS)))
+        rows[:, fastpath.DEV_DONE] = keys
         return rows
 
     def test_full_flush_keeps_nothing(self):
-        buf = fastpath._StageBuffer(fastpath._DEV_DONE)
+        buf = fastpath._StageBuffer(fastpath.DEV_DONE)
         batch = self._batch([0.3, 0.1, 0.2])
         out = buf.push_flush(batch, np.inf)
-        np.testing.assert_array_equal(out[:, fastpath._DEV_DONE], [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(out[:, fastpath.DEV_DONE], [0.1, 0.2, 0.3])
         assert buf.rows.shape[0] == 0
         # an empty view would still pin the merged batch through ``.base``
         assert buf.rows.base is None
@@ -240,26 +242,26 @@ class TestStageBuffer:
         assert not np.shares_memory(buf.rows, out)
 
     def test_carry_over_is_owned_and_sorted(self):
-        buf = fastpath._StageBuffer(fastpath._DEV_DONE)
+        buf = fastpath._StageBuffer(fastpath.DEV_DONE)
         batch = self._batch([0.5, 0.1, 0.9, 0.2])
         out = buf.push_flush(batch, 0.4)
-        np.testing.assert_array_equal(out[:, fastpath._DEV_DONE], [0.1, 0.2])
-        np.testing.assert_array_equal(buf.rows[:, fastpath._DEV_DONE], [0.5, 0.9])
+        np.testing.assert_array_equal(out[:, fastpath.DEV_DONE], [0.1, 0.2])
+        np.testing.assert_array_equal(buf.rows[:, fastpath.DEV_DONE], [0.5, 0.9])
         assert buf.rows.base is None
         assert not np.shares_memory(buf.rows, batch)
         assert not np.shares_memory(buf.rows, out)
         # an empty push drains the carry-over in order
         rest = buf.push_flush(self._batch([]), np.inf)
-        np.testing.assert_array_equal(rest[:, fastpath._DEV_DONE], [0.5, 0.9])
+        np.testing.assert_array_equal(rest[:, fastpath.DEV_DONE], [0.5, 0.9])
         assert buf.rows.shape[0] == 0
 
 
 def test_record_backed_arrivals_past_one_stream_block(small_cluster, small_tasks, solved):
-    """Record-backed runs use the event loop's own arrival draws.
+    """Records carry ``arrival_times`` bit for bit past one stream piece.
 
-    A streaming Poisson source sums its gaps per 8192-gap block, which
-    rounds later arrivals differently from ``arrival_times``; the
-    records must carry the latter even for >8192 arrivals per task.
+    A Poisson stream draws its gaps in 8192-gap pieces and carries the
+    running sum across them, so runs with >8192 arrivals per task still see
+    the one-shot arrivals — and a streaming run equals the record-backed one.
     """
     busy = [
         dataclasses.replace(t, arrival_rate=t.arrival_rate * 1000)
@@ -275,6 +277,20 @@ def test_record_backed_arrivals_past_one_stream_block(small_cluster, small_tasks
         got = sorted(r.arrival_s for r in rep.records if r.task_name == t.name)
         np.testing.assert_array_equal(got, want)
     assert max(t.arrival_rate for t in busy) * cfg.horizon_s > 8192
+    wcfg = dataclasses.replace(cfg, windows=WindowConfig(window_s=0.5))
+    records = simulate_plan(busy, solved, small_cluster, wcfg)
+    stream = simulate_plan(
+        busy, solved, small_cluster,
+        dataclasses.replace(wcfg, streaming=True, chunk_size=5000),
+    )
+    assert stream.counters == records.counters
+    assert stream.windowed.fingerprint() == records.windowed.fingerprint()
+    for name, s in stream.per_task.items():
+        r = records.per_task[name]
+        assert (s.count, s.miss_rate, s.accuracy, s.offload_fraction) == (
+            r.count, r.miss_rate, r.accuracy, r.offload_fraction
+        )
+        assert s.max_latency_s == r.max_latency_s
 
 
 def test_record_order_key():
@@ -294,11 +310,11 @@ def test_record_order_key():
         (1, 7, 1, 0.05, 0.10, 0.30, 0.40),  # earlier device finish
         (1, 2, 1, 0.10, 0.20, 0.30, 0.40),  # full tie with row 1: lower req_id
     ])
-    rows = np.zeros((len(spec), len(fastpath._COLS)))
-    rows[:, fastpath._COMPLETION] = 1.0
+    rows = np.zeros((len(spec), len(fastpath.COLS)))
+    rows[:, fastpath.COMPLETION] = 1.0
     layout = [
-        fastpath._REQ, fastpath._OFF, fastpath._ARR,
-        fastpath._DEV_DONE, fastpath._UP_DONE, fastpath._SRV_DONE,
+        fastpath.REQ, fastpath.OFF, fastpath.ARR,
+        fastpath.DEV_DONE, fastpath.UP_DONE, fastpath.SRV_DONE,
     ]
     rows[:, layout] = spec[:, 1:]
     task = spec[:, 0].astype(np.intp)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.joint import JointOptimizer
 from repro.errors import ConfigError
+from repro.faults import FaultSchedule
 from repro.sim.execution import (
     JITTER_STAGES,
     jitter_factors,
@@ -101,7 +102,7 @@ class TestEngineEquivalence:
         fast = simulate_plan(small_tasks, solved, small_cluster, cfg)
         event = simulate_plan(
             small_tasks, solved, small_cluster,
-            dataclasses.replace(cfg, fast_path=False),
+            dataclasses.replace(cfg, faults=FaultSchedule()),
         )
         assert_reports_identical(fast, event)
 

@@ -1,10 +1,13 @@
 """Metrics collection and reports."""
 
+import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.entities import RequestRecord
-from repro.sim.metrics import MetricsCollector, SimulationReport
+from repro.sim.execution import ARR, COLS, COMPLETION, REQ, build_records, record_fields
+from repro.sim.metrics import SimulationReport
+from repro.sim.runner import SimulationConfig
 
 
 def rec(task="t0", rid=0, arrival=1.0, completion=1.1, deadline=1.2, correct=True):
@@ -40,22 +43,26 @@ class TestRequestRecord:
         assert r.queueing_s == 0.0
 
 
+def _rows(*spans):
+    """Completed rows of task 0, one ``(arrival, completion)`` pair each."""
+    rows = np.zeros((len(spans), len(COLS)))
+    rows[:, REQ] = np.arange(len(spans))
+    rows[:, [ARR, COMPLETION]] = spans
+    return rows, np.zeros(len(spans), dtype=np.intp)
+
+
 class TestCollector:
     def test_warmup_discard(self):
-        c = MetricsCollector(warmup_s=2.0)
-        c.record(rec(arrival=1.0, completion=1.1))
-        c.record(rec(arrival=3.0, completion=3.1))
-        assert len(c.records) == 1
-        assert c.discarded == 1
+        records = build_records(record_fields(*_rows((1.0, 1.1), (3.0, 3.1)), ["t0"], 2.0))
+        assert [r.arrival_s for r in records] == [3.0]
 
     def test_time_travel_rejected(self):
-        c = MetricsCollector()
         with pytest.raises(SimulationError):
-            c.record(rec(arrival=2.0, completion=1.0))
+            record_fields(*_rows((2.0, 1.0)), ["t0"], 0.0)
 
     def test_negative_warmup_rejected(self):
-        with pytest.raises(SimulationError):
-            MetricsCollector(warmup_s=-1.0)
+        with pytest.raises(ConfigError):
+            SimulationConfig(warmup_s=-1.0)
 
 
 class TestReport:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.joint import JointOptimizer
 from repro.errors import ConfigError
+from repro.faults import FaultSchedule
 from repro.sim import runner as runner_mod
 from repro.sim.metrics import merge_reports
 from repro.sim.runner import SimulationConfig, run_replications, simulate_plan
@@ -67,7 +68,7 @@ class TestReplications:
         fast = run_replications(small_tasks, solved, small_cluster, base_cfg)
         event = run_replications(
             small_tasks, solved, small_cluster,
-            dataclasses.replace(base_cfg, fast_path=False),
+            dataclasses.replace(base_cfg, faults=FaultSchedule()),
         )
         for f, e in zip(fast, event):
             assert_reports_identical(f, e)

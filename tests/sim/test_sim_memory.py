@@ -44,7 +44,7 @@ def test_streaming_sweep_peaks_below_one_window(sixteen_devices):
     finally:
         tracemalloc.stop()
     assert rep.counters.requests >= 200_000
-    window_bytes = cfg.chunk_size * len(fastpath._COLS) * 8
+    window_bytes = cfg.chunk_size * len(fastpath.COLS) * 8
     assert peak < 0.5 * window_bytes, (peak, window_bytes)
 
 
@@ -70,7 +70,6 @@ def test_fault_run_stores_only_nonzero_cells(small_cluster, small_tasks, small_c
         np.testing.assert_array_equal(keys, nonzero)
         np.testing.assert_array_equal(cells, dense.ravel()[nonzero])
         tw = wm.per_task[task]
-        assert tw.open_row is None  # no dense row outlives a read
         assert tw.keys.nbytes + tw.cells.nbytes == 16 * nonzero.size
         stored += nonzero.size
         occupied = np.flatnonzero(dense.any(axis=0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -134,6 +134,54 @@ class TestPoissonStream:
         whole = _drain(PoissonStream(rate, horizon, seed=3), [])
         cut = _drain(PoissonStream(rate, horizon, seed=3), [0.1, 1.7, 1.70001, 2.9])
         np.testing.assert_array_equal(whole, cut)
-        np.testing.assert_allclose(
-            whole, arrival_times(rate, horizon, seed=3), rtol=1e-12
+        np.testing.assert_array_equal(whole, arrival_times(rate, horizon, seed=3))
+
+    @pytest.mark.parametrize("rate, horizon, seed", [
+        (5000.0, 3.0, 3), (3000.0, 20.0, 1), (900.0, 12.0, 7), (20.0, 1.0, 12603),
+    ])
+    def test_equals_one_block_cumsum(self, rate, horizon, seed):
+        """Carrying the running sum across pieces reproduces one ``cumsum``
+        over each whole block, however many pieces the block takes."""
+        np.testing.assert_array_equal(
+            arrival_times(rate, horizon, seed=seed),
+            _block_cumsum_arrivals(rate, horizon, seed),
         )
+
+
+def _block_cumsum_arrivals(rate, horizon, seed):
+    """Reference Poisson arrivals: one ``cumsum`` per whole summation block."""
+    rng = np.random.default_rng(seed)
+    out, t = [], 0.0
+    while t < horizon:
+        times = t + np.cumsum(rng.exponential(1.0 / rate, size=oneshot_block(rate, horizon)))
+        out.append(times)
+        t = float(times[-1])
+    arr = np.concatenate(out)
+    return arr[arr < horizon]
+
+
+class TestStreamsAtAnyWindowEdges:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrival=st.sampled_from(["poisson", "deterministic", "mmpp"]),
+        rate=st.floats(0.05, 4000.0),
+        horizon=st.floats(0.5, 12.0),
+        edges=st.lists(st.floats(0.0, 1.0), max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    @example(arrival="poisson", rate=4000.0, horizon=12.0, edges=[0.1, 0.5, 0.5, 0.93], seed=9)
+    @example(arrival="poisson", rate=1500.0, horizon=6.0, edges=[], seed=0)
+    def test_concatenated_windows_equal_arrival_times(
+        self, arrival, rate, horizon, edges, seed
+    ):
+        if arrival == "mmpp":
+            rate = min(rate, 300.0)  # the MMPP stream draws gap by gap
+        want = arrival_times(rate, horizon, arrival, 4.0, seed)
+        stream = arrival_stream(rate, horizon, arrival, 4.0, seed)
+        got = _drain(stream, [e * horizon for e in edges])
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.diff(got) > 0) and (got.size == 0 or got[-1] < horizon)
+
+    def test_examples_cover_multi_piece_poisson_blocks(self):
+        assert oneshot_block(1500.0, 6.0) > PoissonStream.BLOCK

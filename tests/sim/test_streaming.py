@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.joint import JointOptimizer
 from repro.errors import ConfigError, SimulationError
+from repro.faults import FaultSchedule
 from repro.sim import (
     LatencyHistogram,
     SimulationConfig,
@@ -408,8 +409,8 @@ class TestStreamingReportSurface:
             assert full[(rec.task_name, rec.req_id)] == rec
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="fast path"):
-            _cfg(streaming=True, fast_path=False)
+        with pytest.raises(ConfigError, match="fault schedules"):
+            _cfg(streaming=True, faults=FaultSchedule())
         with pytest.raises(ConfigError, match="telemetry"):
             _cfg(streaming=True, telemetry=True)
         with pytest.raises(ConfigError, match="chunk_size"):

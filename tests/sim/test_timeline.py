@@ -6,7 +6,7 @@ import pytest
 from repro.core.plan import JointPlan
 from repro.devices.latency import LatencyModel
 from repro.rng import derive
-from repro.sim.execution import realize_request
+from repro.sim.execution import RealizationTable
 from repro.sim.runner import SimulationConfig, simulate_plan
 from repro.sim.sources import DeterministicArrivals
 from repro.telemetry.timeline import TimelineRecorder
@@ -55,22 +55,18 @@ class TestTimelineEvents:
                 cfg.horizon_s, 0
             )
             # hand-rolled FIFO: service = flops/rate + overhead, no preemption
+            table = RealizationTable(task.model, plan.features[task.name].plan)
+            diff_rng = derive(cfg.seed, "difficulty", task.name)
+            difficulty = np.clip(
+                task.model.difficulty.sample(diff_rng, len(arrivals)), 0.0, 1.0
+            )
+            positions = table.positions(difficulty)
+            assert not table.offloaded[positions].any()  # local-only plan
             busy_until = 0.0
             for req_id, at in enumerate(arrivals):
-                feats = plan.features[task.name]
-                rng = derive(cfg.seed, "exec", task.name, req_id)
-                diff_rng = derive(cfg.seed, "difficulty", task.name)
-                difficulty = float(
-                    np.clip(
-                        task.model.difficulty.sample(diff_rng, len(arrivals))[req_id],
-                        0.0,
-                        1.0,
-                    )
-                )
-                demand = realize_request(task.model, feats.plan, difficulty, rng)
-                assert not demand.offloaded  # local-only plan never offloads
+                pos = int(positions[req_id])
                 start = max(float(at), busy_until)
-                service = demand.dev_flops / rate + device.overhead_s
+                service = table.dev_flops[pos] / rate + device.overhead_s
                 busy_until = start + service
 
                 events = tl.for_request(task.name, req_id)
@@ -83,7 +79,7 @@ class TestTimelineEvents:
                 assert by_kind["dequeue"].t_s == pytest.approx(start)
                 assert by_kind["exec_start"].t_s == pytest.approx(start)
                 assert by_kind["complete"].t_s == pytest.approx(start + service)
-                assert by_kind["exit_taken"].value == float(demand.exit_position)
+                assert by_kind["exit_taken"].value == float(pos)
                 assert by_kind["enqueue"].resource == f"dev:{task.device_name}"
 
     def test_counts_cover_every_request(self, small_tasks, local_run):

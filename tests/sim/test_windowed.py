@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.joint import JointOptimizer
 from repro.errors import ConfigError, SimulationError
+from repro.faults import FaultSchedule
 from repro.sim import SimulationConfig, merge_reports, run_cells
 from repro.sim.runner import simulate_plan
 from repro.telemetry.timeline import TimelineRecorder
@@ -51,7 +52,7 @@ class TestCrossEngineIdentity:
     ):
         fast = simulate_plan(small_tasks, solved, small_cluster, _cfg())
         event = simulate_plan(
-            small_tasks, solved, small_cluster, _cfg(fast_path=False)
+            small_tasks, solved, small_cluster, _cfg(faults=FaultSchedule())
         )
         stream = simulate_plan(
             small_tasks, solved, small_cluster,

@@ -2,9 +2,10 @@
 
 Contracts under test (see DESIGN.md §9):
 
-- the scalar event-loop feed (``observe_one``) and the vectorized fast-path
-  feed (``observe``) produce **bit-identical** integer state for the same
-  observations, in any order — the basis of the obs gate's fingerprint check;
+- one-element feeds (one ``observe`` call per completion) and whole-column
+  feeds produce **bit-identical** integer state for the same observations,
+  in any order and any chunking — the basis of the obs gate's fingerprint
+  check;
 - accumulators merge exactly (integer adds, compensated float adds) and
   refuse mismatched layouts;
 - memory is bounded up front: a layout wider than the per-task cell guard is
@@ -21,6 +22,11 @@ from repro.telemetry.windows import (
     WindowConfig,
     WindowedMetrics,
 )
+
+
+def _one(wm, task, completion, latency, met):
+    """Fold one completion as a one-element column."""
+    wm.observe(task, np.array([completion]), np.array([latency]), np.array([met]))
 
 
 def _filled(seed: int, n: int = 500, horizon: float = 10.0) -> WindowedMetrics:
@@ -85,7 +91,7 @@ class TestFeedsIdentity:
         vec.observe("t", comp, lat, met)
         one = WindowedMetrics(cfg, 10.0)
         for c, l, m in zip(comp, lat, met):
-            one.observe_one("t", float(c), float(l), bool(m))
+            _one(one, "t", float(c), float(l), bool(m))
         assert one.fingerprint() == vec.fingerprint()
         np.testing.assert_array_equal(one.per_task["t"].counts, vec.per_task["t"].counts)
         np.testing.assert_array_equal(one.dense_hist("t"), vec.dense_hist("t"))
@@ -126,7 +132,7 @@ class TestFeedsIdentity:
 
     def test_drain_past_horizon_clamps_to_last_window(self):
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
-        wm.observe_one("t", 99.0, 0.01, True)  # far past the horizon
+        _one(wm, "t", 99.0, 0.01, True)  # far past the horizon
         assert wm.per_task["t"].counts[-1] == 1
         assert wm.per_task["t"].counts[:-1].sum() == 0
 
@@ -146,7 +152,7 @@ class TestCompactPlanes:
         cfg = WindowConfig(window_s=1.0)
         one = WindowedMetrics(cfg, 8.0)
         for c, l, m in zip(comp, lat, met):
-            one.observe_one("t", float(c), float(l), bool(m))
+            _one(one, "t", float(c), float(l), bool(m))
         vec = WindowedMetrics(cfg, 8.0)
         vec.observe("t", comp, lat, met)
         merged = WindowedMetrics(cfg, 8.0)
@@ -157,7 +163,7 @@ class TestCompactPlanes:
             cell.observe("t", comp[part], lat[part], met[part])
             merged.merge(cell)
         for i in perm.tolist():
-            shuffled.observe_one("t", float(comp[i]), float(lat[i]), bool(met[i]))
+            _one(shuffled, "t", float(comp[i]), float(lat[i]), bool(met[i]))
         dense = one.dense_hist("t")
         assert dense.shape == (one.n_windows, one.n_bins)
         np.testing.assert_array_equal(vec.dense_hist("t"), dense)
@@ -220,7 +226,7 @@ class TestCompactPlanes:
         with pytest.raises(SimulationError, match="non-negative"):
             wm.observe("t", np.array([1.0, 2.0]), np.array([0.1, bad]), np.ones(2, bool))
         with pytest.raises(SimulationError, match="non-negative"):
-            wm.observe_one("t", 1.0, bad, True)
+            _one(wm, "t", 1.0, bad, True)
         assert wm.total_count == 0
 
     @pytest.mark.parametrize("bad", [-1.5, float("nan"), float("inf"), float("-inf")])
@@ -229,7 +235,7 @@ class TestCompactPlanes:
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
         assert wm.n_windows == 5
         with pytest.raises(SimulationError, match="completion times"):
-            wm.observe_one("t", bad, 0.1, True)
+            _one(wm, "t", bad, 0.1, True)
         with pytest.raises(SimulationError, match="completion times"):
             wm.observe("t", np.array([1.0, bad]), np.array([0.1, 0.1]), np.ones(2, bool))
         for kind in MARK_KINDS:
@@ -243,7 +249,7 @@ class TestCompactPlanes:
         one, vec = WindowedMetrics(cfg, 4.0), WindowedMetrics(cfg, 4.0)
         comp, lat = np.array([1e300, 2.5]), np.array([0.01, 1e300])
         for c, l in zip(comp, lat):
-            one.observe_one("t", float(c), float(l), False)
+            _one(one, "t", float(c), float(l), False)
         vec.observe("t", comp, lat, np.zeros(2, bool))
         assert one.fingerprint() == vec.fingerprint()
         np.testing.assert_array_equal(vec.per_task["t"].counts, [0, 0, 1, 0, 1])
@@ -267,7 +273,7 @@ class TestCompactPlanes:
 class TestMarksAndAggregates:
     def test_marks_feed_error_budget(self):
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
-        wm.observe_one("t", 0.5, 0.01, True)
+        _one(wm, "t", 0.5, 0.01, True)
         wm.mark("t", 0.6, "lost")
         wm.mark("t", 0.7, "shed")
         wm.mark("t", 0.8, "degraded")

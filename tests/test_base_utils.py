@@ -83,7 +83,6 @@ class TestErrorHierarchy:
             errors.PlanError,
             errors.InfeasibleError,
             errors.SimulationError,
-            errors.ConvergenceError,
             errors.ConfigError,
         ],
     )
