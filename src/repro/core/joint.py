@@ -33,7 +33,6 @@ threaded through :class:`JointResult` counts the work actually done.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ from repro.core.plan import JointPlan, TaskSpec
 from repro.core.risk import RiskConfig
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite, require_int
 from repro.profiling.counters import PerfCounters
 from repro.rng import SeedLike, as_generator, spawn
 from repro.telemetry.trace import Span, Tracer, get_tracer
@@ -198,20 +197,12 @@ class JointSolverConfig:
         from repro.core.sharding import SHARD_STRATEGIES
 
         for name, low in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
+            require_int(self, name)
+            if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
         for name in ("tol", "migration_hysteresis"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            if value < 0:
+            require_finite(self, name)
+            if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.shard_by not in SHARD_STRATEGIES:
             raise ConfigError(

@@ -7,6 +7,9 @@ programming errors (``TypeError`` etc.) propagate.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -40,8 +43,8 @@ class SimulationError(ReproError):
 
 
 class FaultError(SimulationError):
-    """Invalid fault schedule or fault-injection state transition (overlapping
-    outages on one target, recovering a resource that is not down, ...)."""
+    """Invalid fault schedule or fault windows (overlapping outages on one
+    target, an unknown target, an empty window, ...)."""
 
 
 class ResourceUnavailableError(FaultError):
@@ -54,3 +57,25 @@ class ResourceUnavailableError(FaultError):
 
 class ConfigError(ReproError):
     """Invalid configuration value."""
+
+
+def require_finite(owner: object, *names: str) -> None:
+    """Raise :class:`ConfigError` unless each ``owner.<name>`` is a finite
+    real number (``bool`` excluded): NaN slips through every range check."""
+    for name in names:
+        value = getattr(owner, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_int(owner: object, *names: str) -> None:
+    """Raise :class:`ConfigError` unless each ``owner.<name>`` is an integer
+    (``bool`` excluded)."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.core.plan import JointPlan
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite, require_int
 
 __all__ = ["FailurePolicy", "PlanUpdate"]
 
@@ -53,6 +53,12 @@ class FailurePolicy:
     detection_delay_s: float = 0.005
 
     def __post_init__(self) -> None:
+        # a NaN timeout never fires; an infinite backoff never retries
+        require_finite(
+            self, "stage_timeout_s", "backoff_base_s", "backoff_factor",
+            "detection_delay_s",
+        )
+        require_int(self, "max_retries")
         if self.stage_timeout_s <= 0:
             raise ConfigError("stage_timeout_s must be positive")
         if self.max_retries < 0:
@@ -83,6 +89,7 @@ class PlanUpdate:
     shed_tasks: Tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        require_finite(self, "time_s")
         if self.time_s < 0:
             raise ConfigError("plan update time must be >= 0")
         for t in self.shed_tasks:

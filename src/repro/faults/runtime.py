@@ -15,16 +15,18 @@ the rows, which become records and the windowed SLO feed through the
 sweep's builder (:func:`~repro.sim.execution.record_fields`), in completion
 order.
 
-On top of the plain device → uplink → server → downlink pipeline, it carries a
-:class:`~repro.faults.injector.FaultInjector` driving the configured
-:class:`~repro.faults.schedule.FaultSchedule`, per-stage failure detection
-(down-at-submit, crash-during-service, wire loss, timeout), and the
+On top of the plain device → uplink → server → downlink pipeline, it carries
+the :class:`~repro.faults.schedule.FaultSchedule` as data — resolved once
+into the windows each resource holds and applies itself
+(:func:`~repro.faults.schedule.resource_windows`), so the heap holds request
+stages only — per-stage failure detection (down-at-submit,
+crash-during-service, wire loss, timeout), and the
 :class:`~repro.faults.policy.FailurePolicy` recovery ladder (backoff retry
 → failover to a standby server slice → graceful local degradation → lost).
 
 Because FIFO service times are known at submission, every stage's outcome is
 decided deterministically *at submission time*: the earliest of
-{crash-interrupt, timeout} — both computable from the static schedule and
+{crash-interrupt, timeout} — both computable from the resource's windows and
 the policy — wins against the nominal finish, and exactly one continuation
 is scheduled.  No cancellation races, no sampling inside the loop beyond the
 seed-derived loss/degradation draws, so fault runs replay bit-for-bit.
@@ -49,9 +51,8 @@ from repro.core.plan import JointPlan, SurgeryPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, SimulationError
-from repro.faults.injector import FaultInjector
 from repro.faults.policy import FailurePolicy, PlanUpdate
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultSchedule, resource_windows
 from repro.models.multiexit import MultiExitModel
 from repro.rng import derive
 from repro.sim.engine import Simulator
@@ -61,7 +62,9 @@ from repro.sim.execution import (
     shared_table,
 )
 from repro.sim.metrics import SimCounters, SimulationReport
-from repro.sim.queues import FifoResource, LinkResource
+from repro.sim.queues import (
+    NO_FAULTS, FifoResource, LinkResource, device_resources, slice_resources,
+)
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowedMetrics
 
@@ -72,15 +75,22 @@ __all__ = ["simulate_with_faults"]
 class _Route:
     """One offload path: a server slice plus its two link directions."""
 
-    server_name: str
     srv: FifoResource
     up: LinkResource
     down: LinkResource
-    is_primary: bool
+    #: the task's ``request_loss`` windows ``(start, end, p)``; primary
+    #: routes only — loss, like link faults, hits the task's own access path
+    loss: Tuple[Tuple[float, float, float], ...]
 
-    @property
-    def reachable(self) -> bool:
-        return not (self.srv.is_down or self.up.is_down or self.down.is_down)
+    def reachable(self, now: float) -> bool:
+        return not (
+            self.srv.is_down(now) or self.up.is_down(now) or self.down.is_down(now)
+        )
+
+
+def _loss_probability(windows: Tuple[Tuple[float, float, float], ...], t: float) -> float:
+    """Per-attempt loss probability at ``t`` under ``windows``."""
+    return next((p for start, end, p in windows if start <= t < end), 0.0)
 
 
 @dataclass
@@ -149,40 +159,35 @@ def simulate_with_faults(
         if cfg.windows is not None else None
     )
 
+    # -- faults ---------------------------------------------------------------
+    # resolved once (unknown targets fail here, before the run starts); each
+    # window's start, and its end unless permanent, counts as one event
+    server_faults, link_faults, loss_windows = resource_windows(
+        schedule, [s.name for s in cluster.servers], [t.name for t in tasks]
+    )
+    counters.faults_injected = len(schedule)
+    transitions = 0
+    for e in schedule:
+        transitions += 1 if e.permanent else 2
+        if rec is not None:
+            rec.event(e.start_s, "fault_inject", e.target, -1, resource=e.kind,
+                      value=e.severity)
+            rec.count(f"sim.faults.{e.kind}")
+            if not e.permanent:
+                rec.event(e.end_s, "fault_recover", e.target, -1, resource=e.kind)
+
     # -- resources ------------------------------------------------------------
-    device_res: Dict[str, FifoResource] = {}
-    for d in cluster.end_devices:
-        device_res[d.name] = FifoResource(
-            f"dev:{d.name}", lm.throughput(d), overhead_s=d.overhead_s, recorder=rec
-        )
-    # injector maps: every slice living on a server / behind a task's access
-    # link, across all plan generations, so one crash takes them all down
-    server_map: Dict[str, List] = {s.name: [] for s in cluster.servers}
-    link_map: Dict[str, List] = {t.name: [] for t in tasks}
+    device_res = device_resources(cluster, lm, rec)
 
     def _make_route(t: TaskSpec, p: JointPlan, s: int, tag: str, primary: bool) -> _Route:
-        server = cluster.servers[s]
-        link = cluster.link(t.device_name, server.name)
-        x = p.compute_shares[t.name]
-        y = p.bandwidth_shares[t.name]
-        srv = FifoResource(
-            f"srv:{t.name}{tag}", lm.throughput(server) * x,
-            overhead_s=server.overhead_s, recorder=rec,
+        # every slice on a server takes its windows; link faults and loss hit
+        # the primary path only (a standby reaches another server's link)
+        srv, up, down = slice_resources(
+            t, p, s, cluster, lm, cfg.bandwidth_trace, tag, rec,
+            server_faults[cluster.servers[s].name],
+            link_faults[t.name] if primary else NO_FAULTS,
         )
-        up = LinkResource(
-            f"link:{t.name}:up{tag}", link.bandwidth_bps, rtt_s=link.rtt_s,
-            share=y, trace=cfg.bandwidth_trace, recorder=rec,
-        )
-        down = LinkResource(
-            f"link:{t.name}:down{tag}", link.bandwidth_bps, rtt_s=link.rtt_s,
-            share=y, trace=cfg.bandwidth_trace, recorder=rec,
-        )
-        server_map[server.name].append(srv)
-        if primary:
-            # link faults target the task's *primary* access path; a standby
-            # route reaches a different server over a different link
-            link_map[t.name].extend((up, down))
-        return _Route(server.name, srv, up, down, is_primary=primary)
+        return _Route(srv, up, down, loss_windows.get(t.name, ()) if primary else ())
 
     # standby slices exist only where the policy can fail over to them, so
     # fault-free and no-failover reports list no unused ":fo" slices
@@ -210,16 +215,7 @@ def simulate_with_faults(
         route_sets.append(routes)
         degrade_profiles.append(profiles)
 
-    # armed before arrivals: same-time fault transitions outrank stage events
-    injector = FaultInjector(schedule, server_map, link_map, counters, recorder=rec)
-    injector.arm(sim)
-
     detection_s = policy.detection_delay_s if policy is not None else 0.0
-    # targets with any window of a kind: stages on every other target skip
-    # the schedule scans (a fault-free run skips them all)
-    lossy = {e.target for e in schedule if e.kind == "request_loss"}
-    outage_links = {e.target for e in schedule if e.kind == "link_outage"}
-    crash_servers = {e.target for e in schedule if e.kind == "server_crash"}
 
     def _stage_outcome(
         t_submit: float, done: float, crash_at: Optional[float]
@@ -376,7 +372,7 @@ def simulate_with_faults(
         def begin_offload(self, dev_busy: float, attempt: int) -> None:
             routes = self.routes
             route = routes.primary
-            if routes.standby is not None and not route.reachable:
+            if routes.standby is not None and not route.reachable(sim.now):
                 route = routes.standby
                 counters.failovers += 1
                 if rec is not None:
@@ -388,13 +384,13 @@ def simulate_with_faults(
         def stage_uplink(self, route: _Route, dev_busy: float, attempt: int) -> None:
             now = sim.now
             lres = route.up
-            if lres.is_down:
+            if lres.is_down(now):
                 self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
             name = self.task.name
             start, done = lres.submit(now, self.row[UP_BYTES])
-            if route.is_primary and name in lossy:
-                p_loss = schedule.loss_probability(name, now)
+            if route.loss:
+                p_loss = _loss_probability(route.loss, now)
                 if p_loss > 0.0:
                     roll = derive(
                         cfg.seed, "fault_loss", name, self.req_id, attempt
@@ -409,12 +405,7 @@ def simulate_with_faults(
                         )
                         self.fail(at, dev_busy, attempt, "wire_loss")
                         return
-            crash = (
-                schedule.next_failure_in("link_outage", name, now, done)
-                if route.is_primary and name in outage_links
-                else None
-            )
-            fail_at = _stage_outcome(now, done, crash)
+            fail_at = _stage_outcome(now, done, lres.next_crash(now, done))
             if fail_at is not None:
                 self.fail(fail_at, dev_busy, attempt, "uplink")
                 return
@@ -433,16 +424,11 @@ def simulate_with_faults(
         ) -> None:
             now = sim.now
             sres = route.srv
-            if sres.is_down:
+            if sres.is_down(now):
                 self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
             start, done = sres.submit(now, self.row[SRV_FLOPS])
-            crash = (
-                schedule.next_failure_in("server_crash", route.server_name, now, done)
-                if route.server_name in crash_servers
-                else None
-            )
-            fail_at = _stage_outcome(now, done, crash)
+            fail_at = _stage_outcome(now, done, sres.next_crash(now, done))
             if fail_at is not None:
                 self.fail(fail_at, dev_busy, attempt, "server")
                 return
@@ -465,17 +451,12 @@ def simulate_with_faults(
         ) -> None:
             now = sim.now
             lres = route.down
-            if lres.is_down:
+            if lres.is_down(now):
                 self.fail(now + detection_s, dev_busy, attempt, "down")
                 return
             name = self.task.name
             start, done = lres.submit(now, self.row[DOWN_BYTES])
-            crash = (
-                schedule.next_failure_in("link_outage", name, now, done)
-                if route.is_primary and name in outage_links
-                else None
-            )
-            fail_at = _stage_outcome(now, done, crash)
+            fail_at = _stage_outcome(now, done, lres.next_crash(now, done))
             if fail_at is not None:
                 self.fail(fail_at, dev_busy, attempt, "downlink")
                 return
@@ -599,7 +580,7 @@ def simulate_with_faults(
     counters.requests = total
     counters.records = len(records)
     counters.discarded_warmup = report.discarded_warmup
-    counters.events = sim.events_processed
+    counters.events = sim.events_processed + transitions
     report.counters = counters
     report.windowed = wm
     if not counters.conserved():

@@ -20,21 +20,30 @@ Event semantics by kind (``target`` names the affected entity):
   nominal rate during the window.
 - ``request_loss`` — each offload attempt of task ``target`` started inside
   the window is lost in the network with probability ``severity``.
+
+A run resolves its schedule once, with :func:`resource_windows`, into plain
+per-resource data: every slice on a server (standby and plan-update slices
+included) holds that server's windows, a task's primary uplink and downlink
+hold the task's link windows, and ``request_loss`` windows stay per task.
+No window becomes a simulator event: the resources apply their own windows
+lazily (:mod:`repro.sim.queues`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultError
 from repro.rng import derive
+from repro.sim.queues import FaultWindows
 
 __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultSchedule",
+    "resource_windows",
     "sample_fault_schedule",
 ]
 
@@ -99,9 +108,10 @@ class FaultEvent:
 class FaultSchedule:
     """Validated, time-sorted collection of fault windows.
 
-    Windows of the same ``(kind, target)`` pair must not overlap — the
-    injector drives each resource through a simple down/up (or slow/normal)
-    state machine and overlapping windows would make transitions ambiguous.
+    Windows of the same ``(kind, target)`` pair must not overlap — each
+    resource holds its windows as one sorted, non-overlapping sequence per
+    kind (:func:`resource_windows`), and overlapping windows would make its
+    down/up (or slow/normal) transitions ambiguous.
     """
 
     events: Tuple[FaultEvent, ...] = field(default_factory=tuple)
@@ -190,6 +200,45 @@ class FaultSchedule:
     def merged_with(self, other: "FaultSchedule") -> "FaultSchedule":
         """Union of two schedules (re-validated)."""
         return FaultSchedule(events=self.events + other.events)
+
+
+def resource_windows(
+    schedule: FaultSchedule, servers: Iterable[str], tasks: Iterable[str]
+) -> Tuple[
+    Dict[str, FaultWindows],
+    Dict[str, FaultWindows],
+    Dict[str, Tuple[Tuple[float, float, float], ...]],
+]:
+    """Resolve ``schedule`` into per-resource windows, once per run.
+
+    Returns ``(by_server, by_link, loss)``: the :class:`~repro.sim.queues.
+    FaultWindows` of each server in ``servers`` and of each task's access
+    link in ``tasks``, and each ``request_loss`` target's windows
+    ``(start, end, probability)``, all in schedule order (sorted, and
+    non-overlapping per kind).  An unknown server or task link raises
+    :class:`FaultError`; ``request_loss`` needs no resource.
+    """
+    by_server = {s: ([], []) for s in servers}
+    by_link = {t: ([], []) for t in tasks}
+    loss: Dict[str, list] = {}
+    for e in schedule:
+        if e.kind == "request_loss":
+            loss.setdefault(e.target, []).append((e.start_s, e.end_s, e.severity))
+            continue
+        on_server = e.kind.startswith("server")
+        windows = (by_server if on_server else by_link).get(e.target)
+        if windows is None:
+            what = "server" if on_server else "task link"
+            raise FaultError(f"{e.kind} targets unknown {what} {e.target!r}")
+        if e.kind in _OUTAGE_KINDS:
+            windows[0].append((e.start_s, e.end_s))
+        else:
+            windows[1].append((e.start_s, e.end_s, e.severity))
+    return (
+        {k: FaultWindows(tuple(d), tuple(s)) for k, (d, s) in by_server.items()},
+        {k: FaultWindows(tuple(d), tuple(s)) for k, (d, s) in by_link.items()},
+        {k: tuple(v) for k, v in loss.items()},
+    )
 
 
 def sample_fault_schedule(

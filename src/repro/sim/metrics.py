@@ -42,7 +42,9 @@ class SimCounters:
     processed — the fast path reports the *equivalent* count
     (``2·non-offloaded + 5·offloaded`` requests), which is exactly what the
     event loop executes for the same workload, so the two paths stay
-    comparable and reports stay equal.
+    comparable and reports stay equal.  A fault run adds one event per
+    fault-window transition (each window's start, and its end unless
+    permanent), though the resources apply them without the heap.
     """
 
     requests: int = 0
@@ -51,7 +53,7 @@ class SimCounters:
     events: int = 0
     replications: int = 0
     # -- failure accounting (all zero on fault-free runs) ---------------------
-    #: fault-schedule events applied by the injector
+    #: fault-schedule events of the run (every window applies)
     faults_injected: int = 0
     #: offload attempts re-submitted after a failed/timed-out attempt
     retries: int = 0

@@ -16,24 +16,25 @@ track in-flight job counts and sample ``sim.queue_depth.<name>`` /
 ``sim.utilization.<name>`` gauges at every submission boundary.  Without a
 recorder (the default) none of that bookkeeping runs.
 
-**Failure state** (driven by :mod:`repro.faults`): both resources can be
-marked down (:meth:`FifoResource.fail`) and back up
-(:meth:`FifoResource.recover`).  Going down abandons all queued/in-flight
-work — the busy horizon is clamped to the failure instant and the abandoned
-residual is removed from the utilization accounting (interrupted requests
-re-drive their own recovery via the failure policy layer).  Submitting to a
-downed resource raises :class:`~repro.errors.ResourceUnavailableError`; the
-failure-aware request path checks :meth:`FifoResource.available` first, so
-the raise only fires on policy-layer bugs.  A ``speed_factor`` (straggler
-slowdowns, link degradation) scales the effective service rate for jobs
-*starting* under it; at the default factor of 1.0 the arithmetic is
-bit-identical to the pre-fault code path.
+**Fault windows** (:func:`repro.faults.schedule.resource_windows`): a
+resource is built with its own sorted ``down`` windows ``(start, end)`` and
+``speed`` windows ``(start, end, factor)`` and applies them lazily — in
+``submit``, ``is_down``, ``next_crash`` and ``utilization``, whose time
+arguments never decrease.  Transitions at or before that time apply in time
+order, so a resource is down at a crash instant and up at a recovery
+instant.  A crash abandons queued/in-flight work: the busy horizon is
+clamped to it and the unserved residual leaves ``busy_time``; a recovery
+restarts the queue at the recovery instant.  Submitting to a downed resource
+raises :class:`~repro.errors.ResourceUnavailableError` (the failure-aware
+request path checks ``is_down`` first).  A speed factor scales the rate of
+jobs *submitted* while its window is open.  Without windows the arithmetic
+is bit-identical to a resource that never heard of faults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+import math
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,72 +42,130 @@ from repro.errors import FaultError, ResourceUnavailableError, SimulationError
 from repro.network.wireless import BandwidthTrace
 from repro.telemetry.timeline import TimelineRecorder
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.plan import JointPlan, TaskSpec
+    from repro.devices.cluster import EdgeCluster
+    from repro.devices.latency import LatencyModel
 
-class _FailureStateMixin:
-    """Up/down lifecycle shared by compute and link resources.
 
-    Host classes provide ``name``, ``_busy_until`` and ``busy_time``.
-    """
+class FaultWindows(NamedTuple):
+    """One resource's windows, each kind sorted and non-overlapping:
+    outages ``(start, end)`` (``end`` may be ``inf``) and slowdowns
+    ``(start, end, factor)``."""
 
-    def _init_failure_state(self) -> None:
-        self._down_since: Optional[float] = None
-        self.outages: List[Tuple[float, float]] = []  # closed [fail, recover]
-        self.speed_factor = 1.0
+    down: Tuple[Tuple[float, float], ...] = ()
+    speed: Tuple[Tuple[float, float, float], ...] = ()
 
-    @property
-    def is_down(self) -> bool:
-        return self._down_since is not None
 
-    def available(self, now: float) -> bool:
-        """True when the resource can accept work at ``now``."""
-        del now  # state-based: the injector toggles us exactly at boundaries
-        return self._down_since is None
+NO_FAULTS = FaultWindows()
 
-    def fail(self, now: float) -> None:
-        """Take the resource down at ``now``, abandoning queued work.
 
-        The busy horizon is clamped to ``now`` and the un-served residual is
-        subtracted from ``busy_time`` so utilization reflects work actually
-        performed.  Interrupted requests are the caller's problem — the
-        failure policy layer re-submits, fails over, or degrades them.
-        """
-        if self._down_since is not None:
-            raise FaultError(f"{self.name}: fail() while already down")
-        if now < 0:
-            raise FaultError(f"{self.name}: negative failure time {now}")
-        self._down_since = now
-        if self._busy_until > now:
-            self.busy_time -= self._busy_until - now
-            self._busy_until = now
+class _Resource:
+    """What compute and link queues share: the busy horizon, recorder
+    gauges and lazily applied fault windows."""
 
-    def recover(self, now: float) -> None:
-        """Bring the resource back up at ``now`` with an empty queue."""
-        if self._down_since is None:
-            raise FaultError(f"{self.name}: recover() while not down")
-        if now < self._down_since:
-            raise FaultError(
-                f"{self.name}: recovery at t={now:.6g} precedes failure at "
-                f"t={self._down_since:.6g}"
+    def __init__(
+        self,
+        name: str,
+        recorder: Optional[TimelineRecorder],
+        down: Sequence[Tuple[float, float]],
+        speed: Sequence[Tuple[float, float, float]],
+    ) -> None:
+        self.name = name
+        self.recorder = recorder
+        self._busy_until = 0.0
+        self.busy_time = 0.0  # total service time (utilization accounting)
+        self._inflight: List[float] = []  # finish times (recorder only)
+        for kind, windows in (("down", down), ("slowed", speed)):
+            last = -math.inf
+            for start, end, *factor in windows:
+                if not end > start:
+                    raise FaultError(f"{self.name}: window [{start}, {end}) is empty or inverted")
+                if start < last:
+                    raise FaultError(
+                        f"{self.name}: window at t={start:.6g} opens while already "
+                        f"{kind} until t={last:.6g}"
+                    )
+                if factor and not factor[0] > 0:
+                    raise FaultError(f"{self.name}: speed factor must be positive")
+                last = end
+        self.down, self.speed = tuple(down), tuple(speed)
+        self._faulty = bool(down or speed)
+        self._next_down = 0  # first down window whose crash has not applied
+        self._down_end: Optional[float] = None  # end of the open outage
+        self._next_speed = 0  # first speed window not yet closed
+
+    def depth(self, now: float) -> int:
+        """Jobs submitted but not yet finished (tracked only with a recorder)."""
+        self._inflight = [f for f in self._inflight if f > now]
+        return len(self._inflight)
+
+    def _observe(self, now: float, finish: float) -> None:
+        rec = self.recorder
+        assert rec is not None
+        self._inflight.append(finish)
+        rec.sample(f"sim.queue_depth.{self.name}", now, self.depth(now))
+        if now > 0:
+            rec.sample(f"sim.utilization.{self.name}", now, min(1.0, self.busy_time / now))
+
+    def _settle(self, now: float) -> None:
+        """Apply every crash and recovery at or before ``now``, in time
+        order; a permanent outage never recovers, not even at ``inf``."""
+        end = self._down_end
+        if end is not None:
+            if now < end or end == math.inf:
+                return
+            self._down_end = None
+            self._busy_until = max(self._busy_until, end)
+        windows, i = self.down, self._next_down
+        while i < len(windows) and windows[i][0] <= now:
+            start, end = windows[i]
+            i += 1
+            if self._busy_until > start:  # crash: abandon queued work
+                self.busy_time -= self._busy_until - start
+                self._busy_until = start
+            if now < end or end == math.inf:
+                self._down_end = end
+                break
+            self._busy_until = max(self._busy_until, end)
+        self._next_down = i
+
+    def is_down(self, now: float) -> bool:
+        if self._faulty:
+            self._settle(now)
+        return self._down_end is not None
+
+    def next_crash(self, now: float, until: float) -> Optional[float]:
+        """Earliest outage start strictly inside ``(now, until)``: a job
+        served over that span is interrupted by it."""
+        if self._faulty:
+            self._settle(now)
+            i = self._next_down
+            if i < len(self.down) and now < self.down[i][0] < until:
+                return self.down[i][0]
+        return None
+
+    def _admit(self, now: float) -> float:
+        """Speed factor of a job submitted at ``now``; raises while down."""
+        self._settle(now)
+        if self._down_end is not None:
+            raise ResourceUnavailableError(
+                f"{self.name}: submit at t={now:.6g} while down until "
+                f"t={self._down_end:.6g}"
             )
-        self.outages.append((self._down_since, now))
-        self._down_since = None
-        self._busy_until = max(self._busy_until, now)
+        windows, i = self.speed, self._next_speed
+        while i < len(windows) and windows[i][1] <= now:
+            i += 1
+        self._next_speed = i
+        return windows[i][2] if i < len(windows) and windows[i][0] <= now else 1.0
 
-    def set_speed_factor(self, factor: float) -> None:
-        """Scale the effective service rate (stragglers / degradation).
-
-        Applies to jobs *starting* service from now on; a job spanning the
-        change keeps the factor it started under.
-        """
-        if factor <= 0:
-            raise FaultError(f"{self.name}: speed factor must be positive")
-        self.speed_factor = factor
-
-    def _raise_down(self, now: float) -> None:
-        raise ResourceUnavailableError(
-            f"{self.name}: submit at t={now:.6g} while down since "
-            f"t={self._down_since:.6g}"
-        )
+    def utilization(self, horizon_s: float) -> float:
+        """Fraction of ``[0, horizon]`` spent serving, once every window
+        has applied (the end of the run)."""
+        if horizon_s <= 0:
+            raise SimulationError("horizon must be positive")
+        self._settle(math.inf)
+        return min(1.0, self.busy_time / horizon_s)
 
 
 #: chained-sweep tuning: segments at least this long count as "saturated";
@@ -168,7 +227,7 @@ def _sequential_total(initial: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([initial], values)))[-1])
 
 
-class FifoResource(_FailureStateMixin):
+class FifoResource(_Resource):
     """Single FIFO server with a fixed service rate (FLOP/s or B/s)."""
 
     def __init__(
@@ -177,33 +236,17 @@ class FifoResource(_FailureStateMixin):
         rate: float,
         overhead_s: float = 0.0,
         recorder: Optional[TimelineRecorder] = None,
+        down: Sequence[Tuple[float, float]] = (),
+        speed: Sequence[Tuple[float, float, float]] = (),
     ) -> None:
         if rate <= 0:
             raise SimulationError(f"{name}: rate must be positive")
         if overhead_s < 0:
             raise SimulationError(f"{name}: overhead must be >= 0")
-        self.name = name
+        super().__init__(name, recorder, down, speed)
         self.rate = rate
         self.overhead_s = overhead_s
-        self.recorder = recorder
-        self._busy_until = 0.0
-        self.busy_time = 0.0  # total service time (utilization accounting)
         self.jobs = 0
-        self._inflight: List[float] = []  # finish times (recorder only)
-        self._init_failure_state()
-
-    def depth(self, now: float) -> int:
-        """Jobs submitted but not yet finished (tracked only with a recorder)."""
-        self._inflight = [f for f in self._inflight if f > now]
-        return len(self._inflight)
-
-    def _observe(self, now: float, finish: float) -> None:
-        rec = self.recorder
-        assert rec is not None
-        self._inflight.append(finish)
-        rec.sample(f"sim.queue_depth.{self.name}", now, self.depth(now))
-        if now > 0:
-            rec.sample(f"sim.utilization.{self.name}", now, min(1.0, self.busy_time / now))
 
     def submit(self, now: float, amount: float) -> Tuple[float, float]:
         """Enqueue ``amount`` of work at time ``now``; return (start, finish).
@@ -214,12 +257,11 @@ class FifoResource(_FailureStateMixin):
             raise SimulationError(f"{self.name}: negative work {amount}")
         if now < 0:
             raise SimulationError(f"{self.name}: negative submit time")
-        if self._down_since is not None:
-            self._raise_down(now)
+        factor = self._admit(now) if self._faulty else 1.0
         if amount == 0:
             return now, now
         start = max(now, self._busy_until)
-        service = amount / (self.rate * self.speed_factor) + self.overhead_s
+        service = amount / (self.rate * factor) + self.overhead_s
         finish = start + service
         self._busy_until = finish
         self.busy_time += service
@@ -238,8 +280,7 @@ class FifoResource(_FailureStateMixin):
         """
         if self.recorder is not None:  # pragma: no cover - guarded by caller
             raise SimulationError(f"{self.name}: sweep requires no recorder")
-        if self.is_down or self.outages or self.speed_factor != 1.0:
-            # pragma: no cover - fault runs force the event loop
+        if self._faulty:  # pragma: no cover - fault runs force the event loop
             raise SimulationError(f"{self.name}: sweep is incompatible with faults")
         times = np.asarray(times, dtype=np.float64)
         amounts = np.asarray(amounts, dtype=np.float64)
@@ -265,14 +306,8 @@ class FifoResource(_FailureStateMixin):
             self.jobs += int(nz.size)
         return starts, finishes
 
-    def utilization(self, horizon_s: float) -> float:
-        """Fraction of ``[0, horizon]`` this resource spent serving."""
-        if horizon_s <= 0:
-            raise SimulationError("horizon must be positive")
-        return min(1.0, self.busy_time / horizon_s)
 
-
-class LinkResource(_FailureStateMixin):
+class LinkResource(_Resource):
     """FIFO link with fixed or trace-driven bandwidth.
 
     With a trace, a transfer starting at ``t`` finishes when the integral of
@@ -288,6 +323,8 @@ class LinkResource(_FailureStateMixin):
         share: float = 1.0,
         trace: Optional[BandwidthTrace] = None,
         recorder: Optional[TimelineRecorder] = None,
+        down: Sequence[Tuple[float, float]] = (),
+        speed: Sequence[Tuple[float, float, float]] = (),
     ) -> None:
         if bandwidth_bps <= 0:
             raise SimulationError(f"{name}: bandwidth must be positive")
@@ -295,33 +332,23 @@ class LinkResource(_FailureStateMixin):
             raise SimulationError(f"{name}: share must be in (0,1]")
         if rtt_s < 0:
             raise SimulationError(f"{name}: rtt must be >= 0")
-        self.name = name
+        super().__init__(name, recorder, down, speed)
         self.bandwidth_bps = bandwidth_bps
         self.rtt_s = rtt_s
         self.share = share
         self.trace = trace
-        self.recorder = recorder
-        self._busy_until = 0.0
-        self.busy_time = 0.0
         self.transfers = 0
-        self._inflight: List[float] = []  # serialization-finish times (recorder only)
-        self._init_failure_state()
 
-    def depth(self, now: float) -> int:
-        """Transfers submitted but not fully serialized (recorder only)."""
-        self._inflight = [f for f in self._inflight if f > now]
-        return len(self._inflight)
-
-    def _serialization_finish(self, start: float, nbytes: float) -> float:
+    def _serialization_finish(self, start: float, nbytes: float, factor: float) -> float:
         if self.trace is None:
-            return start + nbytes / (self.bandwidth_bps * self.share * self.speed_factor)
+            return start + nbytes / (self.bandwidth_bps * self.share * factor)
         # integrate share-scaled trace bandwidth over time
         times, values = self.trace.times, self.trace.values
         remaining = nbytes
         t = start
         idx = int(np.searchsorted(times, t, side="right")) - 1
         while True:
-            rate = float(values[idx]) * self.share * self.speed_factor
+            rate = float(values[idx]) * self.share * factor
             seg_end = float(times[idx + 1]) if idx + 1 < len(times) else np.inf
             span = seg_end - t
             capacity = rate * span
@@ -341,38 +368,30 @@ class LinkResource(_FailureStateMixin):
         """
         if nbytes < 0:
             raise SimulationError(f"{self.name}: negative transfer {nbytes}")
-        if self._down_since is not None:
-            self._raise_down(now)
+        factor = self._admit(now) if self._faulty else 1.0
         if nbytes == 0:
             return now, now
         start = max(now, self._busy_until)
-        serialized = self._serialization_finish(start, nbytes)
+        serialized = self._serialization_finish(start, nbytes, factor)
         if serialized < start:  # pragma: no cover - defensive
             raise SimulationError(f"{self.name}: negative transfer duration")
         self._busy_until = serialized
         self.busy_time += serialized - start
         self.transfers += 1
         if self.recorder is not None:
-            self._inflight.append(serialized)
-            self.recorder.sample(f"sim.queue_depth.{self.name}", now, self.depth(now))
-            if now > 0:
-                self.recorder.sample(
-                    f"sim.utilization.{self.name}", now, min(1.0, self.busy_time / now)
-                )
+            self._observe(now, serialized)
         return start, serialized + self.rtt_s / 2.0
 
     def sweep(self, times: np.ndarray, nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Batch :meth:`submit` over transfers already in submission order.
 
         Same float arithmetic and state updates as sequential :meth:`submit`
-        calls (including trace-segment integration via
-        :meth:`_serialization_finish`); returns (starts, deliveries).  Only
-        valid without a recorder.
+        calls (a traced link *is* one :meth:`submit` per transfer); returns
+        (starts, deliveries).  Only valid without a recorder.
         """
         if self.recorder is not None:  # pragma: no cover - guarded by caller
             raise SimulationError(f"{self.name}: sweep requires no recorder")
-        if self.is_down or self.outages or self.speed_factor != 1.0:
-            # pragma: no cover - fault runs force the event loop
+        if self._faulty:  # pragma: no cover - fault runs force the event loop
             raise SimulationError(f"{self.name}: sweep is incompatible with faults")
         times = np.asarray(times, dtype=np.float64)
         nbytes = np.asarray(nbytes, dtype=np.float64)
@@ -383,25 +402,9 @@ class LinkResource(_FailureStateMixin):
         deliveries = np.empty(times.shape[0], dtype=np.float64)
         half_rtt = self.rtt_s / 2.0
         if self.trace is not None:
-            # trace integration is inherently per-transfer: keep the loop
-            busy = self._busy_until
-            busy_time = self.busy_time
-            transfers = self.transfers
+            # trace integration is inherently per-transfer
             for i, (now, nb) in enumerate(zip(times.tolist(), nbytes.tolist())):
-                if nb == 0:
-                    starts[i] = now
-                    deliveries[i] = now
-                    continue
-                start = busy if busy > now else now  # == max(now, busy)
-                serialized = self._serialization_finish(start, nb)
-                busy = serialized
-                busy_time += serialized - start
-                transfers += 1
-                starts[i] = start
-                deliveries[i] = serialized + half_rtt
-            self._busy_until = busy
-            self.busy_time = busy_time
-            self.transfers = transfers
+                starts[i], deliveries[i] = self.submit(now, nb)
             return starts, deliveries
         nz = np.flatnonzero(nbytes > 0)
         if nz.size < times.shape[0]:  # zero-byte transfers complete instantly
@@ -417,3 +420,51 @@ class LinkResource(_FailureStateMixin):
             self.busy_time = _sequential_total(self.busy_time, serialized - s_nz)
             self.transfers += int(nz.size)
         return starts, deliveries
+
+
+def device_resources(
+    cluster: "EdgeCluster", lm: "LatencyModel", recorder: Optional[TimelineRecorder] = None
+) -> Dict[str, FifoResource]:
+    """One FIFO compute resource per end device, shared by all its tasks."""
+    return {
+        d.name: FifoResource(f"dev:{d.name}", float(lm.throughput(d)),
+                             overhead_s=d.overhead_s, recorder=recorder)
+        for d in cluster.end_devices
+    }
+
+
+def slice_resources(
+    task: "TaskSpec",
+    plan: "JointPlan",
+    server_idx: int,
+    cluster: "EdgeCluster",
+    lm: "LatencyModel",
+    trace: Optional[BandwidthTrace] = None,
+    tag: str = "",
+    recorder: Optional[TimelineRecorder] = None,
+    server_faults: FaultWindows = NO_FAULTS,
+    link_faults: FaultWindows = NO_FAULTS,
+) -> Tuple[FifoResource, LinkResource, LinkResource]:
+    """``task``'s (server, uplink, downlink) slices on server ``server_idx``.
+
+    The server slice runs at the plan's share of the server's rate; each
+    link direction is its own queue at the plan's bandwidth share (full
+    duplex).  Rates, bandwidth and share are coerced to plain ``float``
+    (the latency model returns NumPy scalars), bit-identical in value.
+    """
+    server = cluster.servers[server_idx]
+    link = cluster.link(task.device_name, server.name)
+    srv = FifoResource(
+        f"srv:{task.name}{tag}",
+        float(lm.throughput(server) * plan.compute_shares[task.name]),
+        overhead_s=server.overhead_s, recorder=recorder, **server_faults._asdict(),
+    )
+    up, down = (
+        LinkResource(
+            f"link:{task.name}:{direction}{tag}", float(link.bandwidth_bps),
+            rtt_s=link.rtt_s, share=float(plan.bandwidth_shares[task.name]),
+            trace=trace, recorder=recorder, **link_faults._asdict(),
+        )
+        for direction in ("up", "down")
+    )
+    return srv, up, down

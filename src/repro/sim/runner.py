@@ -43,26 +43,24 @@ reports whether executed serially or on ``sim_workers`` processes.
 
 from __future__ import annotations
 
-import math
-import numbers
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, require_finite, require_int
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
 from repro.network.wireless import BandwidthTrace
 from repro.rng import derive_seed
 from repro.sim.fastpath import sweep_pipeline
 from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
-from repro.sim.queues import FifoResource, LinkResource
+from repro.sim.queues import device_resources, slice_resources
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
@@ -139,14 +137,8 @@ class SimulationConfig:
     epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("chunk_size", "max_records", "replications", "sim_workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        require_finite(self, *_FINITE_FIELDS)
+        require_int(self, "chunk_size", "max_records", "replications", "sim_workers")
         if self.service_noise < 0:
             raise ConfigError("service_noise must be >= 0")
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
@@ -201,61 +193,6 @@ class SimulationConfig:
                     )
 
 
-def _build_resources(
-    tasks: Sequence[TaskSpec],
-    plan: JointPlan,
-    cluster: EdgeCluster,
-    lm: LatencyModel,
-    cfg: SimulationConfig,
-) -> Tuple[
-    Dict[str, FifoResource],
-    Dict[str, FifoResource],
-    Dict[str, LinkResource],
-    Dict[str, LinkResource],
-]:
-    """FIFO resources of a sweep: shared devices + per-task server/link slices."""
-    device_res: Dict[str, FifoResource] = {}
-    for d in cluster.end_devices:
-        device_res[d.name] = FifoResource(
-            f"dev:{d.name}", lm.throughput(d), overhead_s=d.overhead_s
-        )
-    task_server_res: Dict[str, FifoResource] = {}
-    task_uplink_res: Dict[str, LinkResource] = {}
-    task_downlink_res: Dict[str, LinkResource] = {}
-    for t in tasks:
-        s = plan.assignment[t.name]
-        if s is None:
-            continue
-        server = cluster.servers[s]
-        link = cluster.link(t.device_name, server.name)
-        x = plan.compute_shares[t.name]
-        y = plan.bandwidth_shares[t.name]
-        task_server_res[t.name] = FifoResource(
-            f"srv:{t.name}", lm.throughput(server) * x, overhead_s=server.overhead_s
-        )
-        # full-duplex: each direction gets its own serialization queue
-        for direction, store in (("up", task_uplink_res), ("down", task_downlink_res)):
-            store[t.name] = LinkResource(
-                f"link:{t.name}:{direction}",
-                link.bandwidth_bps,
-                rtt_s=link.rtt_s,
-                share=y,
-                trace=cfg.bandwidth_trace,
-            )
-    return device_res, task_server_res, task_uplink_res, task_downlink_res
-
-
-def _utilizations(
-    device_res: Dict[str, FifoResource],
-    task_server_res: Dict[str, FifoResource],
-    horizon_s: float,
-) -> Dict[str, float]:
-    utils = {r.name: r.utilization(horizon_s) for r in device_res.values()}
-    for r in task_server_res.values():
-        utils[r.name] = r.utilization(horizon_s)
-    return utils
-
-
 def simulate_plan(
     tasks: Sequence[TaskSpec],
     plan: JointPlan,
@@ -302,8 +239,16 @@ def simulate_plan(
 
         return simulate_with_faults(tasks, plan, cluster, cfg, lm, rec, plan_updates)
 
-    resources = _build_resources(tasks, plan, cluster, lm, cfg)
-    device_res, task_server_res, task_uplink_res, task_downlink_res = resources
+    # shared device FIFOs + each offloading task's (server, up, down) slices
+    device_res = device_resources(cluster, lm)
+    slices = [
+        (t.name, slice_resources(t, plan, s, cluster, lm, cfg.bandwidth_trace))
+        for t in tasks
+        if (s := plan.assignment[t.name]) is not None
+    ]
+    task_server_res, task_uplink_res, task_downlink_res = (
+        {name: trio[k] for name, trio in slices} for k in range(3)
+    )
     wm = (
         WindowedMetrics(cfg.windows, cfg.horizon_s)
         if cfg.windows is not None else None
@@ -321,7 +266,10 @@ def simulate_plan(
         device_res, task_server_res, task_uplink_res, task_downlink_res,
         stats=stats, windowed=wm,
     )
-    utils = _utilizations(device_res, task_server_res, cfg.horizon_s)
+    utils = {
+        r.name: r.utilization(cfg.horizon_s)
+        for r in (*device_res.values(), *task_server_res.values())
+    }
     if stats is None:
         report = SimulationReport.from_records(
             records, cfg.horizon_s, utils, discarded=discarded

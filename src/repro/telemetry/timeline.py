@@ -28,9 +28,9 @@ from repro.telemetry.metrics import MetricsRegistry
 __all__ = ["EVENT_KINDS", "Timeline", "TimelineEvent", "TimelineRecorder"]
 
 #: The lifecycle vocabulary, in canonical order of occurrence.  The second
-#: group covers failure-aware runs (:mod:`repro.faults`): injector
-#: transitions (``fault_inject`` / ``fault_recover``, ``req_id`` -1) and
-#: per-request recovery outcomes.
+#: group covers failure-aware runs (:mod:`repro.faults`): fault window
+#: transitions (``fault_inject`` / ``fault_recover``, ``req_id`` -1,
+#: recorded when the run starts) and per-request recovery outcomes.
 EVENT_KINDS = (
     "enqueue",
     "dequeue",

@@ -18,6 +18,12 @@ class TestFailurePolicy:
         dict(backoff_base_s=-0.1),
         dict(backoff_factor=0.5),
         dict(detection_delay_s=-1e-9),
+        dict(stage_timeout_s=float("nan")),
+        dict(detection_delay_s=float("nan")),
+        dict(backoff_base_s=float("inf")),
+        dict(backoff_factor=float("nan")),
+        dict(max_retries=2.5),
+        dict(max_retries=True),
     ])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -43,6 +49,11 @@ class TestPlanUpdate:
     def test_negative_time_rejected(self, plan):
         with pytest.raises(ConfigError):
             PlanUpdate(-1.0, plan)
+
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf")])
+    def test_nonfinite_time_rejected(self, plan, time_s):
+        with pytest.raises(ConfigError, match="finite"):
+            PlanUpdate(time_s, plan)
 
     def test_unknown_shed_task_rejected(self, plan):
         with pytest.raises(ConfigError, match="shed task"):

@@ -2,14 +2,17 @@
 ladder, conservation, and deterministic replay."""
 
 import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.faults import FailurePolicy, FaultEvent, FaultSchedule, PlanUpdate
 from repro.sim import SimulationConfig, simulate_plan
 from repro.sim.runner import run_replications
+from repro.units import mbps
 
 
 def _crash_cfg(server, crash_s=3.0, down_s=4.0, horizon_s=12.0, **kw):
@@ -247,3 +250,149 @@ class TestTelemetry:
         assert kinds & {"timeout", "retry", "failover", "degraded"}
         snapshot = rep.registry.snapshot()
         assert "sim.faults.server_crash" in snapshot
+
+
+# -- pinned fault-run digests ---------------------------------------------------
+
+
+def _report_digest(rep) -> str:
+    """sha256 over a report's records (by value, in order), every
+    ``SimCounters`` field, utilizations and the windowed fingerprint; with a
+    timeline, its events too (fault transitions as a sorted multiset, the
+    rest in order)."""
+    def val(x):
+        return repr(float(x)) if isinstance(x, float) else repr(x)
+
+    h = hashlib.sha256()
+    for r in rep.records:
+        h.update("|".join(val(v) for v in dataclasses.astuple(r)).encode())
+    h.update(repr(sorted(rep.counters.as_dict().items())).encode())
+    for name in sorted(rep.utilizations):
+        h.update(f"{name}={float(rep.utilizations[name])!r}".encode())
+    h.update(repr(rep.windowed.fingerprint() if rep.windowed else None).encode())
+    if rep.timeline is not None:
+        rows = [
+            (val(e.t_s), e.kind, e.task, e.req_id, e.resource, val(e.value))
+            for e in rep.timeline.events
+        ]
+        faults = ("fault_inject", "fault_recover")
+        h.update(repr(sorted(r for r in rows if r[1] in faults)).encode())
+        h.update(repr([r for r in rows if r[1] not in faults]).encode())
+    return h.hexdigest()
+
+
+class TestPinnedDigests:
+    """Fault runs replay to digests pinned before the fault windows moved
+    into the resources.
+
+    The instance shares ``dev0`` between ``t0`` and ``t2``, whose plans keep
+    no on-device exit (full-local degrade rung); ``t1``'s plan is swapped
+    for one with an on-device exit (early-exit degrade rung).
+    """
+
+    @pytest.fixture(scope="class")
+    def instance(self, pi4, me_resnet18, me_alexnet):
+        from repro.core.candidates import build_candidates
+        from repro.core.joint import JointOptimizer
+        from repro.core.plan import TaskSpec
+        from repro.devices.cluster import EdgeCluster
+        from repro.devices.presets import SERVER_PRESETS
+        from repro.network.link import Link
+        from repro.units import mbps
+
+        devices = [dataclasses.replace(pi4, name=f"dev{i}") for i in range(2)]
+        servers = [
+            dataclasses.replace(SERVER_PRESETS["edge_cpu"], name="srv_cpu"),
+            dataclasses.replace(SERVER_PRESETS["edge_gpu"], name="srv_gpu"),
+        ]
+        cluster = EdgeCluster.star(devices, servers, Link(mbps(40), rtt_s=10e-3))
+        tasks = [
+            TaskSpec("t0", me_resnet18, "dev0", deadline_s=0.2,
+                     accuracy_floor=0.6, arrival_rate=3.0),
+            TaskSpec("t1", me_alexnet, "dev1", deadline_s=0.25,
+                     accuracy_floor=0.5, arrival_rate=2.0),
+            TaskSpec("t2", me_alexnet, "dev0", deadline_s=0.25,
+                     accuracy_floor=0.5, arrival_rate=2.0),
+        ]
+        cands = [build_candidates(t) for t in tasks]
+        plan = JointOptimizer(cluster).solve(tasks, candidates=cands, seed=0).plan
+        # t1: the first candidate that keeps an on-device exit (cut 8, exits
+        # (1, 3)) and still offloads most requests
+        early = cands[1].features[16]
+        assert early.plan.partition_cut >= me_alexnet.exit_cut_indices[1]
+        plan = dataclasses.replace(plan, features={**plan.features, "t1": early})
+        assert plan.assignment == {"t0": 1, "t1": 1, "t2": 0}
+        return tasks, plan, cluster
+
+    @staticmethod
+    def _runs(plan):
+        from repro.network.wireless import BandwidthTrace
+        from repro.telemetry.windows import WindowConfig
+
+        inf = math.inf
+        base = dict(horizon_s=8.0, warmup_s=0.5, seed=3, windows=WindowConfig())
+        every_kind = FaultSchedule(events=(
+            FaultEvent("server_crash", "srv_gpu", 2.0, 3.5),
+            FaultEvent("link_outage", "t2", 4.0, 4.6),
+            FaultEvent("link_degrade", "t0", 1.0, 5.0, 0.5),
+            FaultEvent("server_slowdown", "srv_cpu", 2.5, 6.0, 0.5),
+            FaultEvent("request_loss", "t1", 1.0, 7.0, 0.3),
+        ))
+        back_to_back = FaultSchedule(events=(
+            FaultEvent("server_crash", "srv_gpu", 2.0, 3.0),
+            FaultEvent("server_crash", "srv_gpu", 3.0, 4.0),
+            FaultEvent("server_crash", "srv_gpu", 4.5, 5.0),
+            FaultEvent("server_slowdown", "srv_gpu", 1.0, 2.0, 0.5),
+            FaultEvent("server_slowdown", "srv_gpu", 4.0, 4.5, 0.25),
+            FaultEvent("server_slowdown", "srv_gpu", 5.0, 6.0, 0.5),
+        ))
+        trace = BandwidthTrace(
+            times=np.array([0.0, 1.5, 3.0, 5.5]),
+            values=np.array([mbps(40), mbps(10), mbps(25), mbps(40)]),
+        )
+        return {
+            "every_kind": (dict(base, faults=every_kind,
+                                failure_policy=FailurePolicy()), ()),
+            "every_kind_no_policy": (dict(base, faults=every_kind), ()),
+            "permanent_degrade": (dict(
+                base,
+                faults=FaultSchedule(events=(
+                    FaultEvent("server_crash", "srv_gpu", 3.0, inf),
+                )),
+                failure_policy=FailurePolicy(max_retries=0, failover=False),
+            ), ()),
+            "back_to_back_failover": (dict(
+                base, faults=back_to_back, telemetry=True,
+                failure_policy=FailurePolicy(),
+            ), ()),
+            "plan_update_shed": (dict(
+                base,
+                faults=FaultSchedule.crash_recover("srv_gpu", 3.0, 3.0),
+                failure_policy=FailurePolicy(),
+            ), (PlanUpdate(4.0, plan, shed_tasks=("t0",)),)),
+            "bandwidth_trace": (dict(
+                base, faults=every_kind, bandwidth_trace=trace,
+                failure_policy=FailurePolicy(stage_timeout_s=0.5),
+            ), ()),
+        }
+
+    #: recorded before the fault windows moved into the resources
+    PINNED = {
+        "every_kind": "13827089c50317a05da932def5c4df368376c51aef691d3ccf0bb7ad7d902798",
+        "every_kind_no_policy": "af40f2c9ce20ef17486b3f5376955febb28014927a538f1ce8d305922a623fb8",
+        "permanent_degrade": "cc0fea867ee287c9aa06930b55f613a528608c71da962b18e84a717559f5e2fb",
+        "back_to_back_failover": "2038bf478659aed753278e86eedce188e107d81ce47ab240ff4269c79c3afea0",
+        "plan_update_shed": "28631fc048aae7ebf36bda759a300d9a2146ebf4cedc5b6cebf76d89f1b52f4f",
+        "bandwidth_trace": "6a9cda45a94afc39eec0850ac2caa919a2a05a764e7cd879a00c1746a5ef10ba",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest(self, instance, name):
+        tasks, plan, cluster = instance
+        kwargs, updates = self._runs(plan)[name]
+        rep = simulate_plan(
+            tasks, plan, cluster, SimulationConfig(**kwargs), plan_updates=updates
+        )
+        assert rep.counters.faults_injected == len(kwargs["faults"])
+        assert rep.counters.conserved()
+        assert _report_digest(rep) == self.PINNED[name]

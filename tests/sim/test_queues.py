@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.joint import JointOptimizer
+from repro.devices.latency import LatencyModel
 from repro.errors import SimulationError
+from repro.faults import FaultSchedule
 from repro.network.wireless import BandwidthTrace
-from repro.sim.queues import FifoResource, LinkResource
+from repro.sim import SimulationConfig, simulate_plan
+from repro.sim.queues import (
+    FifoResource, LinkResource, device_resources, slice_resources,
+)
 
 
 class TestFifoResource:
@@ -100,3 +106,33 @@ class TestLinkResource:
     def test_invalid_share(self):
         with pytest.raises(SimulationError):
             LinkResource("l", bandwidth_bps=1.0, share=0.0)
+
+
+class TestBuilders:
+    def test_server_spread_slices_hold_plain_floats(self, city_instance):
+        # with server_spread the latency model's throughputs are NumPy
+        # scalars; the builder hands the resources plain, equal floats
+        cluster, tasks, cands = city_instance(6, 3, 0)
+        plan = JointOptimizer(cluster).solve(tasks, candidates=cands, seed=0).plan
+        lm = LatencyModel()
+        assert isinstance(lm.throughput(cluster.servers[0]), np.floating)
+        for d in device_resources(cluster, lm).values():
+            assert type(d.rate) is float
+        offloaded = [t for t in tasks if plan.assignment[t.name] is not None]
+        assert offloaded
+        for t in offloaded:
+            s = plan.assignment[t.name]
+            srv, up, down = slice_resources(t, plan, s, cluster, lm)
+            assert type(srv.rate) is float
+            assert srv.rate == lm.throughput(cluster.servers[s]) * plan.compute_shares[t.name]
+            for link in (up, down):
+                assert type(link.bandwidth_bps) is float and type(link.share) is float
+                assert link.share == plan.bandwidth_shares[t.name]
+        # so the event loop's times stay plain floats too
+        rep = simulate_plan(
+            tasks, plan, cluster,
+            SimulationConfig(horizon_s=2.0, warmup_s=0.0, telemetry=True,
+                             faults=FaultSchedule()),
+        )
+        assert rep.timeline.events
+        assert all(type(e.t_s) is float for e in rep.timeline.events)
