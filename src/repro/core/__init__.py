@@ -41,7 +41,8 @@ from repro.core.sharding import ShardPlan, ShardView, make_shard_plan
 from repro.core.online import ControllerConfig, EnvironmentSample, OnlineController
 from repro.core.plan import JointPlan, PlanFeatures, SurgeryPlan, TaskSpec
 from repro.core.queueing import mg1_wait, mm1_response, mm1_wait
-from repro.core.surgery import evaluate_plan, plan_latency
+from repro.core.latency import plan_latency
+from repro.core.surgery import evaluate_plan
 
 __all__ = [
     "AdmissionResult",

@@ -25,18 +25,20 @@ optimizer's surgery step and local search, the coordinator's cross-shard
 migration, the best-response game and the greedy baseline price a move;
 :func:`allocate_shares` stays the full solve and its test oracle.
 
-**Evaluation.**  :func:`solution_latencies` is the single source of truth for
-"what latency does this complete solution predict" — used identically by the
-BCD solver, the best-response game, the exhaustive optimum, and the
-experiment harness, so their objective values are directly comparable.
-Congestion is charged with a tandem-queue approximation: each request stream
-flows through up to three stages (device compute, link, server compute), each
-modeled as an independent M/G/1 queue — Poisson input, service moments from
-the plan's realized-demand distribution (multi-exit services are bimodal,
-which is why :class:`~repro.core.plan.PlanFeatures` carries second moments).
-The link and server stages see the *thinned* stream (rate ``λ·p_offload``)
-with demand moments conditioned on offloading.  Per-stage waits add; any
-stage at utilization >= 1 renders the solution infeasible (``inf``).
+**Evaluation.**  :func:`solution_latencies` prices a complete solution —
+used identically by the BCD solver, the best-response game, the exhaustive
+optimum, and the experiment harness, so their objective values are directly
+comparable.  It, the move pricing above and the candidate ranking all call
+one latency model, :mod:`repro.core.latency`, whose scalar and vector forms
+agree bit for bit.  Congestion is charged with a tandem-queue approximation:
+each request stream flows through up to three stages (device compute, link,
+server compute), each modeled as an independent M/G/1 queue — Poisson
+input, service moments from the plan's realized-demand distribution
+(multi-exit services are bimodal, which is why
+:class:`~repro.core.plan.PlanFeatures` carries second moments).  The link
+and server stages see the *thinned* stream (rate ``λ·p_offload``) with
+demand moments conditioned on offloading.  Per-stage waits add; any stage
+at utilization >= 1 renders the solution infeasible (``inf``).
 Experiment E14 validates this against the discrete-event simulator.
 """
 
@@ -50,9 +52,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.candidates import CandidateSet
+from repro.core.latency import predicted_latency
 from repro.core.objectives import Objective
 from repro.core.plan import TaskSpec
-from repro.core.queueing import mg1_wait
 from repro.devices.cluster import EdgeCluster
 from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, InfeasibleError
@@ -436,10 +438,14 @@ class GroupState:
 
     def price(self, i: int, s: Optional[int], j: int, x: float, y: float) -> float:
         """Search latency of task ``i`` on plan ``j`` at ``s`` with shares ``(x, y)``."""
-        return solution_latency_task(
-            self.tasks[i], self.candsets[i], j, s, x, y, self.cluster,
-            self.latency_model, include_queueing=self.include_queueing,
-            overload="penalty", device=self.devices[i], risk=self.risk,
+        server = link = None
+        if s is not None:
+            server, link = self.cluster.servers[s], self.link(i, s)
+        return predicted_latency(
+            self.candsets[i].features[j], self.devices[i], self.latency_model,
+            server, link, x, y,
+            arrival_rate=self.tasks[i].arrival_rate if self.include_queueing else None,
+            risk=self.risk,
         )
 
     def shares_if_placed(self, i: int, s: int, j: int) -> Tuple[float, float]:
@@ -589,13 +595,6 @@ class GroupState:
             self._stale.update(members)
 
 
-#: Surrogate latency (seconds per unit of bottleneck utilization) used in
-#: "penalty" overload mode — must dwarf any real latency so penalized
-#: solutions never beat stable ones, while still ordering overloaded
-#: solutions by how overloaded they are.
-OVERLOAD_PENALTY_S = 1e4
-
-
 def solution_latencies(
     tasks: Sequence[TaskSpec],
     candsets: Sequence[CandidateSet],
@@ -655,111 +654,25 @@ def solution_latency_task(
     latency_model: LatencyModel,
     include_queueing: bool = True,
     overload: str = "inf",
-    device=None,
     risk: Optional["RiskConfig"] = None,
 ) -> float:
     """Predicted latency of one task — the per-task kernel of
     :func:`solution_latencies`.
 
-    Exposed separately so incremental solvers can re-evaluate only the tasks
-    whose server or link groups changed after a trial move, instead of the
-    whole solution.  ``x``/``y`` are the task's compute and bandwidth shares;
-    ``device`` may be passed to skip the ``cluster.by_name`` lookup.
-    ``overload`` is assumed pre-validated by the caller.  An active ``risk``
-    config returns the buffered latency ``μ + κ(ε)·σ``, mirroring (stage for
-    stage) the vectorized :meth:`CandidateSet._latency_stds` bound.
+    Resolves the task's device, server and access link, then prices plan
+    ``j`` with :func:`repro.core.latency.predicted_latency` under shares
+    ``x``/``y``.  ``overload`` is assumed pre-validated by the caller.
     """
-    f = cs.features[j]
-    if device is None:
-        device = cluster.by_name(task.device_name)
-    lam = task.arrival_rate
-    r_dev = latency_model.throughput(device)
-    oh_d = device.overhead_s if f.dev_flops > 0 else 0.0
-    t_dev = f.dev_flops / r_dev + oh_d
-    wait = 0.0
-    rho_max = lam * t_dev
-    buffered = risk is not None and risk.active
-    sigma = 0.0
-    if buffered:
-        from repro.core.risk import stage_std
-
-        sigma = stage_std(
-            f.dev_flops / r_dev, f.dev_flops_sq / r_dev**2, oh_d, 1.0, risk.rel_var
-        )
-    if include_queueing and t_dev > 0:
-        # device stage: every request visits it
-        s1 = t_dev
-        s2 = (
-            f.dev_flops_sq / r_dev**2
-            + 2.0 * oh_d * f.dev_flops / r_dev
-            + oh_d**2
-        )
-        wait = mg1_wait(lam, s1, max(s2, s1 * s1))
-        if buffered:
-            from repro.core.risk import wait_std
-
-            sigma += wait_std(wait, s1)
-    if s is None:
-        if not f.is_local_only:
-            return float(np.inf)
-        latency = t_dev + wait
-        if not np.isfinite(latency):
-            latency = (
-                t_dev + OVERLOAD_PENALTY_S * rho_max
-                if overload == "penalty"
-                else float(np.inf)
-            )
-        return latency + risk.kappa * sigma if buffered else latency
-    server = cluster.servers[s]
-    link = cluster.link(task.device_name, server.name)
-    r_srv = latency_model.throughput(server) * x
-    bw = link.bandwidth_bps * y
-    t_srv = f.srv_flops / r_srv + f.p_offload * server.overhead_s
-    t_link = f.wire_bytes / bw
-    base = t_dev + t_srv + t_link + f.p_offload * link.rtt_s
-    if buffered:
-        from repro.core.risk import stage_std
-
-        sigma += (
-            stage_std(
-                f.srv_flops / r_srv, f.srv_flops_sq / r_srv**2,
-                server.overhead_s, f.p_offload, risk.rel_var,
-            )
-            + stage_std(
-                f.wire_bytes / bw, f.wire_bytes_sq / bw**2,
-                0.0, f.p_offload, risk.rel_var,
-            )
-            + stage_std(0.0, 0.0, link.rtt_s, f.p_offload, 0.0)
-        )
-    total_wait = wait
-    if include_queueing and f.p_offload > 0:
-        lam_off = lam * f.p_offload
-        # server stage: thinned stream, conditional service moments
-        m1 = (f.srv_flops / f.p_offload) / r_srv + server.overhead_s
-        m2 = (
-            (f.srv_flops_sq / f.p_offload) / r_srv**2
-            + 2.0 * server.overhead_s * (f.srv_flops / f.p_offload) / r_srv
-            + server.overhead_s**2
-        )
-        w_srv = mg1_wait(lam_off, m1, max(m2, m1 * m1))
-        # link stage: deterministic conditional service (fixed boundary)
-        l1 = (f.wire_bytes / f.p_offload) / bw
-        l2 = (f.wire_bytes_sq / f.p_offload) / bw**2
-        w_link = mg1_wait(lam_off, l1, max(l2, l1 * l1))
-        total_wait = wait + f.p_offload * (w_srv + w_link)
-        rho_max = max(rho_max, lam_off * m1, lam_off * l1)
-        if buffered:
-            from repro.core.risk import wait_std
-
-            sigma += wait_std(w_srv, m1, f.p_offload) + wait_std(
-                w_link, l1, f.p_offload
-            )
-    buf = risk.kappa * sigma if buffered else 0.0
-    if np.isfinite(total_wait):
-        return base + total_wait + buf
-    if overload == "penalty":
-        return base + OVERLOAD_PENALTY_S * rho_max + buf
-    return float(np.inf)
+    device = cluster.by_name(task.device_name)
+    server = link = None
+    if s is not None:
+        server = cluster.servers[s]
+        link = cluster.link(task.device_name, server.name)
+    return predicted_latency(
+        cs.features[j], device, latency_model, server, link, x, y,
+        arrival_rate=task.arrival_rate if include_queueing else None,
+        risk=risk, overload=overload,
+    )
 
 
 def _min_cost_matching(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

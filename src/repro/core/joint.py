@@ -141,7 +141,6 @@ def prepare_candidates(
                 t,
                 threshold_grid=config.threshold_grid,
                 max_cuts=config.max_cuts,
-                cache=config.candidate_cache,
             )
             for t in tasks
         ]
@@ -182,7 +181,6 @@ class JointSolverConfig:
     include_queueing: bool = True
     threshold_grid: Optional[Tuple[float, ...]] = None
     max_cuts: Optional[int] = None
-    candidate_cache: bool = True  # reuse the memoized candidate pipeline
     shards: int = 1  # server partitions solved independently (1 = centralized)
     shard_by: str = "contiguous"  # partition strategy (see core.sharding)
     migration_rounds: int = 3  # cross-shard re-homing rounds after shard solves

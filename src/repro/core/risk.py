@@ -5,10 +5,9 @@ plan that "meets" its deadline in expectation can miss it a third of the
 time under realistic service-time jitter.  This module adds the stochastic
 half: a :class:`RiskConfig` describing the certification target
 ``P[latency ≤ deadline] ≥ 1 − ε`` and the per-request jitter model, the
-buffer multiplier ``κ(ε)``, and the variance algebra the latency kernels
-(:meth:`repro.core.candidates.CandidateSet.latencies`,
-:func:`repro.core.allocation.solution_latency_task`) use to turn the
-second-moment columns they already carry into a per-plan latency ``σ``.
+buffer multiplier ``κ(ε)``, and the variance algebra the latency model
+(:mod:`repro.core.latency`) uses to turn the second-moment columns it
+already carries into a per-plan latency ``σ``.
 
 **Buffer math.**  With ``T`` the per-request latency, ``μ = E[T]`` and
 ``σ̂ ≥ sqrt(Var T)`` any upper bound on its standard deviation, Cantelli's
@@ -41,7 +40,7 @@ variance sources are propagated:
 Stage stds combine by the triangle inequality ``σ(ΣX) ≤ Σσ(X)`` — an upper
 bound whatever the cross-stage correlations, hence Cantelli-safe.
 Queueing-delay variance has no closed form under the M/G/1 model; the
-kernels use the M/M/1-exact surrogate ``E[W²] = 2·W̄·(m̄ + W̄)``
+latency model uses the M/M/1-exact surrogate ``E[W²] = 2·W̄·(m̄ + W̄)``
 (:func:`wait_std`), and experiment E18 validates the end-to-end calibration
 empirically: realized violation rates stay below the requested ε across
 load and jitter levels, with the (large) conservatism gap reported.

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.latency import predicted_latency
 from repro.core.plan import PlanFeatures, SurgeryPlan
 from repro.devices.device import DeviceSpec
 from repro.devices.latency import LatencyModel
@@ -146,91 +147,6 @@ def _evaluate_plan_uncached(model: MultiExitModel, plan: SurgeryPlan) -> PlanFea
     )
 
 
-def plan_latency(
-    dev_flops: np.ndarray,
-    srv_flops: np.ndarray,
-    wire_bytes: np.ndarray,
-    p_offload: np.ndarray,
-    device: DeviceSpec,
-    latency_model: LatencyModel,
-    server: Optional[DeviceSpec] = None,
-    link: Optional[Link] = None,
-    compute_share: float = 1.0,
-    bandwidth_share: float = 1.0,
-    server_wait_s: float = 0.0,
-) -> np.ndarray:
-    """Expected latency for feature arrays under a concrete allocation.
-
-    Fully vectorized; feature arrays broadcast together.  For plans with any
-    offloaded mass (``p_offload > 0`` or ``srv_flops > 0``) a ``server`` and
-    ``link`` are required.  ``server_wait_s`` adds a queueing delay paid by
-    offloaded requests only.
-    """
-    dev_flops = np.asarray(dev_flops, dtype=float)
-    srv_flops = np.asarray(srv_flops, dtype=float)
-    wire_bytes = np.asarray(wire_bytes, dtype=float)
-    p_offload = np.asarray(p_offload, dtype=float)
-
-    r_dev = latency_model.throughput(device)
-    # the device segment (and its dispatch overhead) only runs if the plan
-    # actually executes work locally
-    t = np.where(dev_flops > 0, dev_flops / r_dev + device.overhead_s, 0.0)
-
-    uses_server = (p_offload > 0) | (srv_flops > 0) | (wire_bytes > 0)
-    if np.any(uses_server):
-        if server is None or link is None:
-            raise PlanError("plans with offloaded work need a server and a link")
-        if not (0.0 < compute_share <= 1.0 + 1e-12):
-            raise PlanError(f"compute share must be in (0,1], got {compute_share}")
-        if not (0.0 < bandwidth_share <= 1.0 + 1e-12):
-            raise PlanError(f"bandwidth share must be in (0,1], got {bandwidth_share}")
-        r_srv = latency_model.throughput(server) * compute_share
-        bw = link.bandwidth_bps * bandwidth_share
-        t = t + (
-            srv_flops / r_srv
-            + p_offload * (link.rtt_s + server.overhead_s + server_wait_s)
-            + wire_bytes / bw
-        )
-    return t
-
-
-def plan_latency_scalar(
-    dev_flops: float,
-    srv_flops: float,
-    wire_bytes: float,
-    p_offload: float,
-    device: DeviceSpec,
-    latency_model: LatencyModel,
-    server: Optional[DeviceSpec] = None,
-    link: Optional[Link] = None,
-    compute_share: float = 1.0,
-    bandwidth_share: float = 1.0,
-    server_wait_s: float = 0.0,
-) -> float:
-    """Scalar :func:`plan_latency` for a single plan (the refinement hot loop).
-
-    Mirrors the array path's expression tree on Python floats — bit-identical
-    results without the ndarray wrapping overhead.
-    """
-    r_dev = latency_model.throughput(device)
-    t = dev_flops / r_dev + device.overhead_s if dev_flops > 0 else 0.0
-    if p_offload > 0 or srv_flops > 0 or wire_bytes > 0:
-        if server is None or link is None:
-            raise PlanError("plans with offloaded work need a server and a link")
-        if not (0.0 < compute_share <= 1.0 + 1e-12):
-            raise PlanError(f"compute share must be in (0,1], got {compute_share}")
-        if not (0.0 < bandwidth_share <= 1.0 + 1e-12):
-            raise PlanError(f"bandwidth share must be in (0,1], got {bandwidth_share}")
-        r_srv = latency_model.throughput(server) * compute_share
-        bw = link.bandwidth_bps * bandwidth_share
-        t = t + (
-            srv_flops / r_srv
-            + p_offload * (link.rtt_s + server.overhead_s + server_wait_s)
-            + wire_bytes / bw
-        )
-    return float(t)
-
-
 #: Fine per-exit threshold grid used by :func:`refine_thresholds`.
 REFINE_GRID: Tuple[float, ...] = (
     0.3, 0.4, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97,
@@ -259,7 +175,9 @@ def refine_thresholds(
     makes no improvement.  Every accepted move strictly decreases expected
     latency while respecting ``accuracy_floor``, so the refined plan is never
     worse than the input plan; typical gains are a few percent where the
-    shared-threshold restriction binds.
+    shared-threshold restriction binds.  Trials are priced by the latency
+    model's scalar twin (:func:`repro.core.latency.predicted_latency`,
+    mean service latency only).
 
     Returns the refined plan and its features (possibly the originals).
     """
@@ -271,17 +189,8 @@ def refine_thresholds(
         f = evaluate_plan(model, p)
         if f.accuracy < accuracy_floor - 1e-12:
             return np.inf, f
-        lat = plan_latency_scalar(
-            f.dev_flops,
-            f.srv_flops,
-            f.wire_bytes,
-            f.p_offload,
-            device,
-            latency_model,
-            server=server,
-            link=link,
-            compute_share=compute_share,
-            bandwidth_share=bandwidth_share,
+        lat = predicted_latency(
+            f, device, latency_model, server, link, compute_share, bandwidth_share
         )
         return lat, f
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import FaultError
 from repro.rng import derive
@@ -150,39 +150,6 @@ class FaultSchedule:
         if kind not in FAULT_KINDS:
             raise FaultError(f"unknown fault kind {kind!r}")
         return [e for e in self.events if e.kind == kind]
-
-    def outage_windows(self, kind: str, target: str) -> List[Tuple[float, float]]:
-        """Down windows of ``target`` under outage kind ``kind``, sorted."""
-        return [
-            (e.start_s, e.end_s)
-            for e in self.events
-            if e.kind == kind and e.target == target
-        ]
-
-    def is_down(self, kind: str, target: str, t: float) -> bool:
-        """Whether ``target`` is inside a ``kind`` outage window at ``t``."""
-        return any(s <= t < e for s, e in self.outage_windows(kind, target))
-
-    def next_failure_in(
-        self, kind: str, target: str, t0: float, t1: float
-    ) -> Optional[float]:
-        """Earliest ``kind`` window start on ``target`` in ``(t0, t1)``.
-
-        The failure-aware runtime uses this to detect crash-during-service:
-        a stage submitted at ``t0`` with service finishing at ``t1`` is
-        interrupted iff the resource goes down strictly inside the interval.
-        """
-        starts = [
-            s for s, _ in self.outage_windows(kind, target) if t0 < s < t1
-        ]
-        return min(starts) if starts else None
-
-    def loss_probability(self, task: str, t: float) -> float:
-        """Per-attempt network loss probability for ``task`` at time ``t``."""
-        for e in self.events:
-            if e.kind == "request_loss" and e.target == task and e.start_s <= t < e.end_s:
-                return e.severity
-        return 0.0
 
     # -- constructors ---------------------------------------------------------
 

@@ -27,24 +27,6 @@ EventFn = Callable[[], None]
 EventObserver = Callable[[float, int], None]
 
 
-class EventHandle:
-    """Cancellation token for events scheduled via ``schedule_at_cancellable``.
-
-    Cancelled events still pop off the heap at their scheduled time (and
-    count toward ``events_processed``), but their callback is skipped —
-    the failure layer uses this for timeout-vs-completion races, where
-    exactly one of two scheduled continuations must run.
-    """
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Simulator:
     """Event loop: ``schedule`` callbacks, then ``run``."""
 
@@ -82,17 +64,6 @@ class Simulator:
             )
         _heappush(self._heap, (max(time, self._now), self._seq, fn))
         self._seq += 1
-
-    def schedule_at_cancellable(self, time: float, fn: EventFn) -> EventHandle:
-        """Schedule ``fn`` at ``time``; return a handle that can cancel it."""
-        handle = EventHandle()
-
-        def guarded() -> None:
-            if not handle.cancelled:
-                fn()
-
-        self.schedule_at(time, guarded)
-        return handle
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Process events in time order.

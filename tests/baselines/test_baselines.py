@@ -153,14 +153,15 @@ class TestEqualShares:
 
 
 class TestGreedyPinned:
-    """Fixed GreedyJoint plans pinned by sha256, recorded before its option
-    pricing moved onto the shared group state."""
+    """Fixed GreedyJoint plans pinned by sha256.  Last re-recorded when
+    ranking and pricing moved onto one latency model, which left every
+    decision as it was and moved only last-bit latency floats."""
 
     @pytest.mark.parametrize(
         "n, m, seed, digest",
         [
-            (16, 4, 0, "0d2ae4ee209f68457a4c3bf3e9537ab19da1a0047d6ee4d8ac44fda878cb1fe0"),
-            (40, 8, 1, "1f51edfa04304baceda74583f14aa4e67c5929417b9f1d7f235de93d1bcff01e"),
+            (16, 4, 0, "21e6b84581a20ff21ee81b6501a001fb35d4a4cfc9b25d7a392cb6487e8c2e3f"),
+            (40, 8, 1, "93e17a1e0b83f17227f6c71ee906d4c71e3f02232ebb6a97ff52e058500b1ad6"),
         ],
     )
     def test_plan_digest(self, city_instance, plan_digest, n, m, seed, digest):

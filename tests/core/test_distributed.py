@@ -154,21 +154,21 @@ class TestBestResponseAtScale:
 
 class TestPinnedGames:
     """Fixed-seed games pinned by sha256 (plan, rounds, moves, convergence and
-    the ``repr`` of the history), recorded before the share engine was folded
-    into the shared group state: the move pricing must reproduce them bit for
-    bit."""
+    the ``repr`` of the history).  Last re-recorded when ranking and pricing
+    moved onto one latency model: placements, plans, shares, rounds and moves
+    stayed the same, only last-bit latency floats moved."""
 
     @pytest.mark.parametrize(
         "n, m, rate, seed, rounds, moves, digest",
         [
             (24, 6, 1.0, 0, 3, 26,
-             "da6e4f3dda6f5b8210c960ba8aa7bc50186a1fbbc14ab71234b271c483731669"),
+             "da2f64b2d5f107fc7be29a8348c77e301e9058f7a9c6499e27a5a1340d1a41a2"),
             (24, 6, 1.0, 1, 6, 30,
-             "2afdd7eb2a5cc0e76694ba96a31c97108c3bfe8793efa6f28b7a044ea7a0b306"),
+             "42032e19c8d62d2ef976cc09b9eb3ecfdd0e134f7e1a4db886dc55d2a7d2701c"),
             (96, 12, 0.25, 0, 3, 98,
-             "8130590cb94a949cf78c58a1d452e96d9cbda62b1f021774f8ec45d3dc8e69f6"),
+             "18565cf3109e8c46a62036ca42838251af4ed5a3f8aaa6cb59d7082c8e5b1dac"),
             (96, 12, 0.25, 1, 3, 98,
-             "ff4e1c8a8c63d1e6ea2ef98077313b014e68c6f20a0039c88ee9dea7b2ecea34"),
+             "c89fe44a68c7958b20ef0e1a60689cc2c68d33b9b8e0caf461ddf66f247b17ac"),
         ],
     )
     def test_game_digest(

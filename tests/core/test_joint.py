@@ -161,9 +161,9 @@ class TestLocalSearchPinned:
         "local_search, objective, digest",
         [
             (False, 0.12649146483657656,
-             "b4b3f0dc276a884f16a2d5760875659d1d58322df8e29406eecf058ca3f6895a"),
-            (True, 0.12361334469183573,
-             "2f674caa6c648c9878083d41efd301bc027b648c16012b344770f4e29bdac856"),
+             "0a4d2640853cdfc105822f045028b22a341ec7555684f46f2d4afe03d8345b9d"),
+            (True, 0.12361334469183571,
+             "2bbf9c1968e02b4dc6b115e49c8f11b8b8d026eb0c0fb3a36e56bc4b59ca8e11"),
         ],
     )
     def test_solve_digest(self, instance, plan_digest, local_search, objective, digest):

@@ -182,12 +182,11 @@ class TestIncrementalAllocator:
 class TestSolverDeterminism:
     def test_cache_on_off_same_plan(self, small_cluster, small_tasks):
         clear_candidate_cache()
-        on = JointOptimizer(
-            small_cluster, config=JointSolverConfig(candidate_cache=True)
-        ).solve(small_tasks, seed=11)
-        off = JointOptimizer(
-            small_cluster, config=JointSolverConfig(candidate_cache=False)
-        ).solve(small_tasks, seed=11)
+        on = JointOptimizer(small_cluster).solve(small_tasks, seed=11)
+        off = JointOptimizer(small_cluster).solve(
+            small_tasks, candidates=[build_candidates(t, cache=False) for t in small_tasks],
+            seed=11,
+        )
         assert_plans_bitequal(on.plan, off.plan)
         assert on.history == off.history
 

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.latency import plan_latency
 from repro.core.plan import SurgeryPlan
-from repro.core.surgery import (
-    DEFAULT_THRESHOLD_GRID,
-    enumerate_features,
-    evaluate_plan,
-    plan_latency,
-)
+from repro.core.surgery import DEFAULT_THRESHOLD_GRID, enumerate_features, evaluate_plan
 from repro.errors import PlanError
 from repro.network.link import Link
 from repro.units import mbps
@@ -127,18 +123,6 @@ class TestPlanLatency:
             )
 
         assert lat(1.0, 1.0) < lat(0.5, 1.0) < lat(0.5, 0.5)
-
-    def test_server_wait_charged_to_offloaded(self, me_resnet18, pi4, edge_gpu, latency_model):
-        f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
-        base = plan_latency(
-            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload,
-            pi4, latency_model, server=edge_gpu, link=LINK,
-        )
-        waited = plan_latency(
-            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload,
-            pi4, latency_model, server=edge_gpu, link=LINK, server_wait_s=0.1,
-        )
-        assert float(waited - base) == pytest.approx(0.1 * f.p_offload)
 
     def test_invalid_shares(self, me_resnet18, pi4, edge_gpu, latency_model):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))

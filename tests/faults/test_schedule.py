@@ -5,7 +5,14 @@ import math
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import FAULT_KINDS, FaultEvent, FaultSchedule, sample_fault_schedule
+from repro.faults import (
+    FAULT_KINDS,
+    FaultEvent,
+    FaultSchedule,
+    resource_windows,
+    sample_fault_schedule,
+)
+from repro.sim.queues import FifoResource
 
 
 class TestFaultEvent:
@@ -62,26 +69,28 @@ class TestFaultSchedule:
 
     def test_window_queries(self):
         sched = FaultSchedule.crash_recover("srv", 2.0, 3.0)
-        assert sched.is_down("server_crash", "srv", 2.0)  # closed at start
-        assert sched.is_down("server_crash", "srv", 4.999)
-        assert not sched.is_down("server_crash", "srv", 5.0)  # open at end
-        assert not sched.is_down("server_crash", "other", 3.0)
-        assert sched.outage_windows("server_crash", "srv") == [(2.0, 5.0)]
+        by_server, by_link, loss = resource_windows(sched, ["srv", "other"], ["t0"])
+        assert by_server["srv"].down == ((2.0, 5.0),)
+        assert by_server["other"].down == () and by_link["t0"].down == ()
+        assert loss == {}
 
     def test_next_failure_strictly_inside(self):
-        sched = FaultSchedule.crash_recover("srv", 2.0, 1.0)
-        assert sched.next_failure_in("server_crash", "srv", 1.0, 3.0) == 2.0
+        by_server, _, _ = resource_windows(FaultSchedule.crash_recover("srv", 2.0, 1.0), ["srv"], [])
+
+        def next_crash(t0, t1):
+            return FifoResource("srv", rate=1.0, down=by_server["srv"].down).next_crash(t0, t1)
+
+        assert next_crash(1.0, 3.0) == 2.0
         # boundary starts are not "during service"
-        assert sched.next_failure_in("server_crash", "srv", 2.0, 3.0) is None
-        assert sched.next_failure_in("server_crash", "srv", 0.0, 2.0) is None
+        assert next_crash(2.0, 3.0) is None
+        assert next_crash(0.0, 2.0) is None
 
     def test_loss_probability_window(self):
         sched = FaultSchedule(events=(
             FaultEvent("request_loss", "t0", 1.0, 2.0, 0.3),
         ))
-        assert sched.loss_probability("t0", 1.5) == 0.3
-        assert sched.loss_probability("t0", 2.0) == 0.0
-        assert sched.loss_probability("t1", 1.5) == 0.0
+        _, _, loss = resource_windows(sched, [], ["t0", "t1"])
+        assert loss == {"t0": ((1.0, 2.0, 0.3),)}
 
     def test_merged_with_revalidates(self):
         a = FaultSchedule.crash_recover("srv", 1.0, 2.0)

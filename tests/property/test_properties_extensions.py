@@ -58,7 +58,7 @@ def test_refinement_never_worse_never_infeasible(theta, floor, x, request):
     pi4 = request.getfixturevalue("pi4")
     gpu = request.getfixturevalue("edge_gpu")
     lm = request.getfixturevalue("latency_model")
-    from repro.core.surgery import plan_latency
+    from repro.core.latency import plan_latency
     from repro.network.link import Link
     from repro.units import mbps
 

@@ -1,4 +1,4 @@
-"""Resource fault windows, applied lazily, and cancellable engine events."""
+"""Resource fault windows, applied lazily."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultError, ResourceUnavailableError, SimulationError
-from repro.sim.engine import Simulator
 from repro.sim.queues import FifoResource, LinkResource
 
 
@@ -91,29 +90,3 @@ class TestLinkFailureState:
         link = LinkResource("up", bandwidth_bps=1e6, speed=((0.0, 1.0, 0.5),))
         with pytest.raises(SimulationError, match="incompatible with faults"):
             link.sweep(np.array([0.0]), np.array([100.0]))
-
-
-class TestCancellableEvents:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_at_cancellable(1.0, lambda: fired.append("a"))
-        sim.schedule_at(2.0, lambda: fired.append("b"))
-        handle.cancel()
-        sim.run()
-        assert fired == ["b"]
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule_at_cancellable(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()  # must not raise
-        sim.run()
-
-    def test_uncancelled_event_fires_in_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at_cancellable(2.0, lambda: fired.append("late"))
-        sim.schedule_at(1.0, lambda: fired.append("early"))
-        sim.run()
-        assert fired == ["early", "late"]
