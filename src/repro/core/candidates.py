@@ -206,27 +206,6 @@ class CandidateSet:
             arrival_rate=arrival_rate, risk=risk,
         )
 
-    def best(
-        self,
-        device: DeviceSpec,
-        latency_model: LatencyModel,
-        server: Optional[DeviceSpec] = None,
-        link: Optional[Link] = None,
-        compute_share: float = 1.0,
-        bandwidth_share: float = 1.0,
-    ) -> tuple:
-        """(index, latency) of the fastest candidate under one allocation."""
-        lat = self.latencies(
-            device,
-            latency_model,
-            server=server,
-            link=link,
-            compute_share=compute_share,
-            bandwidth_share=bandwidth_share,
-        )
-        idx = int(np.argmin(lat))
-        return idx, float(lat[idx])
-
 
 # -- candidate pipeline cache --------------------------------------------------
 #

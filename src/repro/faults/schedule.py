@@ -138,19 +138,6 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def targets(self) -> Tuple[str, ...]:
-        return tuple(sorted({e.target for e in self.events}))
-
-    @property
-    def last_start_s(self) -> float:
-        return max((e.start_s for e in self.events), default=0.0)
-
-    def for_kind(self, kind: str) -> List[FaultEvent]:
-        if kind not in FAULT_KINDS:
-            raise FaultError(f"unknown fault kind {kind!r}")
-        return [e for e in self.events if e.kind == kind]
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -163,10 +150,6 @@ class FaultSchedule:
         return cls(
             events=(FaultEvent("server_crash", server, crash_s, crash_s + down_s),)
         )
-
-    def merged_with(self, other: "FaultSchedule") -> "FaultSchedule":
-        """Union of two schedules (re-validated)."""
-        return FaultSchedule(events=self.events + other.events)
 
 
 def resource_windows(

@@ -17,8 +17,8 @@ here, as rows of one float64 matrix (:data:`COLS`):
   the difficulty distribution reproduces the plan's
   :class:`~repro.core.plan.PlanFeatures` (a property test pins this);
 - :func:`record_fields` and :func:`build_records` turn completed rows into
-  :class:`~repro.sim.entities.RequestRecord` objects and the windowed SLO
-  feed.
+  the run's :class:`~repro.sim.entities.RecordTable` — one column per
+  record field, no per-request object — and the windowed SLO feed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.models.exits import GATE_SHARPNESS, difficulty_cutoffs
 from repro.models.multiexit import MultiExitModel
 from repro.rng import derive, derive_material
 from repro.rng_vec import first_uniforms
-from repro.sim.entities import RequestRecord
+from repro.sim.entities import RecordTable
 from repro.sim.sources import arrival_stream
 from repro.telemetry.windows import WindowedMetrics
 
@@ -52,9 +52,6 @@ COLS = (
     DEV_DONE, UP_DONE, SRV_DONE, COMPLETION,
     DEV_BUSY, NET_BUSY, SRV_BUSY,
 ) = range(len(COLS))
-
-#: records built per step (bounds the transient Python lists)
-_RECORD_BLOCK = 4096
 
 #: Jittered pipeline stages, in submission order.  Each (task, stage) pair
 #: owns one derived RNG material; request ``req_id`` draws its per-stage
@@ -258,18 +255,20 @@ def record_fields(
     windowed: Optional[WindowedMetrics] = None,
     order: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     degraded: Optional[np.ndarray] = None,
-) -> List[np.ndarray]:
+) -> list:
     """The record fields of completed rows, and their windowed SLO feed.
 
     ``task`` holds each row's index into ``names``.  Rows arriving before
-    ``warmup_s`` are dropped; the rest yield one column per
-    :class:`~repro.sim.entities.RequestRecord` field, in ``order(rows,
-    task)`` (the rows' own order when ``order`` is None).  ``windowed``, if
-    given, receives each task's completions in request order — one
-    whole-horizon batch per task, so both engines feed it the same float
-    accumulation order.  ``degraded`` flags rows completed by graceful
-    degradation.  The columns hold no reference to ``rows``, so a caller
-    can free the rows before :func:`build_records` makes the records.
+    ``warmup_s`` are dropped; the rest yield ``[names, task index,
+    *columns]`` — :class:`~repro.sim.entities.RecordTable`'s constructor
+    arguments, one column per :class:`~repro.sim.entities.RequestRecord`
+    field after the task — in ``order(rows, task)`` (the rows' own order
+    when ``order`` is None).  ``windowed``, if given, receives each task's
+    completions in request order — one whole-horizon batch per task, so
+    both engines feed it the same float accumulation order.  ``degraded``
+    flags rows completed by graceful degradation.  The columns hold no
+    reference to ``rows``, so a caller can free the rows before
+    :func:`build_records` makes the table.
     """
     late = rows[:, COMPLETION] < rows[:, ARR]
     if np.any(late):
@@ -297,7 +296,8 @@ def record_fields(
     perm = order(rows, task) if order is not None else np.arange(rows.shape[0])
     perm = perm[keep[perm]]
     fields = [
-        np.array(names, dtype=object)[task[perm]],
+        tuple(names),
+        task[perm],
         rows[perm, REQ].astype(np.int64),
         rows[perm, ARR],
         rows[perm, COMPLETION],
@@ -314,12 +314,7 @@ def record_fields(
     return fields
 
 
-def build_records(fields: List[np.ndarray]) -> List[RequestRecord]:
-    """:class:`~repro.sim.entities.RequestRecord` objects from
-    :func:`record_fields` columns, built a block at a time."""
-    records: List[RequestRecord] = []
-    for lo in range(0, fields[0].size, _RECORD_BLOCK):
-        records.extend(
-            map(RequestRecord, *(f[lo : lo + _RECORD_BLOCK].tolist() for f in fields))
-        )
-    return records
+def build_records(fields: list) -> RecordTable:
+    """The :class:`~repro.sim.entities.RecordTable` of :func:`record_fields`'
+    columns."""
+    return RecordTable(*fields)

@@ -18,9 +18,9 @@ time and drops each task's rows once the task has advanced, so the live
 rows follow the requests in flight rather than the whole window.  Completed
 requests flow to one of two sinks: a streaming run folds them into its
 :class:`~repro.sim.metrics.StreamingStats` accumulator as they complete;
-every other run keeps them all and builds the :class:`RequestRecord` list
-once, at the end, with the event loop's builder
-(:func:`~repro.sim.execution.record_fields`).
+every other run keeps them all and builds the
+:class:`~repro.sim.entities.RecordTable` once, at the end, with the event
+loop's builder (:func:`~repro.sim.execution.record_fields`).
 
 Reproducing the event loop **bit for bit** pins two orderings:
 
@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.core.plan import JointPlan, SurgeryPlan, TaskSpec
 from repro.errors import SimulationError
-from repro.sim.entities import RequestRecord
+from repro.sim.entities import RecordTable
 from repro.sim.execution import (
     ARR, COLS, COMPLETION, CORRECT, DEADLINE, DEV_BUSY, DEV_DONE, DEV_FLOPS,
     DOWN_BYTES, NET_BUSY, OFF, POS, REQ, SRV_BUSY, SRV_DONE, SRV_FLOPS, UP_BYTES,
@@ -291,7 +291,8 @@ class _StreamingSink:
 
 
 class _RecordSink:
-    """Keeps every completion; builds the records once, in event-loop order."""
+    """Keeps every completion; builds the record table once, in event-loop
+    order."""
 
     __slots__ = ("parts",)
 
@@ -306,14 +307,20 @@ class _RecordSink:
         names: List[str],
         warmup_s: float,
         windowed: Optional[WindowedMetrics],
-    ) -> List[RequestRecord]:
-        if not self.parts:
-            return []
-        rows = np.concatenate([r for _, r in self.parts])
-        task = np.concatenate(
-            [np.full(r.shape[0], i, dtype=np.intp) for i, r in self.parts]
-        )
-        self.parts = []
+    ) -> RecordTable:
+        n = sum(r.shape[0] for _, r in self.parts)
+        rows = np.empty((n, len(COLS)))
+        task = np.empty(n, dtype=np.intp)
+        # each part goes as soon as it is copied, so the parts and the whole
+        # matrix are never both live
+        self.parts.reverse()
+        lo = 0
+        while self.parts:
+            index, part = self.parts.pop()
+            hi = lo + part.shape[0]
+            rows[lo:hi] = part
+            task[lo:hi] = index
+            lo = hi
         fields = record_fields(rows, task, names, warmup_s, windowed, order=_record_order)
         del rows, task
         return build_records(fields)
@@ -353,7 +360,7 @@ def sweep_pipeline(
     task_downlink_res: Dict[str, LinkResource],
     stats: Optional[StreamingStats] = None,
     windowed: Optional[WindowedMetrics] = None,
-) -> Tuple[List[RequestRecord], int, SimCounters]:
+) -> Tuple[Optional[RecordTable], int, SimCounters]:
     """Vectorized equivalent of the event loop over already-built resources.
 
     Realizes arrivals in windows of roughly ``cfg.chunk_size`` requests and
@@ -364,7 +371,7 @@ def sweep_pipeline(
 
     With ``stats``, warmup-filtered completions fold into the accumulator
     as they complete (which feeds its own ``stats.windowed``) and
-    ``records`` is empty; memory stays O(window + in-flight requests).
+    ``records`` is None; memory stays O(window + in-flight requests).
     Otherwise ``records`` holds every warmup-filtered completion in the
     event loop's completion order, and ``windowed``, if given, receives
     them per task in request order, through the builder the event loop
@@ -411,7 +418,7 @@ def sweep_pipeline(
         records = sink.records(names, cfg.warmup_s, windowed)
         discarded = total - len(records)
     else:
-        records, discarded = [], sink.discarded
+        records, discarded = None, sink.discarded
     counters = SimCounters(
         requests=total,
         records=total - discarded,

@@ -1,16 +1,22 @@
 """Metrics collection and simulation reports.
 
+Record-backed reports hold every completed request in one columnar
+:class:`~repro.sim.entities.RecordTable`: per-task :class:`TaskStats` and
+the report aggregates are computed from its columns, with the float ops of
+:class:`~repro.sim.entities.RequestRecord`'s properties done elementwise,
+and no per-request object is built unless a caller indexes or iterates the
+records.
+
 With telemetry enabled (``SimulationConfig(telemetry=True)``), the report
 additionally carries the per-request event :attr:`SimulationReport.timeline`
 and the :attr:`SimulationReport.registry` of sampled queue-depth /
 utilization gauges and realized-work counters — both ``None`` on ordinary
 runs, so the default path allocates nothing extra.
 
-Streaming runs (``SimulationConfig(streaming=True)``) never materialize one
-:class:`~repro.sim.entities.RequestRecord` per request; instead a
-:class:`StreamingStats` accumulator folds each completed chunk into
-fixed-bin latency histograms and per-task running sums, so memory stays
-bounded at millions of requests.  The resulting
+Streaming runs (``SimulationConfig(streaming=True)``) keep no per-request
+columns either; instead a :class:`StreamingStats` accumulator folds each
+completed chunk into fixed-bin latency histograms and per-task running
+sums, so memory stays bounded at millions of requests.  The resulting
 :class:`SimulationReport` is *records-free*: scalar aggregates (mean
 latency, miss rate, accuracy, goodput, counters) are exact, latency
 quantiles are exact within one histogram bin, and ``records`` holds at most
@@ -20,13 +26,13 @@ quantiles are exact within one histogram bin, and ``records`` holds at most
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.rng import derive
-from repro.sim.entities import RequestRecord
+from repro.sim.entities import RecordTable, RequestRecord
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.windows import KahanSum, LatencyHistogram, WindowedMetrics
@@ -264,35 +270,19 @@ class StreamingStats:
         if self.windowed is not None:
             self.windowed.observe(task_name, completion, latency, met)
         if self._rng is not None:
-            self._sample(
-                task_name, req_ids, arrival, completion, deadline, positions,
-                offloaded, correct, dev_busy, srv_busy, net_busy,
-            )
+            self._sample(RecordTable(
+                (task_name,), np.zeros(arrival.size, dtype=np.intp), req_ids, arrival,
+                completion, deadline, positions, offloaded, correct, dev_busy,
+                srv_busy, net_busy,
+            ))
 
-    def _sample(self, task_name, req_ids, arrival, completion, deadline,
-                positions, offloaded, correct, dev_busy, srv_busy, net_busy) -> None:
+    def _sample(self, chunk: RecordTable) -> None:
         """Algorithm-R reservoir over the accumulation order (seeded)."""
-
-        def make(i: int) -> RequestRecord:
-            return RequestRecord(
-                task_name=task_name,
-                req_id=int(req_ids[i]),
-                arrival_s=float(arrival[i]),
-                completion_s=float(completion[i]),
-                deadline_s=float(deadline[i]),
-                exit_position=int(positions[i]),
-                offloaded=bool(offloaded[i]),
-                correct=bool(correct[i]),
-                dev_busy_s=float(dev_busy[i]),
-                srv_busy_s=float(srv_busy[i]),
-                net_busy_s=float(net_busy[i]),
-            )
-
         k = self.max_records
-        m = int(arrival.size)
+        m = len(chunk)
         start = 0
         while len(self.reservoir) < k and start < m:
-            self.reservoir.append(make(start))
+            self.reservoir.append(chunk[start])
             self._seen += 1
             start += 1
         if start >= m:
@@ -302,7 +292,7 @@ class StreamingStats:
         t = self._seen + np.arange(m - start, dtype=np.int64)
         slots = self._rng.integers(0, t + 1)
         for offset in np.flatnonzero(slots < k).tolist():
-            self.reservoir[int(slots[offset])] = make(start + offset)
+            self.reservoir[int(slots[offset])] = chunk[start + offset]
         self._seen += m - start
 
     # -- aggregates -----------------------------------------------------------
@@ -358,15 +348,16 @@ class SimulationReport:
     """Aggregated outcome of one simulation run.
 
     Comes in two flavors.  *Record-backed* reports carry every completed
-    request in :attr:`records` and compute aggregates from cached columnar
-    arrays.  *Streaming* reports (``stream`` is set) carry the bounded
-    :class:`StreamingStats` accumulator instead; :attr:`records` then holds
+    request in the :class:`~repro.sim.entities.RecordTable` :attr:`records`
+    and compute aggregates from its columns.  *Streaming* reports
+    (``stream`` is set) carry the bounded :class:`StreamingStats`
+    accumulator instead; :attr:`records` then holds
     at most the reservoir sample, and aggregates dispatch to the
     accumulator's running sums and histograms.
     """
 
     horizon_s: float
-    records: List[RequestRecord]
+    records: RecordTable
     per_task: Dict[str, TaskStats]
     utilizations: Dict[str, float] = field(default_factory=dict)
     discarded_warmup: int = 0
@@ -382,7 +373,7 @@ class SimulationReport:
     #: tumbling-window SLO aggregates (``SimulationConfig(windows=...)`` runs
     #: only, else None); feeds :func:`repro.telemetry.slo.evaluate_slos`
     windowed: Optional[WindowedMetrics] = None
-    #: lazily built columnar arrays over ``records`` (latency/met/correct/…)
+    #: lazily computed columns of ``records`` (latency/met/correct)
     _cache: Dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -390,41 +381,47 @@ class SimulationReport:
     @classmethod
     def from_records(
         cls,
-        records: List[RequestRecord],
+        records: Iterable[RequestRecord],
         horizon_s: float,
         utilizations: Dict[str, float],
         discarded: int = 0,
         timeline: Optional[Timeline] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> "SimulationReport":
-        per_task: Dict[str, TaskStats] = {}
-        by_task: Dict[str, List[RequestRecord]] = {}
-        for r in records:
-            by_task.setdefault(r.task_name, []).append(r)
-        for name, recs in by_task.items():
-            lat = np.array([r.latency_s for r in recs])
-            per_task[name] = TaskStats(
-                count=len(recs),
-                mean_latency_s=float(lat.mean()),
-                p50_latency_s=float(np.percentile(lat, 50)),
-                p95_latency_s=float(np.percentile(lat, 95)),
-                p99_latency_s=float(np.percentile(lat, 99)),
-                max_latency_s=float(lat.max()),
-                miss_rate=float(np.mean([not r.met_deadline for r in recs])),
-                accuracy=float(np.mean([r.correct for r in recs])),
-                offload_fraction=float(np.mean([r.offloaded for r in recs])),
-                mean_exit_position=float(np.mean([r.exit_position for r in recs])),
-                mean_queueing_s=float(np.mean([r.queueing_s for r in recs])),
-            )
-        return cls(
+        """Record-backed report; per-task statistics come from the table's
+        columns, tasks in order of first appearance."""
+        table = RecordTable.from_records(records)
+        report = cls(
             horizon_s=horizon_s,
-            records=records,
-            per_task=per_task,
+            records=table,
+            per_task={},
             utilizations=utilizations,
             discarded_warmup=discarded,
             timeline=timeline,
             registry=registry,
         )
+        cols = report._columns()
+        lat, met, queueing = cols["latency"], cols["met"], table.queueing_s
+        order = np.argsort(table.task, kind="stable")
+        codes, first, counts = np.unique(table.task, return_index=True, return_counts=True)
+        groups = np.split(order, np.cumsum(counts)[:-1])
+        for k in np.argsort(first, kind="stable"):
+            sel = groups[k]
+            tl = lat[sel]
+            report.per_task[table.names[codes[k]]] = TaskStats(
+                count=int(sel.size),
+                mean_latency_s=float(tl.mean()),
+                p50_latency_s=float(np.percentile(tl, 50)),
+                p95_latency_s=float(np.percentile(tl, 95)),
+                p99_latency_s=float(np.percentile(tl, 99)),
+                max_latency_s=float(tl.max()),
+                miss_rate=float(np.mean(~met[sel])),
+                accuracy=float(np.mean(table.correct[sel])),
+                offload_fraction=float(np.mean(table.offloaded[sel])),
+                mean_exit_position=float(np.mean(table.exit_position[sel])),
+                mean_queueing_s=float(np.mean(queueing[sel])),
+            )
+        return report
 
     @classmethod
     def from_stream(
@@ -448,7 +445,7 @@ class SimulationReport:
         }
         return cls(
             horizon_s=horizon_s,
-            records=list(stream.reservoir),
+            records=RecordTable.from_records(stream.reservoir),
             per_task=per_task,
             utilizations=utilizations,
             discarded_warmup=discarded,
@@ -471,18 +468,16 @@ class SimulationReport:
         return len(self.records)
 
     def _columns(self) -> Dict[str, np.ndarray]:
-        """Columnar views over ``records``, built once and cached."""
+        """Latency, deadline-met and correctness columns of ``records``,
+        computed once and cached."""
         cols = self._cache.get("columns")
         if cols is None:
-            n = len(self.records)
-            lat = np.empty(n, dtype=np.float64)
-            met = np.empty(n, dtype=bool)
-            correct = np.empty(n, dtype=bool)
-            for i, r in enumerate(self.records):
-                lat[i] = r.latency_s
-                met[i] = r.met_deadline
-                correct[i] = r.correct
-            cols = {"latency": lat, "met": met, "correct": correct}
+            table = self.records
+            cols = {
+                "latency": table.latency_s,
+                "met": table.met_deadline,
+                "correct": table.correct,
+            }
             self._cache["columns"] = cols
         return cols
 
@@ -573,7 +568,7 @@ class SimulationReport:
 def merge_reports(reports: Sequence[SimulationReport]) -> SimulationReport:
     """Pool replication (or traffic-cell shard) reports into one aggregate.
 
-    Record-backed reports concatenate records in replication order (the
+    Record-backed reports concatenate record tables in replication order (the
     caller supplies reports indexed by replication, so serial and parallel
     fan-outs merge identically) and recompute per-task statistics over the
     pool; streaming reports merge their accumulators exactly (counts and
@@ -616,11 +611,9 @@ def merge_reports(reports: Sequence[SimulationReport]) -> SimulationReport:
             pooled.merge(r.stream)
         merged = SimulationReport.from_stream(pooled, horizon, utils, discarded)
     else:
-        records: List[RequestRecord] = []
-        for r in reports:
-            records.extend(r.records)
         merged = SimulationReport.from_records(
-            records, horizon, utils, discarded=discarded
+            RecordTable.concat(r.records for r in reports), horizon, utils,
+            discarded=discarded,
         )
     n_windowed = sum(1 for r in reports if r.windowed is not None)
     if 0 < n_windowed < len(reports):

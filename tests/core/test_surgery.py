@@ -179,8 +179,9 @@ class TestRefineThresholds:
         task = TaskSpec("t", model, "d", accuracy_floor=floor)
         cs = CandidateSet(task, enumerate_features(model, threshold_grid=(0.8,)))
         cs = cs.filter_accuracy(floor)
-        j, lat = cs.best(pi4, latency_model, server=edge_gpu, link=LINK)
-        return cs.features[j], lat
+        lat = cs.latencies(pi4, latency_model, server=edge_gpu, link=LINK)
+        j = int(np.argmin(lat))
+        return cs.features[j], float(lat[j])
 
     def test_never_worse_and_floor_respected(self, me_resnet18, pi4, edge_gpu, latency_model):
         from repro.core.surgery import refine_thresholds

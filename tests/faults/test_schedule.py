@@ -92,22 +92,21 @@ class TestFaultSchedule:
         _, _, loss = resource_windows(sched, [], ["t0", "t1"])
         assert loss == {"t0": ((1.0, 2.0, 0.3),)}
 
-    def test_merged_with_revalidates(self):
+    def test_union_revalidates(self):
         a = FaultSchedule.crash_recover("srv", 1.0, 2.0)
         b = FaultSchedule.crash_recover("srv", 5.0, 1.0)
-        assert len(a.merged_with(b)) == 2
+        assert len(FaultSchedule(events=a.events + b.events)) == 2
+        clash = FaultSchedule.crash_recover("srv", 2.0, 2.0)
         with pytest.raises(FaultError):
-            a.merged_with(FaultSchedule.crash_recover("srv", 2.0, 2.0))
+            FaultSchedule(events=a.events + clash.events)
 
-    def test_for_kind_and_targets(self):
+    def test_events_by_kind_and_target(self):
         sched = FaultSchedule(events=(
             FaultEvent("server_crash", "srv", 1.0, 2.0),
             FaultEvent("request_loss", "t0", 0.0, 9.0, 0.1),
         ))
-        assert len(sched.for_kind("server_crash")) == 1
-        assert sched.targets == ("srv", "t0")
-        with pytest.raises(FaultError):
-            sched.for_kind("nope")
+        assert [e.target for e in sched.events if e.kind == "server_crash"] == ["srv"]
+        assert sorted({e.target for e in sched.events}) == ["srv", "t0"]
 
 
 class TestSampling:
