@@ -72,8 +72,13 @@ STREAM_TARGET_REQUESTS = 1_000_000
 #: Traffic cells of the stream suite's sharded fan-out.
 STREAM_CELLS = 4
 #: Peak-RSS ceiling of the 1M-request probes — the bounded-memory contract
-#: (a record-backed run of the same traffic needs ~5× more).
+#: (a record-backed run of the same traffic needs ~6× more).
 RSS_CEILING_KB = 512 * 1024
+#: Floor on record-backed ÷ streaming 1M peak RSS: what streaming still buys
+#: once records are columns.  Ten probe pairs of one tree on a 2-vCPU VM read
+#: 5.97–6.07× (record-backed 319–323 MiB, streaming 53.2–53.6 MiB); a
+#: streaming sink that keeps every chunk reads 1.75×.
+MIN_RSS_RATIO = 4.0
 #: Ceiling on the monitored / plain 1M-request wall ratio.
 MAX_MONITOR_OVERHEAD = 1.15
 #: Ceiling on the sharded solve's objective regression vs centralized, in %.
@@ -316,13 +321,14 @@ def _scale_instance(sc: dict) -> tuple:
 
 
 def probe(mode: str) -> dict:
-    """The 1M-request streaming run, ``"plain"`` or ``"monitored"`` (5 s windows,
-    reporting the windowed and SLO fingerprints).  Run in a fresh interpreter
-    (``--probe MODE``) so ``ru_maxrss`` measures exactly this run."""
+    """The 1M-request run: streaming ``"plain"`` or ``"monitored"`` (5 s
+    windows, reporting the windowed and SLO fingerprints), or record-backed
+    ``"records"``.  Run in a fresh interpreter (``--probe MODE``) so
+    ``ru_maxrss`` measures exactly this run."""
     import resource
 
     tasks, plan, cluster, cfg = _stream_workload()
-    cfg = replace(cfg, streaming=True)
+    cfg = replace(cfg, streaming=mode != "records")
     if mode == "monitored":
         # the ~17,000 s horizon needs a coarser layout than the interactive
         # default to stay inside the per-task histogram-cell guard: 5 s
@@ -409,20 +415,19 @@ def measure_sim() -> dict:
 
 
 def measure_stream() -> dict:
-    """The 1M-request probe (best wall of 2 subprocess rounds, max RSS over
-    them), then in-process the record-backed run on the same seed and the
-    serial vs pooled 4-cell fan-out."""
-    runs = rounds(2, probe_arm("plain"))
-    _, top = best(runs)
-
-    # streaming ≡ record-backed: same seed, same windowed sweep, records kept
-    tasks, plan, cluster, cfg = _stream_workload()
-    record_backed_s, record_backed = clock(lambda: simulate_plan(tasks, plan, cluster, cfg))()
-    mean_rel = abs(top["mean_latency_s"] - record_backed.mean_latency_s) / max(
-        abs(record_backed.mean_latency_s), 1e-30
+    """The 1M-request streaming and record-backed probes (2 alternating
+    subprocess rounds: best wall, max streaming and min record-backed RSS),
+    then in-process the serial vs pooled 4-cell fan-out."""
+    runs = rounds(2, probe_arm("plain"), probe_arm("records"))
+    (_, top), (record_backed_s, records) = best(runs, 0), best(runs, 1)
+    peak_kb = max(row[0][1]["peak_rss_kb"] for row in runs)
+    records_kb = min(row[1][1]["peak_rss_kb"] for row in runs)
+    mean_rel = abs(top["mean_latency_s"] - records["mean_latency_s"]) / max(
+        abs(records["mean_latency_s"]), 1e-30
     )
 
     # sharded fan-out: serial and pooled cells must merge identically
+    tasks, plan, cluster, cfg = _stream_workload()
     stream_cfg = replace(cfg, streaming=True)
     cpus = len(os.sched_getaffinity(0))
 
@@ -441,16 +446,18 @@ def measure_stream() -> dict:
         "requests": top["requests"],
         "wall_s": top["wall_s"],
         "req_per_s": top["req_per_s"],
-        "peak_rss_kb": max(row[0][1]["peak_rss_kb"] for row in runs),
+        "peak_rss_kb": peak_kb,
         "counters": top["counters"],
         "stream_matches_records": (
-            top["counters"] == record_backed.counters.as_dict()
-            and top["miss_rate"] == record_backed.miss_rate
-            and top["accuracy"] == record_backed.accuracy
-            and top["goodput"] == record_backed.goodput()
+            top["counters"] == records["counters"]
+            and top["miss_rate"] == records["miss_rate"]
+            and top["accuracy"] == records["accuracy"]
+            and top["goodput"] == records["goodput"]
             and mean_rel <= 1e-9
         ),
         "record_backed_s": record_backed_s,
+        "record_backed_peak_rss_kb": records_kb,
+        "rss_ratio_vs_records": records_kb / peak_kb,
         "shard_counters_equal": (
             serial.counters == pooled.counters
             and _registry_snapshot(serial.counters) == _registry_snapshot(pooled.counters)
@@ -458,7 +465,6 @@ def measure_stream() -> dict:
         ),
         "serial_cells_s": serial_s,
         "pooled_cells_s": pooled_s,
-        "speedup_vs_records": record_backed_s / min(serial_s, pooled_s),
         "cell_pool_ratio": serial_s / pooled_s,
         "cpus": cpus,
     }
@@ -694,7 +700,9 @@ def stream_rows(a) -> list:
         *_sim_counter_rows("counters", "1M-request "),
         Contract("min", "req_per_s", "1M req/s, best of 2 probes", 1 / a.factor, "req_per_s"),
         Contract("max", "peak_rss_kb", "1M peak RSS (KiB), max of 2 probes", RSS_CEILING_KB),
-        Contract("min", "speedup_vs_records", "4-cell speedup over record-backed", a.min_speedup),
+        Contract("min", "rss_ratio_vs_records",
+                 "1M record-backed / streaming peak RSS, min / max of 2 probes each",
+                 MIN_RSS_RATIO),
     ]
 
 
@@ -896,15 +904,14 @@ def parse_args(argv=None) -> argparse.Namespace:
                     help="gate only the suite's overhead key within --overhead of baseline")
     ap.add_argument("--overhead", type=float, default=0.02,
                     help="allowed fractional overhead for --check-overhead (default 2%%)")
-    ap.add_argument("--min-speedup", type=float, default=3.0,
-                    help="stream suite: min 4-cell fan-out speedup over the record-backed run")
     ap.add_argument("--min-shard-speedup", type=float, default=4.5,
                     help="shard suite: min 4k sharded speedup over centralized (baseline ~5.6x)")
     ap.add_argument("--max-risk-overhead", type=float, default=1.05,
                     help='risk suite: max paired buffer="none" / risk-free solve wall ratio')
     ap.add_argument("--artifacts-dir", type=Path, default=None,
                     help="write CI-uploadable artifacts here")
-    ap.add_argument("--probe", choices=("plain", "monitored"), help=argparse.SUPPRESS)
+    ap.add_argument("--probe", choices=("plain", "monitored", "records"),
+                    help=argparse.SUPPRESS)
     return ap.parse_args(argv)
 
 

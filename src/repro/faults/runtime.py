@@ -66,6 +66,7 @@ from repro.sim.queues import (
     NO_FAULTS, FifoResource, LinkResource, device_resources, slice_resources,
 )
 from repro.telemetry.timeline import TimelineRecorder
+from repro.telemetry.trace import get_tracer
 from repro.telemetry.windows import WindowedMetrics
 
 __all__ = ["simulate_with_faults"]
@@ -569,14 +570,15 @@ def simulate_with_faults(
     )
     del done_rows
     records = build_records(fields)
-    report = SimulationReport.from_records(
-        records,
-        cfg.horizon_s,
-        utils,
-        task_of.size - len(records),
-        timeline=rec.timeline if rec is not None else None,
-        registry=reg,
-    )
+    with get_tracer().span("sim.report"):
+        report = SimulationReport.from_records(
+            records,
+            cfg.horizon_s,
+            utils,
+            task_of.size - len(records),
+            timeline=rec.timeline if rec is not None else None,
+            registry=reg,
+        )
     counters.requests = total
     counters.records = len(records)
     counters.discarded_warmup = report.discarded_warmup

@@ -15,12 +15,21 @@ window by window (the block comment above :class:`_StageBuffer` explains
 why that is lossless), so any window size gives the same bits.  Within a
 window it realizes one device group (the tasks sharing a device) at a
 time and drops each task's rows once the task has advanced, so the live
-rows follow the requests in flight rather than the whole window.  Completed
-requests flow to one of two sinks: a streaming run folds them into its
+rows follow the requests in flight rather than the whole window.  A task's
+stream (realizer, generators, stage buffers) is built when its group is
+first realized and released right after its last window, so a one-window
+run holds one device group's streams at a time.  Completed requests flow
+to one of two sinks: a streaming run folds them into its
 :class:`~repro.sim.metrics.StreamingStats` accumulator as they complete;
 every other run keeps them all and builds the
 :class:`~repro.sim.entities.RecordTable` once, at the end, with the event
-loop's builder (:func:`~repro.sim.execution.record_fields`).
+loop's builder (:func:`~repro.sim.execution.record_fields`).  A streaming
+run's memory is therefore O(window + in-flight requests) plus O(tasks) in
+the accumulators' task-indexed columns.
+
+With tracing on, each realization window is a ``sim.window`` span whose
+``requests`` and ``live_streams`` attributes count the requests it realized
+and the most task streams alive at once.
 
 Reproducing the event loop **bit for bit** pins two orderings:
 
@@ -66,6 +75,7 @@ from repro.sim.execution import (
 )
 from repro.sim.metrics import SimCounters, StreamingStats
 from repro.sim.queues import FifoResource, LinkResource
+from repro.telemetry.trace import get_tracer
 from repro.telemetry.windows import WindowedMetrics
 
 __all__ = ["sweep_pipeline"]
@@ -111,8 +121,9 @@ __all__ = ["sweep_pipeline"]
 # carries its device-finish and uplink-delivery times.
 
 
-def _no_rows() -> np.ndarray:
-    return np.empty((0, len(COLS)))
+#: the rows of an empty stage buffer: one shared, read-only matrix
+_NO_ROWS = np.empty((0, len(COLS)))
+_NO_ROWS.flags.writeable = False
 
 
 class _StageBuffer:
@@ -131,7 +142,7 @@ class _StageBuffer:
 
     def __init__(self, key: int) -> None:
         self.key = key
-        self.rows = _no_rows()
+        self.rows = _NO_ROWS
 
     def push_flush(self, batch: np.ndarray, threshold: float) -> np.ndarray:
         if not batch.shape[0]:
@@ -145,15 +156,17 @@ class _StageBuffer:
             else:
                 merged = batch[np.argsort(key, kind="stable")]
         split = int(np.searchsorted(merged[:, self.key], threshold, side="left"))
-        # an owned copy (or a fresh empty matrix), never a view: a view would
-        # pin every flushed row of ``merged`` until the next flush
-        self.rows = merged[split:].copy() if split < merged.shape[0] else _no_rows()
+        # an owned copy (or the shared empty matrix), never a view: a view
+        # would pin every flushed row of ``merged`` until the next flush
+        self.rows = merged[split:].copy() if split < merged.shape[0] else _NO_ROWS
         return merged[:split]
 
 
 class _TaskStream:
     """One task in the sweep: its realizer, its plan's shared read-only
-    :class:`RealizationTable` and its three offload-stage buffers."""
+    :class:`RealizationTable` and its three offload-stage buffers.  Its
+    generators are derived from the seed and the task's name, so building
+    it late changes no draw."""
 
     __slots__ = (
         "task", "table", "realizer", "offloaded_total", "up_buf", "srv_buf", "down_buf",
@@ -371,14 +384,14 @@ def sweep_pipeline(
 
     With ``stats``, warmup-filtered completions fold into the accumulator
     as they complete (which feeds its own ``stats.windowed``) and
-    ``records`` is None; memory stays O(window + in-flight requests).
+    ``records`` is None; memory stays O(window + in-flight requests) plus
+    O(tasks) in the accumulators' columns.
     Otherwise ``records`` holds every warmup-filtered completion in the
     event loop's completion order, and ``windowed``, if given, receives
     them per task in request order, through the builder the event loop
     uses too.
     """
     tables: Dict[Tuple[int, SurgeryPlan], RealizationTable] = {}
-    streams = [_TaskStream(t, plan, cfg, tables) for t in tasks]
     names = [t.name for t in tasks]
     sink = _RecordSink() if stats is None else _StreamingSink(stats, names, cfg.warmup_s)
     total_rate = sum(t.arrival_rate for t in tasks)
@@ -388,6 +401,18 @@ def sweep_pipeline(
     for i, task in enumerate(tasks):
         groups.setdefault(task.device_name, []).append(i)
 
+    # live task streams: built when their group is first realized, released
+    # once their last window is swept
+    streams: Dict[int, _TaskStream] = {}
+
+    def stream(j: int) -> _TaskStream:
+        s = streams.get(j)
+        if s is None:
+            s = streams[j] = _TaskStream(tasks[j], plan, cfg, tables)
+        return s
+
+    total = n_off = 0
+    tracer = get_tracer()
     t = 0.0
     last = False
     while not last:
@@ -395,25 +420,33 @@ def sweep_pipeline(
         last = t1 >= cfg.horizon_s
         t_end = min(t1, cfg.horizon_s)
         threshold = np.inf if last else t1
-        # realized rows of group members whose turn has not come yet
-        parked: Dict[int, np.ndarray] = {}
-        for i, s in enumerate(streams):
-            if i not in parked:  # the first member of its group in this window
-                members = groups[s.task.device_name]
-                batch = [streams[j].realize(t_end) for j in members]
-                _sweep_device(device_res[s.task.device_name], batch)
-                parked.update(zip(members, batch))
-                del batch
-            _advance_task_window(
-                s, i, parked.pop(i), threshold, sink,
-                task_server_res, task_uplink_res, task_downlink_res,
-            )
+        with tracer.span("sim.window") as span:
+            realized = live = 0
+            # realized rows of group members whose turn has not come yet
+            parked: Dict[int, np.ndarray] = {}
+            for i, task in enumerate(tasks):
+                if i not in parked:  # the first member of its group in this window
+                    members = groups[task.device_name]
+                    batch = [stream(j).realize(t_end) for j in members]
+                    realized += sum(rows.shape[0] for rows in batch)
+                    live = max(live, len(streams))
+                    _sweep_device(device_res[task.device_name], batch)
+                    parked.update(zip(members, batch))
+                    del batch
+                _advance_task_window(
+                    streams[i], i, parked.pop(i), threshold, sink,
+                    task_server_res, task_uplink_res, task_downlink_res,
+                )
+                if last:
+                    done = streams.pop(i)
+                    total += done.realizer.generated
+                    n_off += done.offloaded_total
+            span.set("requests", realized)
+            span.set("live_streams", live)
         t = t1
 
-    total = sum(s.realizer.generated for s in streams)
     if total == 0 and not cfg.allow_empty:
         raise SimulationError("no requests generated; horizon or rates too small")
-    n_off = sum(s.offloaded_total for s in streams)
     if stats is None:
         records = sink.records(names, cfg.warmup_s, windowed)
         discarded = total - len(records)

@@ -16,7 +16,9 @@ runs, so the default path allocates nothing extra.
 Streaming runs (``SimulationConfig(streaming=True)``) keep no per-request
 columns either; instead a :class:`StreamingStats` accumulator folds each
 completed chunk into fixed-bin latency histograms and per-task running
-sums, so memory stays bounded at millions of requests.  The resulting
+sums, held as task-indexed columns with no per-task object, so memory is
+O(window + in-flight requests) plus O(tasks) in columns and the filled
+histogram cells, at millions of requests or thousands of tasks.  The resulting
 :class:`SimulationReport` is *records-free*: scalar aggregates (mean
 latency, miss rate, accuracy, goodput, counters) are exact, latency
 quantiles are exact within one histogram bin, and ``records`` holds at most
@@ -35,7 +37,10 @@ from repro.rng import derive
 from repro.sim.entities import RecordTable, RequestRecord
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeline import Timeline
-from repro.telemetry.windows import KahanSum, LatencyHistogram, WindowedMetrics
+from repro.telemetry.windows import (
+    KahanSum, LatencyHistogram, TaskColumns, WindowedMetrics, cell_quantiles, checked_range,
+    kahan_fold,
+)
 
 
 @dataclass
@@ -130,90 +135,33 @@ class TaskStats:
     mean_queueing_s: float
 
 
-class StreamingTaskStats:
-    """Bounded-memory running statistics of one task's request stream."""
-
-    __slots__ = (
-        "hist", "count", "met", "correct", "offloaded", "exit_sum",
-        "lat_sum", "queue_sum", "max_latency_s",
-    )
-
-    def __init__(self, bin_s: float, max_s: float) -> None:
-        self.hist = LatencyHistogram(bin_s, max_s)
-        self.count = 0
-        self.met = 0
-        self.correct = 0
-        self.offloaded = 0
-        self.exit_sum = 0  # integer positions: the sum is exact
-        self.lat_sum = KahanSum()
-        self.queue_sum = KahanSum()
-        self.max_latency_s = float("-inf")
-
-    def observe(
-        self,
-        latency: np.ndarray,
-        met: np.ndarray,
-        correct: np.ndarray,
-        offloaded: np.ndarray,
-        positions: np.ndarray,
-        queueing: np.ndarray,
-    ) -> None:
-        if latency.size == 0:
-            return
-        self.count += int(latency.size)
-        self.met += int(np.count_nonzero(met))
-        self.correct += int(np.count_nonzero(correct))
-        self.offloaded += int(np.count_nonzero(offloaded))
-        self.exit_sum += int(positions.sum())
-        self.lat_sum.add(float(latency.sum()))
-        self.queue_sum.add(float(queueing.sum()))
-        self.max_latency_s = max(self.max_latency_s, float(latency.max()))
-        self.hist.observe(latency)
-
-    def merge(self, other: "StreamingTaskStats") -> "StreamingTaskStats":
-        self.count += other.count
-        self.met += other.met
-        self.correct += other.correct
-        self.offloaded += other.offloaded
-        self.exit_sum += other.exit_sum
-        self.lat_sum.add(other.lat_sum.value)
-        self.queue_sum.add(other.queue_sum.value)
-        self.max_latency_s = max(self.max_latency_s, other.max_latency_s)
-        self.hist.merge(other.hist)
-        return self
-
-    def to_task_stats(self) -> TaskStats:
-        n = self.count
-        if n == 0:
-            raise SimulationError("no completions to summarize")
-        return TaskStats(
-            count=n,
-            mean_latency_s=self.lat_sum.value / n,
-            p50_latency_s=self.hist.quantile(50),
-            p95_latency_s=self.hist.quantile(95),
-            p99_latency_s=self.hist.quantile(99),
-            max_latency_s=self.max_latency_s,
-            miss_rate=(n - self.met) / n,
-            accuracy=self.correct / n,
-            offload_fraction=self.offloaded / n,
-            mean_exit_position=self.exit_sum / n,
-            mean_queueing_s=self.queue_sum.value / n,
-        )
-
-
-class StreamingStats:
+class StreamingStats(TaskColumns):
     """Columnar metrics accumulator for the chunked streaming sweep.
 
     Consumes completed requests chunk by chunk as NumPy columns — no
-    per-request Python objects — and keeps per-task running sums, fixed-bin
-    latency histograms, and (optionally) a seeded reservoir sample of up to
-    ``max_records`` :class:`RequestRecord` objects for debugging.  Integer-
-    derived aggregates (counts, miss/accuracy/offload ratios, goodput) are
-    exact; latency/queueing means are compensated sums (equal to the
-    record-backed values within accumulation rounding, ~1 ulp); quantiles
-    are exact within one histogram bin.  Accumulators from independent
-    shards :meth:`merge` exactly (counts add, histograms add bin-wise).
+    per-request Python objects — and keeps, per task, running counts,
+    compensated sums and maxima in task-indexed columns (one row per task,
+    no per-task object), the non-zero cells of a fixed-bin latency
+    histogram (:meth:`cells` keys are bins: bin ``k`` holds
+    ``[k·bin_s, (k+1)·bin_s)``), and (optionally) a seeded reservoir sample
+    of up to ``max_records`` :class:`RequestRecord` objects for debugging.
+    Memory is O(tasks) in columns plus the filled histogram cells.
+
+    Integer-derived aggregates (counts, miss/accuracy/offload ratios,
+    goodput) are exact; latency/queueing means are compensated sums (equal
+    to the record-backed values within accumulation rounding, ~1 ulp);
+    quantiles are exact within one histogram bin.  Accumulators from
+    independent shards :meth:`merge` exactly (counts add, histograms add
+    bin-wise).
     """
+
+    #: the task-indexed columns and the value a new row starts at
+    _COLUMNS = (
+        ("_count", 0), ("_met", 0), ("_correct", 0), ("_offloaded", 0),
+        ("_exit_sum", 0), ("_overflow", 0),
+        ("_lat_sum", 0.0), ("_lat_comp", 0.0), ("_queue_sum", 0.0),
+        ("_queue_comp", 0.0), ("_max_latency", -np.inf),
+    )
 
     def __init__(
         self,
@@ -225,10 +173,11 @@ class StreamingStats:
     ) -> None:
         if max_records < 0:
             raise SimulationError("max_records must be >= 0")
+        self.n_bins = LatencyHistogram(bin_s, max_s).n_bins  # validates the bins
         self.bin_s = bin_s
         self.max_s = max_s
         self.max_records = max_records
-        self.per_task: Dict[str, StreamingTaskStats] = {}
+        self._init_columns()
         self.reservoir: List[RequestRecord] = []
         self._seen = 0  # completions offered to the reservoir so far
         self._rng = derive(seed, "reservoir") if max_records > 0 else None
@@ -261,12 +210,24 @@ class StreamingStats:
                 f"request {task_name}#{int(req_ids[bad])} completes before it arrives"
             )
         latency = completion - arrival
+        _, hi = checked_range(latency)
         met = completion <= deadline + 1e-12  # matches RequestRecord.met_deadline
         queueing = np.maximum(0.0, latency - (dev_busy + srv_busy + net_busy))
-        stats = self.per_task.get(task_name)
-        if stats is None:
-            stats = self.per_task[task_name] = StreamingTaskStats(self.bin_s, self.max_s)
-        stats.observe(latency, met, correct, offloaded, positions, queueing)
+        r = self._row(task_name)
+        self._count[r] += latency.size
+        self._met[r] += np.count_nonzero(met)
+        self._correct[r] += np.count_nonzero(correct)
+        self._offloaded[r] += np.count_nonzero(offloaded)
+        self._exit_sum[r] += int(positions.sum())  # integer positions: the sum is exact
+        kahan_fold(self._lat_sum, self._lat_comp, r, float(latency.sum()))
+        kahan_fold(self._queue_sum, self._queue_comp, r, float(queueing.sum()))
+        self._max_latency[r] = max(float(self._max_latency[r]), hi)
+        idx = (latency / self.bin_s).astype(np.int64)
+        over = idx >= self.n_bins
+        self._overflow[r] += np.count_nonzero(over)
+        inside = idx[~over]
+        if inside.size:
+            self._fold_cells(r, inside)
         if self.windowed is not None:
             self.windowed.observe(task_name, completion, latency, met)
         if self._rng is not None:
@@ -297,31 +258,59 @@ class StreamingStats:
 
     # -- aggregates -----------------------------------------------------------
 
+    def task_stats(self, task_name: str) -> TaskStats:
+        """``task_name``'s :class:`TaskStats`."""
+        r = self._rows[task_name]
+        n = int(self._count[r])  # every row holds at least one completion
+        max_s = float(self._max_latency[r])
+        p50, p95, p99 = cell_quantiles(
+            self._keys[r], self._cells[r], int(self._overflow[r]), max_s, self.bin_s,
+            (50, 95, 99),
+        )
+        return TaskStats(
+            count=n,
+            mean_latency_s=float(self._lat_sum[r] + self._lat_comp[r]) / n,
+            p50_latency_s=p50,
+            p95_latency_s=p95,
+            p99_latency_s=p99,
+            max_latency_s=max_s,
+            miss_rate=(n - int(self._met[r])) / n,
+            accuracy=int(self._correct[r]) / n,
+            offload_fraction=int(self._offloaded[r]) / n,
+            mean_exit_position=int(self._exit_sum[r]) / n,
+            mean_queueing_s=float(self._queue_sum[r] + self._queue_comp[r]) / n,
+        )
+
     @property
     def count(self) -> int:
-        return sum(s.count for s in self.per_task.values())
+        return int(self._count[: len(self._rows)].sum())
 
     @property
     def met(self) -> int:
-        return sum(s.met for s in self.per_task.values())
+        return int(self._met[: len(self._rows)].sum())
 
     @property
     def correct_count(self) -> int:
-        return sum(s.correct for s in self.per_task.values())
+        return int(self._correct[: len(self._rows)].sum())
 
     @property
     def latency_sum_s(self) -> float:
         total = KahanSum()
-        for name in sorted(self.per_task):
-            total.add(self.per_task[name].lat_sum.value)
+        for name in self.tasks():
+            r = self._rows[name]
+            total.add(float(self._lat_sum[r] + self._lat_comp[r]))
         return total.value
 
     def quantile(self, q: float) -> float:
         """Global latency quantile from the bin-wise sum of task histograms."""
-        merged = LatencyHistogram(self.bin_s, self.max_s)
-        for stats in self.per_task.values():
-            merged.merge(stats.hist)
-        return merged.quantile(q)
+        n = len(self._rows)
+        bins = np.concatenate([np.zeros(0, dtype=np.int64), *self._keys])
+        order = np.argsort(bins, kind="stable")
+        counts = np.concatenate([np.zeros(0, dtype=np.int64), *self._cells])[order]
+        return cell_quantiles(
+            bins[order], counts, int(self._overflow[:n].sum()),
+            float(self._max_latency[:n].max(initial=-np.inf)), self.bin_s, (q,),
+        )[0]
 
     def merge(self, other: "StreamingStats") -> "StreamingStats":
         """Exact shard merge: counts/histograms add, reservoirs concatenate.
@@ -332,11 +321,13 @@ class StreamingStats:
         """
         if self.bin_s != other.bin_s or self.max_s != other.max_s:
             raise SimulationError("cannot merge streaming stats with different binning")
-        for name, stats in other.per_task.items():
-            mine = self.per_task.get(name)
-            if mine is None:
-                mine = self.per_task[name] = StreamingTaskStats(self.bin_s, self.max_s)
-            mine.merge(stats)
+        rows = self._merge_rows(other)
+        m = rows.size
+        kahan_fold(self._lat_sum, self._lat_comp, rows, other._lat_sum[:m] + other._lat_comp[:m])
+        kahan_fold(
+            self._queue_sum, self._queue_comp, rows, other._queue_sum[:m] + other._queue_comp[:m]
+        )
+        self._max_latency[rows] = np.maximum(self._max_latency[rows], other._max_latency[:m])
         self.max_records = max(self.max_records, other.max_records)
         self.reservoir = (self.reservoir + other.reservoir)[: self.max_records]
         self._seen += other._seen
@@ -438,11 +429,7 @@ class SimulationReport:
         ``records`` holds only the (possibly empty) reservoir sample; every
         aggregate dispatches to the accumulator's running sums.
         """
-        per_task = {
-            name: stats.to_task_stats()
-            for name, stats in sorted(stream.per_task.items())
-            if stats.count
-        }
+        per_task = {name: stream.task_stats(name) for name in stream.tasks()}
         return cls(
             horizon_s=horizon_s,
             records=RecordTable.from_records(stream.reservoir),

@@ -63,6 +63,7 @@ from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
 from repro.sim.queues import device_resources, slice_resources
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.timeline import TimelineRecorder
+from repro.telemetry.trace import get_tracer
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
 _ARRIVALS = {"poisson", "deterministic", "mmpp"}
@@ -261,23 +262,26 @@ def simulate_plan(
         )
         if cfg.streaming else None
     )
-    records, discarded, counters = sweep_pipeline(
-        tasks, plan, cfg,
-        device_res, task_server_res, task_uplink_res, task_downlink_res,
-        stats=stats, windowed=wm,
-    )
+    tracer = get_tracer()
+    with tracer.span("sim.sweep", {"tasks": len(tasks)} if tracer.enabled else None):
+        records, discarded, counters = sweep_pipeline(
+            tasks, plan, cfg,
+            device_res, task_server_res, task_uplink_res, task_downlink_res,
+            stats=stats, windowed=wm,
+        )
     utils = {
         r.name: r.utilization(cfg.horizon_s)
         for r in (*device_res.values(), *task_server_res.values())
     }
-    if stats is None:
-        report = SimulationReport.from_records(
-            records, cfg.horizon_s, utils, discarded=discarded
-        )
-    else:
-        report = SimulationReport.from_stream(
-            stats, cfg.horizon_s, utils, discarded=discarded
-        )
+    with tracer.span("sim.report"):
+        if stats is None:
+            report = SimulationReport.from_records(
+                records, cfg.horizon_s, utils, discarded=discarded
+            )
+        else:
+            report = SimulationReport.from_stream(
+                stats, cfg.horizon_s, utils, discarded=discarded
+            )
     report.counters = counters
     report.windowed = wm
     return report

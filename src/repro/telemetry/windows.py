@@ -4,11 +4,15 @@ Per-request timelines (:mod:`repro.telemetry.timeline`) need the event loop —
 gauges sample on event boundaries the chunked fast path never visits.  This
 module provides the complement: **tumbling-window aggregates** whose state is
 a handful of integer arrays, cheap enough to update from a million-request
-streaming sweep and exact enough to drive SLO monitoring.  The per-window
-latency histograms are stored sparsely — only non-zero ``(window, bin)``
-cells, as sorted int64 keys ``window·n_bins + bin`` with their counts — so
-their memory follows the cells the run actually fills, not the
-``n_windows × n_bins`` plane.
+streaming sweep and exact enough to drive SLO monitoring.  The state is
+columnar: every per-window counter is one ``[n_tasks, n_windows]`` plane
+with a row per task, so a task costs its plane rows and no per-task object.
+The per-window latency histograms are stored sparsely — each task's
+non-zero ``(window, bin)`` cells, as sorted int64 keys
+``window·n_bins + bin`` with their counts — so their memory follows the
+cells the run actually fills, not the ``n_windows × n_bins`` plane, and a
+fold copies only the folded task's cells.  A streaming run's windowed state
+is therefore O(tasks × windows) in planes plus O(filled cells).
 
 Design contract (the basis of the gate's bit-identity check):
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -114,7 +118,7 @@ class LatencyHistogram:
         """Fold a chunk of latencies (seconds) into the histogram."""
         if latencies.size == 0:
             return
-        lo_s, hi_s = _checked_range(latencies)
+        lo_s, hi_s = checked_range(latencies)
         self.min_s = min(self.min_s, lo_s)
         self.max_seen_s = max(self.max_seen_s, hi_s)
         idx = (latencies / self.bin_s).astype(np.int64)
@@ -134,17 +138,10 @@ class LatencyHistogram:
         the overflow region), so the error versus the exact order statistic
         is at most ``bin_s``.
         """
-        if not (0.0 <= q <= 100.0):
-            raise SimulationError(f"quantile {q} outside [0, 100]")
-        n = self.count
-        if n == 0:
-            return float("nan")
-        rank = int(np.ceil((n - 1) * q / 100.0))  # 0-based ceil rank
-        if rank >= n - self.overflow:  # lands in the overflow bucket
-            return self.max_seen_s
-        cum = np.cumsum(self.counts)
-        b = int(np.searchsorted(cum, rank + 1, side="left"))
-        return (self.lo + b + 1) * self.bin_s
+        bins = self.lo + np.arange(self.counts.size)
+        return cell_quantiles(
+            bins, self.counts, self.overflow, self.max_seen_s, self.bin_s, (q,)
+        )[0]
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Exact accumulation of ``other`` (same binning) into ``self``."""
@@ -160,7 +157,37 @@ class LatencyHistogram:
         return self
 
 
-def _checked_range(values: np.ndarray, what: str = "latencies") -> Tuple[float, float]:
+def cell_quantiles(
+    bins: np.ndarray, counts: np.ndarray, overflow: int, max_s: float, bin_s: float,
+    qs: Sequence[float],
+) -> List[float]:
+    """Ceil-rank latency quantiles at each of ``qs`` (the contract of
+    :meth:`LatencyHistogram.quantile`) over ``(bin, count)`` cells plus
+    ``overflow`` latencies whose maximum is ``max_s``.
+
+    ``bins`` must be sorted.  Zero counts and repeated bins (the cells of
+    several tasks) are allowed: the first cell whose running count covers
+    the rank lies in the same bin as it would in the summed dense layout.
+    """
+    for q in qs:
+        if not (0.0 <= q <= 100.0):
+            raise SimulationError(f"quantile {q} outside [0, 100]")
+    cum = np.cumsum(counts)
+    n = (int(cum[-1]) if cum.size else 0) + overflow
+    if n == 0:
+        return [float("nan")] * len(qs)
+    out = []
+    for q in qs:
+        rank = int(np.ceil((n - 1) * q / 100.0))  # 0-based ceil rank
+        if rank >= n - overflow:  # lands in the overflow bucket
+            out.append(max_s)
+        else:
+            b = int(np.searchsorted(cum, rank + 1, side="left"))
+            out.append((int(bins[b]) + 1) * bin_s)
+    return out
+
+
+def checked_range(values: np.ndarray, what: str = "latencies") -> Tuple[float, float]:
     """``(min, max)`` of a non-empty chunk of times, refusing negative and
     non-finite values before they are cast to window or bin indices."""
     lo, hi = float(values.min()), float(values.max())
@@ -170,7 +197,7 @@ def _checked_range(values: np.ndarray, what: str = "latencies") -> Tuple[float, 
 
 
 def _checked_time(value: float, what: str) -> None:
-    """Scalar form of :func:`_checked_range`."""
+    """Scalar form of :func:`checked_range`."""
     if not 0.0 <= value < math.inf:
         raise SimulationError(f"{what} must be finite and non-negative, got {value}")
 
@@ -198,7 +225,7 @@ def _add_columns(
     return lo, arr
 
 
-def _add_cells(
+def add_cells(
     keys: np.ndarray, cells: np.ndarray, new_keys: np.ndarray, new_cells: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Add the sorted, distinct ``new_keys`` cells into a sorted cell set.
@@ -223,6 +250,100 @@ def _add_cells(
         np.insert(keys, pos[miss], new_keys[miss]),
         np.insert(cells, pos[miss], new_cells[miss]),
     )
+
+
+def kahan_fold(
+    total: np.ndarray, comp: np.ndarray, at, value: Union[float, np.ndarray]
+) -> None:
+    """Elementwise :meth:`KahanSum.add` of ``value`` into ``total[at]``,
+    with ``comp[at]`` holding the compensation; the same operations in the
+    same order as the scalar sum, so the same bits."""
+    s = total[at]
+    t = s + value
+    big = np.abs(s) >= np.abs(value)
+    comp[at] += np.where(big, (s - t) + value, (value - t) + s)
+    total[at] = t
+
+
+#: the cells of a task with none yet: one shared, read-only empty array
+_NO_CELLS = np.zeros(0, dtype=np.int64)
+_NO_CELLS.flags.writeable = False
+
+
+class TaskColumns:
+    """Per-task state as columns: the storage of the streaming accumulators.
+
+    Each task owns one row, numbered in first-seen order, of every array
+    named in ``_COLUMNS`` (``[capacity, *width]`` arrays; the capacity
+    doubles as tasks arrive) and one entry of two per-task lists: its
+    sparse cells' sorted non-zero int64 keys and their counts.  A task thus
+    costs its column rows and its cells, with no per-task object, and a
+    fold into one task copies only that task's cells.
+    """
+
+    __slots__ = ("_rows", "_keys", "_cells")
+
+    #: ``(attribute, fill)`` of every column: the value a new row starts at
+    #: (an int fill makes an int64 column, a float fill a float64 one)
+    _COLUMNS: Tuple[Tuple[str, Union[int, float]], ...] = ()
+
+    def _init_columns(self, *width: int) -> None:
+        #: task name -> row of every column and of the cell lists
+        self._rows: Dict[str, int] = {}
+        self._keys: List[np.ndarray] = []
+        self._cells: List[np.ndarray] = []
+        for name, fill in self._COLUMNS:
+            dtype = np.float64 if isinstance(fill, float) else np.int64
+            setattr(self, name, np.full((0, *width), fill, dtype=dtype))
+
+    def _row(self, task: str) -> int:
+        """``task``'s row, added (columns at their fill, no cells) if new."""
+        r = self._rows.get(task)
+        if r is None:
+            r = self._rows[task] = len(self._rows)
+            if r == getattr(self, self._COLUMNS[0][0]).shape[0]:
+                for name, fill in self._COLUMNS:
+                    old = getattr(self, name)
+                    grown = np.full((max(2 * r, 1), *old.shape[1:]), fill, dtype=old.dtype)
+                    grown[:r] = old
+                    setattr(self, name, grown)
+            self._keys.append(_NO_CELLS)
+            self._cells.append(_NO_CELLS)
+        return r
+
+    def _fold_cells(self, r: int, keys: np.ndarray) -> None:
+        """Count the (non-empty) ``keys`` into row ``r``'s cells."""
+        lo = int(keys.min())
+        flat = np.bincount(keys - lo)
+        nz = np.flatnonzero(flat)
+        self._keys[r], self._cells[r] = add_cells(
+            self._keys[r], self._cells[r], nz + lo, flat[nz]
+        )
+
+    def _merge_rows(self, other: "TaskColumns") -> np.ndarray:
+        """Add ``other``'s integer columns and cells into this instance.
+
+        Returns, for each of ``other``'s rows in order, its row here; the
+        float columns (sums, maxima) are the caller's to merge.
+        """
+        rows = np.array([self._row(task) for task in other._rows], dtype=np.intp)
+        for name, fill in self._COLUMNS:
+            if not isinstance(fill, float):
+                getattr(self, name)[rows] += getattr(other, name)[: rows.size]
+        for r, o in zip(rows.tolist(), range(rows.size)):
+            self._keys[r], self._cells[r] = add_cells(
+                self._keys[r], self._cells[r], other._keys[o], other._cells[o]
+            )
+        return rows
+
+    def tasks(self) -> List[str]:
+        """Names of the tasks seen, sorted."""
+        return sorted(self._rows)
+
+    def cells(self, task: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``task``'s non-zero histogram cells: sorted keys and their counts."""
+        r = self._rows[task]
+        return self._keys[r], self._cells[r]
 
 
 @dataclass(frozen=True)
@@ -262,39 +383,16 @@ class WindowConfig:
         return int(math.ceil(horizon_s / self.window_s)) + 1
 
 
-class _TaskWindows:
-    """Per-task window arrays plus the task's sparse histogram cells.
-
-    ``keys`` holds, sorted, every non-zero cell ``window·n_bins + bin`` of
-    the ``[n_windows, n_bins]`` histogram plane and ``cells`` its count.
-    """
-
-    __slots__ = (
-        "counts", "met", "lost", "shed", "degraded",
-        "keys", "cells", "overflow", "lat_sum", "lat_comp", "lat_max",
-    )
-
-    def __init__(self, n_windows: int) -> None:
-        self.counts = np.zeros(n_windows, dtype=np.int64)
-        self.met = np.zeros(n_windows, dtype=np.int64)
-        self.lost = np.zeros(n_windows, dtype=np.int64)
-        self.shed = np.zeros(n_windows, dtype=np.int64)
-        self.degraded = np.zeros(n_windows, dtype=np.int64)
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.cells = np.zeros(0, dtype=np.int64)
-        self.overflow = np.zeros(n_windows, dtype=np.int64)
-        self.lat_sum = np.zeros(n_windows, dtype=np.float64)
-        self.lat_comp = np.zeros(n_windows, dtype=np.float64)
-        self.lat_max = np.full(n_windows, float("-inf"), dtype=np.float64)
-
-
-class WindowedMetrics:
+class WindowedMetrics(TaskColumns):
     """Tumbling-window SLO aggregates with bounded memory.
 
-    One instance covers one run: per task it keeps ``n_windows`` integer
-    counters (completions, deadline-met, fault marks), the non-zero cells
-    of its ``[n_windows, n_bins]`` latency-histogram plane
-    (:meth:`dense_hist` expands them), and per-window Kahan latency sums.
+    One instance covers one run.  Its state is columnar: each task owns one
+    row (rows numbered in first-seen order) of ``[n_tasks, n_windows]``
+    planes — completions, deadline-met, fault marks, histogram overflow,
+    Kahan latency sums and maxima — plus the non-zero cells of its
+    ``[n_windows, n_bins]`` latency-histogram plane, keyed
+    ``window·n_bins + bin`` (:meth:`dense_hist` expands them).  A task costs its plane rows and its cells, with no
+    per-task object; a fold touches only the folded task's cells.
     Completions arrive as NumPy columns (:meth:`observe`) from both
     simulator engines; fault outcomes one at a time (:meth:`mark`).
 
@@ -302,7 +400,13 @@ class WindowedMetrics:
     :meth:`merge` exactly (integer adds, compensated float adds).
     """
 
-    __slots__ = ("config", "horizon_s", "n_windows", "n_bins", "per_task")
+    #: the ``[n_tasks, n_windows]`` planes
+    _COLUMNS = (
+        ("_counts", 0), ("_met", 0), ("_lost", 0), ("_shed", 0), ("_degraded", 0),
+        ("_overflow", 0), ("_lat_sum", 0.0), ("_lat_comp", 0.0), ("_lat_max", -np.inf),
+    )
+
+    __slots__ = ("config", "horizon_s", "n_windows", "n_bins", *(n for n, _ in _COLUMNS))
 
     def __init__(self, config: WindowConfig, horizon_s: float) -> None:
         self.config = config
@@ -315,15 +419,9 @@ class WindowedMetrics:
                 f"cells per task (> {_MAX_CELLS_PER_TASK}); widen window_s or "
                 "coarsen bin_s to keep streaming memory bounded"
             )
-        self.per_task: Dict[str, _TaskWindows] = {}
+        self._init_columns(self.n_windows)
 
     # -- accumulation ---------------------------------------------------------
-
-    def _ensure(self, task: str) -> _TaskWindows:
-        tw = self.per_task.get(task)
-        if tw is None:
-            tw = self.per_task[task] = _TaskWindows(self.n_windows)
-        return tw
 
     def _window_of(self, completion_s: float) -> int:
         w = int(completion_s / self.config.window_s)
@@ -339,41 +437,33 @@ class WindowedMetrics:
         """Fold a (already warmup-filtered) chunk of completions of one task."""
         if completion_s.size == 0:
             return
-        _checked_range(completion_s, "completion times")
-        _checked_range(latency_s)
-        tw = self._ensure(task)
+        checked_range(completion_s, "completion times")
+        checked_range(latency_s)
+        r = self._row(task)
         nw, nb = self.n_windows, self.n_bins
         # clamp in floating point before the cast: truncation commutes with
         # the clamp, and no finite time overflows int64
         w = np.minimum(completion_s / self.config.window_s, nw - 1).astype(np.int64)
-        tw.counts += np.bincount(w, minlength=nw)
+        self._counts[r] += np.bincount(w, minlength=nw)
         wm = w[met]
         if wm.size:
-            tw.met += np.bincount(wm, minlength=nw)
+            self._met[r] += np.bincount(wm, minlength=nw)
         b = np.minimum(latency_s / self.config.bin_s, nb).astype(np.int64)
         over = b >= nb
         if over.any():
-            tw.overflow += np.bincount(w[over], minlength=nw)
+            self._overflow[r] += np.bincount(w[over], minlength=nw)
             inside = ~over
             key = w[inside] * nb + b[inside]
         else:
             key = w * nb + b
         if key.size:
-            lo = int(key.min())
-            flat = np.bincount(key - lo)
-            nz = np.flatnonzero(flat)
-            tw.keys, tw.cells = _add_cells(tw.keys, tw.cells, nz + lo, flat[nz])
+            self._fold_cells(r, key)
         # per-window chunk partial sums, Kahan-folded into the running sums
         part = np.bincount(w, weights=latency_s, minlength=nw)
         touched = np.flatnonzero(part)
         if touched.size:
-            s = tw.lat_sum[touched]
-            v = part[touched]
-            t = s + v
-            big = np.abs(s) >= np.abs(v)
-            tw.lat_comp[touched] += np.where(big, (s - t) + v, (v - t) + s)
-            tw.lat_sum[touched] = t
-        np.maximum.at(tw.lat_max, w, latency_s)
+            kahan_fold(self._lat_sum[r], self._lat_comp[r], touched, part[touched])
+        np.maximum.at(self._lat_max[r], w, latency_s)
 
     def mark(self, task: str, time_s: float, kind: str) -> None:
         """Record a fault outcome (``lost``/``shed``/``degraded``) at ``time_s``.
@@ -386,8 +476,8 @@ class WindowedMetrics:
         if kind not in MARK_KINDS:
             raise ConfigError(f"unknown window mark kind {kind!r}; want {MARK_KINDS}")
         _checked_time(time_s, "mark times")
-        tw = self._ensure(task)
-        getattr(tw, kind)[self._window_of(time_s)] += 1
+        r = self._row(task)
+        getattr(self, "_" + kind)[r, self._window_of(time_s)] += 1
 
     # -- merge / identity -----------------------------------------------------
 
@@ -405,22 +495,10 @@ class WindowedMetrics:
     def merge(self, other: "WindowedMetrics") -> "WindowedMetrics":
         """Exact accumulation of ``other`` (same layout) into ``self``."""
         self._check_layout(other)
-        for task, o in other.per_task.items():
-            tw = self._ensure(task)
-            tw.counts += o.counts
-            tw.met += o.met
-            tw.lost += o.lost
-            tw.shed += o.shed
-            tw.degraded += o.degraded
-            tw.keys, tw.cells = _add_cells(tw.keys, tw.cells, *other.cells(task))
-            tw.overflow += o.overflow
-            v = o.lat_sum + o.lat_comp
-            s = tw.lat_sum.copy()
-            t = s + v
-            big = np.abs(s) >= np.abs(v)
-            tw.lat_comp += np.where(big, (s - t) + v, (v - t) + s)
-            tw.lat_sum = t
-            np.maximum(tw.lat_max, o.lat_max, out=tw.lat_max)
+        rows = self._merge_rows(other)
+        m = rows.size
+        kahan_fold(self._lat_sum, self._lat_comp, rows, other._lat_sum[:m] + other._lat_comp[:m])
+        self._lat_max[rows] = np.maximum(self._lat_max[rows], other._lat_max[:m])
         return self
 
     def fingerprint(self) -> str:
@@ -434,32 +512,27 @@ class WindowedMetrics:
             f"{self.config.window_s}:{self.config.bin_s}:{self.config.max_s}:"
             f"{self.horizon_s}:{self.n_windows}".encode()
         )
-        for task in sorted(self.per_task):
-            tw = self.per_task[task]
+        for task in self.tasks():
+            r = self._rows[task]
             h.update(task.encode())
-            for arr in (tw.counts, tw.met, tw.lost, tw.shed, tw.degraded,
-                        self.dense_hist(task), tw.overflow, tw.lat_max):
+            for arr in (self._counts[r], self._met[r], self._lost[r], self._shed[r],
+                        self._degraded[r], self.dense_hist(task), self._overflow[r],
+                        self._lat_max[r]):
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
     # -- aggregates -----------------------------------------------------------
-
-    def tasks(self) -> List[str]:
-        return sorted(self.per_task)
+    #
+    # Per-window accessors return views of ``task``'s plane rows; a task
+    # never observed or marked raises KeyError.
 
     @property
     def total_count(self) -> int:
-        return sum(int(tw.counts.sum()) for tw in self.per_task.values())
+        return int(self._counts[: len(self._rows)].sum())
 
     @property
     def total_met(self) -> int:
-        return sum(int(tw.met.sum()) for tw in self.per_task.values())
-
-    def cells(self, task: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``task``'s non-zero histogram cells: sorted keys
-        ``window·n_bins + bin`` and their counts."""
-        tw = self.per_task[task]
-        return tw.keys, tw.cells
+        return int(self._met[: len(self._rows)].sum())
 
     def dense_hist(self, task: str) -> np.ndarray:
         """``task``'s full ``[n_windows, n_bins]`` histogram plane."""
@@ -469,27 +542,28 @@ class WindowedMetrics:
         return dense.reshape(self.n_windows, self.n_bins)
 
     def window_counts(self, task: str) -> np.ndarray:
-        return self.per_task[task].counts
+        return self._counts[self._rows[task]]
 
     def window_met(self, task: str) -> np.ndarray:
-        return self.per_task[task].met
+        return self._met[self._rows[task]]
 
     def window_errors(self, task: str) -> np.ndarray:
         """SLO errors per window: deadline misses + lost + shed requests."""
-        tw = self.per_task[task]
-        return (tw.counts - tw.met) + tw.lost + tw.shed
+        r = self._rows[task]
+        return (self._counts[r] - self._met[r]) + self._lost[r] + self._shed[r]
 
     def window_eligible(self, task: str) -> np.ndarray:
         """SLO denominator per window: completions + lost + shed requests."""
-        tw = self.per_task[task]
-        return tw.counts + tw.lost + tw.shed
+        r = self._rows[task]
+        return self._counts[r] + self._lost[r] + self._shed[r]
 
     def window_mean_latency_s(self, task: str) -> np.ndarray:
         """Per-window mean latency (NaN where a window saw no completions)."""
-        tw = self.per_task[task]
+        r = self._rows[task]
+        counts = self._counts[r]
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(
-                tw.counts > 0, (tw.lat_sum + tw.lat_comp) / tw.counts, np.nan
+                counts > 0, (self._lat_sum[r] + self._lat_comp[r]) / counts, np.nan
             )
 
     def window_quantile(self, task: str, q: float) -> np.ndarray:
@@ -500,7 +574,7 @@ class WindowedMetrics:
         """
         if not (0.0 <= q <= 100.0):
             raise SimulationError(f"quantile {q} outside [0, 100]")
-        tw = self.per_task[task]
+        r = self._rows[task]
         keys, cells = self.cells(task)
         out = np.full(self.n_windows, np.nan)
         # window w's cells are the slice bounds[w]:bounds[w + 1] of the keys;
@@ -508,7 +582,7 @@ class WindowedMetrics:
         bounds = np.searchsorted(keys // self.n_bins, np.arange(self.n_windows + 1))
         cum = np.concatenate([[0], np.cumsum(cells)])
         n_in = cum[bounds[1:]] - cum[bounds[:-1]]
-        n = n_in + tw.overflow
+        n = n_in + self._overflow[r]
         nonempty = np.flatnonzero(n)
         if nonempty.size == 0:
             return out
@@ -519,23 +593,23 @@ class WindowedMetrics:
         # covering the rank lies inside the window's own slice
         cell = np.searchsorted(cum, cum[bounds[rows]] + rank[inside] + 1, side="left") - 1
         out[rows] = (keys[cell] % self.n_bins + 1) * self.config.bin_s
-        out[nonempty[~inside]] = tw.lat_max[nonempty[~inside]]
+        out[nonempty[~inside]] = self._lat_max[r, nonempty[~inside]]
         return out
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-able state for the metrics stream / dashboard."""
         tasks = {}
         for task in self.tasks():
-            tw = self.per_task[task]
-            n = tw.counts
+            r = self._rows[task]
+            n, met = self._counts[r], self._met[r]
             with np.errstate(invalid="ignore", divide="ignore"):
-                miss = np.where(n > 0, (n - tw.met) / n, np.nan)
+                miss = np.where(n > 0, (n - met) / n, np.nan)
             tasks[task] = {
-                "counts": tw.counts.tolist(),
-                "met": tw.met.tolist(),
-                "lost": tw.lost.tolist(),
-                "shed": tw.shed.tolist(),
-                "degraded": tw.degraded.tolist(),
+                "counts": n.tolist(),
+                "met": met.tolist(),
+                "lost": self._lost[r].tolist(),
+                "shed": self._shed[r].tolist(),
+                "degraded": self._degraded[r].tolist(),
                 "miss_rate": [None if np.isnan(x) else float(x) for x in miss],
                 "p99_s": [
                     None if np.isnan(x) else float(x)

@@ -109,7 +109,7 @@ def test_windowed_planes_match_dense(parts, seed):
         comps.append(comp)
         lats.append(lat)
     comp, lat = np.concatenate(comps), np.concatenate(lats)
-    if "t" not in merged.per_task:
+    if "t" not in merged.tasks():
         return
     w = np.minimum((comp / cfg.window_s).astype(np.int64), merged.n_windows - 1)
     b = (lat / cfg.bin_s).astype(np.int64)

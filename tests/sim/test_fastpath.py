@@ -17,6 +17,7 @@ from repro.sim import execution, fastpath
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
 from repro.sim.sources import arrival_times
+from repro.telemetry.trace import Tracer, get_tracer, set_tracer
 from repro.telemetry.windows import WindowConfig
 
 
@@ -364,3 +365,37 @@ def test_interleaved_streaming_observe_order(small_cluster, interleaved, chunk_s
     assert rep.total_requests > 24
     assert any(r.offloaded for r in rep.records)
     assert _stream_digest(rep) == _INTERLEAVED_DIGESTS[chunk_size]
+
+
+def test_sweep_spans(interleaved, small_cluster):
+    """One ``sim.window`` span per realization window under ``sim.sweep``;
+    their ``requests`` add up to the run's, and ``live_streams`` counts the
+    most task streams alive at once.  Tracing off records nothing."""
+    tasks, plan = interleaved
+    cfg = SimulationConfig(horizon_s=6.0, warmup_s=0.5, seed=2, streaming=True, chunk_size=9)
+    previous = get_tracer()
+    tracer = set_tracer(Tracer(enabled=True))
+    try:
+        # one window: each stream goes once its task has advanced, so at
+        # most dev1's two streams and dev0's parked second task are alive
+        simulate_plan(tasks, plan, small_cluster, dataclasses.replace(cfg, chunk_size=10**6))
+        (one,) = [s for s in tracer.drain() if s.name == "sim.window"]
+        assert one.attrs["live_streams"] == 3
+        rep = simulate_plan(tasks, plan, small_cluster, cfg)
+        spans = tracer.drain()
+        tracer.disable()
+        simulate_plan(tasks, plan, small_cluster, cfg)
+        assert tracer.drain() == []
+    finally:
+        set_tracer(previous)
+    sweep = [s for s in spans if s.name == "sim.sweep"]
+    windows = [s for s in spans if s.name == "sim.window"]
+    report = [s for s in spans if s.name == "sim.report"]
+    assert len(sweep) == len(report) == 1 and sweep[0].attrs == {"tasks": 4}
+    assert report[0].parent_id is None
+    rate = sum(t.arrival_rate for t in tasks)
+    assert len(windows) == int(np.ceil(cfg.horizon_s / (cfg.chunk_size / rate)))
+    assert all(w.parent_id == sweep[0].span_id for w in windows)
+    assert sum(w.attrs["requests"] for w in windows) == rep.counters.requests
+    # every stream lives from the first window to its last
+    assert {w.attrs["live_streams"] for w in windows} == {len(tasks)}

@@ -339,7 +339,7 @@ def test_streaming_stats_memory_follows_traffic():
             np.ones(n, dtype=np.int64), np.ones(n, bool), np.ones(n, bool),
             zeros, zeros, zeros,
         )
-    held = sum(s.hist.counts.nbytes for s in stats.per_task.values())
+    held = sum(b.nbytes + c.nbytes for b, c in map(stats.cells, stats.tasks()))
     dense = 1024 * LatencyHistogram().n_bins * 8
     assert dense == 1024 * 480_000
     assert held < 0.01 * dense

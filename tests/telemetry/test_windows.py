@@ -93,7 +93,7 @@ class TestFeedsIdentity:
         for c, l, m in zip(comp, lat, met):
             _one(one, "t", float(c), float(l), bool(m))
         assert one.fingerprint() == vec.fingerprint()
-        np.testing.assert_array_equal(one.per_task["t"].counts, vec.per_task["t"].counts)
+        np.testing.assert_array_equal(one.window_counts("t"), vec.window_counts("t"))
         np.testing.assert_array_equal(one.dense_hist("t"), vec.dense_hist("t"))
         # Kahan sums agree to float tolerance (excluded from the fingerprint)
         np.testing.assert_allclose(
@@ -133,8 +133,8 @@ class TestFeedsIdentity:
     def test_drain_past_horizon_clamps_to_last_window(self):
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
         _one(wm, "t", 99.0, 0.01, True)  # far past the horizon
-        assert wm.per_task["t"].counts[-1] == 1
-        assert wm.per_task["t"].counts[:-1].sum() == 0
+        assert wm.window_counts("t")[-1] == 1
+        assert wm.window_counts("t")[:-1].sum() == 0
 
 
 class TestCompactPlanes:
@@ -183,20 +183,25 @@ class TestCompactPlanes:
         lat[lat < 0.05] = 0.3  # keep bin 0 empty: no window's cells start there
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 8.0)
         wm.observe("t", comp, lat, met)
-        dense, tw = wm.dense_hist("t"), wm.per_task["t"]
+        dense = wm.dense_hist("t")
+        # requests past the last bin: completions the plane does not hold
+        overflow = wm.window_counts("t") - dense.sum(axis=1)
         assert not dense[:, 0].any()
         np.testing.assert_array_equal(wm.cells("t")[0], np.flatnonzero(dense))
         for q in (0.0, 50.0, 99.0, 100.0):
             got = wm.window_quantile("t", q)
             for w in range(wm.n_windows):
-                n = int(dense[w].sum() + tw.overflow[w])
+                n = int(dense[w].sum() + overflow[w])
                 if n == 0:
                     assert np.isnan(got[w])
                     continue
                 rank = int(np.ceil((n - 1) * q / 100.0))
                 cum = np.cumsum(dense[w])
                 if rank >= cum[-1]:
-                    assert got[w] == tw.lat_max[w]
+                    # an overflow window reports its maximum latency, which
+                    # is also its 100th percentile
+                    assert overflow[w] > 0
+                    assert got[w] == wm.window_quantile("t", 100.0)[w]
                 else:
                     b = int(np.searchsorted(cum, rank + 1, side="left"))
                     assert got[w] == (b + 1) * wm.config.bin_s
@@ -241,7 +246,7 @@ class TestCompactPlanes:
         for kind in MARK_KINDS:
             with pytest.raises(SimulationError, match="mark times"):
                 wm.mark("t", bad, kind)
-        assert wm.per_task == {}
+        assert wm.tasks() == []
 
     def test_huge_finite_times_clamp_alike(self):
         """Times far past any int64 index clamp the same way in both feeds."""
@@ -252,8 +257,9 @@ class TestCompactPlanes:
             _one(one, "t", float(c), float(l), False)
         vec.observe("t", comp, lat, np.zeros(2, bool))
         assert one.fingerprint() == vec.fingerprint()
-        np.testing.assert_array_equal(vec.per_task["t"].counts, [0, 0, 1, 0, 1])
-        np.testing.assert_array_equal(vec.per_task["t"].overflow, [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(vec.window_counts("t"), [0, 0, 1, 0, 1])
+        overflow = vec.window_counts("t") - vec.dense_hist("t").sum(axis=1)
+        np.testing.assert_array_equal(overflow, [0, 0, 1, 0, 0])
         assert vec.cells("t")[0].tolist() == [4 * vec.n_bins + 2]
 
     def test_out_of_order_chunks_insert_cells(self):
@@ -308,8 +314,8 @@ class TestMerge:
         pooled = WindowedMetrics(a.config, a.horizon_s).merge(a).merge(b)
         for task in ("t0", "t1"):
             np.testing.assert_array_equal(
-                pooled.per_task[task].counts,
-                a.per_task[task].counts + b.per_task[task].counts,
+                pooled.window_counts(task),
+                a.window_counts(task) + b.window_counts(task),
             )
             np.testing.assert_array_equal(
                 pooled.dense_hist(task), a.dense_hist(task) + b.dense_hist(task)
