@@ -48,7 +48,6 @@ from repro.devices import (
     DeviceSpec,
     EdgeCluster,
     EnergyModel,
-    LatencyModel,
     device_preset,
     heterogeneous_servers,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "JointPlan",
     "JointResult",
     "JointSolverConfig",
-    "LatencyModel",
     "Link",
     "MultiExitModel",
     "Objective",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.core.allocation import Allocation, solution_latencies
 from repro.core.candidates import CandidateSet
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.network.link import Link
 from repro.network.topology import StarTopology
@@ -85,7 +84,6 @@ def plan_sensitivity(
     tasks: Sequence[TaskSpec],
     plan: JointPlan,
     cluster: EdgeCluster,
-    latency_model: Optional[LatencyModel] = None,
     perturbation: float = 0.05,
     include_queueing: bool = True,
 ) -> List[TaskSensitivity]:
@@ -96,7 +94,6 @@ def plan_sensitivity(
     """
     if not (0.0 < perturbation < 0.5):
         raise ConfigError(f"perturbation must be in (0, 0.5), got {perturbation}")
-    lm = latency_model or LatencyModel()
     for t in tasks:
         if t.name not in plan.features:
             raise ConfigError(f"plan has no entry for task {t.name!r}")
@@ -105,7 +102,7 @@ def plan_sensitivity(
     def latencies(bw_factor: float = 1.0, server_factor: float = 1.0) -> np.ndarray:
         scaled = _scaled_cluster(cluster, bw_factor, server_factor)
         return solution_latencies(
-            tasks, candsets, idx, alloc, scaled, lm,
+            tasks, candsets, idx, alloc, scaled,
             include_queueing=include_queueing, overload="penalty",
         )
 

@@ -12,7 +12,6 @@ from repro.core.candidates import CandidateSet, build_candidates
 from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, PlanFeatures, SurgeryPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import InfeasibleError
 from repro.rng import SeedLike
 
@@ -25,11 +24,9 @@ class Strategy(ABC):
 
     def __init__(
         self,
-        latency_model: Optional[LatencyModel] = None,
         objective: Objective = Objective.AVG_LATENCY,
         include_queueing: bool = True,
     ) -> None:
-        self.latency_model = latency_model or LatencyModel()
         self.objective = objective
         self.include_queueing = include_queueing
 
@@ -68,7 +65,6 @@ class Strategy(ABC):
             plan_idx,
             allocation,
             cluster,
-            self.latency_model,
             self.objective,
             self.include_queueing,
         )
@@ -127,13 +123,12 @@ def package_solution(
     plan_idx: Sequence[int],
     allocation: Allocation,
     cluster: EdgeCluster,
-    latency_model: LatencyModel,
     objective: Objective,
     include_queueing: bool = True,
 ) -> JointPlan:
     """Evaluate a complete solution and wrap it as a :class:`JointPlan`."""
     lat = solution_latencies(
-        tasks, candsets, plan_idx, allocation, cluster, latency_model, include_queueing
+        tasks, candsets, plan_idx, allocation, cluster, include_queueing
     )
     obj = objective.evaluate(lat, tasks)
     return JointPlan(

@@ -25,7 +25,7 @@ class BranchyLocal(Strategy):
         plan_idx = []
         for i, t in enumerate(tasks):
             device = cluster.by_name(t.device_name)
-            lat = restricted[i].latencies(device, self.latency_model)
+            lat = restricted[i].latencies(device)
             plan_idx.append(int(np.argmin(lat)))
         alloc = equal_share_allocation([None] * len(tasks), tasks)
         return self._finish(tasks, restricted, plan_idx, alloc, cluster)

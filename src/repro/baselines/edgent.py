@@ -34,7 +34,7 @@ class Edgent(Strategy):
             server = cluster.servers[assignment[i]]
             link = cluster.link(t.device_name, server.name)
             lat = candsets[i].latencies(
-                device, self.latency_model, server=server, link=link
+                device, server=server, link=link
             )
             plan_idx.append(int(np.argmin(lat)))
         for i in range(len(tasks)):

@@ -30,13 +30,11 @@ class GreedyJoint(Strategy):
         # start everyone on their best local plan so partially-built states
         # are always evaluable
         plan_idx = [
-            int(np.argmin(candsets[i].latencies(
-                cluster.by_name(t.device_name), self.latency_model
-            )))
+            int(np.argmin(candsets[i].latencies(cluster.by_name(t.device_name))))
             for i, t in enumerate(tasks)
         ]
         state = GroupState(
-            tasks, candsets, cluster, self.latency_model, [None] * n, plan_idx,
+            tasks, candsets, cluster, [None] * n, plan_idx,
             objective=self.objective, include_queueing=self.include_queueing,
         )
         for i in order:
@@ -45,7 +43,7 @@ class GreedyJoint(Strategy):
             best_choice: tuple = (None, state.plan_idx[i])
             for option in [None, *range(m)]:
                 if option is None:
-                    j = int(np.argmin(candsets[i].latencies(device, self.latency_model)))
+                    j = int(np.argmin(candsets[i].latencies(device)))
                     x = y = 1.0
                 else:
                     # the plan is picked under the shares the current plan
@@ -53,7 +51,6 @@ class GreedyJoint(Strategy):
                     x, y = state.shares_if_placed(i, option, state.plan_idx[i])
                     lat_vec = candsets[i].latencies(
                         device,
-                        self.latency_model,
                         server=cluster.servers[option],
                         link=state.link(i, option),
                         compute_share=x,

@@ -36,7 +36,7 @@ class Neurosurgeon(Strategy):
             server = cluster.servers[assignment[i]]
             link = cluster.link(t.device_name, server.name)
             lat = restricted[i].latencies(
-                device, self.latency_model, server=server, link=link
+                device, server=server, link=link
             )
             plan_idx.append(int(np.argmin(lat)))
         # a task whose chosen plan turned out fully local needs no server

@@ -33,7 +33,6 @@ class RoundRobinStrategy(Strategy):
             link = cluster.link(t.device_name, server.name)
             lat = candsets[i].latencies(
                 device,
-                self.latency_model,
                 server=server,
                 link=link,
                 compute_share=float(alloc.compute_shares[i]),

@@ -38,7 +38,7 @@ class DeviceOnly(Strategy):
         plan_idx = [0] * len(tasks)  # exactly one plan survives the restriction
         for i, cs in enumerate(restricted):
             device = cluster.by_name(tasks[i].device_name)
-            lat = cs.latencies(device, self.latency_model)
+            lat = cs.latencies(device)
             plan_idx[i] = int(np.argmin(lat))
         alloc = equal_share_allocation([None] * len(tasks), tasks)
         return self._finish(tasks, restricted, plan_idx, alloc, cluster)
@@ -106,23 +106,22 @@ class AllocationOnly(Strategy):
             )
             for cs in candsets
         ]
-        assignment = assign_servers(tasks, restricted, cluster, self.latency_model)
+        assignment = assign_servers(tasks, restricted, cluster)
         # pick best restricted plan per task under sqrt shares, iterated once
         plan_idx = [0] * len(tasks)
         alloc = allocate_shares(
-            tasks, restricted, plan_idx, assignment, cluster, self.latency_model, self.objective
+            tasks, restricted, plan_idx, assignment, cluster, self.objective
         )
         for i, t in enumerate(tasks):
             device = cluster.by_name(t.device_name)
             s = alloc.assignment[i]
             if s is None:
-                lat = restricted[i].latencies(device, self.latency_model)
+                lat = restricted[i].latencies(device)
             else:
                 server = cluster.servers[s]
                 link = cluster.link(t.device_name, server.name)
                 lat = restricted[i].latencies(
                     device,
-                    self.latency_model,
                     server=server,
                     link=link,
                     compute_share=float(alloc.compute_shares[i]),
@@ -130,6 +129,6 @@ class AllocationOnly(Strategy):
                 )
             plan_idx[i] = int(np.argmin(lat))
         alloc = allocate_shares(
-            tasks, restricted, plan_idx, assignment, cluster, self.latency_model, self.objective
+            tasks, restricted, plan_idx, assignment, cluster, self.objective
         )
         return self._finish(tasks, restricted, plan_idx, alloc, cluster)

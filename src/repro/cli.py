@@ -34,7 +34,6 @@ from typing import List, Optional
 from repro.analysis.tables import format_table
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.objectives import Objective
-from repro.devices.latency import LatencyModel
 from repro.devices.presets import DEVICE_PRESETS, SERVER_PRESETS, device_preset
 from repro.errors import ReproError
 from repro.experiments.registry import EXPERIMENTS, run_experiment
@@ -66,7 +65,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     graph = zoo.build(args.model)
     device = device_preset(args.device)
     table = profile_model(
-        graph, device, LatencyModel(), noise=args.noise, seed=args.seed,
+        graph, device, noise=args.noise, seed=args.seed,
         repeats=args.repeats,
     )
     print(table.summary(top=args.top))

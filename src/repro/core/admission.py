@@ -30,7 +30,6 @@ from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.rng import SeedLike
 
@@ -55,7 +54,6 @@ class AdmissionResult:
 def admit_tasks(
     tasks: Sequence[TaskSpec],
     cluster: EdgeCluster,
-    latency_model: Optional[LatencyModel] = None,
     candidates: Optional[Sequence[CandidateSet]] = None,
     margin: float = 1.0,
     solver_config: Optional[JointSolverConfig] = None,
@@ -71,7 +69,6 @@ def admit_tasks(
         raise ConfigError("no tasks to admit")
     if margin <= 0:
         raise ConfigError("margin must be positive")
-    lm = latency_model or LatencyModel()
     cfg = solver_config or JointSolverConfig()
     if candidates is None:
         candidates = [build_candidates(t) for t in tasks]
@@ -89,7 +86,6 @@ def admit_tasks(
         sub_cands = [candidates[i] for i in admitted]
         plan = JointOptimizer(
             cluster,
-            latency_model=lm,
             objective=Objective.DEADLINE_MISS,
             config=cfg,
         ).solve(sub_tasks, candidates=sub_cands, seed=seed).plan

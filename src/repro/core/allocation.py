@@ -56,7 +56,6 @@ from repro.core.latency import predicted_latency
 from repro.core.objectives import Objective
 from repro.core.plan import TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, InfeasibleError
 from repro.network.link import Link
 from repro.telemetry.trace import traced
@@ -133,7 +132,6 @@ def allocate_shares(
     plan_idx: Sequence[int],
     assignment: Sequence[Optional[int]],
     cluster: EdgeCluster,
-    latency_model: LatencyModel,
     objective: Objective = Objective.AVG_LATENCY,
     share_exponent: float = 0.5,
 ) -> Allocation:
@@ -157,7 +155,7 @@ def allocate_shares(
             by_server.setdefault(s, []).append(i)
     for s, members in by_server.items():
         server = cluster.servers[s]
-        rate = latency_model.throughput(server)
+        rate = server.blended_flops
         weights = np.array(
             [
                 objective.task_weight(tasks[i])
@@ -265,7 +263,6 @@ class GroupState:
         tasks: Sequence[TaskSpec],
         candsets: Sequence[CandidateSet],
         cluster: EdgeCluster,
-        latency_model: LatencyModel,
         assignment: Sequence[Optional[int]],
         plan_idx: Optional[Sequence[int]] = None,
         objective: Objective = Objective.AVG_LATENCY,
@@ -281,7 +278,6 @@ class GroupState:
         self.tasks = list(tasks)
         self.candsets = list(candsets)
         self.cluster = cluster
-        self.latency_model = latency_model
         self.include_queueing = include_queueing
         self.risk = risk
         self.counters = counters
@@ -290,7 +286,7 @@ class GroupState:
         # invariant factors of the share weights, multiplied in the order of
         # allocate_shares: (weight * rate) * work / capacity
         self._base_w = [objective.task_weight(t) * t.arrival_rate for t in self.tasks]
-        self._srv_rate = [latency_model.throughput(s) for s in cluster.servers]
+        self._srv_rate = [s.blended_flops for s in cluster.servers]
         # access links resolve on first use: hoisting devices × servers up
         # front is O(n·m) lookups, while a search prices only some pairs
         self._links: Dict[Tuple[str, int], Link] = {}
@@ -414,11 +410,10 @@ class GroupState:
         rate = self.tasks[i].arrival_rate if self.include_queueing else None
         if s is None:
             return self.candsets[i].latencies(
-                self.devices[i], self.latency_model, arrival_rate=rate, risk=self.risk
+                self.devices[i], arrival_rate=rate, risk=self.risk
             )
         return self.candsets[i].latencies(
             self.devices[i],
-            self.latency_model,
             server=self.cluster.servers[s],
             link=self.link(i, s),
             compute_share=x,
@@ -442,8 +437,7 @@ class GroupState:
         if s is not None:
             server, link = self.cluster.servers[s], self.link(i, s)
         return predicted_latency(
-            self.candsets[i].features[j], self.devices[i], self.latency_model,
-            server, link, x, y,
+            self.candsets[i].features[j], self.devices[i], server, link, x, y,
             arrival_rate=self.tasks[i].arrival_rate if self.include_queueing else None,
             risk=self.risk,
         )
@@ -601,7 +595,6 @@ def solution_latencies(
     plan_idx: Sequence[int],
     allocation: Allocation,
     cluster: EdgeCluster,
-    latency_model: LatencyModel,
     include_queueing: bool = True,
     overload: str = "inf",
     risk: Optional["RiskConfig"] = None,
@@ -635,7 +628,6 @@ def solution_latencies(
             float(allocation.compute_shares[i]),
             float(allocation.bandwidth_shares[i]),
             cluster,
-            latency_model,
             include_queueing=include_queueing,
             overload=overload,
             risk=risk,
@@ -651,7 +643,6 @@ def solution_latency_task(
     x: float,
     y: float,
     cluster: EdgeCluster,
-    latency_model: LatencyModel,
     include_queueing: bool = True,
     overload: str = "inf",
     risk: Optional["RiskConfig"] = None,
@@ -669,7 +660,7 @@ def solution_latency_task(
         server = cluster.servers[s]
         link = cluster.link(task.device_name, server.name)
     return predicted_latency(
-        cs.features[j], device, latency_model, server, link, x, y,
+        cs.features[j], device, server, link, x, y,
         arrival_rate=task.arrival_rate if include_queueing else None,
         risk=risk, overload=overload,
     )
@@ -767,7 +758,6 @@ def assign_servers(
     tasks: Sequence[TaskSpec],
     candsets: Sequence[CandidateSet],
     cluster: EdgeCluster,
-    latency_model: LatencyModel,
     slots_per_server: Optional[int] = None,
     share_estimate: Optional[float] = None,
     risk: Optional["RiskConfig"] = None,
@@ -799,7 +789,6 @@ def assign_servers(
             link = cluster.link(task.device_name, server.name)
             lat = candsets[i].latencies(
                 device,
-                latency_model,
                 server=server,
                 link=link,
                 compute_share=share_estimate,
@@ -810,7 +799,7 @@ def assign_servers(
             for k in range(slots_per_server):
                 cost[i, s * slots_per_server + k] = best
         # private local column
-        local_lat = candsets[i].latencies(device, latency_model, risk=risk)
+        local_lat = candsets[i].latencies(device, risk=risk)
         cost[i, m * slots_per_server + i] = float(np.min(local_lat))
 
     # inf entries can leave no complete matching; use a huge finite cost

@@ -26,7 +26,6 @@ from repro.core.latency import predicted_latency_vec
 from repro.core.plan import PlanFeatures, TaskSpec
 from repro.core.surgery import DEFAULT_MAX_CUTS, DEFAULT_THRESHOLD_GRID, enumerate_features
 from repro.devices.device import DeviceSpec
-from repro.devices.latency import LatencyModel
 from repro.errors import InfeasibleError, PlanError
 from repro.network.link import Link
 
@@ -117,13 +116,6 @@ class CandidateSet:
             )
         return self._take(np.flatnonzero(mask))
 
-    def local_only(self) -> "CandidateSet":
-        """Subset of plans that never use a server."""
-        mask = (self.p_offload <= 0.0) & (self.srv_flops <= 0.0)
-        if not mask.any():
-            raise InfeasibleError(f"{self.task.name}: no fully-local plan available")
-        return self._take(np.flatnonzero(mask))
-
     def pruned(self) -> "CandidateSet":
         """Drop plans dominated on every resource at no accuracy gain.
 
@@ -182,7 +174,6 @@ class CandidateSet:
     def latencies(
         self,
         device: DeviceSpec,
-        latency_model: LatencyModel,
         server: Optional[DeviceSpec] = None,
         link: Optional[Link] = None,
         compute_share: float = 1.0,
@@ -201,7 +192,7 @@ class CandidateSet:
         ``P[latency ≤ deadline] ≥ 1−ε`` rather than ``E[latency] ≤ deadline``.
         """
         return predicted_latency_vec(
-            self, device, latency_model, server=server, link=link,
+            self, device, server=server, link=link,
             compute_share=compute_share, bandwidth_share=bandwidth_share,
             arrival_rate=arrival_rate, risk=risk,
         )

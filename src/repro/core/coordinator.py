@@ -69,7 +69,6 @@ from repro.core.sharding import (
     make_shard_plan,
 )
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.profiling.counters import PerfCounters
 from repro.rng import SeedLike, derive_seed
@@ -162,7 +161,6 @@ class ShardedResult(JointResult):
 def solve_sharded(
     tasks: Sequence[TaskSpec],
     cluster: EdgeCluster,
-    latency_model: Optional[LatencyModel] = None,
     objective: Objective = Objective.AVG_LATENCY,
     config: Optional[JointSolverConfig] = None,
     candidates: Optional[Sequence[CandidateSet]] = None,
@@ -177,7 +175,6 @@ def solve_sharded(
     """
     t_start = time.perf_counter()
     cfg = config or JointSolverConfig()
-    lm = latency_model or LatencyModel()
     perf = PerfCounters()
     tracer = get_tracer()
     with tracer.span(
@@ -194,12 +191,12 @@ def solve_sharded(
             # incremental re-solve (1-shard solves never need it)
             t_idx = time.perf_counter()
             affinity = (
-                AffinityIndex(tasks, candsets, cluster, lm)
+                AffinityIndex(tasks, candsets, cluster)
                 if cfg.shards > 1
                 else None
             )
             shard_plan = make_shard_plan(
-                tasks, candsets, cluster, cfg.shards, cfg.shard_by, lm, affinity
+                tasks, candsets, cluster, cfg.shards, cfg.shard_by, affinity
             )
             if affinity is not None:
                 perf.index_build_s += time.perf_counter() - t_idx
@@ -208,7 +205,7 @@ def solve_sharded(
         shard_tasks = shard_plan.tasks_by_shard()
         shard_results = _solve_shards(
             tasks, candsets, cluster, shard_plan, shard_tasks, range(k),
-            lm, objective, cfg, seed, perf, root.span_id,
+            objective, cfg, seed, perf, root.span_id,
         )
         shard_stats = [
             _shard_stats(shard_plan, shard_tasks, s, r)
@@ -247,7 +244,7 @@ def solve_sharded(
                 _shard_placements(tasks, shard_plan, shard_tasks, range(k), shard_results),
             )
             state = GroupState(
-                tasks, candsets, cluster, lm, assignment, plan_idx,
+                tasks, candsets, cluster, assignment, plan_idx,
                 objective=objective, include_queueing=cfg.include_queueing,
                 risk=cfg.risk, counters=perf,
             )
@@ -286,7 +283,7 @@ def solve_sharded(
 
         with tracer.span("solve.package"):
             jp = package_plan(
-                tasks, candsets, state.plan_idx, state.allocation(), cluster, lm,
+                tasks, candsets, state.plan_idx, state.allocation(), cluster,
                 objective, include_queueing=cfg.include_queueing, counters=perf,
                 risk=cfg.risk,
             )
@@ -311,7 +308,6 @@ def _solve_shards(
     shard_plan: ShardPlan,
     shard_tasks: Sequence[Sequence[int]],
     shard_ids: Sequence[int],
-    lm: LatencyModel,
     objective: Objective,
     cfg: JointSolverConfig,
     seed: SeedLike,
@@ -351,7 +347,6 @@ def _solve_shards(
             cfg_s = replace(inner_cfg, shards=min(cfg.nested_shards, view.num_servers))
         solver = JointOptimizer(
             view,
-            latency_model=lm,
             objective=objective,
             config=cfg_s,
             stream_base=1 + s * stride,
@@ -536,7 +531,6 @@ def resolve_dirty(
     cluster: EdgeCluster,
     prior: ShardedResult,
     dirty_shards: Sequence[int],
-    latency_model: Optional[LatencyModel] = None,
     objective: Objective = Objective.AVG_LATENCY,
     config: Optional[JointSolverConfig] = None,
     candidates: Optional[Sequence[CandidateSet]] = None,
@@ -572,7 +566,6 @@ def resolve_dirty(
     """
     t_start = time.perf_counter()
     cfg = config or JointSolverConfig()
-    lm = latency_model or LatencyModel()
     if prior.shard_plan is None:
         raise ConfigError("prior result has no shard plan to re-solve from")
     shard_plan = prior.shard_plan
@@ -601,7 +594,7 @@ def resolve_dirty(
         shard_tasks = shard_plan.tasks_by_shard()
         results = _solve_shards(
             tasks, candsets, cluster, shard_plan, shard_tasks, dirty,
-            lm, objective, cfg, seed, perf, root.span_id,
+            objective, cfg, seed, perf, root.span_id,
         )
 
         # stitch: clean shards by identity from the prior plan, dirty shards
@@ -617,12 +610,12 @@ def resolve_dirty(
             chain(clean, _shard_placements(tasks, shard_plan, shard_tasks, dirty, results)),
         )
         state = GroupState(
-            tasks, out_sets, cluster, lm, assignment, plan_idx,
+            tasks, out_sets, cluster, assignment, plan_idx,
             objective=objective, include_queueing=cfg.include_queueing,
             risk=cfg.risk, counters=perf,
         )
         jp = package_plan(
-            tasks, out_sets, plan_idx, state.allocation(), cluster, lm, objective,
+            tasks, out_sets, plan_idx, state.allocation(), cluster, objective,
             include_queueing=cfg.include_queueing, counters=perf,
             risk=cfg.risk,
         )

@@ -46,7 +46,6 @@ from repro.core.candidates import CandidateSet, build_candidates
 from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.rng import SeedLike, as_generator
 
@@ -65,7 +64,6 @@ class BestResponseResult:
 def best_response_offloading(
     tasks: Sequence[TaskSpec],
     cluster: EdgeCluster,
-    latency_model: Optional[LatencyModel] = None,
     objective: Objective = Objective.AVG_LATENCY,
     candidates: Optional[Sequence[CandidateSet]] = None,
     max_rounds: int = 30,
@@ -100,7 +98,6 @@ def best_response_offloading(
         raise ConfigError(
             f"improvement_eps must be a finite number >= 0, got {improvement_eps!r}"
         )
-    lm = latency_model or LatencyModel()
     rng = as_generator(seed)
     n = len(tasks)
     m = cluster.num_servers
@@ -116,7 +113,7 @@ def best_response_offloading(
     # graded overload surrogate keeps improvement dynamics meaningful even in
     # overloaded regimes (the final report below is honest)
     state = GroupState(
-        tasks, candsets, cluster, lm, [None] * n,
+        tasks, candsets, cluster, [None] * n,
         objective=objective, include_queueing=include_queueing,
     )
     assignment, plan_idx = state.assignment, state.plan_idx  # live views
@@ -164,8 +161,8 @@ def best_response_offloading(
 
     # final report: a fresh full solve, honest latencies — directly
     # comparable with the centralized solver's packaged plans
-    alloc = allocate_shares(tasks, candsets, plan_idx, assignment, cluster, lm, objective)
-    lat = solution_latencies(tasks, candsets, plan_idx, alloc, cluster, lm, include_queueing)
+    alloc = allocate_shares(tasks, candsets, plan_idx, assignment, cluster, objective)
+    lat = solution_latencies(tasks, candsets, plan_idx, alloc, cluster, include_queueing)
     obj = objective.evaluate(lat, tasks)
     jp = JointPlan(
         assignment={t.name: assignment[i] for i, t in enumerate(tasks)},

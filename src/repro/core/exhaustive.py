@@ -19,14 +19,12 @@ from repro.core.candidates import CandidateSet, build_candidates
 from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, InfeasibleError
 
 
 def exhaustive_optimum(
     tasks: Sequence[TaskSpec],
     cluster: EdgeCluster,
-    latency_model: Optional[LatencyModel] = None,
     objective: Objective = Objective.AVG_LATENCY,
     candidates: Optional[Sequence[CandidateSet]] = None,
     include_queueing: bool = True,
@@ -39,7 +37,6 @@ def exhaustive_optimum(
     """
     if not tasks:
         raise ConfigError("no tasks")
-    lm = latency_model or LatencyModel()
     n, m = len(tasks), cluster.num_servers
     if candidates is None:
         candsets = [build_candidates(t) for t in tasks]
@@ -64,10 +61,10 @@ def exhaustive_optimum(
         for plan_combo in itertools.product(*[range(s) for s in sizes]):
             plan_idx = list(plan_combo)
             alloc = allocate_shares(
-                tasks, candsets, plan_idx, assignment, cluster, lm, objective
+                tasks, candsets, plan_idx, assignment, cluster, objective
             )
             lat = solution_latencies(
-                tasks, candsets, plan_idx, alloc, cluster, lm, include_queueing
+                tasks, candsets, plan_idx, alloc, cluster, include_queueing
             )
             obj = objective.evaluate(lat, tasks)
             if obj < best_obj:

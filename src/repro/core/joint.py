@@ -8,9 +8,10 @@ work each plan ships to the edge — so the solver alternates:
    the latency-minimal plan from its (accuracy-feasible, dominance-pruned)
    candidate set.  One vectorized argmin per task.
 2. **Allocation step.** Holding plans fixed, compute and bandwidth shares are
-   re-solved in closed form (sqrt rule); every ``reassign_every`` iterations
-   the task→server matching is re-solved too, and the new matching is kept
-   only if it improves the objective (hill-climbing safeguard).
+   re-solved in closed form (sqrt rule); every :data:`REASSIGN_EVERY`
+   iterations the task→server matching is re-solved too, and the new
+   matching is kept only if it improves the objective (hill-climbing
+   safeguard).
 
 Each accepted step weakly decreases the objective over a finite solution
 space, so the iteration reaches a fixed point; ``tol`` stops it early when
@@ -56,11 +57,14 @@ from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, TaskSpec
 from repro.core.risk import RiskConfig
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, require_finite, require_int
 from repro.profiling.counters import PerfCounters
 from repro.rng import SeedLike, as_generator, spawn
 from repro.telemetry.trace import Span, Tracer, get_tracer
+
+#: The descent re-runs the task→server matching (and a local-search sweep)
+#: every this many iterations.
+REASSIGN_EVERY = 5
 
 
 def package_plan(
@@ -69,7 +73,6 @@ def package_plan(
     plan_idx: Sequence[int],
     alloc: "Allocation",
     cluster: EdgeCluster,
-    latency_model: LatencyModel,
     objective: Objective,
     include_queueing: bool = True,
     counters: Optional[PerfCounters] = None,
@@ -90,7 +93,6 @@ def package_plan(
         plan_idx,
         alloc,
         cluster,
-        latency_model,
         include_queueing=include_queueing,
         risk=risk,
     )
@@ -173,7 +175,6 @@ class JointSolverConfig:
 
     max_iterations: int = 50
     tol: float = 1e-4  # relative objective improvement to keep iterating
-    reassign_every: int = 5  # re-run Hungarian matching every k iterations
     local_search: bool = True  # per-task best-response reassignment sweeps
     refine_thresholds: bool = True  # per-exit threshold polish on the winner
     restarts: int = 1  # independent descents from perturbed starts
@@ -211,7 +212,6 @@ class JointSolverConfig:
 #: Integer fields of :class:`JointSolverConfig` and their lower bounds.
 _INT_FIELDS = (
     ("max_iterations", 1),
-    ("reassign_every", 1),
     ("restarts", 1),
     ("restart_workers", 1),
     ("shards", 1),
@@ -238,13 +238,11 @@ class JointOptimizer:
     def __init__(
         self,
         cluster: EdgeCluster,
-        latency_model: Optional[LatencyModel] = None,
         objective: Objective = Objective.AVG_LATENCY,
         config: Optional[JointSolverConfig] = None,
         stream_base: int = 0,
     ) -> None:
         self.cluster = cluster
-        self.latency_model = latency_model or LatencyModel()
         self.objective = objective
         self.config = config or JointSolverConfig()
         # telemetry stream offset: restart r records on stream
@@ -283,7 +281,6 @@ class JointOptimizer:
             return solve_sharded(
                 tasks,
                 self.cluster,
-                latency_model=self.latency_model,
                 objective=self.objective,
                 config=self.config,
                 candidates=candidates,
@@ -386,7 +383,7 @@ class JointOptimizer:
         n = len(tasks)
         with tracer.span("solve.descend.init"):
             assignment = assign_servers(
-                tasks, candsets, self.cluster, self.latency_model, risk=cfg.risk
+                tasks, candsets, self.cluster, risk=cfg.risk
             )
             if perturb:
                 # randomize a third of the assignments across servers/local
@@ -396,7 +393,7 @@ class JointOptimizer:
                     assignment[i] = None if choice == m else choice
             # plans bootstrap under optimistic full shares
             state = GroupState(
-                tasks, candsets, self.cluster, self.latency_model, assignment,
+                tasks, candsets, self.cluster, assignment,
                 objective=self.objective, include_queueing=cfg.include_queueing,
                 risk=cfg.risk, counters=counters,
             )
@@ -415,11 +412,10 @@ class JointOptimizer:
                 obj = move.objective
 
             # periodic re-assignment (accepted only on improvement)
-            if it % cfg.reassign_every == 0:
+            if it % REASSIGN_EVERY == 0:
                 with tracer.span("solve.descend.reassign", {"iteration": it} if tracer.enabled else None):
                     cand = state.reassigned(assign_servers(
-                        tasks, candsets, self.cluster, self.latency_model,
-                        risk=cfg.risk,
+                        tasks, candsets, self.cluster, risk=cfg.risk,
                     ))
                     cand_obj = cand.objective()
                     if cand_obj < obj:
@@ -438,7 +434,7 @@ class JointOptimizer:
             if stalled:
                 # before declaring convergence, give local search one shot at
                 # escaping the fixed point (unless it just ran this iteration)
-                if cfg.local_search and it % cfg.reassign_every != 0:
+                if cfg.local_search and it % REASSIGN_EVERY != 0:
                     with tracer.span("solve.descend.local_search", {"iteration": it} if tracer.enabled else None):
                         new_obj = self._local_search(state, obj)
                     if new_obj < obj - cfg.tol * max(abs(obj), 1e-12):
@@ -482,7 +478,6 @@ class JointOptimizer:
                 task.model,
                 feats.plan,
                 state.devices[i],
-                self.latency_model,
                 task.accuracy_floor,
                 server=self.cluster.servers[s] if s is not None else None,
                 link=state.link(i, s) if s is not None else None,
@@ -499,7 +494,7 @@ class JointOptimizer:
         # built over, so this one-off re-solve stays full
         new_alloc = allocate_shares(
             tasks, new_candsets, new_idx, alloc.assignment,
-            self.cluster, self.latency_model, self.objective,
+            self.cluster, self.objective,
         )
         counters.allocate_calls += 1
         new_obj = self._objective(tasks, new_candsets, new_idx, new_alloc, counters)
@@ -548,7 +543,6 @@ class JointOptimizer:
             plan_idx,
             alloc,
             self.cluster,
-            self.latency_model,
             include_queueing=self.config.include_queueing,
             overload="penalty",
             risk=self.config.risk,
@@ -574,7 +568,6 @@ class JointOptimizer:
             plan_idx,
             alloc,
             self.cluster,
-            self.latency_model,
             self.objective,
             include_queueing=self.config.include_queueing,
             counters=counters,

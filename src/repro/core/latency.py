@@ -46,7 +46,6 @@ from repro.core.plan import PlanFeatures
 from repro.core.queueing import mg1_wait, mg1_wait_vec
 from repro.core.risk import stage_std, wait_std
 from repro.devices.device import DeviceSpec
-from repro.devices.latency import LatencyModel
 from repro.errors import PlanError
 from repro.network.link import Link
 
@@ -69,7 +68,6 @@ def plan_latency(
     wire_bytes: np.ndarray,
     p_offload: np.ndarray,
     device: DeviceSpec,
-    latency_model: LatencyModel,
     server: Optional[DeviceSpec] = None,
     link: Optional[Link] = None,
     compute_share: float = 1.0,
@@ -86,7 +84,7 @@ def plan_latency(
     wire_bytes = np.asarray(wire_bytes, dtype=float)
     p_offload = np.asarray(p_offload, dtype=float)
 
-    r_dev = latency_model.throughput(device)
+    r_dev = device.blended_flops
     # the device segment (and its dispatch overhead) only runs if the plan
     # actually executes work locally
     t = np.where(dev_flops > 0, dev_flops / r_dev + device.overhead_s, 0.0)
@@ -99,7 +97,7 @@ def plan_latency(
             raise PlanError(f"compute share must be in (0,1], got {compute_share}")
         if not (0.0 < bandwidth_share <= 1.0 + 1e-12):
             raise PlanError(f"bandwidth share must be in (0,1], got {bandwidth_share}")
-        r_srv = latency_model.throughput(server) * compute_share
+        r_srv = server.blended_flops * compute_share
         bw = link.bandwidth_bps * bandwidth_share
         t = t + (
             srv_flops / r_srv
@@ -112,7 +110,6 @@ def plan_latency(
 def predicted_latency_vec(
     cs: "CandidateSet",
     device: DeviceSpec,
-    latency_model: LatencyModel,
     server: Optional[DeviceSpec] = None,
     link: Optional[Link] = None,
     compute_share: float = 1.0,
@@ -124,14 +121,14 @@ def predicted_latency_vec(
     """Predicted latency of every candidate of ``cs``: μ, plus the M/G/1
     waits when ``arrival_rate`` is given, plus ``κ·σ`` under an active
     ``risk`` config (see the module docstring)."""
-    r_dev = latency_model.throughput(device)
+    r_dev = device.blended_flops
     if server is None:
         t = np.where(cs.dev_flops > 0, cs.dev_flops / r_dev + device.overhead_s, 0.0)
         t = np.where((cs.p_offload > 0) | (cs.srv_flops > 0), np.inf, t)
     else:
         t = plan_latency(
             cs.dev_flops, cs.srv_flops, cs.wire_bytes, cs.p_offload,
-            device, latency_model, server=server, link=link,
+            device, server=server, link=link,
             compute_share=compute_share, bandwidth_share=bandwidth_share,
         )
     lam = arrival_rate
@@ -146,7 +143,7 @@ def predicted_latency_vec(
     s1 = w_dev + oh_d
     if offloads:
         oh_s = server.overhead_s
-        r_srv = latency_model.throughput(server) * compute_share
+        r_srv = server.blended_flops * compute_share
         bw = link.bandwidth_bps * bandwidth_share
     if lam is not None:
         s2 = cs.dev_flops_sq / r_dev**2 + 2 * oh_d * cs.dev_flops / r_dev + oh_d**2
@@ -195,7 +192,6 @@ def predicted_latency_vec(
 def predicted_latency(
     f: PlanFeatures,
     device: DeviceSpec,
-    latency_model: LatencyModel,
     server: Optional[DeviceSpec] = None,
     link: Optional[Link] = None,
     compute_share: float = 1.0,
@@ -209,14 +205,14 @@ def predicted_latency(
     p = f.p_offload
     if server is None and (p > 0 or f.srv_flops > 0):
         return math.inf
-    r_dev = latency_model.throughput(device)
+    r_dev = device.blended_flops
     oh_d = device.overhead_s if f.dev_flops > 0 else 0.0
     w_dev = f.dev_flops / r_dev
     s1 = w_dev + oh_d
     t = s1
     if server is not None:
         oh_s = server.overhead_s
-        r_srv = latency_model.throughput(server) * compute_share
+        r_srv = server.blended_flops * compute_share
         bw = link.bandwidth_bps * bandwidth_share
         t = t + (f.srv_flops / r_srv + p * (link.rtt_s + oh_s) + f.wire_bytes / bw)
     lam = arrival_rate

@@ -86,20 +86,3 @@ class Objective(str, Enum):
         if self is Objective.DEADLINE_MISS:
             return task.weight / task.deadline_s
         return task.weight
-
-
-def deadline_miss_fraction(latencies: np.ndarray, tasks: Sequence[TaskSpec]) -> float:
-    """Plain miss fraction (no tie-break term), for reporting.
-
-    An empty task list misses nothing: returns 0.0 (unlike
-    :meth:`Objective.evaluate`, which refuses to score zero tasks).
-    """
-    lat = np.asarray(latencies, dtype=float)
-    if len(tasks) == 0:
-        return 0.0
-    if lat.shape != (len(tasks),):
-        raise ConfigError(
-            f"latencies shape {lat.shape} != number of tasks {len(tasks)}"
-        )
-    deadlines = np.array([t.deadline_s for t in tasks])
-    return float(np.mean(lat > deadlines))

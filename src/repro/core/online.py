@@ -33,7 +33,6 @@ from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, TaskSpec
 from repro.core.sharding import ShardPlan
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.network.link import Link
 from repro.network.topology import StarTopology
@@ -121,7 +120,6 @@ class OnlineController:
         self,
         cluster: EdgeCluster,
         tasks: Sequence[TaskSpec],
-        latency_model: Optional[LatencyModel] = None,
         objective: Objective = Objective.AVG_LATENCY,
         solver_config: Optional[JointSolverConfig] = None,
         config: Optional[ControllerConfig] = None,
@@ -141,7 +139,6 @@ class OnlineController:
         self.config = config or ControllerConfig()
         self._objective = objective
         self._solver_config = solver_config or JointSolverConfig()
-        self._latency_model = latency_model or LatencyModel()
         self._seed = seed
         self._base_cluster = cluster
         self._tasks: List[TaskSpec] = list(tasks)
@@ -191,11 +188,6 @@ class OnlineController:
     @property
     def replan_count(self) -> int:
         return sum(e.replanned for e in self.events) - 1  # exclude initial
-
-    @property
-    def down_servers(self) -> Tuple[str, ...]:
-        """Servers currently believed down, sorted."""
-        return tuple(sorted(self._down_servers))
 
     @property
     def drifted_shards(self) -> Tuple[int, ...]:
@@ -374,7 +366,6 @@ class OnlineController:
         tasks = self.current_tasks()
         result = JointOptimizer(
             cluster,
-            latency_model=self._latency_model,
             objective=self._objective,
             config=self._solver_config,
         ).solve(tasks, candidates=self._candidates, seed=self._seed)
@@ -432,7 +423,6 @@ class OnlineController:
             self.current_cluster(),
             self._last_result,
             dirty,
-            latency_model=self._latency_model,
             objective=self._objective,
             config=self._solver_config,
             candidates=self._candidates,
@@ -469,7 +459,6 @@ class OnlineController:
         res = admit_tasks(
             tasks,
             cluster,
-            latency_model=self._latency_model,
             candidates=self._candidates,
             solver_config=self._solver_config,
             seed=self._seed,

@@ -140,13 +140,6 @@ class SurgeryPlan:
                 f"partition cut {self.partition_cut} out of range (< {n_cuts})"
             )
 
-    @property
-    def is_fully_local(self) -> bool:
-        """True when the plan never uses a server (partition at the sink)."""
-        # resolved against a model by evaluate_plan; stored plans encode the
-        # convention that the final backbone cut index means fully local.
-        return False  # overridden semantics live in surgery.evaluate_plan
-
 
 @dataclass(frozen=True)
 class PlanFeatures:
@@ -218,12 +211,6 @@ class JointPlan:
     bandwidth_shares: Dict[str, float]
     latencies: Dict[str, float]
     objective_value: float
-
-    def latency_of(self, task: str) -> float:
-        return self.latencies[task]
-
-    def server_of(self, task: str) -> Optional[int]:
-        return self.assignment[task]
 
     def summary(self) -> str:
         """One line per task for logs and examples."""

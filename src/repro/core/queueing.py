@@ -79,31 +79,3 @@ def mg1_wait_vec(
         w = lam * es2 / (2.0 * (1.0 - rho))
     w = np.where(rho >= 1.0, np.inf, w)
     return np.where(lam == 0.0, 0.0, w)
-
-
-def aggregate_server_load(
-    arrival_rates: np.ndarray, service_times: np.ndarray
-) -> float:
-    """Total utilization of a server serving several task streams."""
-    lam = np.asarray(arrival_rates, dtype=float)
-    es = np.asarray(service_times, dtype=float)
-    if np.any(lam < 0) or np.any(es < 0):
-        raise ConfigError("negative rates or service times")
-    return float(np.dot(lam, es))
-
-
-def superposed_mg1_wait(
-    arrival_rates: np.ndarray, mean_services: np.ndarray, second_moments: np.ndarray
-) -> float:
-    """Mean wait at a FIFO server fed by independent Poisson task streams.
-
-    The superposition of independent Poisson processes is Poisson with rate
-    ``sum(lam_i)`` and service moments given by the rate-weighted mixture, so
-    P-K applies directly.
-    """
-    lam = np.asarray(arrival_rates, dtype=float)
-    if lam.sum() == 0:
-        return 0.0
-    es = float(np.dot(lam, mean_services) / lam.sum())
-    es2 = float(np.dot(lam, second_moments) / lam.sum())
-    return mg1_wait(float(lam.sum()), es, es2)

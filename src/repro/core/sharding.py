@@ -41,7 +41,6 @@ from repro.core.candidates import CandidateSet
 from repro.core.plan import TaskSpec
 from repro.devices.cluster import EdgeCluster
 from repro.devices.device import DeviceSpec
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.network.link import Link
 
@@ -106,16 +105,9 @@ class ShardPlan:
     def num_servers(self) -> int:
         return sum(len(s) for s in self.server_shards)
 
-    def tasks_of(self, shard: int) -> List[int]:
-        """Task indices homed to ``shard``, in global task order."""
-        return [i for i, s in enumerate(self.task_shard) if s == shard]
-
     def tasks_by_shard(self) -> List[List[int]]:
-        """Per shard, the task indices homed to it — one O(tasks) pass.
-
-        Equivalent to ``[plan.tasks_of(s) for s in range(k)]`` (each inner
-        list ascending), without the O(tasks × shards) repeated scans.
-        """
+        """Per shard, the task indices homed to it, ascending — one O(tasks)
+        pass."""
         out: List[List[int]] = [[] for _ in range(self.num_shards)]
         for i, s in enumerate(self.task_shard):
             out[s].append(i)
@@ -247,38 +239,6 @@ def partition_servers(
     return tuple(out)
 
 
-def partition_servers_nested(
-    num_servers: int,
-    regions: int,
-    racks_per_region: int,
-    shard_by: str = "contiguous",
-) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Two-level deterministic partition: regions, then racks inside each.
-
-    Splits ``0..num_servers-1`` into ``regions`` top-level groups with
-    :func:`partition_servers`, then splits each region's servers into up to
-    ``racks_per_region`` racks with the same strategy applied to the
-    region's *local* index space (so interleaving balances inside the
-    region, not globally).  Regions smaller than ``racks_per_region`` get
-    one rack per server — racks are never empty.
-
-    The flattened racks are exactly the flattened regions, which are exactly
-    ``0..num_servers-1``: each level is a true partition.  This is the
-    server layout the coordinator's nested mode
-    (``JointSolverConfig.nested_shards``) solves over — the outer
-    ``solve_sharded`` owns the regions, each region's shard solve re-shards
-    its view into racks.
-    """
-    if racks_per_region < 1:
-        raise ConfigError(f"racks_per_region must be >= 1, got {racks_per_region}")
-    out: List[Tuple[Tuple[int, ...], ...]] = []
-    for region in partition_servers(num_servers, regions, shard_by):
-        racks = min(racks_per_region, len(region))
-        local = partition_servers(len(region), racks, shard_by)
-        out.append(tuple(tuple(region[j] for j in rack) for rack in local))
-    return tuple(out)
-
-
 class AffinityIndex:
     """Template-deduplicated optimistic latency bounds ``B[template, server]``.
 
@@ -313,7 +273,6 @@ class AffinityIndex:
         tasks: Sequence[TaskSpec],
         candsets: Sequence[CandidateSet],
         cluster: EdgeCluster,
-        latency_model: Optional[LatencyModel] = None,
         mode: str = "sparse",
     ) -> None:
         if len(candsets) != len(tasks):
@@ -321,7 +280,6 @@ class AffinityIndex:
         if mode != "sparse":
             # the keyword survives for callers that name the one build mode
             raise ConfigError(f"unknown affinity mode {mode!r}; only 'sparse'")
-        lm = latency_model or LatencyModel()
         m = cluster.num_servers
         keys: Dict[Tuple, int] = {}
         self.template_of: List[int] = []
@@ -356,7 +314,7 @@ class AffinityIndex:
                 server = cluster.servers[s]
                 link = cluster.link(tasks[i].device_name, server.name)
                 self.bounds[tpl, s] = float(
-                    np.min(candsets[i].latencies(device, lm, server=server, link=link))
+                    np.min(candsets[i].latencies(device, server=server, link=link))
                 )
         # compressed template -> tasks mapping (one O(tasks) pass); lets
         # screens iterate "all tasks of template t" without rescanning
@@ -483,7 +441,6 @@ def home_tasks(
     candsets: Sequence[CandidateSet],
     cluster: EdgeCluster,
     server_shards: Sequence[Sequence[int]],
-    latency_model: Optional[LatencyModel] = None,
     affinity: Optional[AffinityIndex] = None,
 ) -> Tuple[int, ...]:
     """Capacity-bounded best-affinity homing of every task to one shard.
@@ -508,7 +465,7 @@ def home_tasks(
     k = len(server_shards)
     caps = [max(1, -(-n * len(shard) // m)) for shard in server_shards]
     loads = [0] * k
-    index = affinity or AffinityIndex(tasks, candsets, cluster, latency_model)
+    index = affinity or AffinityIndex(tasks, candsets, cluster)
 
     out: List[int] = []
     orders = index.shard_orders(server_shards)
@@ -538,7 +495,6 @@ def make_shard_plan(
     cluster: EdgeCluster,
     shards: int,
     shard_by: str = "contiguous",
-    latency_model: Optional[LatencyModel] = None,
     affinity: Optional[AffinityIndex] = None,
 ) -> ShardPlan:
     """Partition the cluster's servers and home every task to a shard."""
@@ -549,6 +505,6 @@ def make_shard_plan(
         task_shard: Tuple[int, ...] = (0,) * len(tasks)
     else:
         task_shard = home_tasks(
-            tasks, candsets, cluster, server_shards, latency_model, affinity
+            tasks, candsets, cluster, server_shards, affinity
         )
     return ShardPlan(server_shards, task_shard, shard_by)

@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.latency import predicted_latency
 from repro.core.plan import PlanFeatures, SurgeryPlan
 from repro.devices.device import DeviceSpec
-from repro.devices.latency import LatencyModel
 from repro.errors import PlanError
 from repro.models.exits import exit_probabilities
 from repro.models.multiexit import MultiExitModel
@@ -157,7 +156,6 @@ def refine_thresholds(
     model: MultiExitModel,
     plan: SurgeryPlan,
     device: DeviceSpec,
-    latency_model: LatencyModel,
     accuracy_floor: float,
     server: Optional[DeviceSpec] = None,
     link: Optional[Link] = None,
@@ -190,7 +188,7 @@ def refine_thresholds(
         if f.accuracy < accuracy_floor - 1e-12:
             return np.inf, f
         lat = predicted_latency(
-            f, device, latency_model, server, link, compute_share, bandwidth_share
+            f, device, server, link, compute_share, bandwidth_share
         )
         return lat, f
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.errors import ConfigError
 
@@ -26,6 +27,10 @@ LAYER_CLASSES = ("conv", "depthwise", "dense", "memory")
 DEFAULT_EFFICIENCY: Mapping[str, float] = MappingProxyType(
     {"conv": 0.55, "depthwise": 0.15, "dense": 0.35, "memory": 0.08}
 )
+
+#: Fraction of a model's FLOPs per layer class behind every device's single
+#: compute rate: a conv-dominated CNN (90% conv / 5% dense / 5% memory-bound).
+FLOPS_MIX: Mapping[str, float] = MappingProxyType({"conv": 0.90, "dense": 0.05, "memory": 0.05})
 
 
 @dataclass(frozen=True)
@@ -93,20 +98,20 @@ class DeviceSpec:
                 f"expected one of {LAYER_CLASSES}"
             ) from None
 
-    def blended_flops(self, mix: Optional[Mapping[str, float]] = None) -> float:
-        """Throughput under a FLOPs mix (fractions per layer class).
+    @cached_property
+    def blended_flops(self) -> float:
+        """The device's compute rate (FLOP/s) under :data:`FLOPS_MIX`.
 
         The blended rate is the harmonic mean weighted by the share of FLOPs
-        each class contributes — time adds, not rate.  Default mix models a
-        conv-dominated CNN (90% conv / 5% dense / 5% memory-bound).
+        each class contributes — time adds, not rate.  Computed once per
+        spec; a segment's compute time is its FLOPs divided by this rate
+        (times the task's compute share on a server).
         """
-        if mix is None:
-            mix = {"conv": 0.90, "dense": 0.05, "memory": 0.05}
-        total = sum(mix.values())
-        if total <= 0:
-            raise ConfigError(f"{self.name}: empty FLOPs mix")
+        total = sum(FLOPS_MIX.values())
         inv = sum(
-            (share / total) / self.effective_flops(cls) for cls, share in mix.items() if share > 0
+            (share / total) / self.effective_flops(cls)
+            for cls, share in FLOPS_MIX.items()
+            if share > 0
         )
         return 1.0 / inv
 

@@ -23,10 +23,6 @@ class EnergyBreakdown:
     tx_j: float
     idle_wait_j: float
 
-    @property
-    def total_j(self) -> float:
-        return self.compute_j + self.tx_j + self.idle_wait_j
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -52,17 +48,3 @@ class EnergyModel:
             tx_j=(device.idle_power_w + device.tx_power_w) * tx_s,
             idle_wait_j=device.idle_power_w * wait_s,
         )
-
-    def server_energy(self, server: DeviceSpec, compute_s: float, share: float = 1.0) -> float:
-        """Joules attributable to one request on a shared server.
-
-        A request occupying ``share`` of the machine for ``compute_s``
-        seconds is charged its share of the dynamic power (busy - idle)
-        plus its share of idle power.
-        """
-        if compute_s < 0:
-            raise ConfigError(f"negative compute_s {compute_s}")
-        if not (0.0 < share <= 1.0 + 1e-12):
-            raise ConfigError(f"share must be in (0,1], got {share}")
-        dynamic = (server.busy_power_w - server.idle_power_w) * share
-        return (dynamic + server.idle_power_w * share) * compute_s

@@ -23,7 +23,6 @@ from repro.analysis.stats import jain_index
 from repro.core.allocation import allocate_shares, solution_latencies
 from repro.core.candidates import build_candidates
 from repro.core.joint import JointOptimizer
-from repro.devices.latency import LatencyModel
 from repro.experiments.common import ExperimentResult
 from repro.workloads.scenarios import build_scenario
 
@@ -39,7 +38,6 @@ def run(
     """Re-allocate a fixed joint solution under different share exponents."""
     cluster, tasks = build_scenario(scenario, num_tasks=num_tasks, seed=seed)
     cands = [build_candidates(t) for t in tasks]
-    lm = LatencyModel()
     # fix plans + assignment with the standard solver, vary only the shares:
     # this isolates the allocation rule from the surgery search
     base = JointOptimizer(cluster).solve(tasks, candidates=cands, seed=seed).plan
@@ -59,14 +57,14 @@ def run(
     rates = np.array([t.arrival_rate for t in tasks])
     for beta in exponents:
         alloc = allocate_shares(
-            tasks, cands, plan_idx, assignment, cluster, lm, share_exponent=beta
+            tasks, cands, plan_idx, assignment, cluster, share_exponent=beta
         )
         lat_req = solution_latencies(
-            tasks, cands, plan_idx, alloc, cluster, lm,
+            tasks, cands, plan_idx, alloc, cluster,
             include_queueing=False, overload="penalty",
         )
         lat_q = solution_latencies(
-            tasks, cands, plan_idx, alloc, cluster, lm, overload="penalty"
+            tasks, cands, plan_idx, alloc, cluster, overload="penalty"
         )
         # rate-weighted means: the quantity the allocation rule optimizes
         # (every *request* counts equally, so busier tasks weigh more)

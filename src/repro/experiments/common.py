@@ -25,7 +25,6 @@ from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.objectives import Objective
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, InfeasibleError
 from repro.analysis.tables import format_table
 from repro.rng import SeedLike
@@ -58,10 +57,9 @@ class ExperimentResult:
 
 def default_strategies(
     objective: Objective = Objective.AVG_LATENCY,
-    latency_model: Optional[LatencyModel] = None,
 ) -> List[Strategy]:
     """The standard baseline lineup used across experiments."""
-    kw = dict(objective=objective, latency_model=latency_model)
+    kw = dict(objective=objective)
     return [
         DeviceOnly(**kw),
         BranchyLocal(**kw),
@@ -83,7 +81,6 @@ def run_strategies(
     candidates: Optional[Sequence[CandidateSet]] = None,
     joint_objective: Objective = Objective.AVG_LATENCY,
     joint_config: Optional[JointSolverConfig] = None,
-    latency_model: Optional[LatencyModel] = None,
     seed: SeedLike = 0,
 ) -> Dict[str, JointPlan]:
     """Solve one instance with the joint optimizer and every strategy.
@@ -98,7 +95,6 @@ def run_strategies(
     out: Dict[str, JointPlan] = {}
     joint = JointOptimizer(
         cluster,
-        latency_model=latency_model,
         objective=joint_objective,
         config=joint_config or JointSolverConfig(),
     )
@@ -116,7 +112,6 @@ def simulate_measured(
     plan: JointPlan,
     cluster: EdgeCluster,
     config: SimulationConfig,
-    latency_model: Optional[LatencyModel] = None,
     plan_updates: Sequence = (),
     cells: int = 1,
 ) -> SimulationReport:
@@ -139,14 +134,14 @@ def simulate_measured(
             raise ConfigError("cells cannot be combined with plan_updates")
         if config.replications != 1:
             raise ConfigError("cells cannot be combined with replications")
-        return run_cells(tasks, plan, cluster, config, cells, latency_model)
+        return run_cells(tasks, plan, cluster, config, cells)
     if config.replications == 1:
         return simulate_plan(
-            tasks, plan, cluster, config, latency_model, plan_updates=plan_updates
+            tasks, plan, cluster, config, plan_updates=plan_updates
         )
     return merge_reports(
         run_replications(
-            tasks, plan, cluster, config, latency_model, plan_updates=plan_updates
+            tasks, plan, cluster, config, plan_updates=plan_updates
         )
     )
 

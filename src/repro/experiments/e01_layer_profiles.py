@@ -12,7 +12,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.devices.latency import LatencyModel
 from repro.devices.presets import device_preset
 from repro.experiments.common import ExperimentResult
 from repro.models import zoo
@@ -29,7 +28,6 @@ def run(
 ) -> ExperimentResult:
     """Profile every (model, device) pair; report totals, class split, and
     the boundary-size extremes that motivate mid-network cuts."""
-    lm = LatencyModel()
     rows = []
     extras = {"profiles": {}, "boundaries": {}}
     for mname in models:
@@ -41,7 +39,7 @@ def run(
         extras["boundaries"][mname] = sizes
         for dname in devices:
             dev = device_preset(dname)
-            table = profile_model(graph, dev, lm)
+            table = profile_model(graph, dev)
             split = table.by_class()
             extras["profiles"][(mname, dname)] = table
             rows.append(

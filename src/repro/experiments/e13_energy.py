@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.allocation import Allocation, solution_latencies
 from repro.core.candidates import build_candidates
 from repro.devices.energy import EnergyModel
-from repro.devices.latency import LatencyModel
 from repro.experiments.common import ExperimentResult, default_strategies, run_strategies
 from repro.workloads.scenarios import build_scenario
 
@@ -41,7 +40,6 @@ def run(
     plans = run_strategies(tasks, cluster, default_strategies(), candidates=cands, seed=seed)
 
     em = EnergyModel()
-    lm = LatencyModel()
     rows = []
     extras: Dict[str, Dict[str, float]] = {}
     for name, plan in sorted(plans.items()):
@@ -49,7 +47,7 @@ def run(
         for i, t in enumerate(tasks):
             f = plan.features[t.name]
             device = cluster.by_name(t.device_name)
-            compute_s = f.dev_flops / lm.throughput(device)
+            compute_s = f.dev_flops / device.blended_flops
             s = plan.assignment[t.name]
             if s is None:
                 tx_s, wait_s = 0.0, 0.0
@@ -59,7 +57,7 @@ def run(
                 y = plan.bandwidth_shares[t.name]
                 x = plan.compute_shares[t.name]
                 tx_s = f.wire_bytes / (link.bandwidth_bps * y)
-                wait_s = f.srv_flops / (lm.throughput(server) * x) + f.p_offload * link.rtt_s
+                wait_s = f.srv_flops / (server.blended_flops * x) + f.p_offload * link.rtt_s
             e = em.device_energy(device, compute_s, tx_s, wait_s)
             dev_j += e.compute_j
             tx_j += e.tx_j

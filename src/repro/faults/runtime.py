@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.core.plan import JointPlan, SurgeryPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, SimulationError
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule, resource_windows
@@ -128,7 +127,6 @@ def simulate_with_faults(
     plan: JointPlan,
     cluster: EdgeCluster,
     cfg,  # SimulationConfig (typed loosely to avoid the import cycle)
-    lm: LatencyModel,
     rec: Optional[TimelineRecorder],
     plan_updates: Sequence[PlanUpdate] = (),
 ) -> SimulationReport:
@@ -178,13 +176,13 @@ def simulate_with_faults(
                 rec.event(e.end_s, "fault_recover", e.target, -1, resource=e.kind)
 
     # -- resources ------------------------------------------------------------
-    device_res = device_resources(cluster, lm, rec)
+    device_res = device_resources(cluster, rec)
 
     def _make_route(t: TaskSpec, p: JointPlan, s: int, tag: str, primary: bool) -> _Route:
         # every slice on a server takes its windows; link faults and loss hit
         # the primary path only (a standby reaches another server's link)
         srv, up, down = slice_resources(
-            t, p, s, cluster, lm, cfg.bandwidth_trace, tag, rec,
+            t, p, s, cluster, cfg.bandwidth_trace, tag, rec,
             server_faults[cluster.servers[s].name],
             link_faults[t.name] if primary else NO_FAULTS,
         )

@@ -14,11 +14,12 @@ Public surface:
 - :mod:`repro.models.zoo` — AlexNet, VGG, ResNet, MobileNet, Inception builders
 - :class:`~repro.models.multiexit.MultiExitModel` — backbone + side exits
 - :class:`~repro.models.accuracy.AccuracyModel` /
-  :class:`~repro.models.exits.ExitPolicy` — accuracy & exit-rate semantics
+  :func:`~repro.models.exits.exit_probabilities` — accuracy & exit-rate
+  semantics
 """
 
 from repro.models.accuracy import AccuracyModel
-from repro.models.exits import ExitPolicy, exit_probabilities
+from repro.models.exits import exit_probabilities
 from repro.models.graph import ModelGraph
 from repro.models.layers import (
     Activation,
@@ -50,7 +51,6 @@ __all__ = [
     "DepthwiseConv2D",
     "Dropout",
     "ExitBranch",
-    "ExitPolicy",
     "Flatten",
     "GlobalAvgPool",
     "Input",

@@ -1,9 +1,10 @@
 """Exit-policy semantics: thresholds → exit rates and conditional accuracy.
 
-A multi-exit model is operated by an :class:`ExitPolicy`: the ordered set of
-*kept* exits and a confidence threshold per kept exit (the final exit always
-has threshold 0 — every remaining sample leaves there).  At inference time a
-sample leaves at the first kept exit whose confidence clears its threshold.
+A multi-exit model is operated by an exit policy: the ordered set of *kept*
+exits and a confidence threshold per kept exit in [0, 1) (the final exit
+always has threshold 0 — every remaining sample leaves there).  At inference
+time a sample leaves at the first kept exit whose confidence clears its
+threshold.
 
 We model confidence at an exit with competence ``c`` on an input of difficulty
 ``d`` as ``conf = sigmoid(g * (c - d))`` with gate sharpness ``g``.  Because
@@ -90,13 +91,6 @@ class DifficultyDistribution:
         _GRID_CACHE[key] = (mid, w)
         return mid, w
 
-    def cdf(self, x: np.ndarray | float) -> np.ndarray:
-        from scipy.special import betainc
-
-        # Outside (0, 1) the cdf is 0 or 1, which betainc gives at the clip.
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return betainc(self.alpha, self.beta, x)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw difficulties for ``size`` simulated inference requests."""
         return rng.beta(self.alpha, self.beta, size=size)
@@ -131,34 +125,6 @@ def _beta_pdf_on(mid: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 def _logit(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 1e-12, 1 - 1e-12)
     return np.log(t / (1.0 - t))
-
-
-@dataclass(frozen=True)
-class ExitPolicy:
-    """Thresholds for an ordered set of kept exits.
-
-    ``thresholds[k]`` is the confidence threshold of the k-th *kept* exit in
-    depth order; the last entry must be 0 (the mandatory final exit of the
-    kept set).  A threshold of 1 effectively disables an exit; thresholds are
-    in [0, 1).
-    """
-
-    thresholds: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.thresholds, dtype=float)
-        if t.size == 0:
-            raise PlanError("ExitPolicy needs at least one exit")
-        if np.any(t < 0.0) or np.any(t >= 1.0):
-            raise PlanError(f"thresholds must lie in [0,1): {self.thresholds}")
-        if t[-1] != 0.0:
-            raise PlanError(
-                f"last kept exit must be unconditional (threshold 0): {self.thresholds}"
-            )
-
-    @property
-    def num_exits(self) -> int:
-        return len(self.thresholds)
 
 
 def difficulty_cutoffs(
@@ -239,8 +205,3 @@ def exit_probabilities(
 def expected_accuracy(p: np.ndarray, acc: np.ndarray) -> float:
     """Workload accuracy of a policy: exit-rate-weighted conditional accuracy."""
     return float(np.dot(p, acc))
-
-
-def expected_exit_depth(p: np.ndarray, depth_fractions: np.ndarray) -> float:
-    """Average backbone depth fraction at which samples leave."""
-    return float(np.dot(p, np.asarray(depth_fractions, dtype=float)))

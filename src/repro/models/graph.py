@@ -224,7 +224,9 @@ class ModelGraph:
         while chain[-1] != self._source:
             chain.append(idom[chain[-1]])
         chain.reverse()  # source .. sink in dominance (= topological) order
-        # Heads are topological prefixes (see head_nodes).
+        # Heads are topological prefixes: every node is reached from the
+        # source and reaches the sink, so a node that does not descend from a
+        # sink dominator is one of its ancestors.
         prefix_flops = dict(
             zip(self._topo, accumulate(self._flops[n] for n in self._topo))
         )
@@ -245,16 +247,6 @@ class ModelGraph:
         return cuts
 
     # -- public accessors ------------------------------------------------------
-
-    @property
-    def source(self) -> str:
-        """Name of the unique Input node."""
-        return self._source
-
-    @property
-    def sink(self) -> str:
-        """Name of the unique output node."""
-        return self._sink
 
     @property
     def input_shape(self) -> Shape:
@@ -295,27 +287,8 @@ class ModelGraph:
     def flops_of(self, node: str) -> int:
         return self._flops[node]
 
-    def params_of(self, node: str) -> int:
-        return self._params[node]
-
     def output_bytes_of(self, node: str) -> int:
         return self._out_bytes[node]
-
-    def predecessors(self, node: str) -> List[str]:
-        return list(self._pred[node])
-
-    def successors(self, node: str) -> List[str]:
-        return list(self._succ[node])
-
-    def head_nodes(self, cut: str) -> set:
-        """All nodes executed by the head when cutting after ``cut``.
-
-        Every node is reached from the source and reaches the sink, so a node
-        that does not descend from the sink dominator ``cut`` is one of its
-        ancestors: the head is the topological prefix ending at ``cut``.
-        """
-        self.cut_by_name(cut)  # raises ModelError for a non-cut
-        return set(self._topo[: self._topo.index(cut) + 1])
 
     def cut_by_name(self, name: str) -> CutPoint:
         for c in self._cuts:

@@ -110,10 +110,6 @@ class MultiExitModel:
         return len(self.exits)
 
     @property
-    def final_exit(self) -> ExitBranch:
-        return self.exits[-1]
-
-    @property
     def competences(self) -> np.ndarray:
         """Calibrated competence per exit (depth order)."""
         return self._competences.copy()
@@ -125,14 +121,6 @@ class MultiExitModel:
     @property
     def exit_total_flops(self) -> np.ndarray:
         return np.array([e.total_flops for e in self.exits], dtype=float)
-
-    @property
-    def exit_depth_fractions(self) -> np.ndarray:
-        return np.array([e.depth_fraction for e in self.exits], dtype=float)
-
-    @property
-    def exit_accuracies(self) -> np.ndarray:
-        return np.array([e.accuracy for e in self.exits], dtype=float)
 
     @property
     def input_bytes(self) -> int:

@@ -160,16 +160,6 @@ class StarTopology:
             f"{len(self.server_names)} servers)"
         )
 
-    @property
-    def is_row_uniform(self) -> bool:
-        """True when every device shares one per-server link row.
-
-        Rows are interned on construction, so this inspects identity: a row
-        counts as shared when it holds the very same :class:`Link` objects,
-        not merely equal ones.
-        """
-        return len({id(r) for r in self._rows.values()}) == 1
-
     def row_key(self, device: str) -> Hashable:
         """Hashable fingerprint of ``device``'s per-server link row, in O(1).
 

@@ -37,11 +37,3 @@ def transfer_time_vec(nbytes: np.ndarray, link: Link, share: float = 1.0) -> np.
         raise ConfigError("negative transfer size in vector")
     t = link.rtt_s / 2.0 + nbytes / (link.bandwidth_bps * share)
     return np.where(nbytes == 0.0, 0.0, t)
-
-
-def round_trip_time(
-    up_bytes: float, down_bytes: float, link: Link, share: float = 1.0
-) -> float:
-    """Upload + download time for a remote call shipping ``up_bytes`` and
-    receiving ``down_bytes`` (both legs share the same link and quota)."""
-    return transfer_time(up_bytes, link, share) + transfer_time(down_bytes, link, share)

@@ -67,10 +67,6 @@ class BandwidthTrace:
         durations = np.diff(self.times)
         return float(np.dot(self.values[:-1], durations) / durations.sum())
 
-    def change_points(self) -> np.ndarray:
-        """Times at which the bandwidth changes (excludes t=0)."""
-        return self.times[1:].copy()
-
 
 @dataclass(frozen=True)
 class GaussMarkovBandwidth:

@@ -2,7 +2,7 @@
 
 Neurosurgeon-class systems are driven by offline per-layer profiles measured
 on each device.  Here the "measurement" is the analytic per-layer predictor
-(:meth:`repro.devices.latency.LatencyModel.layer_time`), optionally with
+(:func:`repro.profiling.profiler.layer_time`), optionally with
 multiplicative measurement noise so regression-fitting code paths are
 exercised realistically.
 """

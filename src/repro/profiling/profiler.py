@@ -1,24 +1,46 @@
-"""Model × device profiler."""
+"""Model × device profiler.
+
+The "measurement" of a layer is its FLOPs over the device's achieved rate on
+that layer's efficiency class — no invocation overhead, which is paid per
+model segment, not per layer.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from repro.devices.device import DeviceSpec
-from repro.devices.latency import LatencyModel, layer_class_of
 from repro.errors import ProfileError
 from repro.models.graph import ModelGraph
+from repro.models.layers import Conv2D, Dense, DepthwiseConv2D, Layer
 from repro.profiling.tables import LayerProfile, ProfileTable
 from repro.rng import SeedLike, as_generator
+
+#: Compute-bound layer types -> efficiency class; every other layer
+#: (activations, norms, pooling, merges, reshapes) is memory-bound.
+_LAYER_CLASS = {Conv2D: "conv", DepthwiseConv2D: "depthwise", Dense: "dense"}
+
+
+def layer_class_of(layer: Layer) -> str:
+    """Efficiency class for a layer instance."""
+    for typ, cls in _LAYER_CLASS.items():
+        if isinstance(layer, typ):
+            return cls
+    return "memory"
+
+
+def layer_time(layer: Layer, flops: float, device: DeviceSpec) -> float:
+    """Seconds for one layer at its class-specific efficiency on ``device``."""
+    if flops <= 0:
+        return 0.0
+    return flops / device.effective_flops(layer_class_of(layer))
 
 
 def profile_model(
     model: ModelGraph,
     device: DeviceSpec,
-    latency_model: Optional[LatencyModel] = None,
     noise: float = 0.0,
     seed: SeedLike = None,
     repeats: int = 1,
@@ -40,13 +62,12 @@ def profile_model(
     """
     if repeats < 1:
         raise ProfileError(f"repeats must be >= 1, got {repeats}")
-    lm = latency_model or LatencyModel()
     rng = as_generator(seed) if noise > 0 else None
     rows = []
     for name in model.topological_order:
         layer = model.layer(name)
         flops = model.flops_of(name)
-        t = lm.layer_time(layer, flops, device)
+        t = layer_time(layer, flops, device)
         var = 0.0
         if rng is not None and t > 0:
             if repeats > 1:

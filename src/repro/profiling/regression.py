@@ -24,9 +24,8 @@ class LatencyRegression:
 
     ``rel_std`` carries one relative service-time spread per class
     (``sqrt(Σ var) / Σ mean`` over the class's rows, 0.0 for deterministic
-    profiles), so variance extrapolates alongside the mean:
-    :meth:`predict_std` scales the predicted mean by the class's measured
-    coefficient of variation.
+    profiles), so variance extrapolates alongside the mean: a layer's std is
+    its predicted mean times the class's measured coefficient of variation.
     """
 
     coefficients: Dict[str, Tuple[float, float]]  # class -> (a, b)
@@ -38,14 +37,6 @@ class LatencyRegression:
             raise ProfileError(f"no regression for layer class {layer_class!r}")
         a, b = self.coefficients[layer_class]
         return max(0.0, a * flops + b)
-
-    def predict_std(self, layer_class: str, flops: float) -> float:
-        """Predicted service-time std of one layer (seconds)."""
-        return self.predict(layer_class, flops) * self.rel_std.get(layer_class, 0.0)
-
-    def predict_var(self, layer_class: str, flops: float) -> float:
-        """Predicted service-time variance of one layer (seconds²)."""
-        return self.predict_std(layer_class, flops) ** 2
 
 
 def fit_latency_regression(table: ProfileTable) -> LatencyRegression:

@@ -64,16 +64,8 @@ class ProfileTable:
     def total_flops(self) -> int:
         return int(sum(r.flops for r in self.rows))
 
-    @property
-    def total_latency_var_s2(self) -> float:
-        """Variance of the end-to-end latency (layers measured independently)."""
-        return float(sum(r.latency_var_s2 for r in self.rows))
-
     def latencies(self) -> np.ndarray:
         return np.array([r.latency_s for r in self.rows])
-
-    def latency_vars(self) -> np.ndarray:
-        return np.array([r.latency_var_s2 for r in self.rows])
 
     def flops(self) -> np.ndarray:
         return np.array([r.flops for r in self.rows], dtype=float)

@@ -38,8 +38,8 @@ from repro.sim.entities import RecordTable, RequestRecord
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.windows import (
-    KahanSum, LatencyHistogram, TaskColumns, WindowedMetrics, cell_quantiles, checked_range,
-    kahan_fold,
+    HIST_BIN_S, HIST_MAX_S, KahanSum, LatencyHistogram, TaskColumns, WindowedMetrics,
+    cell_quantiles, checked_range, kahan_fold,
 )
 
 
@@ -165,8 +165,8 @@ class StreamingStats(TaskColumns):
 
     def __init__(
         self,
-        bin_s: float = 5e-4,
-        max_s: float = 30.0,
+        bin_s: float = HIST_BIN_S,
+        max_s: float = HIST_MAX_S,
         max_records: int = 0,
         seed: Union[int, None] = 0,
         windowed: Optional[WindowedMetrics] = None,

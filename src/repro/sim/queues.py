@@ -45,7 +45,6 @@ from repro.telemetry.timeline import TimelineRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import JointPlan, TaskSpec
     from repro.devices.cluster import EdgeCluster
-    from repro.devices.latency import LatencyModel
 
 
 class FaultWindows(NamedTuple):
@@ -423,11 +422,11 @@ class LinkResource(_Resource):
 
 
 def device_resources(
-    cluster: "EdgeCluster", lm: "LatencyModel", recorder: Optional[TimelineRecorder] = None
+    cluster: "EdgeCluster", recorder: Optional[TimelineRecorder] = None
 ) -> Dict[str, FifoResource]:
     """One FIFO compute resource per end device, shared by all its tasks."""
     return {
-        d.name: FifoResource(f"dev:{d.name}", float(lm.throughput(d)),
+        d.name: FifoResource(f"dev:{d.name}", float(d.blended_flops),
                              overhead_s=d.overhead_s, recorder=recorder)
         for d in cluster.end_devices
     }
@@ -438,7 +437,6 @@ def slice_resources(
     plan: "JointPlan",
     server_idx: int,
     cluster: "EdgeCluster",
-    lm: "LatencyModel",
     trace: Optional[BandwidthTrace] = None,
     tag: str = "",
     recorder: Optional[TimelineRecorder] = None,
@@ -450,13 +448,13 @@ def slice_resources(
     The server slice runs at the plan's share of the server's rate; each
     link direction is its own queue at the plan's bandwidth share (full
     duplex).  Rates, bandwidth and share are coerced to plain ``float``
-    (the latency model returns NumPy scalars), bit-identical in value.
+    (plan shares may be NumPy scalars), bit-identical in value.
     """
     server = cluster.servers[server_idx]
     link = cluster.link(task.device_name, server.name)
     srv = FifoResource(
         f"srv:{task.name}{tag}",
-        float(lm.throughput(server) * plan.compute_shares[task.name]),
+        float(server.blended_flops * plan.compute_shares[task.name]),
         overhead_s=server.overhead_s, recorder=recorder, **server_faults._asdict(),
     )
     up, down = (

@@ -52,7 +52,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.plan import JointPlan, TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError, SimulationError, require_finite, require_int
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
@@ -69,10 +68,7 @@ from repro.telemetry.windows import WindowConfig, WindowedMetrics
 _ARRIVALS = {"poisson", "deterministic", "mmpp"}
 #: float knobs that must be finite: an infinite horizon never ends the sweep,
 #: and NaN slips through every ``<``/``>`` range check below
-_FINITE_FIELDS = (
-    "horizon_s", "warmup_s", "burst_factor", "service_noise",
-    "hist_bin_s", "hist_max_s",
-)
+_FINITE_FIELDS = ("horizon_s", "warmup_s", "burst_factor", "service_noise")
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,6 @@ class SimulationConfig:
     chunk_size: int = 65536
     #: reservoir-sampled records to keep on streaming runs (0 = none)
     max_records: int = 0
-    #: latency histogram resolution: quantiles are exact within one bin
-    hist_bin_s: float = 5e-4
-    #: latencies at/above this land in the histogram overflow bucket
-    hist_max_s: float = 30.0
     #: tumbling-window SLO aggregation (:class:`~repro.telemetry.windows.
     #: WindowConfig`); unlike per-request telemetry this works on *every*
     #: engine — event loop, record-backed and streaming fast path, and
@@ -162,11 +154,6 @@ class SimulationConfig:
             raise ConfigError("chunk_size must be >= 1")
         if self.max_records < 0:
             raise ConfigError("max_records must be >= 0")
-        if self.hist_bin_s <= 0 or self.hist_max_s <= self.hist_bin_s:
-            raise ConfigError(
-                f"invalid histogram bins: hist_bin_s={self.hist_bin_s} "
-                f"hist_max_s={self.hist_max_s}"
-            )
         if self.streaming:
             if self.telemetry:
                 raise ConfigError(
@@ -199,7 +186,6 @@ def simulate_plan(
     plan: JointPlan,
     cluster: EdgeCluster,
     config: Optional[SimulationConfig] = None,
-    latency_model: Optional[LatencyModel] = None,
     recorder: Optional[TimelineRecorder] = None,
     plan_updates: Sequence[PlanUpdate] = (),
 ) -> SimulationReport:
@@ -219,7 +205,6 @@ def simulate_plan(
     arrivals mid-run; without it the schedule is empty.
     """
     cfg = config or SimulationConfig()
-    lm = latency_model or LatencyModel()
     if not tasks:
         raise ConfigError("no tasks to simulate")
     for t in tasks:
@@ -238,12 +223,12 @@ def simulate_plan(
         # the one event loop: a fault-free run is a run with an empty schedule
         from repro.faults.runtime import simulate_with_faults
 
-        return simulate_with_faults(tasks, plan, cluster, cfg, lm, rec, plan_updates)
+        return simulate_with_faults(tasks, plan, cluster, cfg, rec, plan_updates)
 
     # shared device FIFOs + each offloading task's (server, up, down) slices
-    device_res = device_resources(cluster, lm)
+    device_res = device_resources(cluster)
     slices = [
-        (t.name, slice_resources(t, plan, s, cluster, lm, cfg.bandwidth_trace))
+        (t.name, slice_resources(t, plan, s, cluster, cfg.bandwidth_trace))
         for t in tasks
         if (s := plan.assignment[t.name]) is not None
     ]
@@ -256,10 +241,7 @@ def simulate_plan(
     )
 
     stats = (
-        StreamingStats(
-            cfg.hist_bin_s, cfg.hist_max_s, cfg.max_records, seed=cfg.seed,
-            windowed=wm,
-        )
+        StreamingStats(max_records=cfg.max_records, seed=cfg.seed, windowed=wm)
         if cfg.streaming else None
     )
     tracer = get_tracer()
@@ -294,9 +276,9 @@ def _replication_config(cfg: SimulationConfig, rep: int) -> SimulationConfig:
 
 
 def _replication_worker(args) -> SimulationReport:
-    tasks, plan, cluster, cfg, latency_model, plan_updates = args
+    tasks, plan, cluster, cfg, plan_updates = args
     return simulate_plan(
-        tasks, plan, cluster, cfg, latency_model, plan_updates=plan_updates
+        tasks, plan, cluster, cfg, plan_updates=plan_updates
     )
 
 
@@ -305,7 +287,6 @@ def run_replications(
     plan: JointPlan,
     cluster: EdgeCluster,
     config: SimulationConfig,
-    latency_model: Optional[LatencyModel] = None,
     plan_updates: Sequence[PlanUpdate] = (),
 ) -> List[SimulationReport]:
     """Run ``config.replications`` independent simulations, optionally parallel.
@@ -321,7 +302,7 @@ def run_replications(
     """
     cfgs = [_replication_config(config, r) for r in range(config.replications)]
     jobs = [
-        (tasks, plan, cluster, c, latency_model, tuple(plan_updates)) for c in cfgs
+        (tasks, plan, cluster, c, tuple(plan_updates)) for c in cfgs
     ]
     return _fan_out(jobs, min(config.sim_workers, len(jobs)), config.telemetry)
 
@@ -368,7 +349,6 @@ def run_cells(
     cluster: EdgeCluster,
     config: SimulationConfig,
     cells: int,
-    latency_model: Optional[LatencyModel] = None,
 ) -> SimulationReport:
     """Shard one workload across ``cells`` independent traffic cells.
 
@@ -389,7 +369,7 @@ def run_cells(
         raise ConfigError("cells must be >= 1")
     scaled = [replace(t, arrival_rate=t.arrival_rate / cells) for t in tasks]
     jobs = [
-        (scaled, plan, cluster, _cell_config(config, c), latency_model, ())
+        (scaled, plan, cluster, _cell_config(config, c), ())
         for c in range(cells)
     ]
     merged = merge_reports(_fan_out(jobs, min(config.sim_workers, cells), False))

@@ -89,11 +89,6 @@ class MMPPArrivals(_Process):
         if self.mean_low_s <= 0 or self.mean_high_s <= 0:
             raise ConfigError("MMPP holding times must be positive")
 
-    @property
-    def mean_rate(self) -> float:
-        total = self.mean_low_s + self.mean_high_s
-        return (self.low_rate * self.mean_low_s + self.high_rate * self.mean_high_s) / total
-
     def stream(self, horizon_s: float, seed: SeedLike = None) -> "MMPPStream":
         return MMPPStream(self, horizon_s, seed)
 

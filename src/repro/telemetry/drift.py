@@ -134,9 +134,6 @@ class DriftDetector:
         """Latest drift score (z-score, or 1 − p for permutation tests)."""
         return self._score.get(key, 0.0)
 
-    def is_drifted(self, key: str) -> bool:
-        return self._flagged.get(key, False)
-
     def drifted(self) -> Tuple[str, ...]:
         """Streams currently flagged, sorted for determinism."""
         return tuple(sorted(k for k, v in self._flagged.items() if v))
@@ -185,9 +182,6 @@ class ShardDriftMonitor:
             self.detector.update(f"{task}/rate", arrival_rate)
         if service_time_s is not None:
             self.detector.update(f"{task}/service", service_time_s)
-
-    def drifted_streams(self) -> Tuple[str, ...]:
-        return self.detector.drifted()
 
     def drifted_shards(self) -> Tuple[int, ...]:
         """Shards holding at least one drifted task stream, sorted."""

@@ -218,30 +218,6 @@ class MetricsRegistry:
             for line in self.jsonl_lines():
                 fh.write(line + "\n")
 
-    def dump_text(self) -> str:
-        """Human-readable one-line-per-metric dump."""
-        lines = []
-        for name, snap in self.snapshot().items():
-            kind = snap["type"]
-            if kind == "counter":
-                lines.append(f"{name} = {snap['value']}")
-            elif kind == "gauge":
-                if snap["count"]:
-                    lines.append(
-                        f"{name} = {snap['value']:.6g} "
-                        f"(min {snap['min']:.6g}, max {snap['max']:.6g}, "
-                        f"n={snap['count']})"
-                    )
-                else:
-                    lines.append(f"{name} = <no samples>")
-            else:
-                mean = f"{snap['mean']:.6g}" if snap["total"] else "n/a"
-                lines.append(
-                    f"{name}: n={snap['total']} mean={mean} "
-                    f"overflow={snap['overflow']}"
-                )
-        return "\n".join(lines)
-
 
 _GLOBAL_REGISTRY = MetricsRegistry()
 

@@ -99,15 +99,6 @@ class Timeline:
 
     # -- queries ------------------------------------------------------------
 
-    def for_task(self, task: str) -> List[TimelineEvent]:
-        return [e for e in self.events if e.task == task]
-
-    def for_request(self, task: str, req_id: int) -> List[TimelineEvent]:
-        """Events of one request, sorted by time (emission order breaks ties)."""
-        out = [e for e in self.events if e.task == task and e.req_id == req_id]
-        out.sort(key=lambda e: e.t_s)
-        return out
-
     def counts(self) -> Dict[str, int]:
         """Event count per kind (canonical kind order)."""
         out = {k: 0 for k in EVENT_KINDS}

@@ -76,6 +76,13 @@ class KahanSum:
         return self.total + self._comp
 
 
+#: Latency histogram resolution of streaming runs: quantiles are exact
+#: within one bin.
+HIST_BIN_S = 5e-4
+#: Latencies at/above this land in the histogram's overflow bucket.
+HIST_MAX_S = 30.0
+
+
 class LatencyHistogram:
     """Fixed-bin latency histogram with exact counts and running extremes.
 
@@ -96,7 +103,7 @@ class LatencyHistogram:
         "bin_s", "max_s", "n_bins", "lo", "counts", "overflow", "min_s", "max_seen_s",
     )
 
-    def __init__(self, bin_s: float = 5e-4, max_s: float = 30.0) -> None:
+    def __init__(self, bin_s: float = HIST_BIN_S, max_s: float = HIST_MAX_S) -> None:
         if not (math.isfinite(bin_s) and math.isfinite(max_s)) or not (
             0 < bin_s < max_s
         ):

@@ -15,9 +15,9 @@ energy        joules (J)
 power         watts (W)
 ============  =====================  ==========================================
 
-Helpers below convert common engineering units into the canonical ones.  They
-are trivial on purpose: keeping every conversion in one module makes unit bugs
-grep-able.
+Helpers below convert between the canonical units and the ones quoted in
+configuration and reports (Mbit/s, MiB).  They are trivial on purpose:
+keeping every conversion in one module makes unit bugs grep-able.
 """
 
 from __future__ import annotations
@@ -25,58 +25,7 @@ from __future__ import annotations
 #: Bytes occupied by one float32 activation element.
 FLOAT32_BYTES = 4
 
-# --- time ---------------------------------------------------------------
-
-
-def ms(value: float) -> float:
-    """Milliseconds -> seconds."""
-    return value * 1e-3
-
-
-def us(value: float) -> float:
-    """Microseconds -> seconds."""
-    return value * 1e-6
-
-
-def to_ms(seconds: float) -> float:
-    """Seconds -> milliseconds (for reporting)."""
-    return seconds * 1e3
-
-
-# --- compute ------------------------------------------------------------
-
-
-def gflops(value: float) -> float:
-    """GFLOPs -> FLOPs (a count, not a rate)."""
-    return value * 1e9
-
-
-def mflops(value: float) -> float:
-    """MFLOPs -> FLOPs."""
-    return value * 1e6
-
-
-def gflops_per_s(value: float) -> float:
-    """GFLOP/s -> FLOP/s (a rate)."""
-    return value * 1e9
-
-
-def tflops_per_s(value: float) -> float:
-    """TFLOP/s -> FLOP/s."""
-    return value * 1e12
-
-
 # --- data size ----------------------------------------------------------
-
-
-def kib(value: float) -> float:
-    """KiB -> bytes."""
-    return value * 1024.0
-
-
-def mib(value: float) -> float:
-    """MiB -> bytes."""
-    return value * 1024.0 * 1024.0
 
 
 def to_mib(nbytes: float) -> float:
@@ -94,11 +43,6 @@ def mbps(value: float) -> float:
     the paper family's evaluations); links store bytes/s.
     """
     return value * 1e6 / 8.0
-
-
-def gbps(value: float) -> float:
-    """Gigabits per second -> bytes per second."""
-    return value * 1e9 / 8.0
 
 
 def to_mbps(bytes_per_s: float) -> float:

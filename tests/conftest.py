@@ -15,7 +15,6 @@ import pytest
 from repro.core.candidates import build_candidates
 from repro.core.plan import TaskSpec
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.devices.presets import SERVER_PRESETS, device_preset
 from repro.models.graph import ModelGraph
 from repro.models.layers import (
@@ -71,11 +70,6 @@ def pi4():
 @pytest.fixture(scope="session")
 def edge_gpu():
     return SERVER_PRESETS["edge_gpu"]
-
-
-@pytest.fixture(scope="session")
-def latency_model():
-    return LatencyModel()
 
 
 @pytest.fixture(scope="session")

@@ -66,34 +66,34 @@ class TestAllocation:
 
 
 class TestAllocateShares:
-    def test_shares_sum_per_server(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_shares_sum_per_server(self, small_tasks, small_candidates, small_cluster):
         assignment = [0, 0]
         alloc = allocate_shares(
-            small_tasks, small_candidates, [0, 0], assignment, small_cluster, latency_model
+            small_tasks, small_candidates, [0, 0], assignment, small_cluster
         )
         # both tasks offloading plans? plan 0 may be local; use plans with srv work
         idx = [int(np.argmax(cs.srv_flops)) for cs in small_candidates]
         alloc = allocate_shares(
-            small_tasks, small_candidates, idx, assignment, small_cluster, latency_model
+            small_tasks, small_candidates, idx, assignment, small_cluster
         )
         assert alloc.compute_shares.sum() == pytest.approx(1.0)
 
-    def test_different_servers_full_shares(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_different_servers_full_shares(self, small_tasks, small_candidates, small_cluster):
         idx = [int(np.argmax(cs.srv_flops)) for cs in small_candidates]
         alloc = allocate_shares(
-            small_tasks, small_candidates, idx, [0, 1], small_cluster, latency_model
+            small_tasks, small_candidates, idx, [0, 1], small_cluster
         )
         np.testing.assert_allclose(alloc.compute_shares, 1.0)
 
-    def test_local_tasks_unconstrained(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_local_tasks_unconstrained(self, small_tasks, small_candidates, small_cluster):
         alloc = allocate_shares(
-            small_tasks, small_candidates, [0, 0], [None, None], small_cluster, latency_model
+            small_tasks, small_candidates, [0, 0], [None, None], small_cluster
         )
         np.testing.assert_allclose(alloc.compute_shares, 1.0)
         np.testing.assert_allclose(alloc.bandwidth_shares, 1.0)
 
     def test_urgent_task_gets_more_under_deadline_objective(
-        self, small_tasks, small_candidates, small_cluster, latency_model
+        self, small_tasks, small_candidates, small_cluster
     ):
         import dataclasses
 
@@ -103,35 +103,33 @@ class TestAllocateShares:
             dataclasses.replace(small_tasks[1], deadline_s=2.0),
         ]
         alloc = allocate_shares(
-            tasks, small_candidates, idx, [0, 0], small_cluster, latency_model,
-            objective=Objective.DEADLINE_MISS,
+            tasks, small_candidates, idx, [0, 0], small_cluster, objective=Objective.DEADLINE_MISS,
         )
         base = allocate_shares(
-            tasks, small_candidates, idx, [0, 0], small_cluster, latency_model,
-            objective=Objective.AVG_LATENCY,
+            tasks, small_candidates, idx, [0, 0], small_cluster, objective=Objective.AVG_LATENCY,
         )
         assert alloc.compute_shares[0] > base.compute_shares[0]
 
-    def test_length_mismatch_raises(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_length_mismatch_raises(self, small_tasks, small_candidates, small_cluster):
         with pytest.raises(ConfigError):
             allocate_shares(
-                small_tasks, small_candidates, [0], [0, 0], small_cluster, latency_model
+                small_tasks, small_candidates, [0], [0, 0], small_cluster
             )
 
 
 class TestAssignServers:
-    def test_assigns_all_tasks(self, small_tasks, small_candidates, small_cluster, latency_model):
-        a = assign_servers(small_tasks, small_candidates, small_cluster, latency_model)
+    def test_assigns_all_tasks(self, small_tasks, small_candidates, small_cluster):
+        a = assign_servers(small_tasks, small_candidates, small_cluster)
         assert len(a) == 2
         for s in a:
             assert s is None or 0 <= s < small_cluster.num_servers
 
-    def test_empty_tasks(self, small_cluster, latency_model):
-        assert assign_servers([], [], small_cluster, latency_model) == []
+    def test_empty_tasks(self, small_cluster):
+        assert assign_servers([], [], small_cluster) == []
 
 
 class TestSolutionLatencies:
-    def test_local_only_plan_needs_no_server(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_local_only_plan_needs_no_server(self, small_tasks, small_candidates, small_cluster):
         local_idx = [
             next(i for i, f in enumerate(cs.features) if f.is_local_only)
             for cs in small_candidates
@@ -141,37 +139,37 @@ class TestSolutionLatencies:
         # the stream — that is the queueing term's job to flag)
         lat = solution_latencies(
             small_tasks, small_candidates, local_idx, alloc, small_cluster,
-            latency_model, include_queueing=False,
+            include_queueing=False,
         )
         assert np.all(np.isfinite(lat))
 
-    def test_offload_plan_without_server_is_inf(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_offload_plan_without_server_is_inf(self, small_tasks, small_candidates, small_cluster):
         off_idx = [int(np.argmax(cs.p_offload)) for cs in small_candidates]
         alloc = Allocation([None, None], np.ones(2), np.ones(2))
         lat = solution_latencies(
-            small_tasks, small_candidates, off_idx, alloc, small_cluster, latency_model
+            small_tasks, small_candidates, off_idx, alloc, small_cluster
         )
         assert np.all(np.isinf(lat))
 
-    def test_queueing_increases_latency(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_queueing_increases_latency(self, small_tasks, small_candidates, small_cluster):
         off_idx = [int(np.argmax(cs.p_offload)) for cs in small_candidates]
         alloc = Allocation([0, 1], np.ones(2), np.ones(2))
         with_q = solution_latencies(
-            small_tasks, small_candidates, off_idx, alloc, small_cluster, latency_model, True
+            small_tasks, small_candidates, off_idx, alloc, small_cluster, True
         )
         without_q = solution_latencies(
-            small_tasks, small_candidates, off_idx, alloc, small_cluster, latency_model, False
+            small_tasks, small_candidates, off_idx, alloc, small_cluster, False
         )
         assert np.all(with_q >= without_q - 1e-15)
 
-    def test_overload_is_inf(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_overload_is_inf(self, small_tasks, small_candidates, small_cluster):
         import dataclasses
 
         hot = [dataclasses.replace(t, arrival_rate=1e6) for t in small_tasks]
         off_idx = [int(np.argmax(cs.p_offload)) for cs in small_candidates]
         alloc = Allocation([0, 1], np.ones(2), np.ones(2))
         lat = solution_latencies(
-            hot, small_candidates, off_idx, alloc, small_cluster, latency_model
+            hot, small_candidates, off_idx, alloc, small_cluster
         )
         assert np.all(np.isinf(lat))
 
@@ -211,7 +209,7 @@ class TestPowerShares:
 
 
 class TestOverloadPenaltyMode:
-    def test_penalty_finite_and_graded(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_penalty_finite_and_graded(self, small_tasks, small_candidates, small_cluster):
         import dataclasses
 
         hot = [dataclasses.replace(t, arrival_rate=1e3) for t in small_tasks]
@@ -219,17 +217,15 @@ class TestOverloadPenaltyMode:
         off_idx = [int(np.argmax(cs.p_offload)) for cs in small_candidates]
         alloc = Allocation([0, 1], np.ones(2), np.ones(2))
         p1 = solution_latencies(
-            hot, small_candidates, off_idx, alloc, small_cluster, latency_model,
-            overload="penalty",
+            hot, small_candidates, off_idx, alloc, small_cluster, overload="penalty",
         )
         p2 = solution_latencies(
-            hotter, small_candidates, off_idx, alloc, small_cluster, latency_model,
-            overload="penalty",
+            hotter, small_candidates, off_idx, alloc, small_cluster, overload="penalty",
         )
         assert np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))
         assert np.all(p2 > p1)  # more overloaded -> larger surrogate
 
-    def test_penalty_agrees_when_stable(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_penalty_agrees_when_stable(self, small_tasks, small_candidates, small_cluster):
         local_idx = [
             next(i for i, f in enumerate(cs.features) if f.is_local_only)
             for cs in small_candidates
@@ -237,18 +233,18 @@ class TestOverloadPenaltyMode:
         alloc = Allocation([None, None], np.ones(2), np.ones(2))
         a = solution_latencies(
             small_tasks, small_candidates, local_idx, alloc, small_cluster,
-            latency_model, include_queueing=False,
+            include_queueing=False,
         )
         b = solution_latencies(
             small_tasks, small_candidates, local_idx, alloc, small_cluster,
-            latency_model, include_queueing=False, overload="penalty",
+            include_queueing=False, overload="penalty",
         )
         np.testing.assert_allclose(a, b)
 
-    def test_invalid_mode_rejected(self, small_tasks, small_candidates, small_cluster, latency_model):
+    def test_invalid_mode_rejected(self, small_tasks, small_candidates, small_cluster):
         alloc = Allocation([None, None], np.ones(2), np.ones(2))
         with pytest.raises(ConfigError):
             solution_latencies(
                 small_tasks, small_candidates, [0, 0], alloc, small_cluster,
-                latency_model, overload="maybe",
+                overload="maybe",
             )

@@ -38,10 +38,6 @@ class TestBuildAndFilter:
         with pytest.raises(InfeasibleError):
             full_set.filter_accuracy(0.99)
 
-    def test_local_only_subset(self, full_set):
-        local = full_set.local_only()
-        assert all(f.is_local_only for f in local.features)
-
     def test_empty_set_raises(self, task):
         with pytest.raises(PlanError):
             CandidateSet(task, [])
@@ -70,17 +66,17 @@ class TestPruning:
                 )
                 assert not (dominates and strictly), (i, j)
 
-    def test_pruning_preserves_best_latency(self, full_set, pi4, edge_gpu, latency_model):
+    def test_pruning_preserves_best_latency(self, full_set, pi4, edge_gpu):
         """For ANY allocation, the pruned set achieves the same best latency
         subject to the same accuracy — dominance must be allocation-safe."""
         pruned = full_set.pruned()
         for x, y in [(1.0, 1.0), (0.3, 0.7), (0.05, 0.05)]:
             lat_full = full_set.latencies(
-                pi4, latency_model, server=edge_gpu, link=LINK,
+                pi4, server=edge_gpu, link=LINK,
                 compute_share=x, bandwidth_share=y,
             )
             lat_pruned = pruned.latencies(
-                pi4, latency_model, server=edge_gpu, link=LINK,
+                pi4, server=edge_gpu, link=LINK,
                 compute_share=x, bandwidth_share=y,
             )
             for floor in (0.55, 0.62, 0.68):
@@ -101,24 +97,24 @@ class TestPruning:
 
 
 class TestEvaluation:
-    def test_local_eval_infinite_for_offload_plans(self, full_set, pi4, latency_model):
-        lat = full_set.latencies(pi4, latency_model)
+    def test_local_eval_infinite_for_offload_plans(self, full_set, pi4):
+        lat = full_set.latencies(pi4)
         offloaders = full_set.p_offload > 0
         assert np.all(np.isinf(lat[offloaders]))
         assert np.all(np.isfinite(lat[~offloaders]))
 
-    def test_argmin_is_fastest(self, full_set, pi4, edge_gpu, latency_model):
-        all_lat = full_set.latencies(pi4, latency_model, server=edge_gpu, link=LINK)
+    def test_argmin_is_fastest(self, full_set, pi4, edge_gpu):
+        all_lat = full_set.latencies(pi4, server=edge_gpu, link=LINK)
         idx = int(np.argmin(all_lat))
         assert np.isfinite(all_lat[idx])
         assert np.all(all_lat >= all_lat[idx])
 
-    def test_more_compute_share_never_hurts(self, full_set, pi4, edge_gpu, latency_model):
+    def test_more_compute_share_never_hurts(self, full_set, pi4, edge_gpu):
         lo = full_set.latencies(
-            pi4, latency_model, server=edge_gpu, link=LINK, compute_share=0.2
+            pi4, server=edge_gpu, link=LINK, compute_share=0.2
         )
         hi = full_set.latencies(
-            pi4, latency_model, server=edge_gpu, link=LINK, compute_share=0.9
+            pi4, server=edge_gpu, link=LINK, compute_share=0.9
         )
         assert np.all(hi <= lo + 1e-12)
 

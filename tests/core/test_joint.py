@@ -17,15 +17,15 @@ class TestConfig:
         [
             dict(max_iterations=0),
             dict(tol=-1.0),
-            dict(reassign_every=0),
             dict(restarts=0),
+            dict(restart_workers=0),
+            dict(nested_shards=-1),
             dict(tol=float("nan")),
             dict(tol=float("inf")),
             dict(migration_hysteresis=float("nan")),
             dict(migration_hysteresis=float("inf")),
             dict(max_iterations=2.5),
             dict(max_iterations=True),
-            dict(reassign_every=5.0),
             dict(restarts=True),
             dict(restart_workers=2.0),
             dict(shards=2.0),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.objectives import Objective, deadline_miss_fraction
+from repro.core.objectives import Objective
 from repro.core.plan import TaskSpec
 from repro.errors import ConfigError
 
@@ -60,16 +60,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Objective.AVG_LATENCY.evaluate(np.array([0.1]), tasks)
 
-    def test_miss_fraction_reporting(self, tasks):
-        assert deadline_miss_fraction(np.array([0.15, 0.1]), tasks) == pytest.approx(0.5)
-
     def test_evaluate_empty_tasks_rejected(self):
         with pytest.raises(ConfigError):
             Objective.AVG_LATENCY.evaluate(np.array([]), [])
-
-    def test_miss_fraction_empty_tasks_is_zero(self):
-        assert deadline_miss_fraction(np.array([]), []) == 0.0
-
-    def test_miss_fraction_shape_mismatch(self, tasks):
-        with pytest.raises(ConfigError):
-            deadline_miss_fraction(np.array([0.1]), tasks)

@@ -21,7 +21,6 @@ from repro.core.candidates import (
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.objectives import Objective
 from repro.core.plan import TaskSpec
-from repro.devices.latency import LatencyModel
 
 
 def assert_plans_bitequal(a, b):
@@ -115,8 +114,7 @@ class TestIncrementalAllocator:
         plan_idx = [len(c) // 2 for c in small_candidates]
         assignment = [0, 1]
         gs = GroupState(
-            small_tasks, small_candidates, small_cluster, LatencyModel(),
-            assignment, plan_idx,
+            small_tasks, small_candidates, small_cluster, assignment, plan_idx,
         )
         return gs, plan_idx, assignment
 
@@ -127,7 +125,7 @@ class TestIncrementalAllocator:
         a = gs.allocation()
         b = allocate_shares(
             small_tasks, small_candidates, plan_idx, assignment,
-            small_cluster, LatencyModel(),
+            small_cluster,
         )
         assert a.assignment == b.assignment
         np.testing.assert_array_equal(a.compute_shares, b.compute_shares)
@@ -147,7 +145,7 @@ class TestIncrementalAllocator:
         incremental = gs.allocation()
         full = allocate_shares(
             small_tasks, small_candidates, new_idx, new_assign,
-            small_cluster, LatencyModel(),
+            small_cluster,
         )
         assert gs.plan_idx == new_idx
         assert incremental.assignment == full.assignment
@@ -165,13 +163,13 @@ class TestIncrementalAllocator:
         alloc = gs.allocation()
         lat = solution_latencies(
             small_tasks, small_candidates, plan_idx, alloc,
-            small_cluster, LatencyModel(), overload="penalty",
+            small_cluster, overload="penalty",
         )
         for i, task in enumerate(small_tasks):
             one = solution_latency_task(
                 task, small_candidates[i], plan_idx[i], alloc.assignment[i],
                 float(alloc.compute_shares[i]), float(alloc.bandwidth_shares[i]),
-                small_cluster, LatencyModel(), overload="penalty",
+                small_cluster, overload="penalty",
             )
             assert one == lat[i]
         # the state's own latencies and objective are the same floats
@@ -253,9 +251,9 @@ class TestPerfCounters:
         )
         cands = [build_candidates(t) for t in tasks]
         opt = JointOptimizer(cluster)
-        assignment = assign_servers(tasks, cands, cluster, opt.latency_model)
+        assignment = assign_servers(tasks, cands, cluster)
         state = GroupState(
-            tasks, cands, cluster, opt.latency_model, assignment,
+            tasks, cands, cluster, assignment,
             counters=PerfCounters(),
         )
         obj = state.objective()

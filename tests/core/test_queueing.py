@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.queueing import (
-    aggregate_server_load,
     mg1_wait,
     mg1_wait_vec,
     mm1_response,
     mm1_wait,
-    superposed_mg1_wait,
     utilization,
 )
 from repro.errors import ConfigError
@@ -83,20 +81,3 @@ class TestMG1:
 class TestAggregates:
     def test_utilization(self):
         assert utilization(2.0, 0.25) == pytest.approx(0.5)
-
-    def test_aggregate_server_load(self):
-        assert aggregate_server_load(np.array([1.0, 2.0]), np.array([0.1, 0.2])) == pytest.approx(
-            0.5
-        )
-
-    def test_superposed_wait_matches_single_stream(self):
-        # one stream == plain P-K
-        w = superposed_mg1_wait(np.array([2.0]), np.array([0.2]), np.array([0.05]))
-        assert w == pytest.approx(mg1_wait(2.0, 0.2, 0.05))
-
-    def test_superposed_zero_traffic(self):
-        assert superposed_mg1_wait(np.array([0.0]), np.array([0.2]), np.array([0.05])) == 0.0
-
-    def test_negative_inputs_raise(self):
-        with pytest.raises(ConfigError):
-            aggregate_server_load(np.array([-1.0]), np.array([0.1]))

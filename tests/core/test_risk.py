@@ -9,7 +9,6 @@ import pytest
 from repro.core.candidates import build_candidates
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.risk import RiskConfig, kappa, stage_std, wait_std
-from repro.devices.latency import LatencyModel
 from repro.errors import ConfigError
 from repro.workloads.scenarios import build_scenario
 
@@ -127,7 +126,7 @@ class TestBufferedLatencies:
         server = cluster.servers[0]
         link = cluster.link(task.device_name, server.name)
         return cands.latencies(
-            device, LatencyModel(), server, link,
+            device, server, link,
             arrival_rate=task.arrival_rate, risk=risk,
         )
 

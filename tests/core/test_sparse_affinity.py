@@ -21,7 +21,6 @@ from repro.core.joint import JointSolverConfig
 from repro.core.plan import TaskSpec
 from repro.core.sharding import AffinityIndex, home_tasks
 from repro.devices.cluster import EdgeCluster
-from repro.devices.latency import LatencyModel
 from repro.devices.presets import SERVER_PRESETS, device_preset
 from repro.errors import ConfigError
 from repro.network.link import Link
@@ -69,14 +68,13 @@ PARTITIONS = [((0, 1), (2, 3)), ((0, 2), (1,), (3,)), ((0,), (1,), (2,), (3,))]
 
 def _oracle_bounds(tasks, cands, cluster):
     """Brute force: best candidate latency of every task on every server."""
-    lm = LatencyModel()
     out = np.empty((len(tasks), cluster.num_servers))
     for i, t in enumerate(tasks):
         device = cluster.by_name(t.device_name)
         for s, server in enumerate(cluster.servers):
             link = cluster.link(t.device_name, server.name)
             out[i, s] = np.min(
-                cands[i].latencies(device, lm, server=server, link=link)
+                cands[i].latencies(device, server=server, link=link)
             )
     return out
 
@@ -120,7 +118,6 @@ class TestSparseDenseEquivalence:
 
     def test_row_key_falls_back_on_hetero_links(self, hetero_instance):
         cluster, _, _ = hetero_instance
-        assert not cluster.topology.is_row_uniform
         keys = {cluster.topology.row_key(f"dev{i}") for i in range(3)}
         assert len(keys) == 3  # distinct fingerprints, no cross-device merge
 

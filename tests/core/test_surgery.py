@@ -24,14 +24,14 @@ class TestEvaluatePlan:
         last = len(me_resnet18.backbone.cut_points) - 1
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, last))
         assert f.is_local_only
-        assert f.dev_flops == pytest.approx(me_resnet18.final_exit.backbone_flops)
+        assert f.dev_flops == pytest.approx(me_resnet18.exits[-1].backbone_flops)
         assert f.srv_flops == 0.0 and f.wire_bytes == 0.0
 
     def test_full_offload_features(self, me_resnet18):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
         assert f.p_offload == pytest.approx(1.0)
         assert f.dev_flops == 0.0
-        assert f.srv_flops == pytest.approx(me_resnet18.final_exit.backbone_flops)
+        assert f.srv_flops == pytest.approx(me_resnet18.exits[-1].backbone_flops)
         assert f.wire_bytes == pytest.approx(
             me_resnet18.input_bytes + me_resnet18.result_bytes
         )
@@ -87,23 +87,23 @@ class TestEvaluatePlan:
 
 
 class TestPlanLatency:
-    def test_local_needs_no_server(self, me_resnet18, pi4, latency_model):
+    def test_local_needs_no_server(self, me_resnet18, pi4):
         last = len(me_resnet18.backbone.cut_points) - 1
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, last))
         t = plan_latency(
-            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload, pi4, latency_model
+            f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload, pi4
         )
-        expected = f.dev_flops / latency_model.throughput(pi4) + pi4.overhead_s
+        expected = f.dev_flops / pi4.blended_flops + pi4.overhead_s
         assert float(t) == pytest.approx(expected)
 
-    def test_offload_requires_server(self, me_resnet18, pi4, latency_model):
+    def test_offload_requires_server(self, me_resnet18, pi4):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
         with pytest.raises(PlanError):
             plan_latency(
-                f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload, pi4, latency_model
+                f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload, pi4
             )
 
-    def test_share_monotonicity(self, me_resnet18, pi4, edge_gpu, latency_model):
+    def test_share_monotonicity(self, me_resnet18, pi4, edge_gpu):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
 
         def lat(x, y):
@@ -114,7 +114,6 @@ class TestPlanLatency:
                     f.wire_bytes,
                     f.p_offload,
                     pi4,
-                    latency_model,
                     server=edge_gpu,
                     link=LINK,
                     compute_share=x,
@@ -124,12 +123,12 @@ class TestPlanLatency:
 
         assert lat(1.0, 1.0) < lat(0.5, 1.0) < lat(0.5, 0.5)
 
-    def test_invalid_shares(self, me_resnet18, pi4, edge_gpu, latency_model):
+    def test_invalid_shares(self, me_resnet18, pi4, edge_gpu):
         f = evaluate_plan(me_resnet18, final_only(me_resnet18, 0))
         with pytest.raises(PlanError):
             plan_latency(
                 f.dev_flops, f.srv_flops, f.wire_bytes, f.p_offload,
-                pi4, latency_model, server=edge_gpu, link=LINK, compute_share=0.0,
+                pi4, server=edge_gpu, link=LINK, compute_share=0.0,
             )
 
 
@@ -172,64 +171,64 @@ class TestEnumeration:
 
 
 class TestRefineThresholds:
-    def _coarse_best(self, model, pi4, edge_gpu, latency_model, floor=0.6):
+    def _coarse_best(self, model, pi4, edge_gpu, floor=0.6):
         from repro.core.candidates import CandidateSet
         from repro.core.plan import TaskSpec
 
         task = TaskSpec("t", model, "d", accuracy_floor=floor)
         cs = CandidateSet(task, enumerate_features(model, threshold_grid=(0.8,)))
         cs = cs.filter_accuracy(floor)
-        lat = cs.latencies(pi4, latency_model, server=edge_gpu, link=LINK)
+        lat = cs.latencies(pi4, server=edge_gpu, link=LINK)
         j = int(np.argmin(lat))
         return cs.features[j], float(lat[j])
 
-    def test_never_worse_and_floor_respected(self, me_resnet18, pi4, edge_gpu, latency_model):
+    def test_never_worse_and_floor_respected(self, me_resnet18, pi4, edge_gpu):
         from repro.core.surgery import refine_thresholds
 
-        feats, lat = self._coarse_best(me_resnet18, pi4, edge_gpu, latency_model)
+        feats, lat = self._coarse_best(me_resnet18, pi4, edge_gpu)
         plan, refined = refine_thresholds(
-            me_resnet18, feats.plan, pi4, latency_model, 0.6,
+            me_resnet18, feats.plan, pi4, 0.6,
             server=edge_gpu, link=LINK,
         )
         ref_lat = plan_latency(
             refined.dev_flops, refined.srv_flops, refined.wire_bytes,
-            refined.p_offload, pi4, latency_model, server=edge_gpu, link=LINK,
+            refined.p_offload, pi4, server=edge_gpu, link=LINK,
         )
         assert float(ref_lat) <= lat + 1e-12
         assert refined.accuracy >= 0.6 - 1e-12
 
-    def test_improves_coarse_shared_threshold(self, me_resnet18, pi4, edge_gpu, latency_model):
+    def test_improves_coarse_shared_threshold(self, me_resnet18, pi4, edge_gpu):
         from repro.core.surgery import refine_thresholds
 
-        feats, lat = self._coarse_best(me_resnet18, pi4, edge_gpu, latency_model, floor=0.55)
+        feats, lat = self._coarse_best(me_resnet18, pi4, edge_gpu, floor=0.55)
         if len(feats.plan.kept_exits) <= 1:
             pytest.skip("coarse best kept no early exits")
         plan, refined = refine_thresholds(
-            me_resnet18, feats.plan, pi4, latency_model, 0.55,
+            me_resnet18, feats.plan, pi4, 0.55,
             server=edge_gpu, link=LINK,
         )
         ref_lat = plan_latency(
             refined.dev_flops, refined.srv_flops, refined.wire_bytes,
-            refined.p_offload, pi4, latency_model, server=edge_gpu, link=LINK,
+            refined.p_offload, pi4, server=edge_gpu, link=LINK,
         )
         assert float(ref_lat) < lat  # the shared threshold binds here
 
-    def test_noop_for_final_only_plan(self, me_resnet18, pi4, latency_model):
+    def test_noop_for_final_only_plan(self, me_resnet18, pi4):
         from repro.core.surgery import refine_thresholds
 
         p = final_only(me_resnet18, len(me_resnet18.backbone.cut_points) - 1)
         plan, feats = refine_thresholds(
-            me_resnet18, p, pi4, latency_model, 0.6,
+            me_resnet18, p, pi4, 0.6,
         )
         assert plan == p
 
-    def test_invalid_floor_rejected(self, me_resnet18, pi4, latency_model):
+    def test_invalid_floor_rejected(self, me_resnet18, pi4):
         from repro.core.surgery import refine_thresholds
         from repro.errors import PlanError
 
         p = final_only(me_resnet18, 0)
         with pytest.raises(PlanError):
-            refine_thresholds(me_resnet18, p, pi4, latency_model, 0.0)
+            refine_thresholds(me_resnet18, p, pi4, 0.0)
 
     def test_joint_solver_refinement_recovers_coarse_grid(
         self, small_cluster, small_tasks

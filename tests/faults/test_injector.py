@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.devices.latency import LatencyModel
 from repro.errors import FaultError, ResourceUnavailableError
 from repro.faults import FaultEvent, FaultSchedule, resource_windows
 from repro.sim import SimulationConfig, simulate_plan
@@ -66,12 +65,11 @@ class TestCrashWindow:
             FaultSchedule.crash_recover(crashed, 1.0, 1.0),
             [s.name for s in small_cluster.servers], [t.name for t in small_tasks],
         )
-        lm = LatencyModel()
 
         def build(task, s, tag):
             server = small_cluster.servers[s].name
             return slice_resources(
-                task, small_plan, s, small_cluster, lm, tag=tag,
+                task, small_plan, s, small_cluster, tag=tag,
                 server_faults=by_server[server],
             )
 

@@ -10,7 +10,6 @@ from repro.core.candidates import build_candidates
 from repro.core.online import ControllerConfig, EnvironmentSample, OnlineController
 from repro.models.quantization import ALL_LEVELS
 from repro.units import mbps
-from repro.workloads.traces import DiurnalPattern, windowed_rates
 
 
 class TestQuantizationEndToEnd:
@@ -60,7 +59,7 @@ class TestQuantizationEndToEnd:
 
 
 class TestOnlineControllerWithDiurnalTrace:
-    """The controller driven by windowed rates of a diurnal workload."""
+    """The controller driven by the windowed rates of a diurnal workload."""
 
     def test_replans_on_rush_hour(self, small_cluster, small_tasks, small_candidates):
         controller = OnlineController(
@@ -69,10 +68,10 @@ class TestOnlineControllerWithDiurnalTrace:
             candidates=small_candidates,
             config=ControllerConfig(replan_threshold=0.5, min_replan_interval_s=0.0),
         )
-        # a strong diurnal pattern measured in windows
-        pattern = DiurnalPattern(base_rate=3.0, amplitude=0.9, period_s=120.0)
-        arrivals = pattern.generate(120.0, seed=5)
-        starts, rates = windowed_rates(arrivals, 120.0, 20.0)
+        # a strong diurnal pattern (base 3/s, amplitude 0.9, one 120 s
+        # period) read at the midpoints of six 20 s windows
+        starts = np.arange(0.0, 120.0, 20.0)
+        rates = 3.0 * (1.0 + 0.9 * np.sin(2.0 * np.pi * (starts + 10.0) / 120.0))
         replans = 0
         for t0, rate in zip(starts, rates):
             if rate <= 0:

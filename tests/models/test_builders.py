@@ -28,7 +28,8 @@ class TestGraphBuilder:
         b.add(Activation("a2"), after="input")
         b.merge(Add("sum"), ["a1", "a2"])
         g = b.build()
-        assert set(g.predecessors("sum")) == {"a1", "a2"}
+        # a1 and a2 are parallel branches off the input, joined at sum
+        assert [c.name for c in g.cut_points] == ["input", "sum"]
 
     def test_duplicate_name_raises(self):
         b = GraphBuilder("m", (3, 8, 8))

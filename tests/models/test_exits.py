@@ -7,11 +7,9 @@ from repro.errors import ConfigError, PlanError
 from repro.models.accuracy import AccuracyModel
 from repro.models.exits import (
     DifficultyDistribution,
-    ExitPolicy,
     difficulty_cutoffs,
     exit_probabilities,
     expected_accuracy,
-    expected_exit_depth,
 )
 
 ACC = AccuracyModel()
@@ -58,31 +56,6 @@ class TestDifficultyDistribution:
         ge, we = easy.grid()
         gh, wh = hard.grid()
         assert ge @ we < gh @ wh
-
-    def test_cdf_monotone(self):
-        x = np.linspace(0, 1, 11)
-        c = DIFF.cdf(x)
-        assert np.all(np.diff(c) >= 0)
-
-
-class TestExitPolicy:
-    def test_valid(self):
-        p = ExitPolicy(thresholds=(0.5, 0.8, 0.0))
-        assert p.num_exits == 3
-
-    def test_last_must_be_zero(self):
-        with pytest.raises(PlanError):
-            ExitPolicy(thresholds=(0.5, 0.8))
-
-    def test_threshold_range(self):
-        with pytest.raises(PlanError):
-            ExitPolicy(thresholds=(1.0, 0.0))
-        with pytest.raises(PlanError):
-            ExitPolicy(thresholds=(-0.1, 0.0))
-
-    def test_empty_raises(self):
-        with pytest.raises(PlanError):
-            ExitPolicy(thresholds=())
 
 
 class TestCutoffs:
@@ -142,15 +115,10 @@ class TestAggregates:
             0.3 * 0.5 + 0.7 * 0.9
         )
 
-    def test_expected_exit_depth(self):
-        assert expected_exit_depth(np.array([0.5, 0.5]), np.array([0.2, 1.0])) == pytest.approx(
-            0.6
-        )
-
     def test_easy_workload_exits_earlier(self):
         easy = DifficultyDistribution(alpha=1.5, beta=6.0)
         hard = DifficultyDistribution(alpha=4.0, beta=2.0)
         pe, _ = exit_probabilities(COMP, (0.7, 0.7, 0.0), easy, ACC)
         ph, _ = exit_probabilities(COMP, (0.7, 0.7, 0.0), hard, ACC)
         depths = np.array([0.3, 0.6, 1.0])
-        assert expected_exit_depth(pe, depths) < expected_exit_depth(ph, depths)
+        assert np.dot(pe, depths) < np.dot(ph, depths)

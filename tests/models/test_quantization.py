@@ -109,7 +109,7 @@ class TestSurgeryIntegration:
         assert t8.srv_flops[p8] == pytest.approx(t32.srv_flops[p32] / lvl.compute_speedup)
         assert t8.up_bytes[p8] == pytest.approx(t32.up_bytes[p32] * lvl.wire_scale)
 
-    def test_quantized_plan_speeds_up_starved_link(self, me_resnet18, pi4, edge_gpu, latency_model):
+    def test_quantized_plan_speeds_up_starved_link(self, me_resnet18, pi4, edge_gpu):
         """On a thin link the int8 plan's smaller boundary wins."""
         from repro.core.candidates import CandidateSet
         from repro.core.plan import TaskSpec
@@ -125,7 +125,7 @@ class TestSurgeryIntegration:
         link = Link(mbps(3), rtt_s=10e-3)
         lat32, latq = (
             cs.filter_accuracy(0.55)
-            .latencies(pi4, latency_model, server=edge_gpu, link=link)
+            .latencies(pi4, server=edge_gpu, link=link)
             .min()
             for cs in (cs32, csq)
         )

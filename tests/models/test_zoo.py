@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.models import zoo
+from repro.models.layers import layer_params
 
 #: model -> (GFLOPs low, high, MParams low, high)
 EXPECTED = {
@@ -54,7 +55,7 @@ class TestArchitectures:
     def test_imagenet_io(self, name):
         g = zoo.build(name)
         assert g.input_shape == (3, 224, 224)
-        assert g.output_shape_of(g.sink) == (1000,)
+        assert g.output_shape_of(g.topological_order[-1]) == (1000,)
 
     def test_has_interior_cut_points(self, name):
         g = zoo.build(name)
@@ -94,7 +95,7 @@ class TestSpecifics:
         from repro.models.zoo.alexnet import build_alexnet
 
         g = build_alexnet(num_classes=10)
-        assert g.output_shape_of(g.sink) == (10,)
+        assert g.output_shape_of(g.topological_order[-1]) == (10,)
 
     def test_mobilenet_v2_residuals_present(self):
         g = zoo.build("mobilenet_v2")
@@ -127,4 +128,5 @@ class TestDenseNetCutEconomics:
     def test_head_fc_params(self):
         g = zoo.build("densenet121")
         # final feature width of DenseNet-121 is 1024
-        assert g.params_of("fc") == 1024 * 1000 + 1000
+        gap = g.topological_order[g.topological_order.index("fc") - 1]
+        assert layer_params(g.layer("fc"), g.output_shape_of(gap)) == 1024 * 1000 + 1000

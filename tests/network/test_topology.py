@@ -135,7 +135,7 @@ class TestLinkView:
 class TestRowSharing:
     def test_uniform_shares_one_row(self):
         t = StarTopology.uniform(DEVS, SRVS, L)
-        assert t.is_row_uniform and _rows(t) == 1
+        assert _rows(t) == 1
         assert len({t.row_key(d) for d in DEVS}) == 1
 
     def test_explicit_rows_interned(self):
@@ -144,7 +144,7 @@ class TestRowSharing:
         links.update({("d1", s): fast for s in SRVS})
         links.update({("d2", s): slow for s in SRVS})
         t = StarTopology(DEVS, SRVS, links)
-        assert _rows(t) == 2 and not t.is_row_uniform
+        assert _rows(t) == 2
         assert t.row_key("d0") == t.row_key("d1") != t.row_key("d2")
 
     def test_equal_but_distinct_links_get_distinct_keys(self):

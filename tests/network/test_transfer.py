@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.network.link import Link
-from repro.network.transfer import round_trip_time, transfer_time, transfer_time_vec
+from repro.network.transfer import transfer_time, transfer_time_vec
 from repro.units import mbps
 
 LINK = Link(mbps(8), rtt_s=10e-3)  # 1 MB/s for easy math
@@ -36,7 +36,3 @@ class TestTransferTime:
         vec = transfer_time_vec(sizes, LINK)
         for s, v in zip(sizes, vec):
             assert v == pytest.approx(transfer_time(float(s), LINK))
-
-    def test_round_trip(self):
-        rt = round_trip_time(1e6, 1e3, LINK)
-        assert rt == pytest.approx(transfer_time(1e6, LINK) + transfer_time(1e3, LINK))

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.core.allocation import GroupState, allocate_shares, solution_latencies
 from repro.core.candidates import build_candidates
 from repro.core.objectives import Objective
-from repro.devices.latency import LatencyModel
 from repro.workloads.scenarios import build_scenario
 
 N_TASKS, N_SERVERS, N_DEVICES = 10, 3, 4
@@ -68,7 +67,7 @@ def _snapshot(state):
 
 def _check_against_oracles(state, tasks, cands, cluster, objective):
     alloc = allocate_shares(
-        tasks, cands, state.plan_idx, state.assignment, cluster, LatencyModel(), objective
+        tasks, cands, state.plan_idx, state.assignment, cluster, objective
     )
     assert state.compute.tobytes() == alloc.compute_shares.tobytes()
     assert state.bandwidth.tobytes() == alloc.bandwidth_shares.tobytes()
@@ -80,7 +79,7 @@ def _check_against_oracles(state, tasks, cands, cluster, objective):
     assert state.server_members == servers
     assert state.link_members == links
     lat = solution_latencies(
-        tasks, cands, state.plan_idx, alloc, cluster, LatencyModel(), overload="penalty"
+        tasks, cands, state.plan_idx, alloc, cluster, overload="penalty"
     )
     assert state.latencies().tobytes() == lat.tobytes()
     assert state.objective() == objective.evaluate(lat, tasks)
@@ -97,7 +96,7 @@ def test_group_state_matches_full_solves(objective, start, plans, steps):
     cluster, tasks, cands = _instance()
     plan_idx = [p % len(cands[i]) for i, p in enumerate(plans)]
     state = GroupState(
-        tasks, cands, cluster, LatencyModel(), start, plan_idx, objective=objective
+        tasks, cands, cluster, start, plan_idx, objective=objective
     )
     _check_against_oracles(state, tasks, cands, cluster, objective)
     for op in steps:

@@ -22,11 +22,9 @@ from repro.core.candidates import CandidateSet, build_candidates
 from repro.core.latency import predicted_latency, predicted_latency_vec
 from repro.core.plan import PlanFeatures
 from repro.core.risk import RiskConfig
-from repro.devices.latency import LatencyModel
 from repro.workloads.scenarios import build_scenario
 
 N_TASKS, N_SERVERS = 3, 3
-LM = LatencyModel()
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +101,7 @@ def test_scalar_twin_equals_vector_pass(case):
         server = cluster.servers[s]
         link = cluster.link(task.device_name, server.name)
     rate = task.arrival_rate if case["queueing"] else None
-    args = (device, LM, server, link, case["x"], case["y"])
+    args = (device, server, link, case["x"], case["y"])
     kw = dict(arrival_rate=rate, risk=case["risk"], overload=case["overload"])
 
     vec = predicted_latency_vec(cs, *args, **kw)
@@ -117,7 +115,7 @@ def test_scalar_twin_equals_vector_pass(case):
     for j in range(len(cs)):
         alloc = Allocation([s], [case["x"]], [case["y"]])
         priced = solution_latencies(
-            [task], [cs], [j], alloc, cluster, LM,
+            [task], [cs], [j], alloc, cluster,
             include_queueing=case["queueing"], overload=case["overload"], risk=case["risk"],
         )
         assert priced.tobytes() == twin[j:j + 1].tobytes()

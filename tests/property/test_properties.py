@@ -162,13 +162,12 @@ def test_pruning_never_loses_the_optimum(x, y, floor, request):
     pruned = request.getfixturevalue("e2e_pruned")
     pi4 = request.getfixturevalue("pi4")
     gpu = request.getfixturevalue("edge_gpu")
-    lm = request.getfixturevalue("latency_model")
     from repro.network.link import Link
     from repro.units import mbps
 
     link = Link(mbps(30), rtt_s=5e-3)
-    lat_full = full.latencies(pi4, lm, server=gpu, link=link, compute_share=x, bandwidth_share=y)
-    lat_pruned = pruned.latencies(pi4, lm, server=gpu, link=link, compute_share=x, bandwidth_share=y)
+    lat_full = full.latencies(pi4, server=gpu, link=link, compute_share=x, bandwidth_share=y)
+    lat_pruned = pruned.latencies(pi4, server=gpu, link=link, compute_share=x, bandwidth_share=y)
     ok_full = lat_full[full.accuracy >= floor]
     ok_pruned = lat_pruned[pruned.accuracy >= floor]
     if ok_full.size and ok_pruned.size:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.plan import SurgeryPlan
 from repro.core.surgery import evaluate_plan, refine_thresholds
 from repro.models.quantization import ALL_LEVELS, quantization_level
-from repro.workloads.traces import DiurnalPattern, windowed_rates
 
 # --- quantization scaling laws --------------------------------------------------
 
@@ -57,7 +56,6 @@ def test_refinement_never_worse_never_infeasible(theta, floor, x, request):
     model = request.getfixturevalue("me_resnet18")
     pi4 = request.getfixturevalue("pi4")
     gpu = request.getfixturevalue("edge_gpu")
-    lm = request.getfixturevalue("latency_model")
     from repro.core.latency import plan_latency
     from repro.network.link import Link
     from repro.units import mbps
@@ -73,16 +71,16 @@ def test_refinement_never_worse_never_infeasible(theta, floor, x, request):
         return  # input infeasible; nothing to check
     lat0 = float(
         plan_latency(
-            f0.dev_flops, f0.srv_flops, f0.wire_bytes, f0.p_offload, pi4, lm,
+            f0.dev_flops, f0.srv_flops, f0.wire_bytes, f0.p_offload, pi4,
             server=gpu, link=link, compute_share=x,
         )
     )
     refined_plan, fr = refine_thresholds(
-        model, plan, pi4, lm, floor, server=gpu, link=link, compute_share=x
+        model, plan, pi4, floor, server=gpu, link=link, compute_share=x
     )
     lat1 = float(
         plan_latency(
-            fr.dev_flops, fr.srv_flops, fr.wire_bytes, fr.p_offload, pi4, lm,
+            fr.dev_flops, fr.srv_flops, fr.wire_bytes, fr.p_offload, pi4,
             server=gpu, link=link, compute_share=x,
         )
     )
@@ -91,43 +89,6 @@ def test_refinement_never_worse_never_infeasible(theta, floor, x, request):
     # structure is preserved: only thresholds may change
     assert refined_plan.kept_exits == plan.kept_exits
     assert refined_plan.partition_cut == plan.partition_cut
-
-
-# --- diurnal workload ---------------------------------------------------------------
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    base=st.floats(1.0, 30.0),
-    amp=st.floats(0.0, 0.95),
-    seed=st.integers(0, 1000),
-)
-def test_diurnal_rate_envelope_bounds_samples(base, amp, seed):
-    p = DiurnalPattern(base_rate=base, amplitude=amp, period_s=60.0)
-    arr = p.generate(240.0, seed=seed)
-    assert np.all(np.diff(arr) >= 0)
-    if arr.size:
-        assert arr.min() >= 0 and arr.max() < 240.0
-    # long-run average within sampling noise of the base rate (full periods)
-    emp = arr.size / 240.0
-    sigma = np.sqrt(base / 240.0)
-    assert abs(emp - base) < 6 * sigma + 0.5
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    n=st.integers(0, 200),
-    window=st.floats(0.5, 10.0),
-    seed=st.integers(0, 100),
-)
-def test_windowed_rates_conserve_counts(n, window, seed):
-    rng = np.random.default_rng(seed)
-    horizon = 30.0
-    arrivals = np.sort(rng.uniform(0, horizon, size=n))
-    arrivals = np.unique(arrivals)
-    starts, rates = windowed_rates(arrivals, horizon, window)
-    widths = np.minimum(starts + window, horizon) - starts
-    assert int(round(float(np.sum(rates * widths)))) == arrivals.size
 
 
 # --- queue-aware candidate ranking ---------------------------------------------------
@@ -140,13 +101,12 @@ def test_candidate_latencies_monotone_in_arrival_rate(lam, request):
     cs = request.getfixturevalue("e2e_pruned_ext")
     pi4 = request.getfixturevalue("pi4")
     gpu = request.getfixturevalue("edge_gpu")
-    lm = request.getfixturevalue("latency_model")
     from repro.network.link import Link
     from repro.units import mbps
 
     link = Link(mbps(30), rtt_s=5e-3)
-    lo = cs.latencies(pi4, lm, server=gpu, link=link, arrival_rate=lam)
-    hi = cs.latencies(pi4, lm, server=gpu, link=link, arrival_rate=lam * 1.5)
+    lo = cs.latencies(pi4, server=gpu, link=link, arrival_rate=lam)
+    hi = cs.latencies(pi4, server=gpu, link=link, arrival_rate=lam * 1.5)
     assert np.all(hi >= lo - 1e-9)
 
 

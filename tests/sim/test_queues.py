@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.joint import JointOptimizer
-from repro.devices.latency import LatencyModel
 from repro.errors import SimulationError
 from repro.faults import FaultSchedule
 from repro.network.wireless import BandwidthTrace
@@ -110,21 +109,20 @@ class TestLinkResource:
 
 class TestBuilders:
     def test_server_spread_slices_hold_plain_floats(self, city_instance):
-        # with server_spread the latency model's throughputs are NumPy
+        # with server_spread the servers' blended rates are NumPy
         # scalars; the builder hands the resources plain, equal floats
         cluster, tasks, cands = city_instance(6, 3, 0)
         plan = JointOptimizer(cluster).solve(tasks, candidates=cands, seed=0).plan
-        lm = LatencyModel()
-        assert isinstance(lm.throughput(cluster.servers[0]), np.floating)
-        for d in device_resources(cluster, lm).values():
+        assert isinstance(cluster.servers[0].blended_flops, np.floating)
+        for d in device_resources(cluster).values():
             assert type(d.rate) is float
         offloaded = [t for t in tasks if plan.assignment[t.name] is not None]
         assert offloaded
         for t in offloaded:
             s = plan.assignment[t.name]
-            srv, up, down = slice_resources(t, plan, s, cluster, lm)
+            srv, up, down = slice_resources(t, plan, s, cluster)
             assert type(srv.rate) is float
-            assert srv.rate == lm.throughput(cluster.servers[s]) * plan.compute_shares[t.name]
+            assert srv.rate == cluster.servers[s].blended_flops * plan.compute_shares[t.name]
             for link in (up, down):
                 assert type(link.bandwidth_bps) is float and type(link.share) is float
                 assert link.share == plan.bandwidth_shares[t.name]

@@ -28,8 +28,8 @@ class TestConfig:
             dict(warmup_s=float("nan")),
             dict(burst_factor=float("nan")),
             dict(service_noise=float("nan")),
-            dict(hist_bin_s=float("nan")),
-            dict(hist_max_s=float("inf")),
+            dict(replications=0),
+            dict(sim_workers=0),
             dict(chunk_size=2.5),
             dict(max_records=1.0),
             dict(replications=2.5),

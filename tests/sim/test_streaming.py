@@ -417,8 +417,6 @@ class TestStreamingReportSurface:
             _cfg(streaming=True, chunk_size=0)
         with pytest.raises(ConfigError, match="max_records"):
             _cfg(streaming=True, max_records=-1)
-        with pytest.raises(ConfigError, match="histogram bins"):
-            _cfg(streaming=True, hist_bin_s=0.0)
 
 
 class TestMergeReports:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.plan import JointPlan
-from repro.devices.latency import LatencyModel
 from repro.rng import derive
 from repro.sim.execution import RealizationTable
 from repro.sim.runner import SimulationConfig, simulate_plan
@@ -45,12 +44,11 @@ class TestTimelineEvents:
         plan, cfg, report = local_run
         tl = report.timeline
         assert tl is not None
-        lm = LatencyModel()
         for task in small_tasks:
             device = next(
                 d for d in small_cluster.end_devices if d.name == task.device_name
             )
-            rate = lm.throughput(device)
+            rate = device.blended_flops
             arrivals = DeterministicArrivals(task.arrival_rate).generate(
                 cfg.horizon_s, 0
             )
@@ -69,7 +67,10 @@ class TestTimelineEvents:
                 service = table.dev_flops[pos] / rate + device.overhead_s
                 busy_until = start + service
 
-                events = tl.for_request(task.name, req_id)
+                events = sorted(
+                    (e for e in tl.events if e.task == task.name and e.req_id == req_id),
+                    key=lambda e: e.t_s,
+                )
                 kinds = [e.kind for e in events]
                 assert kinds == [
                     "enqueue", "dequeue", "exec_start", "exit_taken", "complete",

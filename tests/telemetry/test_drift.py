@@ -42,11 +42,11 @@ class TestZScore:
         base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
         for v in base * 2:
             det.update("s", v)
-        assert not det.is_drifted("s")
+        assert not "s" in det.drifted()
         fired = False
         for v in [25.0, 24.8, 25.2, 25.1, 24.9, 25.0]:
             fired = det.update("s", v) or fired
-        assert fired and det.is_drifted("s")
+        assert fired and "s" in det.drifted()
         assert det.score("s") > self.CFG.threshold
         assert det.drifted() == ("s",)
 
@@ -57,16 +57,16 @@ class TestZScore:
         for _ in range(2 * self.CFG.window):
             det.update("s", 100.0)
         det.update("s", 100.5)  # 0.5% shift, floor is 10%
-        assert not det.is_drifted("s")
+        assert not "s" in det.drifted()
         assert det.score("s") == 0.0
 
     def test_reset_forgets(self):
         det = DriftDetector(self.CFG, seed=0)
         for v in [10.0] * 12 + [25.0] * 6:
             det.update("s", v)
-        assert det.is_drifted("s")
+        assert "s" in det.drifted()
         det.reset("s")
-        assert not det.is_drifted("s") and det.drifted() == ()
+        assert not "s" in det.drifted() and det.drifted() == ()
 
 
 class TestPermutation:
@@ -108,7 +108,7 @@ class TestPermutation:
         det = DriftDetector(cfg, seed=0)
         for v in [10.0, 10.2, 9.8, 10.1] * 2 + [1000.0, 999.0, 1001.0, 1000.5]:
             det.update("s", v)
-        assert not det.is_drifted("s")
+        assert not "s" in det.drifted()
 
 
 class TestShardMonitor:
@@ -137,7 +137,7 @@ class TestShardMonitor:
             if mon.drifted_shards():
                 break
         assert mon.drifted_shards() == (1,)
-        assert all(s.startswith(("t2/", "t3/")) for s in mon.drifted_streams())
+        assert all(s.startswith(("t2/", "t3/")) for s in mon.detector.drifted())
         mon.reset_shard(1)
         assert mon.drifted_shards() == ()
 
@@ -145,4 +145,4 @@ class TestShardMonitor:
         mon = ShardDriftMonitor({"t0": 0}, self.CFG)
         for v in [1.0] * 12 + [99.0] * 6:
             mon.observe("ghost", arrival_rate=v)
-        assert mon.drifted_streams() == ()
+        assert mon.detector.drifted() == ()

@@ -1,6 +1,6 @@
 """The library's scipy.special kernels against the scipy.stats calls they replace.
 
-The library evaluates the Beta pdf/cdf and Student's t quantile straight
+The library evaluates the Beta pdf and Student's t quantile straight
 from ``scipy.special`` so that it never imports ``scipy.stats``, and reads
 the difficulty presets' Beta pdf grids from a shipped table so that no
 preset workload imports SciPy at all.  These tests pin the results bit for
@@ -24,7 +24,6 @@ from repro.models.exits import DIFFICULTY_GRID_POINTS, DifficultyDistribution
 from repro.workloads.difficulty import DIFFICULTY_PRESETS
 
 _PARAM = st.floats(min_value=0.05, max_value=50.0)
-_X = np.array([-1.0, 0.0, 1e-12, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0, 2.0, np.nan])
 
 
 def assert_grid_matches_stats(dist):
@@ -37,17 +36,10 @@ def assert_grid_matches_stats(dist):
         assert np.array_equal(w, ref / ref.sum())
 
 
-def assert_cdf_matches_stats(dist):
-    ref = stats.beta.cdf(_X, dist.alpha, dist.beta)
-    assert np.array_equal(dist.cdf(_X), ref, equal_nan=True)
-    assert dist.cdf(0.3) == stats.beta.cdf(0.3, dist.alpha, dist.beta)
-
-
 @pytest.mark.parametrize("preset", sorted(DIFFICULTY_PRESETS))
 def test_presets_match_stats(preset):
     dist = DIFFICULTY_PRESETS[preset]
     assert_grid_matches_stats(dist)
-    assert_cdf_matches_stats(dist)
 
 
 def _midpoints(n):
@@ -90,7 +82,6 @@ def test_preset_grid_reads_the_table_without_scipy(preset, monkeypatch):
 def test_drawn_parameters_match_stats(alpha, beta):
     dist = DifficultyDistribution(alpha, beta)
     assert_grid_matches_stats(dist)
-    assert_cdf_matches_stats(dist)
 
 
 @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])

@@ -39,7 +39,7 @@ class TestRandomScenario:
         with pytest.raises(ConfigError):
             RandomScenarioConfig(models=("skynet",))
 
-    def test_solvable_by_joint(self, latency_model):
+    def test_solvable_by_joint(self):
         from repro.core.joint import JointOptimizer
 
         cluster, tasks = random_scenario(seed=5)
