@@ -67,6 +67,12 @@ GATED_METRICS = ("candidate_evals", "restarts")
 #: workload is fully seeded, so any drift means the simulation changed.
 SIM_GATED_COUNTERS = ("requests", "records", "discarded_warmup", "events")
 
+#: Ceiling on the candidate pipeline's retained ``tracemalloc`` bytes over
+#: smart_city's three templates, as a multiple of the baseline.  The bytes
+#: repeat within 0.1% run to run; a pipeline that keeps one object per raw
+#: candidate reads ~2.6× the columnar one.
+CANDIDATE_MEMORY_FACTOR = 1.25
+
 #: Offered load of the 1M-request probes (the horizon is derived from it).
 STREAM_TARGET_REQUESTS = 1_000_000
 #: Traffic cells of the stream suite's sharded fan-out.
@@ -320,12 +326,47 @@ def _scale_instance(sc: dict) -> tuple:
     return description, cluster, tasks, [build_candidates(t) for t in tasks]
 
 
+def probe_candidates() -> dict:
+    """What :func:`build_candidates` keeps for smart_city's three templates:
+    ``tracemalloc`` bytes still held after the builds (caches included) and
+    the number of live :class:`PlanFeatures`.  Run in a fresh interpreter
+    (``--probe candidates``) so no earlier build is cached."""
+    import tracemalloc
+
+    from repro.core.plan import PlanFeatures
+
+    _, tasks = build_scenario("smart_city", num_tasks=3, seed=0)
+
+    def live_features() -> int:
+        gc.collect()
+        return sum(type(o) is PlanFeatures for o in gc.get_objects())
+
+    before = live_features()
+    tracemalloc.start()
+    t0 = perf_counter()
+    cands = [build_candidates(t) for t in tasks]
+    wall = perf_counter() - t0
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return {
+        "wall_s": wall,
+        "retained_bytes": retained,
+        "plan_features": live_features() - before,
+        "candidates": sum(len(cs) for cs in cands),
+    }
+
+
 def probe(mode: str) -> dict:
     """The 1M-request run: streaming ``"plain"`` or ``"monitored"`` (5 s
     windows, reporting the windowed and SLO fingerprints), or record-backed
     ``"records"``.  Run in a fresh interpreter (``--probe MODE``) so
-    ``ru_maxrss`` measures exactly this run."""
+    ``ru_maxrss`` measures exactly this run.  ``"candidates"`` is
+    :func:`probe_candidates`."""
     import resource
+
+    if mode == "candidates":
+        return probe_candidates()
 
     tasks, plan, cluster, cfg = _stream_workload()
     cfg = replace(cfg, streaming=mode != "records")
@@ -384,12 +425,14 @@ def measure_solver() -> dict:
         if name != "solve_s":
             registry.counter(f"solver.{name}").inc(int(value))
     snapshot = registry.snapshot()
+    _, candidates = probe_arm("candidates")()
     return {
         "experiment": "E9",
         "largest_instance": key,
         "solve_s": solve_s,
         "counters": {name: snapshot[f"solver.{name}"]["value"] for name in GATED_COUNTERS},
         "metrics": {name: m["value"] for name, m in sorted(snapshot.items())},
+        "candidates": {k: candidates[k] for k in ("retained_bytes", "plan_features")},
     }
 
 
@@ -682,6 +725,12 @@ def solver_rows(a) -> list:
           for group, prefix, names in (("counters", "", GATED_COUNTERS),
                                        ("metrics", "solver.", GATED_METRICS))
           for n in names),
+        Contract("max", "candidates/retained_bytes",
+                 "smart_city candidate pipeline, retained tracemalloc bytes",
+                 CANDIDATE_MEMORY_FACTOR, "candidates/retained_bytes"),
+        Contract("max", "candidates/plan_features",
+                 "smart_city candidate pipeline, PlanFeatures built", 1.0,
+                 "candidates/plan_features"),
     ]
 
 
@@ -910,7 +959,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                     help='risk suite: max paired buffer="none" / risk-free solve wall ratio')
     ap.add_argument("--artifacts-dir", type=Path, default=None,
                     help="write CI-uploadable artifacts here")
-    ap.add_argument("--probe", choices=("plain", "monitored", "records"),
+    ap.add_argument("--probe", choices=("plain", "monitored", "records", "candidates"),
                     help=argparse.SUPPRESS)
     return ap.parse_args(argv)
 

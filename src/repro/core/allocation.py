@@ -293,10 +293,7 @@ class GroupState:
         self._evaluate = objective.evaluator(self.tasks)
         self.assignment: List[Optional[int]] = list(assignment)
         if plan_idx is None:
-            plan_idx = [
-                int(np.argmin(self.plan_latencies(i, s)))
-                for i, s in enumerate(self.assignment)
-            ]
+            plan_idx = self._fastest(np.ones(n), np.ones(n))
         self._load(plan_idx)
 
     def _load(self, plan_idx: Sequence[int]) -> None:
@@ -424,12 +421,40 @@ class GroupState:
 
     def best_plans(self) -> List[int]:
         """Each task's fastest plan at its current placement and shares."""
-        return [
-            int(np.argmin(self.plan_latencies(
-                i, s, float(self.compute[i]), float(self.bandwidth[i])
-            )))
-            for i, s in enumerate(self.assignment)
-        ]
+        return self._fastest(self.compute, self.bandwidth)
+
+    def _fastest(self, x: np.ndarray, y: np.ndarray) -> List[int]:
+        """Each task's fastest plan at its placement under per-task shares
+        ``(x, y)``: what :meth:`plan_latencies` argmins, priced in one pass
+        per candidate template, local and offloaded tasks apart."""
+        groups: Dict[Tuple[int, bool], List[int]] = {}
+        for i, s in enumerate(self.assignment):
+            groups.setdefault((id(self.candsets[i].features), s is None), []).append(i)
+        best = [0] * len(self.tasks)
+        for (_, local), members in groups.items():
+            cs = self.candsets[members[0]]
+            devices = [self.devices[i] for i in members]
+            rate = (
+                [self.tasks[i].arrival_rate for i in members] if self.include_queueing else None
+            )
+            if local:
+                lat = cs.latencies(devices, arrival_rate=rate, risk=self.risk)
+            else:
+                servers = [self.cluster.servers[self.assignment[i]] for i in members]
+                lat = cs.latencies(
+                    devices,
+                    server=servers,
+                    link=[self.link(i, self.assignment[i]) for i in members],
+                    compute_share=x[members],
+                    bandwidth_share=y[members],
+                    arrival_rate=rate,
+                    risk=self.risk,
+                )
+            for i, j in zip(members, np.argmin(lat, axis=1).tolist()):
+                best[i] = j
+        if self.counters is not None:
+            self.counters.candidate_evals += len(self.tasks)
+        return best
 
     def price(self, i: int, s: Optional[int], j: int, x: float, y: float) -> float:
         """Search latency of task ``i`` on plan ``j`` at ``s`` with shares ``(x, y)``."""
@@ -782,25 +807,25 @@ def assign_servers(
 
     cols = m * slots_per_server + n
     cost = np.full((n, cols), np.inf)
+    servers = cluster.servers
+    devices = [cluster.by_name(task.device_name) for task in tasks]
+    templates: Dict[int, List[int]] = {}
     for i, task in enumerate(tasks):
-        device = cluster.by_name(task.device_name)
-        for s in range(m):
-            server = cluster.servers[s]
-            link = cluster.link(task.device_name, server.name)
-            lat = candsets[i].latencies(
-                device,
-                server=server,
-                link=link,
-                compute_share=share_estimate,
-                bandwidth_share=share_estimate,
-                risk=risk,
-            )
-            best = float(np.min(lat))
-            for k in range(slots_per_server):
-                cost[i, s * slots_per_server + k] = best
-        # private local column
-        local_lat = candsets[i].latencies(device, risk=risk)
-        cost[i, m * slots_per_server + i] = float(np.min(local_lat))
+        # the task's whole server row in one (m, |C|) pass
+        lat = candsets[i].latencies(
+            devices[i],
+            server=servers,
+            link=[cluster.link(task.device_name, server.name) for server in servers],
+            compute_share=share_estimate,
+            bandwidth_share=share_estimate,
+            risk=risk,
+        )
+        cost[i, : m * slots_per_server] = np.repeat(lat.min(axis=1), slots_per_server)
+        templates.setdefault(id(candsets[i].features), []).append(i)
+    # private local columns, one (tasks, |C|) pass per candidate template
+    for members in templates.values():
+        lat = candsets[members[0]].latencies([devices[i] for i in members], risk=risk)
+        cost[members, m * slots_per_server + np.array(members)] = lat.min(axis=1)
 
     # inf entries can leave no complete matching; use a huge finite cost
     finite_max = np.nanmax(np.where(np.isinf(cost), np.nan, cost))

@@ -1,9 +1,11 @@
-"""Candidate plan sets: array-of-structs view + dominance pruning.
+"""Candidate plan sets: a struct-of-arrays view + dominance pruning.
 
-A :class:`CandidateSet` packs a task's enumerated plan features into parallel
-NumPy arrays so the joint optimizer evaluates *all* candidates under a given
-allocation with one pass of the latency model's vector form
-(:func:`repro.core.latency.predicted_latency_vec`), then argmins.
+A :class:`CandidateSet` holds a task's candidate plan features as parallel
+NumPy columns (one array per :data:`~repro.core.plan.FEATURE_COLUMNS` field)
+so the joint optimizer evaluates *all* candidates under a given allocation
+with one pass of the latency model's vector form
+(:func:`repro.core.latency.predicted_latency_vec`), then argmins; one pass
+can price the candidates for many placements at once.
 
 Pruning removes plans dominated in the 5-dimensional feature space
 (dev_flops, srv_flops, wire_bytes, p_offload | accuracy): if plan B costs at
@@ -11,20 +13,30 @@ least as much as plan A on every resource and achieves no more accuracy, no
 allocation can ever make B preferable, so B can be dropped *before* any
 allocation is known.  This typically shrinks ~10^3 enumerated plans to a few
 dozen undominated ones and is what keeps the joint solver fast.
+
+A set built from a :class:`~repro.core.plan.PlanTable` (the enumeration's
+columnar output) filters, prunes and subsamples on the columns alone, and
+builds :class:`~repro.core.plan.PlanFeatures` objects only for the rows that
+survive, when :attr:`CandidateSet.features` is first read.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.latency import predicted_latency_vec
-from repro.core.plan import PlanFeatures, TaskSpec
-from repro.core.surgery import DEFAULT_MAX_CUTS, DEFAULT_THRESHOLD_GRID, enumerate_features
+from repro.core.plan import FEATURE_COLUMNS, PlanFeatures, PlanTable, TaskSpec
+from repro.core.surgery import (
+    DEFAULT_MAX_CUTS,
+    DEFAULT_THRESHOLD_GRID,
+    _check_max_cuts,
+    enumerate_features,
+)
 from repro.devices.device import DeviceSpec
 from repro.errors import InfeasibleError, PlanError
 from repro.network.link import Link
@@ -32,64 +44,72 @@ from repro.network.link import Link
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.risk import RiskConfig
 
-#: Parallel-array attributes of :class:`CandidateSet`, in construction order.
-#: Derived sets are produced by slicing these (see :meth:`CandidateSet._take`)
-#: instead of re-listing features and rebuilding every array from Python.
-_ARRAY_FIELDS: Tuple[str, ...] = (
-    "dev_flops",
-    "srv_flops",
-    "wire_bytes",
-    "p_offload",
-    "accuracy",
-    "dev_flops_sq",
-    "srv_flops_sq",
-    "wire_bytes_sq",
-)
 
-
-@dataclass
 class CandidateSet:
-    """Parallel-array view over a task's candidate plans."""
+    """Parallel-array view over a task's candidate plans.
 
-    task: TaskSpec
-    features: List[PlanFeatures]
-    dev_flops: np.ndarray = field(init=False)
-    srv_flops: np.ndarray = field(init=False)
-    wire_bytes: np.ndarray = field(init=False)
-    p_offload: np.ndarray = field(init=False)
-    accuracy: np.ndarray = field(init=False)
+    ``CandidateSet(task, features)`` takes a list of
+    :class:`~repro.core.plan.PlanFeatures` or a
+    :class:`~repro.core.plan.PlanTable`.  A table-backed set and every set
+    derived from it share one row -> object memo, so a row read through two
+    of them is one object.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.features:
-            raise PlanError(f"{self.task.name}: empty candidate set")
-        self.dev_flops = np.array([f.dev_flops for f in self.features])
-        self.srv_flops = np.array([f.srv_flops for f in self.features])
-        self.wire_bytes = np.array([f.wire_bytes for f in self.features])
-        self.p_offload = np.array([f.p_offload for f in self.features])
-        self.accuracy = np.array([f.accuracy for f in self.features])
-        self.dev_flops_sq = np.array([f.dev_flops_sq for f in self.features])
-        self.srv_flops_sq = np.array([f.srv_flops_sq for f in self.features])
-        self.wire_bytes_sq = np.array([f.wire_bytes_sq for f in self.features])
+    __slots__ = ("task", "_features", "_rows") + FEATURE_COLUMNS
+
+    def __init__(self, task: TaskSpec, features) -> None:
+        if len(features) == 0:
+            raise PlanError(f"{task.name}: empty candidate set")
+        self.task = task
+        if isinstance(features, PlanTable):
+            self._features: Optional[List[PlanFeatures]] = None
+            self._rows: Optional[Tuple[PlanTable, np.ndarray, Dict[int, PlanFeatures]]] = (
+                features, np.arange(len(features)), {}
+            )
+            for name in FEATURE_COLUMNS:
+                setattr(self, name, getattr(features, name))
+            return
+        self._features = features
+        self._rows = None
+        for name in FEATURE_COLUMNS:
+            setattr(self, name, np.array([getattr(f, name) for f in self._features]))
+
+    @property
+    def features(self) -> List[PlanFeatures]:
+        """The candidates' :class:`~repro.core.plan.PlanFeatures`, in array
+        order (built on first read for a table-backed set)."""
+        if self._features is None:
+            source = self._rows
+            if source is not None:  # else another thread has just built them
+                table, rows, memo = source
+                self._features = table.features(rows, memo)
+                self._rows = None
+        return self._features
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.dev_flops)
 
     # -- transformations -----------------------------------------------------
 
     def _take(self, indices: Sequence[int]) -> "CandidateSet":
         """Derived set holding ``features[i] for i in indices``.
 
-        Shares no mutable state with ``self``: the feature list is re-listed
-        (cheap — it holds frozen objects) and every parallel array is sliced,
-        skipping the per-feature Python attribute walk of ``__post_init__``.
+        Shares no mutable state with ``self``: every parallel array is
+        sliced, and the feature list is re-listed (it holds frozen objects)
+        or, for a table-backed set, left to be built from the kept rows.
         """
         idx = np.asarray(indices, dtype=int)
         if idx.size == 0:
             raise PlanError(f"{self.task.name}: empty candidate set")
         obj = object.__new__(CandidateSet)
         obj.task = self.task
-        obj.features = [self.features[int(i)] for i in idx]
-        for name in _ARRAY_FIELDS:
+        source = self._rows
+        if source is not None:
+            table, rows, memo = source
+            obj._features, obj._rows = None, (table, rows[idx], memo)
+        else:
+            obj._features, obj._rows = [self._features[int(i)] for i in idx], None
+        for name in FEATURE_COLUMNS:
             setattr(obj, name, getattr(self, name)[idx])
         return obj
 
@@ -101,9 +121,19 @@ class CandidateSet:
         """
         obj = object.__new__(CandidateSet)
         obj.task = task
-        obj.features = self.features
-        for name in _ARRAY_FIELDS:
+        obj._features, obj._rows = self.features, None
+        for name in FEATURE_COLUMNS:
             setattr(obj, name, getattr(self, name))
+        return obj
+
+    def appended(self, feats: PlanFeatures) -> "CandidateSet":
+        """This set with one more plan (a refinement's) at the end: the
+        columns are copied and extended, not rebuilt from the features."""
+        obj = object.__new__(CandidateSet)
+        obj.task = self.task
+        obj._features, obj._rows = self.features + [feats], None
+        for name in FEATURE_COLUMNS:
+            setattr(obj, name, np.append(getattr(self, name), getattr(feats, name)))
         return obj
 
     def filter_accuracy(self, floor: float) -> "CandidateSet":
@@ -125,7 +155,7 @@ class CandidateSet:
         kept-so-far costs live in one preallocated buffer, so memory is
         O(n) and each test is one vectorized pass over at most the kept set.
         """
-        n = len(self.features)
+        n = len(self)
         if n <= 1:
             return self._take(np.arange(n))
         cost = np.stack(
@@ -162,7 +192,7 @@ class CandidateSet:
         """
         if k < 1:
             raise PlanError(f"subsample size must be >= 1, got {k}")
-        n = len(self.features)
+        n = len(self)
         if n <= k:
             return self._take(np.arange(n))
         order = np.argsort(self.accuracy, kind="stable")
@@ -173,16 +203,18 @@ class CandidateSet:
 
     def latencies(
         self,
-        device: DeviceSpec,
-        server: Optional[DeviceSpec] = None,
-        link: Optional[Link] = None,
-        compute_share: float = 1.0,
-        bandwidth_share: float = 1.0,
-        arrival_rate: Optional[float] = None,
+        device: Union[DeviceSpec, Sequence[DeviceSpec]],
+        server: Union[None, DeviceSpec, Sequence[DeviceSpec]] = None,
+        link: Union[None, Link, Sequence[Link]] = None,
+        compute_share: Union[float, Sequence[float]] = 1.0,
+        bandwidth_share: Union[float, Sequence[float]] = 1.0,
+        arrival_rate: Union[None, float, Sequence[float]] = None,
         risk: Optional["RiskConfig"] = None,
     ) -> np.ndarray:
         """Predicted latency of every candidate under one allocation
-        (:func:`repro.core.latency.predicted_latency_vec`).
+        (:func:`repro.core.latency.predicted_latency_vec`), or under k
+        placements at once when any placement argument is a sequence
+        (result ``(k, len(self))``).
 
         With ``server=None`` only local-only candidates get finite latency;
         offloading candidates are reported as ``inf``.  Passing
@@ -205,10 +237,11 @@ class CandidateSet:
 # prune) — nothing task-specific beyond the floor enters it.  Experiments
 # instantiate many tasks over a handful of model templates (E9 cycles 3
 # templates over 64 tasks) and re-plan repeatedly (E11), so the pipeline is
-# memoized per process: raw enumerations and derived (filtered + pruned)
-# sets are cached per model and rebound to each task by array sharing.
-# Models are weakly keyed so ad-hoc models do not pin their candidates.
-
+# memoized per process, per model.  The raw cache holds each enumeration as
+# columns only (a PlanTable: no per-plan object); the derived cache holds
+# the filtered + pruned set, whose features are the only plan objects built,
+# and rebinds it to each task by array sharing.  Models are weakly keyed so
+# ad-hoc models do not pin their candidates.
 
 @dataclass
 class CandidateCacheStats:
@@ -257,7 +290,8 @@ def build_candidates(
     and fresh builds are bit-identical (the pipeline is deterministic).
     """
     grid = tuple(threshold_grid) if threshold_grid is not None else DEFAULT_THRESHOLD_GRID
-    cuts = int(max_cuts) if max_cuts is not None else DEFAULT_MAX_CUTS
+    cuts = max_cuts if max_cuts is not None else DEFAULT_MAX_CUTS
+    _check_max_cuts(cuts)
     levels = tuple(quantization_levels) if quantization_levels is not None else ("fp32",)
     raw_key = (grid, cuts, levels)
     derived_key = raw_key + (float(task.accuracy_floor), bool(prune))
@@ -271,25 +305,23 @@ def build_candidates(
         if tmpl is not None:
             return tmpl._with_task(task)
 
-    raw: Optional[CandidateSet] = None
+    table: Optional[PlanTable] = None
     if cache:
         with _cache_lock:
             per_model_raw = _raw_cache.get(task.model)
-            raw = per_model_raw.get(raw_key) if per_model_raw is not None else None
-        if raw is not None:
-            raw = raw._with_task(task)
-    if raw is None:
-        feats = enumerate_features(
+            table = per_model_raw.get(raw_key) if per_model_raw is not None else None
+    if table is None:
+        table = enumerate_features(
             task.model, threshold_grid=grid, max_cuts=cuts, quantization_levels=levels
         )
-        raw = CandidateSet(task, feats)
         if cache:
             with _cache_lock:
-                _raw_cache.setdefault(task.model, {})[raw_key] = raw
+                _raw_cache.setdefault(task.model, {})[raw_key] = table
 
-    cs = raw.filter_accuracy(task.accuracy_floor)
+    cs = CandidateSet(task, table).filter_accuracy(task.accuracy_floor)
     if prune:
         cs = cs.pruned()
+    cs.features  # build the survivors' objects: every rebound copy shares them
     if cache:
         with _cache_lock:
             _cache_stats.misses += 1

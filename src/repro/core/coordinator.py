@@ -462,7 +462,7 @@ def _stitch(
         j = positions.resolve(out_sets[i], feats)
         if j is None:
             cs = out_sets[i]
-            out_sets[i] = CandidateSet(cs.task, list(cs.features) + [feats])
+            out_sets[i] = cs.appended(feats)
             j = len(cs.features)
         plan_idx[i] = j
     return out_sets, plan_idx, assignment

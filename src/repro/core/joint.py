@@ -485,7 +485,7 @@ class JointOptimizer:
                 bandwidth_share=float(alloc.bandwidth_shares[i]),
             )
             if refined_plan != feats.plan:
-                new_candsets[i] = CandidateSet(cs.task, list(cs.features) + [refined_feats])
+                new_candsets[i] = cs.appended(refined_feats)
                 new_idx[i] = len(cs.features)
                 touched = True
         if not touched:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class TaskSpec:
             raise PlanError(f"{self.name}: weight must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryPlan:
     """A concrete surgical configuration of one task's model.
 
@@ -141,7 +141,7 @@ class SurgeryPlan:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanFeatures:
     """Allocation-independent cost/quality summary of one surgery plan.
 
@@ -184,6 +184,129 @@ class PlanFeatures:
     def is_local_only(self) -> bool:
         """True when no request of this plan ever touches a server."""
         return self.p_offload <= 0.0 and self.srv_flops <= 0.0
+
+
+#: The numeric fields of :class:`PlanFeatures`, in declaration order: the
+#: columns of a :class:`PlanTable` and of a candidate set.
+FEATURE_COLUMNS: Tuple[str, ...] = (
+    "dev_flops",
+    "srv_flops",
+    "wire_bytes",
+    "p_offload",
+    "accuracy",
+    "dev_flops_sq",
+    "srv_flops_sq",
+    "wire_bytes_sq",
+)
+
+
+def suspect_rows(columns: Dict[str, np.ndarray]) -> np.ndarray:
+    """Rows of feature ``columns`` that may fail :class:`PlanFeatures`' checks.
+
+    The same comparisons as ``PlanFeatures.__post_init__``, one array pass
+    per check.  A superset: rows holding NaN are included (the scalar checks
+    let some through), so building each returned row's object raises
+    exactly where the object constructor would.
+    """
+    dev, srv, wire = columns["dev_flops"], columns["srv_flops"], columns["wire_bytes"]
+    p, acc = columns["p_offload"], columns["accuracy"]
+    ok = (
+        (np.minimum(np.minimum(dev, srv), wire) >= 0)
+        & (0.0 - 1e-12 <= p) & (p <= 1.0 + 1e-12)
+        & (0.0 < acc) & (acc <= 1.0)
+    )
+    for m1, m2 in (
+        (dev, columns["dev_flops_sq"]),
+        (srv, columns["srv_flops_sq"]),
+        (wire, columns["wire_bytes_sq"]),
+    ):
+        ok &= (m2 >= 0) & ~((m2 > 0) & (m2 < m1 * m1 * (1 - 1e-9)))
+    return np.flatnonzero(~ok)
+
+
+class PlanTable:
+    """A model's enumerated surgery plans as columns, one row per plan.
+
+    Each row holds the :data:`FEATURE_COLUMNS` as float64 columns and a
+    compact plan index: ``group`` (a kept-exits × thresholds pair), ``cut``
+    (the partition cut) and ``level`` (an index into ``levels``, the
+    precision names).  ``groups[g]`` is ``(kept_exits, thresholds,
+    exit_probs)``, stored once for all of the group's rows.
+
+    No :class:`PlanFeatures` object is held.  :meth:`features` builds the
+    objects of chosen rows; indexing and iteration build them on demand, so
+    a table reads like the list of features it encodes.
+    """
+
+    __slots__ = FEATURE_COLUMNS + ("groups", "levels", "group", "cut", "level")
+
+    def __init__(
+        self,
+        groups: Sequence[Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]],
+        levels: Sequence[str],
+        group: np.ndarray,
+        cut: np.ndarray,
+        level: np.ndarray,
+        columns: Dict[str, np.ndarray],
+    ) -> None:
+        self.groups = tuple(groups)
+        self.levels = tuple(levels)
+        self.group, self.cut, self.level = group, cut, level
+        for name in FEATURE_COLUMNS:
+            setattr(self, name, columns[name])
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __getitem__(self, key: Union[int, slice]):
+        rows = range(len(self))[key]
+        if isinstance(key, slice):
+            return self.features(rows)
+        return self.features([rows])[0]
+
+    def __iter__(self) -> Iterator[PlanFeatures]:
+        return iter(self.features(range(len(self))))
+
+    def features(
+        self, rows: Iterable[int], memo: Optional[Dict[int, PlanFeatures]] = None
+    ) -> List[PlanFeatures]:
+        """The :class:`PlanFeatures` of ``rows``, in order.
+
+        ``memo`` (row -> object) is read before building and filled after,
+        so sets that share one memo share one object per row.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = [getattr(self, name)[rows].tolist() for name in FEATURE_COLUMNS]
+        groups, levels = self.groups, self.levels
+        out: List[PlanFeatures] = []
+        for r, g, c, lv, dev, srv, wire, p, acc, dev_sq, srv_sq, wire_sq in zip(
+            rows.tolist(), self.group[rows].tolist(), self.cut[rows].tolist(),
+            self.level[rows].tolist(), *cols,
+        ):
+            f = memo.get(r) if memo is not None else None
+            if f is None:
+                kept, thresholds, probs = groups[g]
+                f = PlanFeatures(
+                    plan=SurgeryPlan(
+                        kept_exits=kept,
+                        thresholds=thresholds,
+                        partition_cut=c,
+                        quantization=levels[lv],
+                    ),
+                    dev_flops=dev,
+                    srv_flops=srv,
+                    wire_bytes=wire,
+                    p_offload=p,
+                    accuracy=acc,
+                    exit_probs=probs,
+                    dev_flops_sq=dev_sq,
+                    srv_flops_sq=srv_sq,
+                    wire_bytes_sq=wire_sq,
+                )
+                if memo is not None:
+                    memo[r] = f
+            out.append(f)
+        return out
 
 
 @dataclass(frozen=True)

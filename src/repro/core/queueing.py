@@ -78,4 +78,5 @@ def mg1_wait_vec(
     with np.errstate(divide="ignore", invalid="ignore"):
         w = lam * es2 / (2.0 * (1.0 - rho))
     w = np.where(rho >= 1.0, np.inf, w)
-    return np.where(lam == 0.0, 0.0, w)
+    idle = lam == 0.0
+    return np.where(idle, 0.0, w) if idle.any() else w

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -133,6 +133,7 @@ def stage_std(
     overhead: ArrayLike,
     p_visit: ArrayLike,
     rel_var: float,
+    overhead_sq: Optional[ArrayLike] = None,
 ) -> ArrayLike:
     """Std of one stage's time ``X = W·(1+J) + overhead·B``.
 
@@ -142,10 +143,13 @@ def stage_std(
     overhead — matching the simulator); ``B`` is the Bernoulli(``p_visit``)
     visit indicator (1 for the device stage, ``p_offload`` for server/link
     stages; ``W > 0`` implies ``B = 1``, so ``E[W·B] = E[W]``).  Also covers
-    the RTT term as ``stage_std(0, 0, rtt, p, 0)``.
+    the RTT term as ``stage_std(0, 0, rtt, p, 0)``.  ``overhead_sq`` is
+    ``overhead**2`` when the caller has it squared already.
     """
+    if overhead_sq is None:
+        overhead_sq = overhead**2
     m1 = work_mean + p_visit * overhead
-    m2 = work_sq * (1.0 + rel_var) + 2.0 * overhead * work_mean + p_visit * overhead**2
+    m2 = work_sq * (1.0 + rel_var) + 2.0 * overhead * work_mean + p_visit * overhead_sq
     return np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 

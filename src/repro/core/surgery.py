@@ -14,14 +14,15 @@ vectorized pass, making full enumeration cheap enough to run per task.
 from __future__ import annotations
 
 import weakref
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.latency import predicted_latency
-from repro.core.plan import PlanFeatures, SurgeryPlan
+from repro.core.plan import FEATURE_COLUMNS, PlanFeatures, PlanTable, SurgeryPlan, suspect_rows
 from repro.devices.device import DeviceSpec
-from repro.errors import PlanError
+from repro.errors import ConfigError, PlanError, require_int
 from repro.models.exits import exit_probabilities
 from repro.models.multiexit import MultiExitModel
 from repro.network.link import Link
@@ -220,14 +221,21 @@ def refine_thresholds(
     return best_plan, best_feats
 
 
+def _check_max_cuts(max_cuts: object) -> None:
+    """Raise :class:`ConfigError` unless ``max_cuts`` is a positive integer."""
+    require_int(SimpleNamespace(max_cuts=max_cuts), "max_cuts")
+    if max_cuts < 1:
+        raise ConfigError(f"max_cuts must be >= 1, got {max_cuts!r}")
+
+
 def enumerate_features(
     model: MultiExitModel,
     threshold_grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
     max_cuts: int = DEFAULT_MAX_CUTS,
     include_exit_subsets: bool = True,
     quantization_levels: Sequence[str] = ("fp32",),
-) -> List[PlanFeatures]:
-    """Enumerate candidate surgery plans of ``model`` into features.
+) -> PlanTable:
+    """Enumerate candidate surgery plans of ``model`` into a :class:`PlanTable`.
 
     The sweep covers every subset of early exits (all sharing one threshold
     from ``threshold_grid``) crossed with a partition-cut set containing the
@@ -235,16 +243,21 @@ def enumerate_features(
     even FLOPs-spaced sample of the remaining cut points up to ``max_cuts``,
     and the requested ``quantization_levels`` (default: fp32 only; pass
     :data:`repro.models.quantization.ALL_LEVELS` to enable the precision
-    knob).
+    knob).  Row order is subset, threshold, level, cut.
 
     The inner cut sweep is vectorized: the exit distribution of a (subset,
-    threshold) pair is computed once and reused for every cut and level.
+    threshold) pair is computed once and reused for every cut and level, and
+    its rows go straight into the table's columns.  Every row passes the
+    checks :class:`SurgeryPlan` and :class:`PlanFeatures` make, in row order,
+    without building an object per row.
     """
     from repro.models.quantization import quantization_level
 
+    _check_max_cuts(max_cuts)
     levels = [quantization_level(name) for name in quantization_levels]
     if not levels:
         raise PlanError("need at least one quantization level")
+    level_names = [lvl.name for lvl in levels]
     n_exits = model.num_exits
     final_idx = n_exits - 1
     early = list(range(final_idx))
@@ -261,6 +274,12 @@ def enumerate_features(
     else:
         wanted.update(range(n_cuts))
     cuts = np.array(sorted(wanted), dtype=int)
+    # cuts at/after the final exit's attach point are all "fully local":
+    # keep the first of each run (every kept-exit subset ends at the final
+    # exit, so the runs are the same for all of them)
+    eff = np.minimum(cuts, int(model.exit_cut_indices[final_idx]))
+    firsts = np.flatnonzero(np.r_[True, eff[1:] != eff[:-1]])
+    row_cuts = cuts[firsts].astype(np.int32)
 
     # --- exit subsets -------------------------------------------------------
     if include_exit_subsets:
@@ -275,7 +294,10 @@ def enumerate_features(
     cut_bytes = model.cut_bytes
     result_bytes = float(model.result_bytes)
 
-    out: List[PlanFeatures] = []
+    columns: Dict[str, List[np.ndarray]] = {name: [] for name in FEATURE_COLUMNS}
+    group_ids: List[np.ndarray] = []
+    level_ids: List[np.ndarray] = []
+    groups: List[Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]] = []
     seen: set = set()
     for kept in subsets:
         thetas: Sequence[Tuple[float, ...]]
@@ -302,7 +324,13 @@ def enumerate_features(
             e_srv_sq_raw = p @ srv_total**2
             p_off = np.where(on_dev, 0.0, p[:, None]).sum(axis=0)
             boundary_raw = cut_bytes[cuts] + result_bytes
-            for lvl in levels:
+            block: Dict[str, List[np.ndarray]] = {name: [] for name in FEATURE_COLUMNS}
+            block_levels: List[int] = []
+            for li, lvl in enumerate(levels):
+                key = (kept, thresholds, lvl.name)
+                if key in seen:
+                    continue
+                seen.add(key)
                 sp = lvl.compute_speedup
                 e_dev = e_dev_raw / sp
                 e_srv = e_srv_raw / sp
@@ -313,31 +341,45 @@ def enumerate_features(
                 wire_sq = p_off * boundary**2
                 acc_q = np.clip(acc + lvl.accuracy_delta, 0.01, 0.999)
                 e_acc = float(np.dot(p, acc_q))
-                for j, c in enumerate(cuts):
-                    # deduplicate: cuts at/after the last kept exit's attach
-                    # point are all equivalent to "fully local"
-                    key = (kept, thresholds, lvl.name, min(int(c), int(attach[-1])))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    plan = SurgeryPlan(
-                        kept_exits=kept,
-                        thresholds=thresholds,
-                        partition_cut=int(c),
-                        quantization=lvl.name,
-                    )
-                    out.append(
-                        PlanFeatures(
-                            plan=plan,
-                            dev_flops=float(e_dev[j]),
-                            srv_flops=float(e_srv[j]),
-                            wire_bytes=float(wire[j]),
-                            p_offload=float(p_off[j]),
-                            accuracy=e_acc,
-                            exit_probs=tuple(float(x) for x in p),
-                            dev_flops_sq=float(e_dev_sq[j]),
-                            srv_flops_sq=float(e_srv_sq[j]),
-                            wire_bytes_sq=float(wire_sq[j]),
-                        )
-                    )
-    return out
+                for name, col in (
+                    ("dev_flops", e_dev), ("srv_flops", e_srv), ("wire_bytes", wire),
+                    ("p_offload", p_off), ("dev_flops_sq", e_dev_sq),
+                    ("srv_flops_sq", e_srv_sq), ("wire_bytes_sq", wire_sq),
+                ):
+                    block[name].append(col[firsts])
+                block["accuracy"].append(np.full(len(firsts), e_acc))
+                block_levels.append(li)
+            if not block_levels:
+                continue
+            # the group's first row is where its plan checks would fail
+            SurgeryPlan(
+                kept_exits=kept,
+                thresholds=thresholds,
+                partition_cut=int(row_cuts[0]),
+                quantization=level_names[block_levels[0]],
+            )
+            group = (kept, thresholds, tuple(float(x) for x in p))
+            cols = {name: np.concatenate(block[name]) for name in FEATURE_COLUMNS}
+            level_col = np.repeat(np.array(block_levels, dtype=np.int32), len(firsts))
+            bad = suspect_rows(cols)
+            if bad.size:
+                # build the suspect rows in order: the first invalid one raises
+                PlanTable(
+                    [group], level_names, np.zeros(len(level_col), np.int32),
+                    np.tile(row_cuts, len(block_levels)), level_col, cols,
+                ).features(bad)
+            for name in FEATURE_COLUMNS:
+                columns[name].append(cols[name])
+            group_ids.append(np.full(len(level_col), len(groups), np.int32))
+            level_ids.append(level_col)
+            groups.append(group)
+
+    group_col = np.concatenate(group_ids)
+    return PlanTable(
+        groups,
+        level_names,
+        group_col,
+        np.tile(row_cuts, len(group_col) // len(row_cuts)),
+        np.concatenate(level_ids),
+        {name: np.concatenate(columns[name]) for name in FEATURE_COLUMNS},
+    )

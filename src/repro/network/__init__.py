@@ -1,4 +1,4 @@
-"""Network substrate: links, transfer times, topologies, wireless dynamics.
+"""Network substrate: links, topologies, wireless dynamics.
 
 Replaces the paper's physical Wi-Fi/LAN testbed links.  A :class:`Link` is a
 (bandwidth, propagation-delay) pair with optional time-varying bandwidth via
@@ -8,7 +8,6 @@ end device to every edge server.
 
 from repro.network.link import Link
 from repro.network.topology import StarTopology
-from repro.network.transfer import transfer_time, transfer_time_vec
 from repro.network.wireless import BandwidthTrace, GaussMarkovBandwidth, MarkovBandwidth
 
 __all__ = [
@@ -17,6 +16,4 @@ __all__ = [
     "Link",
     "MarkovBandwidth",
     "StarTopology",
-    "transfer_time",
-    "transfer_time_vec",
 ]

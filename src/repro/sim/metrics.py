@@ -118,7 +118,7 @@ class SimCounters:
             registry.counter(f"{prefix}.{f.name}").inc(getattr(self, f.name))
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskStats:
     """Measured statistics of one task's request stream."""
 

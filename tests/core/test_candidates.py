@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.candidates import _ARRAY_FIELDS, CandidateSet, build_candidates
-from repro.core.plan import TaskSpec
+from repro.core.candidates import CandidateSet, build_candidates
+from repro.core.plan import FEATURE_COLUMNS, TaskSpec
 from repro.core.surgery import DEFAULT_THRESHOLD_GRID, enumerate_features
-from repro.errors import InfeasibleError, PlanError
+from repro.errors import ConfigError, InfeasibleError, PlanError
 from repro.models.quantization import ALL_LEVELS
 from repro.network.link import Link
 from repro.units import mbps
@@ -47,6 +47,22 @@ class TestBuildAndFilter:
         f = full_set.features[i]
         assert full_set.dev_flops[i] == f.dev_flops
         assert full_set.accuracy[i] == f.accuracy
+
+
+class TestMaxCuts:
+    @pytest.mark.parametrize("max_cuts", [-3, 0, 2.7, True, "16", np.float64(4.0)])
+    def test_rejects_non_positive_or_non_integer(self, task, max_cuts):
+        with pytest.raises(ConfigError):
+            build_candidates(task, max_cuts=max_cuts, cache=False)
+        with pytest.raises(ConfigError):
+            build_candidates(task, max_cuts=max_cuts)
+        with pytest.raises(ConfigError):
+            enumerate_features(task.model, max_cuts=max_cuts)
+
+    def test_accepts_numpy_integers(self, task):
+        cs = build_candidates(task, max_cuts=np.int64(4), cache=False)
+        ref = build_candidates(task, max_cuts=4, cache=False)
+        assert cs.features == ref.features
 
 
 class TestPruning:
@@ -177,5 +193,5 @@ class TestPruneOracle:
         assert 0 < len(pruned) < len(cs)
         assert len(pruned.features) == len(keep)
         assert all(f is cs.features[i] for f, i in zip(pruned.features, keep))
-        for name in _ARRAY_FIELDS:
+        for name in FEATURE_COLUMNS:
             np.testing.assert_array_equal(getattr(pruned, name), getattr(cs, name)[keep])

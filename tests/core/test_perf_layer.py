@@ -20,7 +20,7 @@ from repro.core.candidates import (
 )
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.objectives import Objective
-from repro.core.plan import TaskSpec
+from repro.core.plan import FEATURE_COLUMNS, TaskSpec
 
 
 def assert_plans_bitequal(a, b):
@@ -77,6 +77,17 @@ class TestCandidateCache:
         assert sliced.features == rebuilt.features
         np.testing.assert_array_equal(sliced.dev_flops, rebuilt.dev_flops)
         np.testing.assert_array_equal(sliced.wire_bytes_sq, rebuilt.wire_bytes_sq)
+
+    def test_appended_matches_list_rebuild(self, small_candidates):
+        cs = small_candidates[0]
+        extra = small_candidates[1].features[0]
+        grown = cs.appended(extra)
+        rebuilt = CandidateSet(cs.task, cs.features + [extra])
+        assert grown.features == rebuilt.features and grown.task is cs.task
+        for name in FEATURE_COLUMNS:
+            a, b = getattr(grown, name), getattr(rebuilt, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(cs) == len(grown) - 1  # the source set is unchanged
 
     def test_pruned_matches_quadratic_reference(self, small_candidates):
         cs = small_candidates[0]

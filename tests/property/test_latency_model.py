@@ -119,3 +119,64 @@ def test_scalar_twin_equals_vector_pass(case):
             include_queueing=case["queueing"], overload=case["overload"], risk=case["risk"],
         )
         assert priced.tobytes() == twin[j:j + 1].tobytes()
+
+
+@st.composite
+def placements(draw):
+    """A candidate set and k placements of it, all local or all on servers;
+    each placement parameter is drawn as one shared scalar or per row."""
+    case = draw(cases())
+    cluster, tasks = case["cluster"], _instance()[1]
+    k = draw(st.integers(1, 5))
+    local = case["s"] is None
+    rows = [
+        dict(
+            t=draw(st.integers(0, N_TASKS - 1)),
+            s=None if local else draw(st.integers(0, N_SERVERS - 1)),
+            x=draw(st.floats(1e-3, 1.0)),
+            y=draw(st.floats(1e-3, 1.0)),
+            rate=10.0 ** draw(st.floats(-2.0, 2.5)),
+        )
+        for _ in range(k)
+    ]
+    shared = {key: draw(st.booleans()) for key in ("t", "s", "x", "y", "rate")}
+    for key, same in shared.items():
+        if same:
+            for row in rows:
+                row[key] = rows[0][key]
+    for row in rows:
+        row["device"] = cluster.by_name(tasks[row["t"]].device_name)
+        if not local:
+            row["server"] = cluster.servers[row["s"]]
+            row["link"] = cluster.link(tasks[row["t"]].device_name, row["server"].name)
+    return case, rows, shared
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_broadcast_pass_equals_per_placement_calls(drawn):
+    case, rows, shared = drawn
+    cs, local = case["cs"], case["s"] is None
+
+    def arg(key, values):
+        return values[0] if shared[key] else values
+
+    kw = dict(risk=case["risk"], overload=case["overload"])
+    batch = dict(
+        device=arg("t", [r["device"] for r in rows]),
+        compute_share=arg("x", np.array([r["x"] for r in rows])),
+        bandwidth_share=arg("y", [r["y"] for r in rows]),
+        arrival_rate=arg("rate", [r["rate"] for r in rows]) if case["queueing"] else None,
+    )
+    if not local:
+        batch["server"] = arg("s", [r["server"] for r in rows])
+        batch["link"] = [r["link"] for r in rows]
+    vec = predicted_latency_vec(cs, **batch, **kw)
+    # a local pass reads no share, so per-row shares alone add no axis
+    vec = np.broadcast_to(vec, (len(rows), len(cs)))
+    for i, r in enumerate(rows):
+        one = predicted_latency_vec(
+            cs, r["device"], r.get("server"), r.get("link"), r["x"], r["y"],
+            arrival_rate=r["rate"] if case["queueing"] else None, **kw,
+        )
+        assert one.tobytes() == vec[i].tobytes()

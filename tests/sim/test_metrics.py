@@ -1,12 +1,15 @@
 """Metrics collection and reports."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.entities import RequestRecord
 from repro.sim.execution import ARR, COLS, COMPLETION, REQ, build_records, record_fields
-from repro.sim.metrics import SimulationReport
+from repro.sim.metrics import SimulationReport, TaskStats
 from repro.sim.runner import SimulationConfig
 
 
@@ -103,3 +106,15 @@ class TestReport:
     def test_summary_renders(self):
         s = self.make_report().summary()
         assert "t0" in s and "t1" in s and "miss" in s
+
+    def test_task_stats_are_slotted_values(self):
+        stats = self.make_report().per_task["t0"]
+        assert not hasattr(stats, "__dict__")
+        fields = dataclasses.asdict(stats)
+        assert list(fields) == [f.name for f in dataclasses.fields(TaskStats)]
+        assert fields["count"] == 2
+        assert TaskStats(**fields) == stats
+        assert TaskStats(**{**fields, "count": 3}) != stats
+        assert pickle.loads(pickle.dumps(stats)) == stats
+        with pytest.raises(AttributeError):
+            stats.note = "ad hoc"
