@@ -73,6 +73,12 @@ SIM_GATED_COUNTERS = ("requests", "records", "discarded_warmup", "events")
 #: candidate reads ~2.6× the columnar one.
 CANDIDATE_MEMORY_FACTOR = 1.25
 
+#: Ceiling on the sim suite's fault-free event-loop run's ``tracemalloc``
+#: peak bytes, as a multiple of the baseline.  The peak repeats run to run
+#: once the workload is warm; a loop that pre-schedules one heap event per
+#: arrival reads ~1.5× the fed one.
+EVENT_MEMORY_FACTOR = 1.25
+
 #: Offered load of the 1M-request probes (the horizon is derived from it).
 STREAM_TARGET_REQUESTS = 1_000_000
 #: Traffic cells of the stream suite's sharded fan-out.
@@ -436,9 +442,24 @@ def measure_solver() -> dict:
     }
 
 
+def _peak_bytes(fn: Callable) -> int:
+    """``tracemalloc`` peak bytes of one call of ``fn`` (warm caches: the
+    peak counts only what the call itself holds at once)."""
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def measure_sim() -> dict:
-    """Both engines on the fixed workload, interleaved best of 3, and the
-    fast-path ≡ event-loop report identity."""
+    """Both engines on the fixed workload, interleaved best of 3, the
+    fast-path ≡ event-loop report identity, and the event loop's
+    ``tracemalloc`` peak."""
     tasks, plan, cluster, cfg = _sim_workload()
     event_cfg = replace(cfg, faults=FaultSchedule())
     runs = rounds(
@@ -452,6 +473,7 @@ def measure_sim() -> dict:
         "workload": "smart_city x16 tasks, 20s horizon, seed 0",
         "sim_s": sim_s,
         "event_s": event_s,
+        "event_peak_bytes": _peak_bytes(lambda: simulate_plan(tasks, plan, cluster, event_cfg)),
         "paths_equal": _equal(fast, event, REPORT_FIELDS),
         "counters": _sim_counters(fast.counters),
     }
@@ -738,6 +760,8 @@ def sim_rows(a) -> list:
     return [
         Contract("holds", "paths_equal", "fast-path report == event-loop report (fixed seed)"),
         Contract("max", "sim_s", "fast-path sim_s, best of 3", a.factor, "sim_s"),
+        Contract("max", "event_peak_bytes", "fault-free event-loop run, tracemalloc peak bytes",
+                 EVENT_MEMORY_FACTOR, "event_peak_bytes"),
         *_sim_counter_rows("counters"),
     ]
 

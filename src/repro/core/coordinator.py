@@ -395,30 +395,31 @@ class _PositionResolver:
     The candidate pipeline rebinds one cached set per template to every
     task, so thousands of :class:`CandidateSet` objects share a handful of
     ``features`` *list* objects.  Indexing each distinct list once (keyed by
-    list identity) makes a full-plan stitch O(tasks + templates ×
-    candidates) instead of O(tasks × candidates).  Resolution order: first
-    identity match, else first equality match, else None (caller appends
-    the refined feature row).
+    list identity), by element identity and by value (:class:`PlanFeatures`
+    is frozen, so hashable), makes a full-plan stitch O(tasks + templates ×
+    candidates) instead of O(tasks × candidates), refined plans equal to an
+    enumerated one included.  Resolution order: first identity match, else
+    first equality match, else None (caller appends the refined feature
+    row).
     """
 
     def __init__(self) -> None:
-        self._maps: Dict[int, Dict[int, int]] = {}
+        # per features list: (identity map, value map), first position each
+        self._maps: Dict[int, Tuple[Dict[int, int], Dict[PlanFeatures, int]]] = {}
 
     def resolve(self, cs: CandidateSet, feats) -> Optional[int]:
         key = id(cs.features)
-        pmap = self._maps.get(key)
-        if pmap is None:
-            pmap = {}
+        maps = self._maps.get(key)
+        if maps is None:
+            by_id: Dict[int, int] = {}
+            by_value: Dict[PlanFeatures, int] = {}
             for j, f in enumerate(cs.features):
-                pmap.setdefault(id(f), j)
-            self._maps[key] = pmap
-        j = pmap.get(id(feats))
-        if j is not None:
-            return j
-        try:
-            return cs.features.index(feats)
-        except ValueError:
-            return None
+                by_id.setdefault(id(f), j)
+                by_value.setdefault(f, j)
+            self._maps[key] = maps = (by_id, by_value)
+        by_id, by_value = maps
+        j = by_id.get(id(feats))
+        return j if j is not None else by_value.get(feats)
 
 
 def _shard_placements(

@@ -10,10 +10,12 @@ Requests are not realized here: each task's rows come from the sweep's
 realizer (:class:`~repro.sim.execution.TaskRealizer`) before the run, cut at
 every :class:`~repro.faults.policy.PlanUpdate` time so the requests arriving
 under plan generation *k* take generation *k*'s realization table, and the
-loop replays them request by request.  Completions are written back into
-the rows, which become records and the windowed SLO feed through the
-sweep's builder (:func:`~repro.sim.execution.record_fields`), in completion
-order.
+loop replays them request by request.  Arrivals reach the loop as one
+column sorted by time (:meth:`~repro.sim.engine.Simulator.feed`), not as
+heap events, so the heap holds only the requests in flight.  Completions
+are logged as columns and written back into the rows, which become records
+and the windowed SLO feed through the sweep's builder
+(:func:`~repro.sim.execution.record_fields`), in completion order.
 
 On top of the plain device → uplink → server → downlink pipeline, it carries
 the :class:`~repro.faults.schedule.FaultSchedule` as data — resolved once
@@ -42,8 +44,7 @@ checked before the report is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +121,32 @@ def _degrade_profile(model: MultiExitModel, splan: SurgeryPlan) -> _DegradeProfi
     return _DegradeProfile(
         on_device_pos=pos, competence=float(model.competences[kept][pos])
     )
+
+
+def _arrival_feed(
+    parts: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
+    launch: Callable[[int, int, int], None],
+) -> Tuple[np.ndarray, Callable[[int], None]]:
+    """The event loop's arrival feed: times ascending and their ``fire``.
+
+    ``parts`` holds ``(task, generation, request ids, arrival times)`` in
+    scheduling order.  A stable sort by arrival time keeps that order among
+    simultaneous arrivals; ``fire(c)`` launches the ``c``-th arrival with
+    plain Python ints.  The columns live in ``fire`` alone, so they go when
+    the simulator drops a drained feed.
+    """
+    tasks, gens, reqs, arrivals = zip(*parts)
+    sizes = [a.size for a in arrivals]
+    arrival = np.concatenate(arrivals)
+    order = np.argsort(arrival, kind="stable")
+    task = np.repeat(np.array(tasks, dtype=np.intp), sizes)[order]
+    gen = np.repeat(np.array(gens, dtype=np.intp), sizes)[order]
+    req = np.concatenate(reqs)[order]
+
+    def fire(c: int) -> None:
+        launch(task.item(c), gen.item(c), req.item(c))
+
+    return arrival[order], fire
 
 
 def simulate_with_faults(
@@ -241,12 +268,11 @@ def simulate_with_faults(
     # (see the arrivals below); completions write their times and busy
     # columns back into it.  Difficulties stay beside the rows for the
     # degrade path.
-    task_rows: List[np.ndarray] = []
+    task_rows: List[Optional[np.ndarray]] = []
     task_difficulty: List[np.ndarray] = []
-    # completion order: (task index, request id, degraded) per completion
-    done_task: List[int] = []
-    done_req: List[int] = []
-    done_degraded: List[bool] = []
+    # completion n's (task index, request id, degraded) is entry n of the
+    # ``done_*`` columns, sized once the requests are realized
+    n_done = 0
 
     # -- request lifecycle ----------------------------------------------------
     class _Flight:
@@ -280,6 +306,7 @@ def simulate_with_faults(
             net_busy: float,
             degraded: bool = False,
         ) -> None:
+            nonlocal n_done
             name, req_id, row = self.task.name, self.req_id, self.row
             if rec is not None:
                 rec.event(completion, "exit_taken", name, req_id, value=row[POS])
@@ -290,9 +317,10 @@ def simulate_with_faults(
             task_rows[self.tidx][req_id, COMPLETION:] = (
                 completion, dev_busy, net_busy, srv_busy
             )
-            done_task.append(self.tidx)
-            done_req.append(req_id)
-            done_degraded.append(degraded)
+            done_task[n_done] = self.tidx
+            done_req[n_done] = req_id
+            done_degraded[n_done] = degraded
+            n_done += 1
             if degraded and wm is not None and row[ARR] >= cfg.warmup_s:
                 wm.mark(name, completion, "degraded")
 
@@ -511,12 +539,15 @@ def simulate_with_faults(
     # -- arrivals -------------------------------------------------------------
     # each task's requests are realized segment by segment, cut at every plan
     # update: the requests arriving under plan generation k take generation
-    # k's realization table (shed segments keep only their arrivals).  They
-    # are scheduled task by task in request order, before the run: arrival
-    # events hold the lowest sequence numbers, which the sweep's record
-    # order encodes.
+    # k's realization table (shed segments keep only their arrivals).  The
+    # (task, generation, request, arrival) columns are collected task by
+    # task, generation by generation, in request order; one stable sort by
+    # arrival time makes them the loop's feed, so arrivals at one instant
+    # fire in that order and ahead of any request stage due then, the order
+    # the sweep's records encode.
     tables: Dict[Tuple[int, SurgeryPlan], RealizationTable] = {}
     total = 0
+    parts: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
     for i, t in enumerate(tasks):
         realizer = TaskRealizer(t, cfg)
         rows_parts, diff_parts = [], []
@@ -529,8 +560,7 @@ def simulate_with_faults(
             else:
                 table = shared_table(tables, t.model, p.features[t.name].plan)
                 rows = realizer.rows(table, req_id, arrival, difficulty)
-            for j, at in zip(req_id.tolist(), arrival.tolist()):
-                sim.schedule_at(at, partial(launch, i, k, j))
+            parts.append((i, k, req_id, arrival))
             rows_parts.append(rows)
             diff_parts.append(difficulty)
         task_rows.append(np.concatenate(rows_parts))
@@ -539,6 +569,11 @@ def simulate_with_faults(
     if total == 0:
         raise SimulationError("no requests generated; horizon or rates too small")
 
+    done_task = np.empty(total, dtype=np.intp)
+    done_req = np.empty(total, dtype=np.intp)
+    done_degraded = np.empty(total, dtype=bool)
+    sim.feed(*_arrival_feed(parts, launch))
+    del parts  # the feed holds its own sorted columns
     sim.run()
 
     utils = {r.name: r.utilization(cfg.horizon_s) for r in device_res.values()}
@@ -548,23 +583,22 @@ def simulate_with_faults(
             if tr.standby is not None:
                 utils[tr.standby.srv.name] = tr.standby.srv.utilization(cfg.horizon_s)
 
-    # completed rows in completion order; the per-task rows go before the
-    # records are built
-    task_of = np.array(done_task, dtype=np.intp)
-    req_of = np.array(done_req, dtype=np.intp)
-    done_rows = np.empty((task_of.size, len(COLS)))
-    for i, rows in enumerate(task_rows):
-        sel = task_of == i
-        done_rows[sel] = rows[req_of[sel]]
-    task_rows.clear()
+    # completed rows in completion order; each task's rows go once gathered,
+    # so they are never live beside all the gathered rows and the records
     task_difficulty.clear()
+    task_of, req_of = done_task[:n_done], done_req[:n_done]
+    done_rows = np.empty((n_done, len(COLS)))
+    for i in range(len(task_rows)):
+        sel = task_of == i
+        done_rows[sel] = task_rows[i][req_of[sel]]
+        task_rows[i] = None
     fields = record_fields(
         done_rows,
         task_of,
         [t.name for t in tasks],
         cfg.warmup_s,
         wm,
-        degraded=np.array(done_degraded, dtype=bool),
+        degraded=done_degraded[:n_done],
     )
     del done_rows
     records = build_records(fields)

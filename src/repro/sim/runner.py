@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -308,22 +306,27 @@ def run_replications(
 
 
 #: Failures that mean the process pool itself could not run (no fork or
-#: semaphores in a sandbox, a killed worker, an unpicklable job).  Anything
-#: else a job raises is a real error and propagates.
-_POOL_FAILURES = (OSError, NotImplementedError, BrokenProcessPool, pickle.PicklingError)
+#: semaphores in a sandbox, an unpicklable job; ``_fan_out`` adds a killed
+#: worker's ``BrokenProcessPool``).  Anything else a job raises is a real
+#: error and propagates.
+_POOL_FAILURES = (OSError, NotImplementedError, pickle.PicklingError)
 
 
 def _fan_out(jobs, workers: int, telemetry: bool) -> List[SimulationReport]:
     """Run simulation jobs on a process pool, serially when unavailable.
 
     Each fallback to serial warns and counts ``sim.pool.fallbacks`` in the
-    process-wide metrics registry.
+    process-wide metrics registry.  The pool's modules (``multiprocessing``,
+    ``socket``, ``subprocess``) load only when jobs fan out.
     """
     if workers > 1 and not telemetry and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_replication_worker, jobs))
-        except _POOL_FAILURES as exc:
+        except (*_POOL_FAILURES, BrokenProcessPool) as exc:
             get_registry().counter("sim.pool.fallbacks").inc()
             warnings.warn(
                 f"simulation process pool unavailable ({type(exc).__name__}: "

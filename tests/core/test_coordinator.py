@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.candidates import build_candidates
-from repro.core.coordinator import ShardedResult, solve_sharded
+from repro.core.candidates import CandidateSet, build_candidates
+from repro.core.coordinator import ShardedResult, _PositionResolver, solve_sharded
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.errors import ConfigError
 from repro.telemetry.metrics import MetricsRegistry
@@ -18,6 +18,35 @@ from repro.workloads.scenarios import build_scenario
 def medium_instance():
     cluster, tasks = build_scenario("smart_city", num_tasks=24, num_servers=4, seed=3)
     return cluster, tasks, [build_candidates(t) for t in tasks]
+
+
+class TestPositionResolver:
+    def test_identity_then_first_equal_then_none(self, medium_instance):
+        _, tasks, cands = medium_instance
+        f0, f1 = cands[0].features[:2]
+        twin = dataclasses.replace(f1)
+        cs = CandidateSet(tasks[0], [f0, f1, twin])
+        resolver = _PositionResolver()
+        assert resolver.resolve(cs, twin) == 2  # identity beats an earlier equal
+        assert resolver.resolve(cs, dataclasses.replace(twin)) == 1
+        assert resolver.resolve(cs, f0) == 0
+        outside = dataclasses.replace(f0, accuracy=f0.accuracy / 2)
+        assert resolver.resolve(cs, outside) is None
+
+    def test_value_lookup_makes_no_equality_scan(self, medium_instance, monkeypatch):
+        _, tasks, cands = medium_instance
+        cs = cands[0]
+        resolver = _PositionResolver()
+        resolver.resolve(cs, cs.features[0])  # index the list
+        last = dataclasses.replace(cs.features[-1])
+        expected = cs.features.index(last)
+        calls = []
+        eq = type(last).__eq__
+        monkeypatch.setattr(
+            type(last), "__eq__", lambda a, b: calls.append(1) or eq(a, b)
+        )
+        assert resolver.resolve(cs, last) == expected
+        assert len(calls) <= 1  # one hash hit, not a scan of the list
 
 
 class TestConfig:

@@ -1,6 +1,8 @@
 """Deterministic replication fan-out: serial == parallel, rep 0 == plain run."""
 
+import concurrent.futures
 import dataclasses
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -89,7 +91,7 @@ class TestPoolFallback:
 
         fallbacks = get_registry().counter("sim.pool.fallbacks")
         serial = run_replications(small_tasks, solved, small_cluster, base_cfg)
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         before = fallbacks.value
         with pytest.warns(RuntimeWarning, match="OSError: no semaphores"):
             pooled = run_replications(
@@ -97,6 +99,33 @@ class TestPoolFallback:
                 dataclasses.replace(base_cfg, sim_workers=2),
             )
         assert fallbacks.value == before + 1
+        assert len(pooled) == len(serial)
+        for s, p in zip(serial, pooled):
+            assert_reports_identical(s, p)
+
+    def test_broken_pool_warns_and_runs_serially(
+        self, small_cluster, small_tasks, solved, base_cfg, monkeypatch
+    ):
+        class BrokenPool:
+            def __init__(self, *a, **k):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                raise BrokenProcessPool("worker killed")
+
+        serial = run_replications(small_tasks, solved, small_cluster, base_cfg)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool: worker killed"):
+            pooled = run_replications(
+                small_tasks, solved, small_cluster,
+                dataclasses.replace(base_cfg, sim_workers=2),
+            )
         assert len(pooled) == len(serial)
         for s, p in zip(serial, pooled):
             assert_reports_identical(s, p)
@@ -118,7 +147,7 @@ class TestPoolFallback:
                 raise ValueError("job failed")
 
         calls = []
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
         monkeypatch.setattr(
             runner_mod, "_replication_worker", lambda job: calls.append(job)
         )

@@ -4,7 +4,8 @@ Both are blocked in a fresh interpreter (``sys.modules[name] = None`` makes
 any import of them, or of a submodule, fail).  The package and its CLI are
 imported, then a preset scenario is built, solved, simulated in streaming
 mode with SLO windows and evaluated against an SLO policy, in-process and
-through the CLI.  The difficulty presets' Beta pdf grids ship as a table, so
+through the CLI; none of it fans out, so ``multiprocessing`` stays unloaded
+too.  The difficulty presets' Beta pdf grids ship as a table, so
 no step loads SciPy; only custom difficulty distributions, ``cdf``, the
 Gaussian risk buffer, service-time jitter and confidence intervals need
 ``scipy.special``.
@@ -52,6 +53,8 @@ assert repro.cli.main([
     "--streaming", "--window-s", "0.5", "--slo-target", "0.9",
 ]) == 0
 assert loaded("scipy") == [], loaded("scipy")
+# the simulation process pool loads only when jobs fan out
+assert loaded("multiprocessing") == [], loaded("multiprocessing")
 print("LEAN-OK")
 """
 
