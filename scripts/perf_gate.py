@@ -79,6 +79,17 @@ CANDIDATE_MEMORY_FACTOR = 1.25
 #: arrival reads ~1.5× the fed one.
 EVENT_MEMORY_FACTOR = 1.25
 
+#: Ceiling on the stream suite's multi-window streaming run's ``tracemalloc``
+#: peak bytes, as a multiple of the baseline.  The peak repeats run to run;
+#: arrival refills of 8192 gaps pinned behind each stream's leftover read
+#: ~1.9× the window-sized, owned ones.
+WINDOW_MEMORY_FACTOR = 1.25
+#: The multi-window streaming run: the sim workload over 1000 s in
+#: 4096-request realization windows (~256 arrivals per task each), with
+#: 10 s SLO windows.
+WINDOW_RUN = dict(horizon_s=1000.0, chunk_size=4096)
+WINDOW_LAYOUT = WindowConfig(window_s=10.0, bin_s=2e-2)
+
 #: Offered load of the 1M-request probes (the horizon is derived from it).
 STREAM_TARGET_REQUESTS = 1_000_000
 #: Traffic cells of the stream suite's sharded fan-out.
@@ -502,6 +513,12 @@ def measure_stream() -> dict:
 
     serial_s, serial = cells(1)
     pooled_s, pooled = cells(min(STREAM_CELLS, max(cpus, 2)))
+
+    # what a long streaming run holds at once: the windows in flight
+    tasks, plan, cluster, cfg = _sim_workload()
+    window_cfg = replace(cfg, streaming=True, windows=WINDOW_LAYOUT, **WINDOW_RUN)
+    simulate_plan(tasks, plan, cluster, replace(window_cfg, horizon_s=cfg.horizon_s))  # warm
+    window_peak = _peak_bytes(lambda: simulate_plan(tasks, plan, cluster, window_cfg))
     return {
         "suite": "stream",
         "workload": (
@@ -531,6 +548,7 @@ def measure_stream() -> dict:
         "serial_cells_s": serial_s,
         "pooled_cells_s": pooled_s,
         "cell_pool_ratio": serial_s / pooled_s,
+        "window_peak_bytes": window_peak,
         "cpus": cpus,
     }
 
@@ -776,6 +794,9 @@ def stream_rows(a) -> list:
         Contract("min", "rss_ratio_vs_records",
                  "1M record-backed / streaming peak RSS, min / max of 2 probes each",
                  MIN_RSS_RATIO),
+        Contract("max", "window_peak_bytes",
+                 "multi-window streaming run, tracemalloc peak bytes",
+                 WINDOW_MEMORY_FACTOR, "window_peak_bytes"),
     ]
 
 

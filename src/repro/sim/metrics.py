@@ -27,6 +27,7 @@ quantiles are exact within one histogram bin, and ``records`` holds at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -135,6 +136,35 @@ class TaskStats:
     mean_queueing_s: float
 
 
+def lerp_percentiles(values: np.ndarray, qs: Sequence[float]) -> List[float]:
+    """``np.percentile(values, q)`` for each of ``qs``, bit for bit, over a
+    non-empty 1-D column.
+
+    ``np.percentile``'s (default, linear) interpolation imports ``numpy.ma``
+    through ``np.unique`` on first use; this is the same arithmetic without
+    it: the same partition of a copy (signed zeros land where NumPy puts
+    them), then NumPy's lerp rule, ``a + d·g``, or ``b - d·(1 - g)`` when
+    ``g ≥ 0.5``.
+    """
+    n = values.size
+    out = []
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile {q} outside [0, 100]")
+        v = (n - 1) * (q / 100)
+        # NumPy reads the maximum (index -1) from v = n - 1 on
+        lo = -1 if v >= n - 1 else math.floor(v)
+        hi = -1 if lo == -1 else lo + 1
+        part = np.partition(values, sorted({0, -1, lo, hi}))
+        if np.isnan(part[-1]):  # NaN sorts last and wins
+            out.append(float(part[-1]))
+            continue
+        a, b, g = part[lo], part[hi], v - lo
+        d = b - a
+        out.append(float(b - d * (1 - g) if g >= 0.5 else a + d * g))
+    return out
+
+
 class StreamingStats(TaskColumns):
     """Columnar metrics accumulator for the chunked streaming sweep.
 
@@ -177,7 +207,7 @@ class StreamingStats(TaskColumns):
         self.bin_s = bin_s
         self.max_s = max_s
         self.max_records = max_records
-        self._init_columns()
+        self._init_columns(key_space=self.n_bins)
         self.reservoir: List[RequestRecord] = []
         self._seen = 0  # completions offered to the reservoir so far
         self._rng = derive(seed, "reservoir") if max_records > 0 else None
@@ -399,12 +429,13 @@ class SimulationReport:
         for k in np.argsort(first, kind="stable"):
             sel = groups[k]
             tl = lat[sel]
+            p50, p95, p99 = lerp_percentiles(tl, (50, 95, 99))
             report.per_task[table.names[codes[k]]] = TaskStats(
                 count=int(sel.size),
                 mean_latency_s=float(tl.mean()),
-                p50_latency_s=float(np.percentile(tl, 50)),
-                p95_latency_s=float(np.percentile(tl, 95)),
-                p99_latency_s=float(np.percentile(tl, 99)),
+                p50_latency_s=p50,
+                p95_latency_s=p95,
+                p99_latency_s=p99,
                 max_latency_s=float(tl.max()),
                 miss_rate=float(np.mean(~met[sel])),
                 accuracy=float(np.mean(table.correct[sel])),
@@ -490,7 +521,7 @@ class SimulationReport:
         if self.stream is not None:
             return self.stream.quantile(q)
         lat = self.latencies()
-        return float(np.percentile(lat, q)) if lat.size else float("nan")
+        return lerp_percentiles(lat, (q,))[0] if lat.size else float("nan")
 
     @property
     def miss_rate(self) -> float:

@@ -61,7 +61,13 @@ NO_FAULTS = FaultWindows()
 
 class _Resource:
     """What compute and link queues share: the busy horizon, recorder
-    gauges and lazily applied fault windows."""
+    gauges and lazily applied fault windows.  Resources are slotted (no
+    instance ``__dict__``): a fleet run builds several per task."""
+
+    __slots__ = (
+        "name", "recorder", "_busy_until", "busy_time", "_inflight", "down", "speed",
+        "_faulty", "_next_down", "_down_end", "_next_speed",
+    )
 
     def __init__(
         self,
@@ -74,7 +80,8 @@ class _Resource:
         self.recorder = recorder
         self._busy_until = 0.0
         self.busy_time = 0.0  # total service time (utilization accounting)
-        self._inflight: List[float] = []  # finish times (recorder only)
+        # finish times of jobs in flight, kept only for a recorder's gauges
+        self._inflight: Optional[List[float]] = [] if recorder is not None else None
         for kind, windows in (("down", down), ("slowed", speed)):
             last = -math.inf
             for start, end, *factor in windows:
@@ -94,16 +101,12 @@ class _Resource:
         self._down_end: Optional[float] = None  # end of the open outage
         self._next_speed = 0  # first speed window not yet closed
 
-    def depth(self, now: float) -> int:
-        """Jobs submitted but not yet finished (tracked only with a recorder)."""
-        self._inflight = [f for f in self._inflight if f > now]
-        return len(self._inflight)
-
     def _observe(self, now: float, finish: float) -> None:
-        rec = self.recorder
-        assert rec is not None
-        self._inflight.append(finish)
-        rec.sample(f"sim.queue_depth.{self.name}", now, self.depth(now))
+        rec, inflight = self.recorder, self._inflight
+        assert rec is not None and inflight is not None
+        inflight.append(finish)
+        self._inflight = inflight = [f for f in inflight if f > now]
+        rec.sample(f"sim.queue_depth.{self.name}", now, len(inflight))
         if now > 0:
             rec.sample(f"sim.utilization.{self.name}", now, min(1.0, self.busy_time / now))
 
@@ -229,6 +232,8 @@ def _sequential_total(initial: float, values: np.ndarray) -> float:
 class FifoResource(_Resource):
     """Single FIFO server with a fixed service rate (FLOP/s or B/s)."""
 
+    __slots__ = ("rate", "overhead_s", "jobs")
+
     def __init__(
         self,
         name: str,
@@ -313,6 +318,8 @@ class LinkResource(_Resource):
     bandwidth over ``[t, finish]`` equals the transfer size — computed
     exactly by walking the piecewise-constant segments.
     """
+
+    __slots__ = ("bandwidth_bps", "rtt_s", "share", "trace", "transfers")
 
     def __init__(
         self,

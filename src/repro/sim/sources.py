@@ -9,6 +9,12 @@ Each generated process has one generator, its :class:`ArrivalStream`:
 ``generate`` and :func:`arrival_times` drain the stream to the horizon, and
 both simulator engines read it window by window (:func:`arrival_stream`),
 so every consumer sees the same arrivals bit for bit.
+
+A stream holds only the window in flight: each refill draws about what the
+requested window needs (at most :attr:`ArrivalStream.BLOCK` values), and
+the arrivals past the window end are kept as an owned copy, so a live
+stream pins at most one refill's leftover, never a whole refill.  Piece
+sizes never change the values.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from repro.rng import SeedLike, as_generator
 
 
 def oneshot_block(rate: float, horizon_s: float) -> int:
-    """Gaps per summation block of a Poisson stream: the expected arrival
-    count over the horizon plus 20% and a margin, so one block usually
-    covers the horizon."""
+    """The expected arrival count over ``horizon_s`` plus 20% and a margin:
+    the gaps per summation block of a Poisson stream (one block usually
+    covers the horizon) and the size of a refill that usually covers a
+    window of that length."""
     return max(16, int(rate * horizon_s * 1.2) + 16)
 
 
@@ -151,9 +158,15 @@ class ArrivalStream:
     every running sum is carried across refills.
 
     Subclasses implement :meth:`_refill`, which returns the next piece of
-    arrivals (possibly empty) and sets ``_exhausted`` once no arrival before
-    the horizon is left.
+    arrivals (possibly empty), sized for the window ending at ``t_end``,
+    and sets ``_exhausted`` once no arrival before the horizon is left.
+    The arrivals past ``t_end`` wait in ``_buffer``, an owned copy, so the
+    stream keeps no refill alive once its window is taken.
     """
+
+    #: largest refill in values; any value yields the same arrivals, this
+    #: one caps a refill of a high-rate stream or a long window
+    BLOCK = 8192
 
     def __init__(self, horizon_s: float) -> None:
         if horizon_s <= 0:
@@ -163,7 +176,7 @@ class ArrivalStream:
         self._cursor = 0.0  # previous window boundary
         self._exhausted = False
 
-    def _refill(self) -> np.ndarray:  # pragma: no cover - abstract
+    def _refill(self, t_end: float) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def take_until(self, t_end: float) -> np.ndarray:
@@ -173,16 +186,19 @@ class ArrivalStream:
                 f"window end {t_end:.6g} precedes cursor {self._cursor:.6g}"
             )
         t_end = min(t_end, self.horizon_s)
-        parts = [self._buffer]
+        parts = [self._buffer] if self._buffer.size else []
         last = self._buffer[-1] if self._buffer.size else -np.inf
         while not self._exhausted and last < t_end:
-            piece = self._refill()
+            piece = self._refill(t_end)
             if piece.size:
                 parts.append(piece)
                 last = piece[-1]
-        buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(parts) > 1:
+            buf = np.concatenate(parts)
+        else:
+            buf = parts[0] if parts else self._buffer
         split = int(np.searchsorted(buf, t_end, side="left"))
-        self._buffer = buf[split:]
+        self._buffer = buf[split:].copy()  # a view would pin all of buf
         self._cursor = t_end
         return buf[:split]
 
@@ -190,16 +206,13 @@ class ArrivalStream:
 class PoissonStream(ArrivalStream):
     """Poisson arrivals: cumulative sums of exponential gaps.
 
-    Gaps are summed in blocks of :func:`oneshot_block` gaps, each block
-    starting from the previous block's last arrival, and a block is drawn in
-    pieces of at most :attr:`BLOCK` gaps with its running sum carried from
-    piece to piece — so a piece's sums are the sequential sums of the whole
-    block, and the arrivals are the same for any piece size.
+    Gaps are summed in blocks of :func:`oneshot_block` gaps over the
+    horizon, each block starting from the previous block's last arrival,
+    and a block is drawn in pieces — about the window's expected count,
+    at most :attr:`BLOCK` gaps — with its running sum carried from piece to
+    piece, so a piece's sums are the sequential sums of the whole block,
+    and the arrivals are the same for any piece size.
     """
-
-    #: largest refill in gaps; any value yields the same arrivals, this one
-    #: caps the buffer of a high-rate stream while amortizing call overhead
-    BLOCK = 8192
 
     def __init__(self, rate: float, horizon_s: float, seed: SeedLike = None) -> None:
         if rate <= 0:
@@ -213,11 +226,12 @@ class PoissonStream(ArrivalStream):
         self._sum = 0.0  # running gap sum of the current block
         self._last = 0.0  # last generated arrival
 
-    def _refill(self) -> np.ndarray:
+    def _refill(self, t_end: float) -> np.ndarray:
         if self._left == 0:
             # a new block starts from the last arrival
             self._start, self._left, self._sum = self._last, self._block, 0.0
-        gaps = self._rng.exponential(1.0 / self.rate, size=min(self.BLOCK, self._left))
+        size = min(self.BLOCK, self._left, oneshot_block(self.rate, t_end - self._last))
+        gaps = self._rng.exponential(1.0 / self.rate, size=size)
         self._left -= gaps.size
         # the carried sum joins the first gap: cumsum then adds in the same
         # order as one cumsum over the whole block
@@ -227,6 +241,11 @@ class PoissonStream(ArrivalStream):
         times = self._start + sums
         self._last = float(times[-1])
         self._exhausted = self._last >= self.horizon_s
+        if self._exhausted:
+            # draw out the block: the stream then consumes whole blocks, so
+            # its generator ends where the one-shot's does, whatever the windows
+            while self._left:
+                self._left -= self._rng.exponential(size=min(self.BLOCK, self._left)).size
         return times
 
 
@@ -241,10 +260,12 @@ class DeterministicStream(ArrivalStream):
         self.rate = rate
         self._next = 1  # next arrival index (arrival k occurs at k/rate)
 
-    def _refill(self) -> np.ndarray:
+    def _refill(self, t_end: float) -> np.ndarray:
         period = 1.0 / self.rate
         last = int(np.floor(self.horizon_s / period))
-        hi = min(self._next + 8192, last + 1)
+        # through the first index at or past t_end, at least one arrival
+        want = max(int(t_end * self.rate) + 2, self._next + 1)
+        hi = min(self._next + self.BLOCK, want, last + 1)
         times = np.arange(self._next, hi) * period
         self._next = hi
         self._exhausted = hi > last
@@ -256,7 +277,8 @@ class MMPPStream(ArrivalStream):
 
     Each phase draws one exponential holding time, then per-arrival gaps
     one at a time, discarding the overshoot draw that crosses the phase
-    boundary.
+    boundary.  A phase is the unit of its draws, so a refill is one whole
+    phase whatever the window (phases last seconds, not windows).
     """
 
     def __init__(self, process: MMPPArrivals, horizon_s: float, seed: SeedLike = None) -> None:
@@ -266,7 +288,8 @@ class MMPPStream(ArrivalStream):
         self._t = 0.0
         self._high = bool(self._rng.integers(2))
 
-    def _refill(self) -> np.ndarray:
+    def _refill(self, t_end: float) -> np.ndarray:
+        del t_end
         p = self.process
         out = []
         # one phase per refill: the arrivals of a phase share one rate

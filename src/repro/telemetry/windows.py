@@ -7,12 +7,16 @@ a handful of integer arrays, cheap enough to update from a million-request
 streaming sweep and exact enough to drive SLO monitoring.  The state is
 columnar: every per-window counter is one ``[n_tasks, n_windows]`` plane
 with a row per task, so a task costs its plane rows and no per-task object.
+The three fault-mark planes are allocated on the run's first mark of their
+kind; until then they read as zeros, so a fault-free run holds none.
 The per-window latency histograms are stored sparsely — each task's
-non-zero ``(window, bin)`` cells, as sorted int64 keys
-``window·n_bins + bin`` with their counts — so their memory follows the
-cells the run actually fills, not the ``n_windows × n_bins`` plane, and a
-fold copies only the folded task's cells.  A streaming run's windowed state
-is therefore O(tasks × windows) in planes plus O(filled cells).
+non-zero ``(window, bin)`` cells, as sorted int32 keys
+``window·n_bins + bin`` (the per-task cell guard keeps them below 2³¹;
+:meth:`~TaskColumns.cells` reads them as int64) with their int64 counts — so
+their memory follows the cells the run actually fills, not the
+``n_windows × n_bins`` plane, and a fold copies only the folded task's
+cells.  A streaming run's windowed state is therefore O(tasks × windows)
+in planes plus O(filled cells).
 
 Design contract (the basis of the gate's bit-identity check):
 
@@ -52,6 +56,9 @@ MARK_KINDS = ("lost", "shed", "degraded")
 #: many int64 cells per task (planes store only non-zero cells, but
 #: ``dense_hist`` expands the whole plane, so this bounds its worst case)
 _MAX_CELLS_PER_TASK = 4_000_000
+#: cell keys are stored as int32 when every key of the layout fits
+_KEY32_MAX = int(np.iinfo(np.int32).max)
+assert _MAX_CELLS_PER_TASK <= _KEY32_MAX  # window-histogram keys are int32
 
 
 class KahanSum:
@@ -272,9 +279,11 @@ def kahan_fold(
     total[at] = t
 
 
-#: the cells of a task with none yet: one shared, read-only empty array
+#: the cells of a task with none yet: shared, read-only empty arrays (keys
+#: of either width, int64 counts)
 _NO_CELLS = np.zeros(0, dtype=np.int64)
-_NO_CELLS.flags.writeable = False
+_NO_KEYS32 = np.zeros(0, dtype=np.int32)
+_NO_CELLS.flags.writeable = _NO_KEYS32.flags.writeable = False
 
 
 class TaskColumns:
@@ -283,25 +292,36 @@ class TaskColumns:
     Each task owns one row, numbered in first-seen order, of every array
     named in ``_COLUMNS`` (``[capacity, *width]`` arrays; the capacity
     doubles as tasks arrive) and one entry of two per-task lists: its
-    sparse cells' sorted non-zero int64 keys and their counts.  A task thus
-    costs its column rows and its cells, with no per-task object, and a
-    fold into one task copies only that task's cells.
+    sparse cells' sorted non-zero keys and their int64 counts.  Keys are
+    int32 when the key space given to :meth:`_init_columns` fits, else
+    int64; :meth:`cells` reads them as int64 either way.  The int64
+    columns named in ``_LAZY_COLUMNS`` are allocated on their first write
+    (:meth:`_lazy`); until then every row of one reads as zeros.  A task
+    thus costs its column rows and its cells, with no per-task object, and
+    a fold into one task copies only that task's cells.
     """
 
-    __slots__ = ("_rows", "_keys", "_cells")
+    __slots__ = ("_rows", "_keys", "_cells", "_no_keys")
 
     #: ``(attribute, fill)`` of every column: the value a new row starts at
     #: (an int fill makes an int64 column, a float fill a float64 one)
     _COLUMNS: Tuple[Tuple[str, Union[int, float]], ...] = ()
+    #: int64 columns (fill 0) that stay ``None`` until first written
+    _LAZY_COLUMNS: Tuple[str, ...] = ()
 
-    def _init_columns(self, *width: int) -> None:
+    def _init_columns(self, *width: int, key_space: int) -> None:
+        """Empty columns of row shape ``width``; cell keys lie in
+        ``[0, key_space)``."""
         #: task name -> row of every column and of the cell lists
         self._rows: Dict[str, int] = {}
         self._keys: List[np.ndarray] = []
         self._cells: List[np.ndarray] = []
+        self._no_keys = _NO_KEYS32 if key_space <= _KEY32_MAX else _NO_CELLS
         for name, fill in self._COLUMNS:
             dtype = np.float64 if isinstance(fill, float) else np.int64
             setattr(self, name, np.full((0, *width), fill, dtype=dtype))
+        for name in self._LAZY_COLUMNS:
+            setattr(self, name, None)
 
     def _row(self, task: str) -> int:
         """``task``'s row, added (columns at their fill, no cells) if new."""
@@ -309,14 +329,32 @@ class TaskColumns:
         if r is None:
             r = self._rows[task] = len(self._rows)
             if r == getattr(self, self._COLUMNS[0][0]).shape[0]:
-                for name, fill in self._COLUMNS:
+                fills = [*self._COLUMNS, *((n, 0) for n in self._LAZY_COLUMNS)]
+                for name, fill in fills:
                     old = getattr(self, name)
+                    if old is None:
+                        continue
                     grown = np.full((max(2 * r, 1), *old.shape[1:]), fill, dtype=old.dtype)
                     grown[:r] = old
                     setattr(self, name, grown)
-            self._keys.append(_NO_CELLS)
+            self._keys.append(self._no_keys)
             self._cells.append(_NO_CELLS)
         return r
+
+    def _lazy(self, name: str) -> np.ndarray:
+        """Lazy column ``name``, allocated (zeros, current capacity) if unwritten."""
+        col = getattr(self, name)
+        if col is None:
+            col = np.zeros(getattr(self, self._COLUMNS[0][0]).shape, dtype=np.int64)
+            setattr(self, name, col)
+        return col
+
+    def _lazy_row(self, name: str, r: int) -> np.ndarray:
+        """Row ``r`` of lazy column ``name``: zeros while it is unwritten."""
+        col = getattr(self, name)
+        if col is None:
+            return np.zeros(getattr(self, self._COLUMNS[0][0]).shape[1:], dtype=np.int64)
+        return col[r]
 
     def _fold_cells(self, r: int, keys: np.ndarray) -> None:
         """Count the (non-empty) ``keys`` into row ``r``'s cells."""
@@ -324,7 +362,7 @@ class TaskColumns:
         flat = np.bincount(keys - lo)
         nz = np.flatnonzero(flat)
         self._keys[r], self._cells[r] = add_cells(
-            self._keys[r], self._cells[r], nz + lo, flat[nz]
+            self._keys[r], self._cells[r], (nz + lo).astype(self._no_keys.dtype), flat[nz]
         )
 
     def _merge_rows(self, other: "TaskColumns") -> np.ndarray:
@@ -337,6 +375,10 @@ class TaskColumns:
         for name, fill in self._COLUMNS:
             if not isinstance(fill, float):
                 getattr(self, name)[rows] += getattr(other, name)[: rows.size]
+        for name in self._LAZY_COLUMNS:
+            theirs = getattr(other, name)
+            if theirs is not None:
+                self._lazy(name)[rows] += theirs[: rows.size]
         for r, o in zip(rows.tolist(), range(rows.size)):
             self._keys[r], self._cells[r] = add_cells(
                 self._keys[r], self._cells[r], other._keys[o], other._cells[o]
@@ -348,9 +390,9 @@ class TaskColumns:
         return sorted(self._rows)
 
     def cells(self, task: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``task``'s non-zero histogram cells: sorted keys and their counts."""
+        """``task``'s non-zero histogram cells: sorted int64 keys and their counts."""
         r = self._rows[task]
-        return self._keys[r], self._cells[r]
+        return self._keys[r].astype(np.int64, copy=False), self._cells[r]
 
 
 @dataclass(frozen=True)
@@ -395,11 +437,12 @@ class WindowedMetrics(TaskColumns):
 
     One instance covers one run.  Its state is columnar: each task owns one
     row (rows numbered in first-seen order) of ``[n_tasks, n_windows]``
-    planes — completions, deadline-met, fault marks, histogram overflow,
-    Kahan latency sums and maxima — plus the non-zero cells of its
-    ``[n_windows, n_bins]`` latency-histogram plane, keyed
-    ``window·n_bins + bin`` (:meth:`dense_hist` expands them).  A task costs its plane rows and its cells, with no
-    per-task object; a fold touches only the folded task's cells.
+    planes — completions, deadline-met, histogram overflow, Kahan latency
+    sums and maxima, and the fault marks once a run marks that kind — plus
+    the non-zero cells of its ``[n_windows, n_bins]`` latency-histogram
+    plane, keyed ``window·n_bins + bin`` (:meth:`dense_hist` expands them).
+    A task costs its plane rows and its cells, with no per-task object; a
+    fold touches only the folded task's cells.
     Completions arrive as NumPy columns (:meth:`observe`) from both
     simulator engines; fault outcomes one at a time (:meth:`mark`).
 
@@ -409,11 +452,16 @@ class WindowedMetrics(TaskColumns):
 
     #: the ``[n_tasks, n_windows]`` planes
     _COLUMNS = (
-        ("_counts", 0), ("_met", 0), ("_lost", 0), ("_shed", 0), ("_degraded", 0),
-        ("_overflow", 0), ("_lat_sum", 0.0), ("_lat_comp", 0.0), ("_lat_max", -np.inf),
+        ("_counts", 0), ("_met", 0), ("_overflow", 0),
+        ("_lat_sum", 0.0), ("_lat_comp", 0.0), ("_lat_max", -np.inf),
     )
+    #: the fault-mark planes, allocated on a run's first mark of their kind
+    _LAZY_COLUMNS = tuple("_" + kind for kind in MARK_KINDS)
 
-    __slots__ = ("config", "horizon_s", "n_windows", "n_bins", *(n for n, _ in _COLUMNS))
+    __slots__ = (
+        "config", "horizon_s", "n_windows", "n_bins", *(n for n, _ in _COLUMNS),
+        *_LAZY_COLUMNS,
+    )
 
     def __init__(self, config: WindowConfig, horizon_s: float) -> None:
         self.config = config
@@ -426,7 +474,7 @@ class WindowedMetrics(TaskColumns):
                 f"cells per task (> {_MAX_CELLS_PER_TASK}); widen window_s or "
                 "coarsen bin_s to keep streaming memory bounded"
             )
-        self._init_columns(self.n_windows)
+        self._init_columns(self.n_windows, key_space=self.n_windows * self.n_bins)
 
     # -- accumulation ---------------------------------------------------------
 
@@ -484,7 +532,7 @@ class WindowedMetrics(TaskColumns):
             raise ConfigError(f"unknown window mark kind {kind!r}; want {MARK_KINDS}")
         _checked_time(time_s, "mark times")
         r = self._row(task)
-        getattr(self, "_" + kind)[r, self._window_of(time_s)] += 1
+        self._lazy("_" + kind)[r, self._window_of(time_s)] += 1
 
     # -- merge / identity -----------------------------------------------------
 
@@ -522,9 +570,9 @@ class WindowedMetrics(TaskColumns):
         for task in self.tasks():
             r = self._rows[task]
             h.update(task.encode())
-            for arr in (self._counts[r], self._met[r], self._lost[r], self._shed[r],
-                        self._degraded[r], self.dense_hist(task), self._overflow[r],
-                        self._lat_max[r]):
+            lost, shed, degraded = (self._lazy_row(n, r) for n in self._LAZY_COLUMNS)
+            for arr in (self._counts[r], self._met[r], lost, shed, degraded,
+                        self.dense_hist(task), self._overflow[r], self._lat_max[r]):
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -557,12 +605,16 @@ class WindowedMetrics(TaskColumns):
     def window_errors(self, task: str) -> np.ndarray:
         """SLO errors per window: deadline misses + lost + shed requests."""
         r = self._rows[task]
-        return (self._counts[r] - self._met[r]) + self._lost[r] + self._shed[r]
+        return (self._counts[r] - self._met[r]) + self._dropped(r)
 
     def window_eligible(self, task: str) -> np.ndarray:
         """SLO denominator per window: completions + lost + shed requests."""
         r = self._rows[task]
-        return self._counts[r] + self._lost[r] + self._shed[r]
+        return self._counts[r] + self._dropped(r)
+
+    def _dropped(self, r: int) -> np.ndarray:
+        """Row ``r``'s lost + shed requests per window."""
+        return self._lazy_row("_lost", r) + self._lazy_row("_shed", r)
 
     def window_mean_latency_s(self, task: str) -> np.ndarray:
         """Per-window mean latency (NaN where a window saw no completions)."""
@@ -614,9 +666,7 @@ class WindowedMetrics(TaskColumns):
             tasks[task] = {
                 "counts": n.tolist(),
                 "met": met.tolist(),
-                "lost": self._lost[r].tolist(),
-                "shed": self._shed[r].tolist(),
-                "degraded": self._degraded[r].tolist(),
+                **{kind: self._lazy_row("_" + kind, r).tolist() for kind in MARK_KINDS},
                 "miss_rate": [None if np.isnan(x) else float(x) for x in miss],
                 "p99_s": [
                     None if np.isnan(x) else float(x)

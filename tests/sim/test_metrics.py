@@ -5,11 +5,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.entities import RequestRecord
 from repro.sim.execution import ARR, COLS, COMPLETION, REQ, build_records, record_fields
-from repro.sim.metrics import SimulationReport, TaskStats
+from repro.sim.metrics import SimulationReport, TaskStats, lerp_percentiles
 from repro.sim.runner import SimulationConfig
 
 
@@ -118,3 +120,40 @@ class TestReport:
         assert pickle.loads(pickle.dumps(stats)) == stats
         with pytest.raises(AttributeError):
             stats.note = "ad hoc"
+
+
+class TestLerpPercentiles:
+    """The record-backed percentile kernel is ``np.percentile``, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5, 1e-300]),
+            min_size=1, max_size=40,
+        ),
+        qs=st.lists(
+            st.floats(0.0, 100.0) | st.sampled_from([0, 50, 95, 99, 99.9, 100]),
+            min_size=1, max_size=4,
+        ),
+    )
+    @example(values=[1.0], qs=[0.0, 50.0, 100.0])
+    @example(values=[-0.0, -0.0], qs=[50.0])
+    @example(values=[3.0, 1.0, 2.0, 2.0], qs=[25.0, 99.0])
+    def test_equals_numpy_bit_for_bit(self, values, qs):
+        arr = np.array(values, dtype=np.float64)
+        got = np.array(lerp_percentiles(arr, qs))
+        want = np.array([float(np.percentile(arr, q)) for q in qs])
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(arr, np.array(values))  # the input is not reordered
+
+    def test_nan_wins_like_numpy(self):
+        arr = np.array([1.0, np.nan, 3.0])
+        assert np.isnan(lerp_percentiles(arr, (0, 50))).all()
+        assert np.isnan(np.percentile(arr, 50))
+
+    @pytest.mark.parametrize("q", [-1.0, 100.5, float("nan")])
+    def test_rejects_out_of_range(self, q):
+        with pytest.raises(ValueError):
+            lerp_percentiles(np.ones(3), (q,))
+        with pytest.raises(ValueError):
+            np.percentile(np.ones(3), q)

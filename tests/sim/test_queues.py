@@ -11,6 +11,7 @@ from repro.sim import SimulationConfig, simulate_plan
 from repro.sim.queues import (
     FifoResource, LinkResource, device_resources, slice_resources,
 )
+from repro.telemetry.timeline import TimelineRecorder
 
 
 class TestFifoResource:
@@ -134,3 +135,22 @@ class TestBuilders:
         )
         assert rep.timeline.events
         assert all(type(e.t_s) is float for e in rep.timeline.events)
+
+
+class TestSlots:
+    """A fleet run builds several resources per task: no instance ``__dict__``."""
+
+    def test_resources_have_no_instance_dict(self):
+        for res in (FifoResource("r", rate=1.0), LinkResource("l", bandwidth_bps=1.0)):
+            assert not hasattr(res, "__dict__")
+            with pytest.raises(AttributeError):
+                res.extra = 1.0
+
+    def test_inflight_list_only_with_a_recorder(self):
+        assert FifoResource("r", rate=1.0)._inflight is None
+        r = FifoResource("r", rate=1.0, recorder=TimelineRecorder())
+        r.submit(0.0, 2.0)
+        r.submit(0.5, 1.0)
+        assert r._inflight == [2.0, 3.0]
+        r.submit(2.5, 1.0)  # the first job finished at 2.0
+        assert r._inflight == [3.0, 4.0]

@@ -8,6 +8,9 @@
 - Per-task state is columns, and a task's stream lives only while its
   device group is swept, so a one-window run over many light tasks costs a
   few KiB per task.
+- An arrival stream refills about one window's arrivals and keeps only
+  the leftover past the window, as an owned copy, so a long multi-window
+  run holds about one window of arrivals per live task.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.sim import fastpath
 from repro.sim.runner import SimulationConfig, simulate_plan
+from repro.sim.sources import ArrivalStream
 from repro.telemetry.windows import WindowConfig
 from repro.workloads.scenarios import build_scenario
 
@@ -49,6 +53,29 @@ def test_streaming_sweep_peaks_below_one_window(sixteen_devices):
     assert rep.counters.requests >= 200_000
     window_bytes = cfg.chunk_size * len(fastpath.COLS) * 8
     assert peak < 0.5 * window_bytes, (peak, window_bytes)
+
+
+def test_multi_window_run_keeps_about_one_window_of_arrivals(sixteen_devices, monkeypatch):
+    cluster, tasks, plan = sixteen_devices
+    cfg = SimulationConfig(
+        horizon_s=1000.0, warmup_s=1.0, seed=0, streaming=True, chunk_size=4096,
+        windows=WindowConfig(window_s=10.0, bin_s=0.02),
+    )
+    kept = []  # bytes each take_until leaves its stream holding
+    take = ArrivalStream.take_until
+
+    def spy(self, t_end):
+        window = take(self, t_end)
+        buf = self._buffer
+        kept.append((buf if buf.base is None else buf.base).nbytes)
+        return window
+
+    monkeypatch.setattr(ArrivalStream, "take_until", spy)
+    rep = simulate_plan(tasks, plan, cluster, cfg)
+    window_arrivals = cfg.chunk_size / len(tasks)  # equal rates: one task's share
+    assert rep.counters.requests > 12 * cfg.chunk_size  # many windows
+    assert len(kept) > 12 * len(tasks)
+    assert max(kept) <= 2 * window_arrivals * 8, (max(kept), window_arrivals)
 
 
 @pytest.fixture(scope="module")

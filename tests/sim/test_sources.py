@@ -182,3 +182,51 @@ class TestStreamsAtAnyWindowEdges:
 
     def test_examples_cover_multi_piece_poisson_blocks(self):
         assert oneshot_block(1500.0, 6.0) > PoissonStream.BLOCK
+
+
+
+def _spy_refills(stream):
+    """Record the size of every non-empty piece ``stream`` refills."""
+    sizes = []
+    refill = stream._refill
+
+    def spy(t_end):
+        piece = refill(t_end)
+        if piece.size:
+            sizes.append(piece.size)
+        return piece
+
+    stream._refill = spy
+    return sizes
+
+
+class TestStreamsHoldOnlyTheWindowInFlight:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrival=st.sampled_from(["poisson", "deterministic", "mmpp"]),
+        rate=st.floats(0.05, 4000.0),
+        horizon=st.floats(0.5, 12.0),
+        edges=st.lists(st.floats(0.0, 1.0), max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    @example(arrival="poisson", rate=4000.0, horizon=12.0, edges=[0.01, 0.5, 0.93], seed=9)
+    def test_buffer_owns_at_most_one_refills_leftover(self, arrival, rate, horizon, edges, seed):
+        if arrival == "mmpp":
+            rate = min(rate, 300.0)  # the MMPP stream draws gap by gap
+        stream = arrival_stream(rate, horizon, arrival, 4.0, seed)
+        pieces = _spy_refills(stream)
+        for t in [*sorted(e * horizon for e in edges), horizon]:
+            stream.take_until(t)
+            buf = stream._buffer
+            assert buf.flags.owndata and buf.base is None  # no refill pinned behind it
+            assert buf.size == 0 or (buf.size <= pieces[-1] and buf[0] >= t)
+        assert max(pieces, default=0) <= PoissonStream.BLOCK
+
+    def test_poisson_refill_follows_the_window(self):
+        rate, window = 40.0, 5.0
+        stream = PoissonStream(rate, 1000.0, seed=1)
+        assert oneshot_block(rate, 1000.0) > PoissonStream.BLOCK
+        sizes = _spy_refills(stream)
+        for k in range(1, 20):
+            stream.take_until(k * window)
+        assert len(sizes) >= 19 and max(sizes) <= oneshot_block(rate, 2 * window)

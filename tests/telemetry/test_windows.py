@@ -308,6 +308,77 @@ class TestMarksAndAggregates:
         json.dumps(snap)
 
 
+class EagerMarks(WindowedMetrics):
+    """Oracle layout: every fault-mark plane allocated up front."""
+
+    def __init__(self, config, horizon_s):
+        super().__init__(config, horizon_s)
+        for name in self._LAZY_COLUMNS:
+            self._lazy(name)
+
+
+def _feed(wm, steps):
+    """Apply ``("obs", task, t)`` / ``("mark", task, t, kind)`` steps."""
+    for step in steps:
+        if step[0] == "obs":
+            _one(wm, step[1], step[2], 0.01 * (1 + step[2] % 3), step[2] % 2 < 1)
+        else:
+            wm.mark(step[1], step[2], step[3])
+    return wm
+
+
+#: marks on row 1 before the columns grow past two rows, then on rows 0 and
+#: 4 after they grew to eight
+_MARKED = [
+    ("obs", "a", 0.5), ("obs", "b", 1.5), ("mark", "b", 1.6, "lost"),
+    ("obs", "c", 2.5), ("obs", "d", 3.5), ("obs", "e", 0.2),
+    ("mark", "e", 3.9, "shed"), ("mark", "a", 2.2, "degraded"), ("mark", "b", 1.7, "lost"),
+]
+_UNMARKED = [("obs", "e", 1.1), ("obs", "f", 2.1), ("obs", "a", 3.3)]
+
+
+class TestMarkPlanesOnFirstMark:
+    LAYOUT = (WindowConfig(window_s=1.0), 4.0)
+
+    def _assert_equal(self, got, want):
+        assert got.fingerprint() == want.fingerprint()
+        assert got.snapshot() == want.snapshot()
+        assert got.tasks() == want.tasks()
+        for task in want.tasks():
+            for read in ("window_errors", "window_eligible"):
+                a, b = getattr(got, read)(task), getattr(want, read)(task)
+                assert a.dtype == b.dtype == np.int64
+                np.testing.assert_array_equal(a, b)
+
+    def test_unmarked_run_allocates_no_mark_plane(self):
+        wm = _feed(WindowedMetrics(*self.LAYOUT), _UNMARKED)
+        assert all(getattr(wm, name) is None for name in wm._LAZY_COLUMNS)
+        self._assert_equal(wm, _feed(EagerMarks(*self.LAYOUT), _UNMARKED))
+
+    def test_first_mark_allocates_only_its_kind(self):
+        wm = _feed(WindowedMetrics(*self.LAYOUT), _MARKED[:3])
+        assert wm._lost is not None and wm._shed is None and wm._degraded is None
+
+    def test_marks_before_and_after_growth_equal_eager_planes(self):
+        got = _feed(WindowedMetrics(*self.LAYOUT), _MARKED)
+        self._assert_equal(got, _feed(EagerMarks(*self.LAYOUT), _MARKED))
+        assert got.window_errors("b")[1] == 2 + int(got.window_counts("b")[1]
+                                                    - got.window_met("b")[1])
+
+    @pytest.mark.parametrize("marked_first", [True, False])
+    def test_merge_both_directions_equals_eager(self, marked_first):
+        order = (_MARKED, _UNMARKED) if marked_first else (_UNMARKED, _MARKED)
+        got, want = (
+            _feed(cls(*self.LAYOUT), order[0]).merge(_feed(cls(*self.LAYOUT), order[1]))
+            for cls in (WindowedMetrics, EagerMarks)
+        )
+        self._assert_equal(got, want)
+        # merging into an empty accumulator allocates what the source had
+        fresh = WindowedMetrics(*self.LAYOUT).merge(_feed(WindowedMetrics(*self.LAYOUT), _UNMARKED))
+        assert fresh._lost is None
+        self._assert_equal(fresh, _feed(EagerMarks(*self.LAYOUT), _UNMARKED))
+
+
 class TestMerge:
     def test_merge_is_exact(self):
         a, b = _filled(1), _filled(2)

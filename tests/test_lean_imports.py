@@ -5,7 +5,9 @@ any import of them, or of a submodule, fail).  The package and its CLI are
 imported, then a preset scenario is built, solved, simulated in streaming
 mode with SLO windows and evaluated against an SLO policy, in-process and
 through the CLI; none of it fans out, so ``multiprocessing`` stays unloaded
-too.  The difficulty presets' Beta pdf grids ship as a table, so
+too.  A record-backed run's percentiles leave ``numpy.ma`` unloaded (NumPy's
+own percentile interpolation imports it).  The difficulty presets' Beta pdf
+grids ship as a table, so
 no step loads SciPy; only custom difficulty distributions, ``cdf``, the
 Gaussian risk buffer, service-time jitter and confidence intervals need
 ``scipy.special``.
@@ -47,6 +49,8 @@ report = simulate_plan(tasks, plan, cluster, cfg)
 assert report.counters.conserved() and report.total_requests > 0
 slo = evaluate_slos(report.windowed)
 assert slo.per_task, slo
+records = simulate_plan(tasks, plan, cluster, SimulationConfig(horizon_s=3.0, seed=3))
+assert records.per_task and records.percentile_latency_s(99) > 0
 assert repro.cli.main(["solve", "--tasks", "4", "--seed", "1"]) == 0
 assert repro.cli.main([
     "simulate", "--tasks", "4", "--horizon", "4", "--seed", "1",
@@ -55,6 +59,7 @@ assert repro.cli.main([
 assert loaded("scipy") == [], loaded("scipy")
 # the simulation process pool loads only when jobs fan out
 assert loaded("multiprocessing") == [], loaded("multiprocessing")
+assert loaded("numpy.ma") == [], loaded("numpy.ma")
 print("LEAN-OK")
 """
 
