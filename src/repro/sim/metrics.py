@@ -39,8 +39,8 @@ from repro.sim.entities import RecordTable, RequestRecord
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.windows import (
-    HIST_BIN_S, HIST_MAX_S, KahanSum, LatencyHistogram, TaskColumns, WindowedMetrics,
-    cell_quantiles, checked_range, kahan_fold,
+    HIST_BIN_S, HIST_MAX_S, MAX_CELL_KEY, KahanSum, LatencyHistogram, TaskColumns,
+    WindowedMetrics, cell_quantiles, checked_range, kahan_fold,
 )
 
 
@@ -204,10 +204,14 @@ class StreamingStats(TaskColumns):
         if max_records < 0:
             raise SimulationError("max_records must be >= 0")
         self.n_bins = LatencyHistogram(bin_s, max_s).n_bins  # validates the bins
+        if self.n_bins > MAX_CELL_KEY:  # bins are the int32 cell keys
+            raise SimulationError(
+                f"{self.n_bins} histogram bins exceed {MAX_CELL_KEY}; coarsen bin_s"
+            )
         self.bin_s = bin_s
         self.max_s = max_s
         self.max_records = max_records
-        self._init_columns(key_space=self.n_bins)
+        self._init_columns()
         self.reservoir: List[RequestRecord] = []
         self._seen = 0  # completions offered to the reservoir so far
         self._rng = derive(seed, "reservoir") if max_records > 0 else None

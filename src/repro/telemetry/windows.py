@@ -56,9 +56,9 @@ MARK_KINDS = ("lost", "shed", "degraded")
 #: many int64 cells per task (planes store only non-zero cells, but
 #: ``dense_hist`` expands the whole plane, so this bounds its worst case)
 _MAX_CELLS_PER_TASK = 4_000_000
-#: cell keys are stored as int32 when every key of the layout fits
-_KEY32_MAX = int(np.iinfo(np.int32).max)
-assert _MAX_CELLS_PER_TASK <= _KEY32_MAX  # window-histogram keys are int32
+#: the largest histogram cell key: keys are stored as int32
+MAX_CELL_KEY = int(np.iinfo(np.int32).max)
+assert _MAX_CELLS_PER_TASK <= MAX_CELL_KEY  # window-histogram keys fit
 
 
 class KahanSum:
@@ -279,11 +279,11 @@ def kahan_fold(
     total[at] = t
 
 
-#: the cells of a task with none yet: shared, read-only empty arrays (keys
-#: of either width, int64 counts)
+#: the cells of a task with none yet: shared, read-only empty arrays (int32
+#: keys, int64 counts)
+_NO_KEYS = np.zeros(0, dtype=np.int32)
 _NO_CELLS = np.zeros(0, dtype=np.int64)
-_NO_KEYS32 = np.zeros(0, dtype=np.int32)
-_NO_CELLS.flags.writeable = _NO_KEYS32.flags.writeable = False
+_NO_KEYS.flags.writeable = _NO_CELLS.flags.writeable = False
 
 
 class TaskColumns:
@@ -292,16 +292,15 @@ class TaskColumns:
     Each task owns one row, numbered in first-seen order, of every array
     named in ``_COLUMNS`` (``[capacity, *width]`` arrays; the capacity
     doubles as tasks arrive) and one entry of two per-task lists: its
-    sparse cells' sorted non-zero keys and their int64 counts.  Keys are
-    int32 when the key space given to :meth:`_init_columns` fits, else
-    int64; :meth:`cells` reads them as int64 either way.  The int64
+    sparse cells' sorted non-zero int32 keys (at most :data:`MAX_CELL_KEY`;
+    :meth:`cells` reads them as int64) and their int64 counts.  The int64
     columns named in ``_LAZY_COLUMNS`` are allocated on their first write
     (:meth:`_lazy`); until then every row of one reads as zeros.  A task
     thus costs its column rows and its cells, with no per-task object, and
     a fold into one task copies only that task's cells.
     """
 
-    __slots__ = ("_rows", "_keys", "_cells", "_no_keys")
+    __slots__ = ("_rows", "_keys", "_cells")
 
     #: ``(attribute, fill)`` of every column: the value a new row starts at
     #: (an int fill makes an int64 column, a float fill a float64 one)
@@ -309,14 +308,11 @@ class TaskColumns:
     #: int64 columns (fill 0) that stay ``None`` until first written
     _LAZY_COLUMNS: Tuple[str, ...] = ()
 
-    def _init_columns(self, *width: int, key_space: int) -> None:
-        """Empty columns of row shape ``width``; cell keys lie in
-        ``[0, key_space)``."""
+    def _init_columns(self, *width: int) -> None:
         #: task name -> row of every column and of the cell lists
         self._rows: Dict[str, int] = {}
         self._keys: List[np.ndarray] = []
         self._cells: List[np.ndarray] = []
-        self._no_keys = _NO_KEYS32 if key_space <= _KEY32_MAX else _NO_CELLS
         for name, fill in self._COLUMNS:
             dtype = np.float64 if isinstance(fill, float) else np.int64
             setattr(self, name, np.full((0, *width), fill, dtype=dtype))
@@ -337,7 +333,7 @@ class TaskColumns:
                     grown = np.full((max(2 * r, 1), *old.shape[1:]), fill, dtype=old.dtype)
                     grown[:r] = old
                     setattr(self, name, grown)
-            self._keys.append(self._no_keys)
+            self._keys.append(_NO_KEYS)
             self._cells.append(_NO_CELLS)
         return r
 
@@ -362,7 +358,7 @@ class TaskColumns:
         flat = np.bincount(keys - lo)
         nz = np.flatnonzero(flat)
         self._keys[r], self._cells[r] = add_cells(
-            self._keys[r], self._cells[r], (nz + lo).astype(self._no_keys.dtype), flat[nz]
+            self._keys[r], self._cells[r], (nz + lo).astype(np.int32), flat[nz]
         )
 
     def _merge_rows(self, other: "TaskColumns") -> np.ndarray:
@@ -474,7 +470,7 @@ class WindowedMetrics(TaskColumns):
                 f"cells per task (> {_MAX_CELLS_PER_TASK}); widen window_s or "
                 "coarsen bin_s to keep streaming memory bounded"
             )
-        self._init_columns(self.n_windows, key_space=self.n_windows * self.n_bins)
+        self._init_columns(self.n_windows)
 
     # -- accumulation ---------------------------------------------------------
 

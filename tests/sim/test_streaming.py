@@ -310,6 +310,11 @@ class TestLatencyHistogram:
         assert math.isnan(LatencyHistogram().quantile(50.0))
         assert math.isnan(StreamingStats().quantile(50.0))
 
+    def test_streaming_bins_fit_int32_cell_keys(self):
+        assert StreamingStats(bin_s=1e-9, max_s=2.0).n_bins == 2_000_000_000
+        with pytest.raises(SimulationError, match="coarsen bin_s"):
+            StreamingStats(bin_s=1e-9, max_s=3.0)  # 3e9 bins: past int32 keys
+
     def test_stores_only_occupied_bins(self):
         hist = LatencyHistogram(bin_s=0.1, max_s=10.0)
         hist.observe(np.array([0.55, 0.72]))
