@@ -16,11 +16,13 @@ when ``tests`` reference it and no non-test tree does.
 
 The census matches on names, so a name shared with other code hides a hit.
 Each name that stays on purpose is listed, with its reason, in
-``scripts/census_allowlist.txt`` (``kind qualified.name  # reason``).
+``scripts/census_allowlist.txt`` (``kind qualified.name  # reason``).  An
+entry that is no longer a hit (the name is gone, or non-test code now
+reaches it) is stale, and fails the census like an unlisted hit.
 
 Run from the repository root::
 
-    python scripts/census_unused.py          # exit 1 on a hit not allowlisted
+    python scripts/census_unused.py          # exit 1 on an unlisted hit or a stale entry
     python scripts/census_unused.py --all    # also print allowlisted hits
 
 It needs no third-party package and imports nothing from ``repro``.
@@ -163,7 +165,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--all", action="store_true", help="also print allowlisted hits")
     args = ap.parse_args(argv)
-    allowed = load_allowlist()
+    allowed = load_allowlist(ALLOWLIST)
     hits = census()
     found = {(k, q) for k, q, *_ in hits}
     bad = 0
@@ -174,10 +176,11 @@ def main(argv=None) -> int:
             print(f"UNUSED {kind:6s} {qual}  ({path.relative_to(ROOT)}:{line})")
         elif args.all:
             print(f"kept   {kind:6s} {qual}  # {reason}")
-    for kind, qual in sorted(set(allowed) - found):
-        print(f"note: allowlisted {kind} {qual} is no longer a hit")
-    print(f"{len(hits)} test-only names, {bad} not allowlisted")
-    return 1 if bad else 0
+    stale = sorted(set(allowed) - found)
+    for kind, qual in stale:
+        print(f"STALE  {kind:6s} {qual}  (allowlisted, no longer a test-only hit)")
+    print(f"{len(hits)} test-only names, {bad} not allowlisted, {len(stale)} stale allowlist entries")
+    return 1 if bad or stale else 0
 
 
 if __name__ == "__main__":

@@ -1,24 +1,17 @@
 """Result analysis: statistics, ASCII tables, strategy comparison."""
 
-from repro.analysis.compare import crossover_point, speedup, speedups_over
-from repro.analysis.stats import bootstrap_ci, jain_index, mean_ci, summarize
-from repro.analysis.sensitivity import TaskSensitivity, plan_sensitivity, sensitivity_table
+from repro.analysis.compare import crossover_point, speedup
+from repro.analysis.stats import jain_index, summarize
 from repro.analysis.report import render_experiment_section, render_markdown_report, render_scorecard
 from repro.analysis.tables import format_table
 
 __all__ = [
-    "bootstrap_ci",
     "crossover_point",
     "format_table",
     "jain_index",
-    "mean_ci",
     "render_experiment_section",
     "render_markdown_report",
     "render_scorecard",
-    "TaskSensitivity",
-    "plan_sensitivity",
-    "sensitivity_table",
     "speedup",
-    "speedups_over",
     "summarize",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -16,23 +16,6 @@ def speedup(baseline_latency: float, optimized_latency: float) -> float:
             f"invalid latencies: baseline={baseline_latency}, optimized={optimized_latency}"
         )
     return baseline_latency / optimized_latency
-
-
-def speedups_over(
-    results: Dict[str, float], reference: str = "joint"
-) -> Dict[str, float]:
-    """Speedup of ``reference`` over every other strategy in ``results``.
-
-    ``results`` maps strategy name -> latency/objective (lower is better).
-    """
-    if reference not in results:
-        raise ConfigError(f"reference {reference!r} not in results {sorted(results)}")
-    ref = results[reference]
-    if ref <= 0:
-        raise ConfigError(f"reference value must be positive, got {ref}")
-    return {
-        name: val / ref for name, val in results.items() if name != reference
-    }
 
 
 def crossover_point(

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.rng import SeedLike, as_generator
 
 
 @dataclass(frozen=True)
@@ -42,24 +40,6 @@ def summarize(samples: np.ndarray) -> Summary:
     )
 
 
-def mean_ci(samples: np.ndarray, confidence: float = 0.95) -> Tuple[float, float, float]:
-    """(mean, lo, hi) Student-t confidence interval for the mean."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError("mean_ci needs a non-empty 1-D sample")
-    if not (0.0 < confidence < 1.0):
-        raise ConfigError(f"confidence must be in (0,1), got {confidence}")
-    m = float(x.mean())
-    if x.size == 1:
-        return m, m, m
-    from scipy.special import stdtrit
-
-    se = float(x.std(ddof=1) / np.sqrt(x.size))
-    # stdtrit(df, q) is Student's t quantile, the kernel of scipy.stats.t.ppf.
-    half = float(stdtrit(x.size - 1, 0.5 + confidence / 2.0)) * se
-    return m, m - half, m + half
-
-
 def jain_index(values: np.ndarray) -> float:
     """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)`` in (0, 1].
 
@@ -76,27 +56,3 @@ def jain_index(values: np.ndarray) -> float:
     if denom == 0:
         return 1.0
     return float(np.sum(x) ** 2 / denom)
-
-
-def bootstrap_ci(
-    samples: np.ndarray,
-    statistic=np.mean,
-    confidence: float = 0.95,
-    n_boot: int = 2000,
-    seed: SeedLike = None,
-) -> Tuple[float, float, float]:
-    """(point, lo, hi) percentile-bootstrap interval for any statistic."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError("bootstrap_ci needs a non-empty 1-D sample")
-    if not (0.0 < confidence < 1.0):
-        raise ConfigError(f"confidence must be in (0,1), got {confidence}")
-    rng = as_generator(seed)
-    idx = rng.integers(0, x.size, size=(n_boot, x.size))
-    boots = np.apply_along_axis(statistic, 1, x[idx])
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(statistic(x)),
-        float(np.percentile(boots, 100 * alpha)),
-        float(np.percentile(boots, 100 * (1 - alpha))),
-    )

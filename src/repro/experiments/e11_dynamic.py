@@ -2,10 +2,10 @@
 re-optimization.
 
 The access bandwidth follows a fade profile — nominal, degraded, deep-fade,
-recovering — scaled from the scenario's nominal rate (the deterministic
-profile makes the figure reproducible; stochastic Gauss–Markov traces are
-available in :mod:`repro.network.wireless` and exercised by E14-adjacent
-tests).  Two policies are compared window by window:
+recovering — scaled from the scenario's nominal rate.  Each window is
+simulated over its own cluster at that window's fixed bandwidth (a
+deterministic profile keeps the figure reproducible).  Two policies are
+compared window by window:
 
 - **static** — the plan solved once for the nominal bandwidth;
 - **adaptive** — re-solved at the start of every window for that window's

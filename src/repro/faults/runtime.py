@@ -209,7 +209,7 @@ def simulate_with_faults(
         # every slice on a server takes its windows; link faults and loss hit
         # the primary path only (a standby reaches another server's link)
         srv, up, down = slice_resources(
-            t, p, s, cluster, cfg.bandwidth_trace, tag, rec,
+            t, p, s, cluster, tag, rec,
             server_faults[cluster.servers[s].name],
             link_faults[t.name] if primary else NO_FAULTS,
         )

@@ -15,7 +15,7 @@ The same object also provides the *per-difficulty correctness probability*
 
     P(correct | difficulty d, exit at depth f) = sigmoid(s * (c(f) - d))
 
-where the competence ``c(f)`` is calibrated (by bisection) so that the
+with slope ``s`` = :data:`DIFFICULTY_SENSITIVITY`, where the competence ``c(f)`` is calibrated (by bisection) so that the
 difficulty-averaged correctness equals ``acc(f)``.  This is what couples exit
 *thresholds* to *conditional* accuracy: raising a threshold keeps only easy
 samples at an exit, and easy samples are more often correct.  See
@@ -29,6 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+
+#: slope ``s`` of the per-difficulty correctness sigmoid: larger makes
+#: correctness depend more strongly on input difficulty
+DIFFICULTY_SENSITIVITY = 6.0
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -54,15 +58,11 @@ class AccuracyModel:
     sharpness:
         Rate of the saturating exponential; larger = accuracy saturates at
         shallower depth (typical published curves: 2–5).
-    difficulty_sensitivity:
-        Slope ``s`` of the per-difficulty correctness sigmoid; larger =
-        correctness depends more strongly on input difficulty.
     """
 
     final_accuracy: float = 0.76
     base_accuracy: float = 0.25
     sharpness: float = 3.0
-    difficulty_sensitivity: float = 6.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.final_accuracy <= 1.0):
@@ -72,8 +72,8 @@ class AccuracyModel:
                 "base_accuracy must be in [0, final_accuracy); got "
                 f"{self.base_accuracy} vs {self.final_accuracy}"
             )
-        if self.sharpness <= 0 or self.difficulty_sensitivity <= 0:
-            raise ConfigError("sharpness and difficulty_sensitivity must be positive")
+        if self.sharpness <= 0:
+            raise ConfigError("sharpness must be positive")
 
     def accuracy_at(self, depth_fraction: np.ndarray | float) -> np.ndarray:
         """Average accuracy of an exit at the given backbone depth fraction(s)."""
@@ -89,8 +89,8 @@ class AccuracyModel:
         self, competence: np.ndarray, difficulty: np.ndarray
     ) -> np.ndarray:
         """P(correct | difficulty, competence); broadcasts its arguments."""
-        s = self.difficulty_sensitivity
-        return sigmoid(s * (np.asarray(competence)[..., None] - np.asarray(difficulty)))
+        gap = np.asarray(competence)[..., None] - np.asarray(difficulty)
+        return sigmoid(DIFFICULTY_SENSITIVITY * gap)
 
     def calibrate_competence(
         self,

@@ -1,19 +1,15 @@
-"""Network substrate: links, topologies, wireless dynamics.
+"""Network substrate: links and topologies.
 
 Replaces the paper's physical Wi-Fi/LAN testbed links.  A :class:`Link` is a
-(bandwidth, propagation-delay) pair with optional time-varying bandwidth via
-:class:`~repro.network.wireless.BandwidthTrace`; star topologies connect each
-end device to every edge server.
+fixed (bandwidth, propagation-delay) pair; star topologies connect each end
+device to every edge server.  Bandwidth changes are new topologies
+(:meth:`StarTopology.with_link`), which the online controller re-plans over.
 """
 
 from repro.network.link import Link
 from repro.network.topology import StarTopology
-from repro.network.wireless import BandwidthTrace, GaussMarkovBandwidth, MarkovBandwidth
 
 __all__ = [
-    "BandwidthTrace",
-    "GaussMarkovBandwidth",
     "Link",
-    "MarkovBandwidth",
     "StarTopology",
 ]

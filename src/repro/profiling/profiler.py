@@ -49,7 +49,8 @@ def profile_model(
 
     ``noise`` adds multiplicative log-normal measurement jitter (sigma as a
     fraction, e.g. 0.05 for ~5%) — profiles on real hardware are never exact,
-    and downstream regression code should cope.
+    and the risk buffer (:func:`repro.core.risk.profile_service_noise`)
+    reads that spread back.
 
     Each row also carries the service-time variance ``latency_var_s2``.
     With ``repeats=1`` (the default single measurement, draws unchanged from

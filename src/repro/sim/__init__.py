@@ -1,10 +1,10 @@
 """Discrete-event simulation substrate (the stand-in for the paper's testbed).
 
 The optimizer predicts *expected* latencies analytically; the simulator
-replays a solved :class:`~repro.core.plan.JointPlan` against stochastic
-arrivals, per-request input difficulties, FIFO resources, and (optionally)
-time-varying link bandwidth, producing measured latency distributions,
-deadline-miss rates, and accuracy estimates.  Experiments E4/E5/E11/E14 are
+replays a solved :class:`~repro.core.plan.JointPlan` against Poisson
+arrivals, per-request input difficulties, FIFO compute resources and
+fixed-rate links (optionally under a fault schedule), producing measured
+latency distributions, deadline-miss rates, and accuracy estimates.  Experiments E4/E5/E11/E14 are
 simulator-driven; E14 validates the analytic queueing terms against it.
 """
 
@@ -25,22 +25,13 @@ from repro.sim.runner import (
     run_replications,
     simulate_plan,
 )
-from repro.sim.sources import (
-    DeterministicArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    arrival_stream,
-    arrival_times,
-)
+from repro.sim.sources import PoissonStream, arrival_stream, arrival_times
 
 __all__ = [
-    "DeterministicArrivals",
     "FifoResource",
     "LatencyHistogram",
     "LinkResource",
-    "MMPPArrivals",
-    "PoissonArrivals",
+    "PoissonStream",
     "RealizationTable",
     "RequestRecord",
     "SimCounters",
@@ -49,7 +40,6 @@ __all__ = [
     "Simulator",
     "StreamingStats",
     "TaskRealizer",
-    "TraceArrivals",
     "arrival_stream",
     "arrival_times",
     "merge_reports",

@@ -150,10 +150,11 @@ class RealizationTable:
         (competence, difficulty) pairs, computed directly instead of through
         its broadcasting (n, n) matrix.
         """
-        from repro.models.accuracy import sigmoid
+        from repro.models.accuracy import DIFFICULTY_SENSITIVITY, sigmoid
 
-        s = self.model.accuracy_model.difficulty_sensitivity
-        probs = sigmoid(s * (self.competences[positions] - difficulties))
+        probs = sigmoid(
+            DIFFICULTY_SENSITIVITY * (self.competences[positions] - difficulties)
+        )
         return np.clip(probs + self.accuracy_delta, 0.01, 0.999)
 
 
@@ -190,8 +191,7 @@ class TaskRealizer:
     def __init__(self, task: TaskSpec, cfg) -> None:
         self.task = task
         self.arrivals = arrival_stream(
-            task.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
-            derive(cfg.seed, "arrivals", task.name),
+            task.arrival_rate, cfg.horizon_s, derive(cfg.seed, "arrivals", task.name)
         )
         self.diff_rng = derive(cfg.seed, "difficulty", task.name)
         self.exec_material = derive_material(cfg.seed, "exec", task.name)

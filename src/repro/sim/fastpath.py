@@ -88,7 +88,7 @@ __all__ = ["sweep_pipeline"]
 # windowing lossless:
 #
 # 1. Every stochastic column is chunkable: arrivals come from a
-#    ``repro.sim.sources.ArrivalStream`` and difficulty draws are
+#    ``repro.sim.sources.PoissonStream`` and difficulty draws are
 #    stream-sequential, and exec and jitter uniforms are counter-based
 #    (addressed by request index), so realizing requests window by window
 #    yields the same columns for any window size.

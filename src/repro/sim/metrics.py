@@ -7,7 +7,8 @@ the report aggregates are computed from its columns, with the float ops of
 and no per-request object is built unless a caller indexes or iterates the
 records.
 
-With telemetry enabled (``SimulationConfig(telemetry=True)``), the report
+With a :class:`~repro.telemetry.timeline.TimelineRecorder` passed to
+:func:`~repro.sim.runner.simulate_plan` (``recorder=``), the report
 additionally carries the per-request event :attr:`SimulationReport.timeline`
 and the :attr:`SimulationReport.registry` of sampled queue-depth /
 utilization gauges and realized-work counters — both ``None`` on ordinary

@@ -1,14 +1,12 @@
-"""FIFO resources: compute queues and (possibly time-varying) links.
+"""FIFO resources: compute queues and fixed-rate links.
 
 Both resources serialize jobs in submission order.  Because service times are
 computable at start-of-service, the implementation tracks a single
 ``busy_until`` horizon instead of an explicit queue — submission returns the
 (start, finish) pair and the caller schedules its continuation at ``finish``.
-
-:class:`LinkResource` additionally supports a piecewise-constant
-:class:`~repro.network.wireless.BandwidthTrace`: a transfer spanning trace
-change-points is integrated segment by segment, so dynamic-bandwidth
-experiments are exact rather than sampled.
+A link serves at its bandwidth share's fixed rate, the deterministic
+transfer time the optimizer's M/G/1 terms assume; bandwidth changes reach
+the system as re-plans over a changed cluster, not inside a run.
 
 Both resources accept an optional
 :class:`~repro.telemetry.timeline.TimelineRecorder`; with one attached they
@@ -39,7 +37,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from repro.errors import FaultError, ResourceUnavailableError, SimulationError
-from repro.network.wireless import BandwidthTrace
 from repro.telemetry.timeline import TimelineRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -312,14 +309,9 @@ class FifoResource(_Resource):
 
 
 class LinkResource(_Resource):
-    """FIFO link with fixed or trace-driven bandwidth.
+    """FIFO link serving at ``share × bandwidth_bps``."""
 
-    With a trace, a transfer starting at ``t`` finishes when the integral of
-    bandwidth over ``[t, finish]`` equals the transfer size — computed
-    exactly by walking the piecewise-constant segments.
-    """
-
-    __slots__ = ("bandwidth_bps", "rtt_s", "share", "trace", "transfers")
+    __slots__ = ("bandwidth_bps", "rtt_s", "share", "transfers")
 
     def __init__(
         self,
@@ -327,7 +319,6 @@ class LinkResource(_Resource):
         bandwidth_bps: float,
         rtt_s: float = 0.0,
         share: float = 1.0,
-        trace: Optional[BandwidthTrace] = None,
         recorder: Optional[TimelineRecorder] = None,
         down: Sequence[Tuple[float, float]] = (),
         speed: Sequence[Tuple[float, float, float]] = (),
@@ -342,27 +333,7 @@ class LinkResource(_Resource):
         self.bandwidth_bps = bandwidth_bps
         self.rtt_s = rtt_s
         self.share = share
-        self.trace = trace
         self.transfers = 0
-
-    def _serialization_finish(self, start: float, nbytes: float, factor: float) -> float:
-        if self.trace is None:
-            return start + nbytes / (self.bandwidth_bps * self.share * factor)
-        # integrate share-scaled trace bandwidth over time
-        times, values = self.trace.times, self.trace.values
-        remaining = nbytes
-        t = start
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        while True:
-            rate = float(values[idx]) * self.share * factor
-            seg_end = float(times[idx + 1]) if idx + 1 < len(times) else np.inf
-            span = seg_end - t
-            capacity = rate * span
-            if capacity >= remaining or not np.isfinite(seg_end):
-                return t + remaining / rate
-            remaining -= capacity
-            t = seg_end
-            idx += 1
 
     def submit(self, now: float, nbytes: float) -> Tuple[float, float]:
         """Enqueue a transfer; returns (start, delivery) where delivery
@@ -378,9 +349,7 @@ class LinkResource(_Resource):
         if nbytes == 0:
             return now, now
         start = max(now, self._busy_until)
-        serialized = self._serialization_finish(start, nbytes, factor)
-        if serialized < start:  # pragma: no cover - defensive
-            raise SimulationError(f"{self.name}: negative transfer duration")
+        serialized = start + nbytes / (self.bandwidth_bps * self.share * factor)
         self._busy_until = serialized
         self.busy_time += serialized - start
         self.transfers += 1
@@ -392,8 +361,7 @@ class LinkResource(_Resource):
         """Batch :meth:`submit` over transfers already in submission order.
 
         Same float arithmetic and state updates as sequential :meth:`submit`
-        calls (a traced link *is* one :meth:`submit` per transfer); returns
-        (starts, deliveries).  Only valid without a recorder.
+        calls; returns (starts, deliveries).  Only valid without a recorder.
         """
         if self.recorder is not None:  # pragma: no cover - guarded by caller
             raise SimulationError(f"{self.name}: sweep requires no recorder")
@@ -407,11 +375,6 @@ class LinkResource(_Resource):
         starts = np.empty(times.shape[0], dtype=np.float64)
         deliveries = np.empty(times.shape[0], dtype=np.float64)
         half_rtt = self.rtt_s / 2.0
-        if self.trace is not None:
-            # trace integration is inherently per-transfer
-            for i, (now, nb) in enumerate(zip(times.tolist(), nbytes.tolist())):
-                starts[i], deliveries[i] = self.submit(now, nb)
-            return starts, deliveries
         nz = np.flatnonzero(nbytes > 0)
         if nz.size < times.shape[0]:  # zero-byte transfers complete instantly
             zero = nbytes == 0
@@ -444,7 +407,6 @@ def slice_resources(
     plan: "JointPlan",
     server_idx: int,
     cluster: "EdgeCluster",
-    trace: Optional[BandwidthTrace] = None,
     tag: str = "",
     recorder: Optional[TimelineRecorder] = None,
     server_faults: FaultWindows = NO_FAULTS,
@@ -468,7 +430,7 @@ def slice_resources(
         LinkResource(
             f"link:{task.name}:{direction}{tag}", float(link.bandwidth_bps),
             rtt_s=link.rtt_s, share=float(plan.bandwidth_shares[task.name]),
-            trace=trace, recorder=recorder, **link_faults._asdict(),
+            recorder=recorder, **link_faults._asdict(),
         )
         for direction in ("up", "down")
     )

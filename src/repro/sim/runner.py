@@ -11,10 +11,10 @@ and measured latencies are comparable):
 - a request flows device-compute → uplink → server-compute → downlink, with
   any stage of zero demand skipped.
 
-Arrivals default to Poisson at each task's rate; per-request difficulties
-come from each model's difficulty distribution.  A
-:class:`~repro.network.wireless.BandwidthTrace` makes every link time-varying
-(experiment E11).
+Arrivals are Poisson at each task's rate and links serve at fixed rates,
+the assumptions of the optimizer's M/G/1 terms; per-request difficulties
+come from each model's difficulty distribution.  Bandwidth dynamics reach
+the experiments as re-plans over changed clusters (E11), not inside a run.
 
 Two execution engines produce **bit-identical** reports on a fixed seed.
 Both realize requests from one source — each task's
@@ -32,7 +32,8 @@ record_fields`):
   :func:`repro.faults.runtime.simulate_with_faults`, which replays the
   realized rows request by request.  It runs whenever a fault schedule is
   set (``faults=FaultSchedule()`` selects it for a fault-free run) or a
-  telemetry recorder is attached (gauges sample on event boundaries).
+  :class:`~repro.telemetry.timeline.TimelineRecorder` is passed (gauges
+  sample on event boundaries).
 
 Replications fan out deterministically via :func:`run_replications`:
 replication 0 runs ``cfg.seed`` unchanged (so one replication reproduces a
@@ -53,7 +54,6 @@ from repro.devices.cluster import EdgeCluster
 from repro.errors import ConfigError, SimulationError, require_finite, require_int
 from repro.faults.policy import FailurePolicy, PlanUpdate
 from repro.faults.schedule import FaultSchedule
-from repro.network.wireless import BandwidthTrace
 from repro.rng import derive_seed
 from repro.sim.fastpath import sweep_pipeline
 from repro.sim.metrics import SimulationReport, StreamingStats, merge_reports
@@ -63,10 +63,9 @@ from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.trace import get_tracer
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
-_ARRIVALS = {"poisson", "deterministic", "mmpp"}
 #: float knobs that must be finite: an infinite horizon never ends the sweep,
 #: and NaN slips through every ``<``/``>`` range check below
-_FINITE_FIELDS = ("horizon_s", "warmup_s", "burst_factor", "service_noise")
+_FINITE_FIELDS = ("horizon_s", "warmup_s", "service_noise")
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,7 @@ class SimulationConfig:
 
     horizon_s: float = 30.0
     warmup_s: float = 2.0
-    arrival: str = "poisson"
-    #: MMPP burstiness (used when arrival == "mmpp"): high = burst_factor × rate
-    burst_factor: float = 4.0
-    bandwidth_trace: Optional[BandwidthTrace] = None
     seed: int = 0
-    #: record per-request event timelines + queue/utilization gauges into
-    #: ``SimulationReport.timeline`` / ``.registry`` (off by default)
-    telemetry: bool = False
     #: independent replications to run (see :func:`run_replications`)
     replications: int = 1
     #: worker processes for replication fan-out (1 = serial)
@@ -98,8 +90,8 @@ class SimulationConfig:
     #: bounded-memory mode: fold completions into a streaming accumulator
     #: instead of materializing one record per request; the report becomes
     #: records-free (see :class:`repro.sim.metrics.StreamingStats`).
-    #: Incompatible with telemetry and fault schedules (both need the event
-    #: loop).
+    #: Incompatible with fault schedules and timeline recorders (both need
+    #: the event loop).
     streaming: bool = False
     #: target requests per fast-path sweep window (memory/throughput
     #: trade-off; any value yields identical results)
@@ -107,7 +99,7 @@ class SimulationConfig:
     #: reservoir-sampled records to keep on streaming runs (0 = none)
     max_records: int = 0
     #: tumbling-window SLO aggregation (:class:`~repro.telemetry.windows.
-    #: WindowConfig`); unlike per-request telemetry this works on *every*
+    #: WindowConfig`); unlike per-request timelines this works on *every*
     #: engine — event loop, record-backed and streaming fast path, and
     #: fault runs — with bit-identical integer state, and lands in
     #: ``SimulationReport.windowed``.  None (default) costs nothing.
@@ -138,10 +130,6 @@ class SimulationConfig:
             raise ConfigError("horizon must be positive")
         if not (0 <= self.warmup_s < self.horizon_s):
             raise ConfigError("warmup must lie in [0, horizon)")
-        if self.arrival not in _ARRIVALS:
-            raise ConfigError(f"arrival must be one of {_ARRIVALS}, got {self.arrival}")
-        if self.burst_factor < 1.0:
-            raise ConfigError("burst_factor must be >= 1")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.sim_workers < 1:
@@ -152,20 +140,11 @@ class SimulationConfig:
             raise ConfigError("chunk_size must be >= 1")
         if self.max_records < 0:
             raise ConfigError("max_records must be >= 0")
-        if self.streaming:
-            if self.telemetry:
-                raise ConfigError(
-                    "streaming is incompatible with per-request telemetry: "
-                    "timelines and queue gauges sample on event boundaries "
-                    "the chunked sweep does not visit.  Window-granularity "
-                    "SLO metrics *are* streaming-compatible — set "
-                    "windows=WindowConfig(...) instead of telemetry=True"
-                )
-            if self.faults is not None:
-                raise ConfigError(
-                    "streaming is incompatible with fault schedules (fault "
-                    "runs use the failure-aware event loop)"
-                )
+        if self.streaming and self.faults is not None:
+            raise ConfigError(
+                "streaming is incompatible with fault schedules (fault "
+                "runs use the failure-aware event loop)"
+            )
         if self.faults is not None:
             # FaultEvent/FailurePolicy validate their own knobs; here we pin
             # the schedule against *this* run: a window opening at or beyond
@@ -189,9 +168,9 @@ def simulate_plan(
 ) -> SimulationReport:
     """Replay ``plan`` under stochastic load; return measured statistics.
 
-    With ``config.telemetry`` (or an explicit ``recorder``), every request's
-    lifecycle (enqueue → dequeue → exec-start → transfer → exit-taken →
-    complete) lands in ``report.timeline`` and queue-depth / utilization
+    With a ``recorder``, every request's lifecycle (enqueue → dequeue →
+    exec-start → transfer → exit-taken → complete) lands in
+    ``report.timeline`` and queue-depth / utilization
     gauges sampled on event boundaries land in ``report.registry``; such runs
     always use the event loop.  Otherwise a run without a fault schedule
     takes the vectorized sweep, which is bit-identical on a fixed seed.
@@ -209,24 +188,25 @@ def simulate_plan(
         if t.name not in plan.features:
             raise ConfigError(f"plan has no entry for task {t.name!r}")
 
-    rec = recorder if recorder is not None else (TimelineRecorder() if cfg.telemetry else None)
     if plan_updates and cfg.faults is None:
         raise ConfigError("plan_updates require a fault schedule")
-    if cfg.streaming and rec is not None:
+    if cfg.streaming and recorder is not None:
         raise ConfigError(
-            "streaming runs cannot attach a per-request telemetry recorder; "
-            "use windows=WindowConfig(...) for streaming-compatible metrics"
+            "streaming runs cannot attach a per-request timeline recorder: "
+            "timelines and queue gauges sample on event boundaries the "
+            "chunked sweep does not visit.  Window-granularity SLO metrics "
+            "*are* streaming-compatible — use windows=WindowConfig(...)"
         )
-    if cfg.faults is not None or rec is not None:
+    if cfg.faults is not None or recorder is not None:
         # the one event loop: a fault-free run is a run with an empty schedule
         from repro.faults.runtime import simulate_with_faults
 
-        return simulate_with_faults(tasks, plan, cluster, cfg, rec, plan_updates)
+        return simulate_with_faults(tasks, plan, cluster, cfg, recorder, plan_updates)
 
     # shared device FIFOs + each offloading task's (server, up, down) slices
     device_res = device_resources(cluster)
     slices = [
-        (t.name, slice_resources(t, plan, s, cluster, cfg.bandwidth_trace))
+        (t.name, slice_resources(t, plan, s, cluster))
         for t in tasks
         if (s := plan.assignment[t.name]) is not None
     ]
@@ -295,14 +275,12 @@ def run_replications(
     byte-for-byte).  With ``sim_workers > 1`` replications fan out over a
     process pool — results are collected by replication index, so the report
     list is identical to a serial run regardless of completion order.
-    Telemetry runs stay serial: recorders hold per-process state that cannot
-    cross the pool boundary.
     """
     cfgs = [_replication_config(config, r) for r in range(config.replications)]
     jobs = [
         (tasks, plan, cluster, c, tuple(plan_updates)) for c in cfgs
     ]
-    return _fan_out(jobs, min(config.sim_workers, len(jobs)), config.telemetry)
+    return _fan_out(jobs, min(config.sim_workers, len(jobs)))
 
 
 #: Failures that mean the process pool itself could not run (no fork or
@@ -312,14 +290,14 @@ def run_replications(
 _POOL_FAILURES = (OSError, NotImplementedError, pickle.PicklingError)
 
 
-def _fan_out(jobs, workers: int, telemetry: bool) -> List[SimulationReport]:
+def _fan_out(jobs, workers: int) -> List[SimulationReport]:
     """Run simulation jobs on a process pool, serially when unavailable.
 
     Each fallback to serial warns and counts ``sim.pool.fallbacks`` in the
     process-wide metrics registry.  The pool's modules (``multiprocessing``,
     ``socket``, ``subprocess``) load only when jobs fan out.
     """
-    if workers > 1 and not telemetry and len(jobs) > 1:
+    if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
@@ -375,7 +353,7 @@ def run_cells(
         (scaled, plan, cluster, _cell_config(config, c), ())
         for c in range(cells)
     ]
-    merged = merge_reports(_fan_out(jobs, min(config.sim_workers, cells), False))
+    merged = merge_reports(_fan_out(jobs, min(config.sim_workers, cells)))
     if merged.counters.requests == 0:
         raise SimulationError("no requests generated; horizon or rates too small")
     return merged

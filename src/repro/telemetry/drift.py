@@ -7,19 +7,14 @@ away from what its plan was solved against.  This module provides it as a
 compares the mean of the most recent ``window`` samples against the mean of
 the ``window`` samples before them.
 
-Two calibrations are available:
-
-* ``"permutation"`` (default) — a seeded permutation test: the observed mean
-  shift is compared against the shift distribution under random relabelings
-  of the pooled two-window sample.  The RNG is derived per ``(seed, key,
-  sample_count)`` via :func:`repro.rng.derive`, so verdicts depend only on
-  the data and the seed — never on update interleaving across streams.
-* ``"zscore"`` — the shift normalized by the reference window's standard
-  deviation, compared against ``threshold``.  No randomness at all.
-
-Both apply a relative floor (``min_rel_shift``) so ulp-level wobble around a
-stable mean never alarms.  :class:`ShardDriftMonitor` lifts stream verdicts
-to shard granularity through the control plane's task→shard homing.
+The test is a seeded permutation test: the observed mean shift is compared
+against the shift distribution under random relabelings of the pooled
+two-window sample.  The RNG is derived per ``(seed, key, sample_count)`` via
+:func:`repro.rng.derive`, so verdicts depend only on the data and the seed —
+never on update interleaving across streams.  A relative floor
+(``min_rel_shift``) keeps ulp-level wobble around a stable mean from ever
+alarming.  :class:`ShardDriftMonitor` lifts stream verdicts to shard
+granularity through the control plane's task→shard homing.
 """
 
 from __future__ import annotations
@@ -40,31 +35,20 @@ class DriftConfig:
 
     #: samples per comparison window (reference + recent = 2·window history)
     window: int = 8
-    #: calibration method: "permutation" (seeded) or "zscore"
-    calibration: str = "permutation"
     #: permutation relabelings per test
     permutations: int = 128
     #: permutation-test significance level
     alpha: float = 0.01
-    #: z-score threshold for calibration="zscore"
-    threshold: float = 4.0
     #: ignore shifts smaller than this fraction of the reference mean
     min_rel_shift: float = 0.1
 
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ConfigError(f"drift window must be >= 2, got {self.window}")
-        if self.calibration not in ("permutation", "zscore"):
-            raise ConfigError(
-                f"unknown drift calibration {self.calibration!r}; "
-                "want 'permutation' or 'zscore'"
-            )
         if self.permutations < 1:
             raise ConfigError("permutations must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.threshold <= 0:
-            raise ConfigError("z-score threshold must be > 0")
         if self.min_rel_shift < 0:
             raise ConfigError("min_rel_shift must be >= 0")
 
@@ -108,30 +92,25 @@ class DriftDetector:
             self._flagged[key] = False
             self._score[key] = 0.0
             return False
-        if cfg.calibration == "zscore":
-            scale = max(float(ref.std()), floor, 1e-12)
-            score = shift / scale
-            drifted = score > cfg.threshold
-        else:
-            # seeded per-(key, sample-count) stream: verdicts are independent
-            # of how updates across keys interleave
-            rng = derive(self.seed, "drift", key, self._seen[key])
-            m = cfg.window
-            exceed = 0
-            for _ in range(cfg.permutations):
-                perm = rng.permutation(data)
-                d = abs(float(perm[m:].mean()) - float(perm[:m].mean()))
-                if d >= shift:
-                    exceed += 1
-            p = (exceed + 1) / (cfg.permutations + 1)
-            score = 1.0 - p
-            drifted = p < cfg.alpha
+        # seeded per-(key, sample-count) stream: verdicts are independent
+        # of how updates across keys interleave
+        rng = derive(self.seed, "drift", key, self._seen[key])
+        m = cfg.window
+        exceed = 0
+        for _ in range(cfg.permutations):
+            perm = rng.permutation(data)
+            d = abs(float(perm[m:].mean()) - float(perm[:m].mean()))
+            if d >= shift:
+                exceed += 1
+        p = (exceed + 1) / (cfg.permutations + 1)
+        score = 1.0 - p
+        drifted = p < cfg.alpha
         self._flagged[key] = drifted
         self._score[key] = score
         return drifted
 
     def score(self, key: str) -> float:
-        """Latest drift score (z-score, or 1 − p for permutation tests)."""
+        """Latest drift score: 1 − p of the stream's last permutation test."""
         return self._score.get(key, 0.0)
 
     def drifted(self) -> Tuple[str, ...]:

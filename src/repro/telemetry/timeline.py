@@ -1,6 +1,6 @@
 """Per-request simulator event timelines.
 
-The discrete-event simulator, when telemetry is enabled, emits one
+The discrete-event simulator, given a :class:`TimelineRecorder`, emits one
 :class:`TimelineEvent` per lifecycle transition of every request::
 
     enqueue -> dequeue -> exec_start -> transfer_start/transfer_end

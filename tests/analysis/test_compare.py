@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.compare import crossover_point, speedup, speedups_over
+from repro.analysis.compare import crossover_point, speedup
 from repro.errors import ConfigError
 
 
@@ -14,14 +14,6 @@ class TestSpeedup:
     def test_invalid(self):
         with pytest.raises(ConfigError):
             speedup(1.0, 0.0)
-
-    def test_speedups_over(self):
-        s = speedups_over({"joint": 1.0, "a": 2.0, "b": 0.5})
-        assert s == {"a": 2.0, "b": 0.5}
-
-    def test_missing_reference_raises(self):
-        with pytest.raises(ConfigError):
-            speedups_over({"a": 1.0})
 
 
 class TestCrossover:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import bootstrap_ci, mean_ci, summarize
+from repro.analysis.stats import summarize
 from repro.errors import ConfigError
 
 
@@ -24,55 +24,6 @@ class TestSummarize:
 
     def test_single_sample_std_zero(self):
         assert summarize(np.array([5.0])).std == 0.0
-
-
-class TestMeanCI:
-    def test_contains_mean(self):
-        x = np.random.default_rng(1).normal(10.0, 1.0, 100)
-        m, lo, hi = mean_ci(x)
-        assert lo <= m <= hi
-
-    def test_wider_at_higher_confidence(self):
-        x = np.random.default_rng(2).normal(0.0, 1.0, 50)
-        _, lo95, hi95 = mean_ci(x, 0.95)
-        _, lo99, hi99 = mean_ci(x, 0.99)
-        assert hi99 - lo99 > hi95 - lo95
-
-    def test_single_sample_degenerate(self):
-        m, lo, hi = mean_ci(np.array([3.0]))
-        assert m == lo == hi == 3.0
-
-    def test_invalid_confidence(self):
-        with pytest.raises(ConfigError):
-            mean_ci(np.array([1.0, 2.0]), confidence=1.5)
-
-    def test_coverage_empirical(self):
-        """~95% of 95% CIs should contain the true mean."""
-        rng = np.random.default_rng(3)
-        hits = 0
-        n_trials = 200
-        for _ in range(n_trials):
-            x = rng.normal(5.0, 2.0, 30)
-            _, lo, hi = mean_ci(x, 0.95)
-            hits += lo <= 5.0 <= hi
-        assert hits / n_trials > 0.88
-
-
-class TestBootstrap:
-    def test_contains_point(self):
-        x = np.random.default_rng(4).exponential(1.0, 80)
-        p, lo, hi = bootstrap_ci(x, np.median, seed=0)
-        assert lo <= p <= hi
-
-    def test_deterministic_given_seed(self):
-        x = np.random.default_rng(5).normal(0, 1, 40)
-        a = bootstrap_ci(x, seed=1)
-        b = bootstrap_ci(x, seed=1)
-        assert a == b
-
-    def test_empty_raises(self):
-        with pytest.raises(ConfigError):
-            bootstrap_ci(np.array([]))
 
 
 class TestJainIndex:

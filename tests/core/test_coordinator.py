@@ -178,6 +178,19 @@ class TestMigration:
         assert res.perf.migrations == 0
         assert res.shard_plan.task_shard == tuple(res.shard_plan.task_shard)
 
+    def test_hysteresis_gates_migrations(self, medium_instance):
+        # a migration must beat the relative gain ``migration_hysteresis``;
+        # no move on this instance gains a millionfold
+        cluster, tasks, cands = medium_instance
+        res = solve_sharded(
+            tasks, cluster,
+            config=JointSolverConfig(
+                shards=2, migration_rounds=3, migration_hysteresis=1e6
+            ),
+            candidates=cands, seed=7,
+        )
+        assert res.perf.migrations == 0
+
     def test_migration_strictly_helps_here(self, medium_instance):
         # on this instance the partition leaves cross-shard gains on the
         # table; the coordinator should find at least one

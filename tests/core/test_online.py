@@ -137,8 +137,9 @@ class TestController:
             OnlineController(small_cluster, [])
 
 
-#: deterministic calibration keeps these fast; window=6 has enough power
-DRIFT = DriftConfig(window=6, calibration="zscore", threshold=4.0)
+#: window=6 and 400 relabelings give the permutation test the power to
+#: fire mid-transition (see tests/telemetry/test_drift.py)
+DRIFT = DriftConfig(window=6, permutations=400)
 
 
 class TestDriftWiring:
@@ -224,7 +225,9 @@ class TestDriftWiring:
 class TestIncrementalReplan:
     """Drift-flagged strict-subset re-plans route through resolve_dirty."""
 
-    def _drifted_controller(self, small_cluster, small_tasks, small_candidates):
+    def _drifted_controller(self, small_cluster, small_tasks, small_candidates, jump=("t1",)):
+        """A two-shard controller whose ``jump`` tasks' service times step
+        up together, observed until every shard homing them is flagged."""
         from repro.core.joint import JointSolverConfig
 
         c = OnlineController(
@@ -239,13 +242,15 @@ class TestIncrementalReplan:
             c.observe(EnvironmentSample(
                 time_s=float(i), service_times_s={"t0": v, "t1": v},
             ))
+        want = tuple(int(t[1:]) for t in jump)  # t<i> is homed on shard i
         for i, v in enumerate([0.050, 0.0498, 0.0502, 0.0501, 0.0499, 0.050]):
             c.observe(EnvironmentSample(
-                time_s=12.0 + i, service_times_s={"t0": 0.020, "t1": v},
+                time_s=12.0 + i,
+                service_times_s={t: v if t in jump else 0.020 for t in ("t0", "t1")},
             ))
-            if c.drifted_shards:
+            if c.drifted_shards == want:
                 break
-        assert c.drifted_shards == (1,)
+        assert c.drifted_shards == want
         return c
 
     def test_subset_drift_resolves_incrementally(
@@ -266,15 +271,10 @@ class TestIncrementalReplan:
     def test_global_drift_escalates_to_full_solve(
         self, small_cluster, small_tasks, small_candidates
     ):
-        c = self._drifted_controller(small_cluster, small_tasks, small_candidates)
-        # drift the second shard too: every shard dirty -> full solve
-        for i, v in enumerate([0.060, 0.0598, 0.0602, 0.0601, 0.0599, 0.060]):
-            c.observe(EnvironmentSample(
-                time_s=25.0 + i, service_times_s={"t0": v, "t1": 0.050},
-            ))
-            if len(c.drifted_shards) == 2:
-                break
-        assert c.drifted_shards == (0, 1)
+        # both shards drift together: every shard dirty -> full solve
+        c = self._drifted_controller(
+            small_cluster, small_tasks, small_candidates, jump=("t0", "t1")
+        )
         fired = c.observe(
             EnvironmentSample(time_s=40.0, arrival_rates={"t0": 9.0})
         )

@@ -8,6 +8,7 @@ from repro.errors import FaultError, ResourceUnavailableError
 from repro.faults import FaultEvent, FaultSchedule, resource_windows
 from repro.sim import SimulationConfig, simulate_plan
 from repro.sim.queues import FifoResource, slice_resources
+from repro.telemetry.timeline import TimelineRecorder
 
 
 def _server_slice(schedule, rate=1e9):
@@ -135,9 +136,10 @@ class TestTelemetry:
         rep = simulate_plan(
             small_tasks, small_plan, small_cluster,
             SimulationConfig(
-                horizon_s=4.0, warmup_s=0.0, telemetry=True,
+                horizon_s=4.0, warmup_s=0.0,
                 faults=FaultSchedule.crash_recover(server, 1.0, 1.0),
             ),
+            recorder=TimelineRecorder(),
         )
         faults = [e for e in rep.timeline.events if e.req_id == -1]
         assert [(e.kind, e.t_s, e.task) for e in faults] == [

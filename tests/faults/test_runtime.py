@@ -5,14 +5,13 @@ import dataclasses
 import hashlib
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.faults import FailurePolicy, FaultEvent, FaultSchedule, PlanUpdate
 from repro.sim import SimulationConfig, simulate_plan
 from repro.sim.runner import run_replications
-from repro.units import mbps
+from repro.telemetry.timeline import TimelineRecorder
 
 
 def _crash_cfg(server, crash_s=3.0, down_s=4.0, horizon_s=12.0, **kw):
@@ -109,6 +108,26 @@ class TestRecoveryDemonstration:
 
 
 class TestLadderRungs:
+    def test_detection_delay_postpones_recovery(
+        self, small_tasks, small_plan, small_cluster, offload_target
+    ):
+        """A failure is acted on ``detection_delay_s`` after it manifests:
+        the same requests degrade locally, later under a slower detector."""
+        _, server = offload_target
+        reports = [
+            simulate_plan(
+                small_tasks, small_plan, small_cluster,
+                _crash_cfg(server, failure_policy=FailurePolicy(
+                    max_retries=0, failover=False, detection_delay_s=d,
+                )),
+            )
+            for d in (0.005, 0.5)
+        ]
+        quick, slow = (r.counters for r in reports)
+        assert quick.degraded_completions == slow.degraded_completions > 0
+        assert quick.lost == slow.lost == 0
+        assert reports[1].mean_latency_s > reports[0].mean_latency_s
+
     def test_degradation_when_failover_and_retries_disabled(
         self, small_tasks, small_plan, small_cluster, offload_target
     ):
@@ -242,8 +261,10 @@ class TestTelemetry:
         self, small_tasks, small_plan, small_cluster, offload_target
     ):
         _, server = offload_target
-        cfg = _crash_cfg(server, telemetry=True, failure_policy=FailurePolicy())
-        rep = simulate_plan(small_tasks, small_plan, small_cluster, cfg)
+        cfg = _crash_cfg(server, failure_policy=FailurePolicy())
+        rep = simulate_plan(
+            small_tasks, small_plan, small_cluster, cfg, recorder=TimelineRecorder()
+        )
         kinds = {e.kind for e in rep.timeline.events}
         assert {"fault_inject", "fault_recover"} <= kinds
         # the crash window produced ladder activity of some rung
@@ -326,7 +347,6 @@ class TestPinnedDigests:
 
     @staticmethod
     def _runs(plan):
-        from repro.network.wireless import BandwidthTrace
         from repro.telemetry.windows import WindowConfig
 
         inf = math.inf
@@ -346,34 +366,26 @@ class TestPinnedDigests:
             FaultEvent("server_slowdown", "srv_gpu", 4.0, 4.5, 0.25),
             FaultEvent("server_slowdown", "srv_gpu", 5.0, 6.0, 0.5),
         ))
-        trace = BandwidthTrace(
-            times=np.array([0.0, 1.5, 3.0, 5.5]),
-            values=np.array([mbps(40), mbps(10), mbps(25), mbps(40)]),
-        )
+        # (config, plan updates, record a timeline?)
         return {
             "every_kind": (dict(base, faults=every_kind,
-                                failure_policy=FailurePolicy()), ()),
-            "every_kind_no_policy": (dict(base, faults=every_kind), ()),
+                                failure_policy=FailurePolicy()), (), False),
+            "every_kind_no_policy": (dict(base, faults=every_kind), (), False),
             "permanent_degrade": (dict(
                 base,
                 faults=FaultSchedule(events=(
                     FaultEvent("server_crash", "srv_gpu", 3.0, inf),
                 )),
                 failure_policy=FailurePolicy(max_retries=0, failover=False),
-            ), ()),
+            ), (), False),
             "back_to_back_failover": (dict(
-                base, faults=back_to_back, telemetry=True,
-                failure_policy=FailurePolicy(),
-            ), ()),
+                base, faults=back_to_back, failure_policy=FailurePolicy(),
+            ), (), True),
             "plan_update_shed": (dict(
                 base,
                 faults=FaultSchedule.crash_recover("srv_gpu", 3.0, 3.0),
                 failure_policy=FailurePolicy(),
-            ), (PlanUpdate(4.0, plan, shed_tasks=("t0",)),)),
-            "bandwidth_trace": (dict(
-                base, faults=every_kind, bandwidth_trace=trace,
-                failure_policy=FailurePolicy(stage_timeout_s=0.5),
-            ), ()),
+            ), (PlanUpdate(4.0, plan, shed_tasks=("t0",)),), False),
         }
 
     #: recorded before the fault windows moved into the resources
@@ -383,15 +395,15 @@ class TestPinnedDigests:
         "permanent_degrade": "cc0fea867ee287c9aa06930b55f613a528608c71da962b18e84a717559f5e2fb",
         "back_to_back_failover": "2038bf478659aed753278e86eedce188e107d81ce47ab240ff4269c79c3afea0",
         "plan_update_shed": "28631fc048aae7ebf36bda759a300d9a2146ebf4cedc5b6cebf76d89f1b52f4f",
-        "bandwidth_trace": "6a9cda45a94afc39eec0850ac2caa919a2a05a764e7cd879a00c1746a5ef10ba",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_digest(self, instance, name):
         tasks, plan, cluster = instance
-        kwargs, updates = self._runs(plan)[name]
+        kwargs, updates, timeline = self._runs(plan)[name]
         rep = simulate_plan(
-            tasks, plan, cluster, SimulationConfig(**kwargs), plan_updates=updates
+            tasks, plan, cluster, SimulationConfig(**kwargs),
+            recorder=TimelineRecorder() if timeline else None, plan_updates=updates,
         )
         assert rep.counters.faults_injected == len(kwargs["faults"])
         assert rep.counters.conserved()

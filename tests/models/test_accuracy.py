@@ -46,7 +46,6 @@ class TestAccuracyCurve:
             dict(final_accuracy=1.2),
             dict(base_accuracy=0.9, final_accuracy=0.8),
             dict(sharpness=-1.0),
-            dict(difficulty_sensitivity=0.0),
         ],
     )
     def test_invalid_config(self, kwargs):

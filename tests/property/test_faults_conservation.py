@@ -2,7 +2,8 @@
 
 The load-bearing invariant: every launched request is accounted for exactly
 once — completed, discarded as warmup, lost, or shed — regardless of arrival
-process, fault schedule, or recovery policy.
+process (Poisson or the tie-heavy evenly spaced one), fault schedule, or
+recovery policy.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from repro.faults import (
     sample_fault_schedule,
 )
 from repro.sim import SimulationConfig, simulate_plan
+from tests.arrivals import ARRIVALS, arrival_process
 
 _PLAN_CACHE = {}
 
@@ -48,7 +50,7 @@ def _policies():
 
 @settings(max_examples=15, deadline=None)
 @given(
-    arrival=st.sampled_from(["poisson", "deterministic", "mmpp"]),
+    arrival=st.sampled_from(ARRIVALS),
     seed=st.integers(0, 2**16),
     crash_rate=st.sampled_from([0.0, 4.0, 12.0]),
     loss_prob=st.sampled_from([0.0, 0.3]),
@@ -73,12 +75,12 @@ def test_conservation_across_arrivals_faults_policies(
     cfg = SimulationConfig(
         horizon_s=horizon,
         warmup_s=1.0,
-        arrival=arrival,
         seed=seed,
         faults=faults if len(faults) else None,
         failure_policy=policy if len(faults) else None,
     )
-    rep = simulate_plan(tasks, plan, cluster, cfg)
+    with arrival_process(arrival):
+        rep = simulate_plan(tasks, plan, cluster, cfg)
     c = rep.counters
     assert c.conserved(), (
         f"requests={c.requests} != records={c.records} + warmup="

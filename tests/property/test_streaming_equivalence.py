@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.joint import JointOptimizer
 from repro.sim import SimulationConfig, run_cells
 from repro.sim.runner import simulate_plan
+from tests.arrivals import ARRIVALS, arrival_process
 
 KEEP_ALL = 10**6
 
@@ -37,8 +38,8 @@ def solved(small_cluster, small_tasks, small_candidates):
     ).plan
 
 
-def _cfg(seed, arrival, **overrides):
-    kw = dict(horizon_s=5.0, warmup_s=0.5, seed=seed, arrival=arrival)
+def _cfg(seed, **overrides):
+    kw = dict(horizon_s=5.0, warmup_s=0.5, seed=seed)
     kw.update(overrides)
     return SimulationConfig(**kw)
 
@@ -47,7 +48,7 @@ def _sorted_records(report):
     return sorted(report.records, key=lambda r: (r.task_name, r.req_id))
 
 
-arrivals = st.sampled_from(["poisson", "deterministic", "mmpp"])
+arrivals = st.sampled_from(ARRIVALS)
 chunk_sizes = st.one_of(st.integers(1, 128), st.just(10**9))
 seeds = st.integers(0, 50)
 
@@ -57,16 +58,12 @@ seeds = st.integers(0, 50)
 def test_chunked_streaming_bit_identical(
     small_cluster, small_tasks, solved, arrival, chunk_size, seed
 ):
-    one_shot = simulate_plan(
-        small_tasks, solved, small_cluster, _cfg(seed, arrival)
-    )
-    streamed = simulate_plan(
-        small_tasks, solved, small_cluster,
-        _cfg(
-            seed, arrival, streaming=True, chunk_size=chunk_size,
-            max_records=KEEP_ALL,
-        ),
-    )
+    with arrival_process(arrival):
+        one_shot = simulate_plan(small_tasks, solved, small_cluster, _cfg(seed))
+        streamed = simulate_plan(
+            small_tasks, solved, small_cluster,
+            _cfg(seed, streaming=True, chunk_size=chunk_size, max_records=KEEP_ALL),
+        )
     assert _sorted_records(streamed) == _sorted_records(one_shot)
     assert streamed.counters == one_shot.counters
     assert streamed.utilizations == one_shot.utilizations
@@ -83,13 +80,12 @@ def test_chunked_streaming_bit_identical(
 def test_streaming_summary_matches_records(
     small_cluster, small_tasks, solved, arrival, chunk_size, seed, q
 ):
-    record_backed = simulate_plan(
-        small_tasks, solved, small_cluster, _cfg(seed, arrival)
-    )
-    streamed = simulate_plan(
-        small_tasks, solved, small_cluster,
-        _cfg(seed, arrival, streaming=True, chunk_size=chunk_size),
-    )
+    with arrival_process(arrival):
+        record_backed = simulate_plan(small_tasks, solved, small_cluster, _cfg(seed))
+        streamed = simulate_plan(
+            small_tasks, solved, small_cluster,
+            _cfg(seed, streaming=True, chunk_size=chunk_size),
+        )
     assert streamed.counters == record_backed.counters
     assert streamed.miss_rate == record_backed.miss_rate
     assert streamed.accuracy == record_backed.accuracy
@@ -110,7 +106,7 @@ def test_streaming_summary_matches_records(
 def test_sharded_cells_conserve_and_commute(
     small_cluster, small_tasks, solved, cells, seed
 ):
-    cfg = _cfg(seed, "poisson", streaming=True)
+    cfg = _cfg(seed, streaming=True)
     serial = run_cells(
         small_tasks, solved, small_cluster, replace(cfg, sim_workers=1), cells
     )

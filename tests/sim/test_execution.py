@@ -13,6 +13,7 @@ from repro.sim.execution import (
     record_fields,
 )
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
+from tests.arrivals import ARRIVALS, arrival_process
 
 
 def plan_with_exits(model, cut=None):
@@ -138,16 +139,17 @@ class TestTaskRealizer:
     def _table(self, task, cut=None):
         return RealizationTable(task.model, plan_with_exits(task.model, cut))
 
-    @pytest.mark.parametrize("arrival", ["poisson", "deterministic", "mmpp"])
+    @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_rows_independent_of_window_cuts(self, small_tasks, arrival):
         task = small_tasks[0]
-        cfg = self._cfg(arrival=arrival, service_noise=0.2)
+        cfg = self._cfg(service_noise=0.2)
         table = self._table(task)
-        whole = TaskRealizer(task, cfg).realize(table, cfg.horizon_s)
-        realizer = TaskRealizer(task, cfg)
-        cut = np.concatenate(
-            [realizer.realize(table, t) for t in (0.0, 1.3, 1.3, 7.7, 29.0, 30.0)]
-        )
+        with arrival_process(arrival):
+            whole = TaskRealizer(task, cfg).realize(table, cfg.horizon_s)
+            realizer = TaskRealizer(task, cfg)
+            cut = np.concatenate(
+                [realizer.realize(table, t) for t in (0.0, 1.3, 1.3, 7.7, 29.0, 30.0)]
+            )
         assert whole.shape[0] > 0
         np.testing.assert_array_equal(whole, cut)
         np.testing.assert_array_equal(whole[:, REQ], np.arange(whole.shape[0]))

@@ -2,7 +2,8 @@
 
 The simulator must stay causally consistent (no negative latencies, no lost
 requests, deterministic) even when the inputs are extreme — overload,
-near-zero bandwidth, bursty arrivals, degenerate difficulty distributions.
+near-zero bandwidth, a mid-run link collapse, degenerate difficulty
+distributions.
 """
 
 import dataclasses
@@ -14,9 +15,9 @@ from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.core.plan import TaskSpec
 from repro.devices.cluster import EdgeCluster
 from repro.devices.presets import SERVER_PRESETS, device_preset
+from repro.faults import FaultEvent, FaultSchedule
 from repro.models.exits import DifficultyDistribution
 from repro.network.link import Link
-from repro.network.wireless import BandwidthTrace
 from repro.sim import SimulationConfig, simulate_plan
 from repro.units import mbps
 from repro.workloads.scenarios import multiexit_model
@@ -77,19 +78,19 @@ class TestDegenerateNetwork:
         plan = JointOptimizer(small_cluster).solve(
             small_tasks, candidates=small_candidates, seed=0
         ).plan
-        base_bw = small_cluster.link("dev0", "srv_cpu").bandwidth_bps
-        # full speed for 5 s, then a 99.9% collapse
-        trace = BandwidthTrace(
-            times=np.array([0.0, 5.0]), values=np.array([base_bw, base_bw / 1000])
-        )
+        # full speed for 5 s, then every link collapses by 99.9% for good
+        collapse = FaultSchedule(tuple(
+            FaultEvent("link_degrade", t.name, 5.0, float("inf"), severity=1e-3)
+            for t in small_tasks
+        ))
         rep = simulate_plan(
             small_tasks, plan, small_cluster,
-            SimulationConfig(horizon_s=10.0, warmup_s=0.0, seed=4, bandwidth_trace=trace),
+            SimulationConfig(horizon_s=10.0, warmup_s=0.0, seed=4, faults=collapse),
         )
         before = [r.latency_s for r in rep.records if r.arrival_s < 4.0 and r.offloaded]
         after = [r.latency_s for r in rep.records if r.arrival_s >= 5.0 and r.offloaded]
-        if before and after:
-            assert np.mean(after) > np.mean(before)
+        assert before and after
+        assert np.mean(after) > np.mean(before)
 
 
 class TestDegenerateWorkloads:
@@ -115,21 +116,6 @@ class TestDegenerateWorkloads:
         )
         assert rep.total_requests > 0
         assert 0.0 <= rep.accuracy <= 1.0
-
-    def test_bursty_arrivals_tail_heavier_than_poisson(self, small_cluster, small_tasks, small_candidates):
-        plan = JointOptimizer(small_cluster).solve(
-            small_tasks, candidates=small_candidates, seed=0
-        ).plan
-        poisson = simulate_plan(
-            small_tasks, plan, small_cluster,
-            SimulationConfig(horizon_s=60.0, warmup_s=5.0, seed=6, arrival="poisson"),
-        )
-        bursty = simulate_plan(
-            small_tasks, plan, small_cluster,
-            SimulationConfig(horizon_s=60.0, warmup_s=5.0, seed=6, arrival="mmpp",
-                             burst_factor=8.0),
-        )
-        assert bursty.percentile_latency_s(99) > poisson.percentile_latency_s(99) * 0.9
 
     def test_single_request_horizon(self, small_cluster, me_alexnet):
         tasks = [TaskSpec("t", me_alexnet, "dev0", deadline_s=1.0, accuracy_floor=0.5,

@@ -11,14 +11,15 @@ from repro.core.candidates import build_candidates
 from repro.core.plan import TaskSpec
 from repro.faults import FaultSchedule
 from repro.faults import runtime as runtime_mod
-from repro.network.wireless import BandwidthTrace
 from repro.rng import derive
 from repro.sim import execution, fastpath
 from repro.sim import runner as runner_mod
 from repro.sim.runner import SimulationConfig, simulate_plan
 from repro.sim.sources import arrival_times
+from repro.telemetry.timeline import TimelineRecorder
 from repro.telemetry.trace import Tracer, get_tracer, set_tracer
 from repro.telemetry.windows import WindowConfig
+from tests.arrivals import ARRIVALS, arrival_process
 
 
 @pytest.fixture(scope="module")
@@ -66,32 +67,15 @@ class TestBitIdentity:
             kw["chunk_size"] = self.chunk_size
         return SimulationConfig(**kw)
 
-    @pytest.mark.parametrize("arrival", ["poisson", "deterministic", "mmpp"])
+    @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_arrival_modes(self, small_cluster, small_tasks, solved, arrival):
-        kw = dict(horizon_s=8.0, warmup_s=1.0, seed=11, arrival=arrival)
-        fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
-        event = simulate_plan(
-            small_tasks, solved, small_cluster,
-            SimulationConfig(faults=FaultSchedule(), **kw),
-        )
-        assert_reports_identical(fast, event)
-
-    def test_bandwidth_trace(self, small_cluster, small_tasks, solved):
-        trace = BandwidthTrace(
-            times=np.array([0.0, 4.0]),
-            values=np.array(
-                [
-                    small_cluster.link("dev0", "srv_cpu").bandwidth_bps / 10,
-                    small_cluster.link("dev0", "srv_cpu").bandwidth_bps / 3,
-                ]
-            ),
-        )
-        kw = dict(horizon_s=8.0, warmup_s=1.0, seed=12, bandwidth_trace=trace)
-        fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
-        event = simulate_plan(
-            small_tasks, solved, small_cluster,
-            SimulationConfig(faults=FaultSchedule(), **kw),
-        )
+        kw = dict(horizon_s=8.0, warmup_s=1.0, seed=11)
+        with arrival_process(arrival):
+            fast = simulate_plan(small_tasks, solved, small_cluster, self.fast_cfg(**kw))
+            event = simulate_plan(
+                small_tasks, solved, small_cluster,
+                SimulationConfig(faults=FaultSchedule(), **kw),
+            )
         assert_reports_identical(fast, event)
 
     def test_shared_device_ties(self, small_cluster, me_resnet18, me_alexnet):
@@ -109,11 +93,12 @@ class TestBitIdentity:
         ]
         cands = [build_candidates(t) for t in tasks]
         plan = JointOptimizer(small_cluster).solve(tasks, candidates=cands, seed=0).plan
-        kw = dict(horizon_s=6.0, warmup_s=0.5, seed=13, arrival="deterministic")
-        fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
-        event = simulate_plan(
-            tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
-        )
+        kw = dict(horizon_s=6.0, warmup_s=0.5, seed=13)
+        with arrival_process("deterministic"):
+            fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
+            event = simulate_plan(
+                tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
+            )
         assert fast.total_requests > 0
         assert_reports_identical(fast, event)
 
@@ -125,11 +110,12 @@ class TestBitIdentity:
         the event loop's (arrival time, schedule order) tie-break.
         """
         tasks, plan = interleaved
-        kw = dict(horizon_s=6.0, warmup_s=0.5, seed=17, arrival="deterministic")
-        fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
-        event = simulate_plan(
-            tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
-        )
+        kw = dict(horizon_s=6.0, warmup_s=0.5, seed=17)
+        with arrival_process("deterministic"):
+            fast = simulate_plan(tasks, plan, small_cluster, self.fast_cfg(**kw))
+            event = simulate_plan(
+                tasks, plan, small_cluster, SimulationConfig(faults=FaultSchedule(), **kw)
+            )
         assert {r.task_name for r in fast.records} == {t.name for t in tasks}
         assert_reports_identical(fast, event)
 
@@ -165,7 +151,7 @@ class TestDispatch:
             )
 
     def test_telemetry_forces_event_loop(self, small_cluster, small_tasks, solved, monkeypatch):
-        """Telemetry runs must never take the sweep (gauges need events)."""
+        """Runs with a timeline recorder never take the sweep (gauges need events)."""
 
         def boom(*a, **k):
             raise AssertionError("fast path taken on a telemetry run")
@@ -173,7 +159,7 @@ class TestDispatch:
         monkeypatch.setattr(runner_mod, "sweep_pipeline", boom)
         rep = simulate_plan(
             small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=6.0, seed=15, telemetry=True),
+            SimulationConfig(horizon_s=6.0, seed=15), recorder=TimelineRecorder(),
         )
         assert rep.timeline is not None
         assert rep.registry is not None
@@ -271,10 +257,7 @@ def test_record_backed_arrivals_past_one_stream_block(small_cluster, small_tasks
     cfg = SimulationConfig(horizon_s=4.0, warmup_s=0.0, seed=3)
     rep = simulate_plan(busy, solved, small_cluster, cfg)
     for t in busy:
-        want = arrival_times(
-            t.arrival_rate, cfg.horizon_s, cfg.arrival, cfg.burst_factor,
-            derive(cfg.seed, "arrivals", t.name),
-        )
+        want = arrival_times(t.arrival_rate, cfg.horizon_s, derive(cfg.seed, "arrivals", t.name))
         got = sorted(r.arrival_s for r in rep.records if r.task_name == t.name)
         np.testing.assert_array_equal(got, want)
     assert max(t.arrival_rate for t in busy) * cfg.horizon_s > 8192

@@ -6,7 +6,6 @@ import pytest
 from repro.core.joint import JointOptimizer
 from repro.errors import SimulationError
 from repro.faults import FaultSchedule
-from repro.network.wireless import BandwidthTrace
 from repro.sim import SimulationConfig, simulate_plan
 from repro.sim.queues import (
     FifoResource, LinkResource, device_resources, slice_resources,
@@ -73,25 +72,6 @@ class TestLinkResource:
         l = LinkResource("l", bandwidth_bps=1000.0, rtt_s=1.0)
         assert l.submit(2.0, 0.0) == (2.0, 2.0)
 
-    def test_trace_integration_within_segment(self):
-        tr = BandwidthTrace(times=np.array([0.0]), values=np.array([1000.0]))
-        l = LinkResource("l", bandwidth_bps=999.0, trace=tr)
-        _, done = l.submit(0.0, 500.0)
-        assert done == pytest.approx(0.5)
-
-    def test_trace_integration_across_change_point(self):
-        # 1000 B/s for 1s, then 100 B/s: 1500 B needs 1s + 5s
-        tr = BandwidthTrace(times=np.array([0.0, 1.0]), values=np.array([1000.0, 100.0]))
-        l = LinkResource("l", bandwidth_bps=999.0, trace=tr)
-        _, done = l.submit(0.0, 1500.0)
-        assert done == pytest.approx(6.0)
-
-    def test_trace_with_share(self):
-        tr = BandwidthTrace(times=np.array([0.0]), values=np.array([1000.0]))
-        l = LinkResource("l", bandwidth_bps=999.0, share=0.5, trace=tr)
-        _, done = l.submit(0.0, 500.0)
-        assert done == pytest.approx(1.0)
-
     def test_fifo_ordering_preserved(self):
         l = LinkResource("l", bandwidth_bps=1000.0)
         _, d1 = l.submit(0.0, 1000.0)
@@ -130,8 +110,8 @@ class TestBuilders:
         # so the event loop's times stay plain floats too
         rep = simulate_plan(
             tasks, plan, cluster,
-            SimulationConfig(horizon_s=2.0, warmup_s=0.0, telemetry=True,
-                             faults=FaultSchedule()),
+            SimulationConfig(horizon_s=2.0, warmup_s=0.0, faults=FaultSchedule()),
+            recorder=TimelineRecorder(),
         )
         assert rep.timeline.events
         assert all(type(e.t_s) is float for e in rep.timeline.events)

@@ -22,6 +22,7 @@ from repro.sim import execution, fastpath
 from repro.sim.entities import COLUMNS, RecordTable, RequestRecord
 from repro.sim.metrics import SimulationReport, TaskStats, merge_reports
 from repro.sim.runner import SimulationConfig, simulate_plan
+from tests.arrivals import ARRIVALS, arrival_process
 
 
 def object_records(fields):
@@ -106,7 +107,7 @@ _POLICIES = st.sampled_from([
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
-    arrival=st.sampled_from(["poisson", "deterministic", "mmpp"]),
+    arrival=st.sampled_from(ARRIVALS),
     noise=st.sampled_from([0.0, 0.3]),
     engine=st.sampled_from(["sweep", "event_loop"]),
     warmup=st.sampled_from([0.0, 1.5]),
@@ -114,11 +115,11 @@ _POLICIES = st.sampled_from([
 def test_fault_free_runs_match_object_records(setup, seed, arrival, noise, engine, warmup):
     tasks, plan, cluster = setup
     cfg = SimulationConfig(
-        horizon_s=6.0, warmup_s=warmup, arrival=arrival, seed=seed,
-        service_noise=noise,
+        horizon_s=6.0, warmup_s=warmup, seed=seed, service_noise=noise,
         faults=FaultSchedule() if engine == "event_loop" else None,
     )
-    report, records = _run_capturing(tasks, plan, cluster, cfg)
+    with arrival_process(arrival):
+        report, records = _run_capturing(tasks, plan, cluster, cfg)
     assert isinstance(report.records, RecordTable)
     assert_matches_records(report, records)
 

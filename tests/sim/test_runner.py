@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.errors import ConfigError
-from repro.network.wireless import BandwidthTrace
 from repro.sim.runner import SimulationConfig, simulate_plan
 
 
@@ -22,11 +21,8 @@ class TestConfig:
         [
             dict(horizon_s=0.0),
             dict(warmup_s=50.0, horizon_s=10.0),
-            dict(arrival="bursty-ish"),
-            dict(burst_factor=0.5),
             dict(horizon_s=float("inf")),
             dict(warmup_s=float("nan")),
-            dict(burst_factor=float("nan")),
             dict(service_noise=float("nan")),
             dict(replications=0),
             dict(sim_workers=0),
@@ -49,11 +45,11 @@ class TestSimulatePlan:
         """Every generated request is either completed or warmup-discarded."""
         cfg = SimulationConfig(horizon_s=10.0, warmup_s=1.0, seed=1)
         rep = simulate_plan(small_tasks, solved, small_cluster, cfg)
-        from repro.sim.sources import PoissonArrivals
+        from repro.sim.sources import arrival_times
         from repro.rng import derive
 
         expected = sum(
-            len(PoissonArrivals(t.arrival_rate).generate(10.0, derive(1, "arrivals", t.name)))
+            len(arrival_times(t.arrival_rate, 10.0, derive(1, "arrivals", t.name)))
             for t in small_tasks
         )
         assert rep.total_requests + rep.discarded_warmup == expected
@@ -81,35 +77,13 @@ class TestSimulatePlan:
             predicted = solved.latencies[t.name]
             assert measured == pytest.approx(predicted, rel=0.4)
 
-    def test_deterministic_arrivals_mode(self, small_cluster, small_tasks, solved):
-        rep = simulate_plan(
-            small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=10.0, arrival="deterministic", seed=5),
-        )
-        assert rep.total_requests > 0
-
-    def test_mmpp_arrivals_mode(self, small_cluster, small_tasks, solved):
-        rep = simulate_plan(
-            small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=10.0, arrival="mmpp", seed=6),
-        )
-        assert rep.total_requests > 0
-
-    def test_bandwidth_trace_slows_offloads(self, small_cluster, small_tasks, solved):
-        fast = simulate_plan(
-            small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=15.0, seed=7),
-        )
-        slow_trace = BandwidthTrace(
-            times=np.array([0.0]), values=np.array([small_cluster.link("dev0", "srv_cpu").bandwidth_bps / 20])
-        )
-        slow = simulate_plan(
-            small_tasks, solved, small_cluster,
-            SimulationConfig(horizon_s=15.0, seed=7, bandwidth_trace=slow_trace),
-        )
-        offloaded = any(s is not None for s in solved.assignment.values())
-        if offloaded:
-            assert slow.mean_latency_s > fast.mean_latency_s
+    def test_slower_links_slow_offloads(self, small_cluster, small_tasks, solved):
+        cfg = SimulationConfig(horizon_s=15.0, seed=7)
+        fast = simulate_plan(small_tasks, solved, small_cluster, cfg)
+        slow_cluster = small_cluster.with_topology(small_cluster.topology.scale_all(1 / 20))
+        slow = simulate_plan(small_tasks, solved, slow_cluster, cfg)
+        assert any(s is not None for s in solved.assignment.values())
+        assert slow.mean_latency_s > fast.mean_latency_s
 
     def test_unknown_task_in_plan_raises(self, small_cluster, small_tasks, solved, me_resnet18):
         from repro.core.plan import TaskSpec

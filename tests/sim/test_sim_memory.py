@@ -24,7 +24,7 @@ from repro.core.joint import JointOptimizer, JointSolverConfig
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.sim import fastpath
 from repro.sim.runner import SimulationConfig, simulate_plan
-from repro.sim.sources import ArrivalStream
+from repro.sim.sources import PoissonStream
 from repro.telemetry.windows import WindowConfig
 from repro.workloads.scenarios import build_scenario
 
@@ -62,7 +62,7 @@ def test_multi_window_run_keeps_about_one_window_of_arrivals(sixteen_devices, mo
         windows=WindowConfig(window_s=10.0, bin_s=0.02),
     )
     kept = []  # bytes each take_until leaves its stream holding
-    take = ArrivalStream.take_until
+    take = PoissonStream.take_until
 
     def spy(self, t_end):
         window = take(self, t_end)
@@ -70,7 +70,7 @@ def test_multi_window_run_keeps_about_one_window_of_arrivals(sixteen_devices, mo
         kept.append((buf if buf.base is None else buf.base).nbytes)
         return window
 
-    monkeypatch.setattr(ArrivalStream, "take_until", spy)
+    monkeypatch.setattr(PoissonStream, "take_until", spy)
     rep = simulate_plan(tasks, plan, cluster, cfg)
     window_arrivals = cfg.chunk_size / len(tasks)  # equal rates: one task's share
     assert rep.counters.requests > 12 * cfg.chunk_size  # many windows

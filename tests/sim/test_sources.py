@@ -1,4 +1,4 @@
-"""Arrival processes."""
+"""Poisson arrival streams."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.sim.sources import (
-    DeterministicArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    PoissonStream,
-    TraceArrivals,
-    arrival_stream,
-    arrival_times,
-    oneshot_block,
-)
+from repro.sim.sources import PoissonStream, arrival_stream, arrival_times, oneshot_block
 
 
 def _drain(stream, boundaries):
@@ -27,74 +18,33 @@ def _drain(stream, boundaries):
 
 class TestPoisson:
     def test_rate_approximately_honored(self):
-        times = PoissonArrivals(10.0).generate(200.0, seed=1)
+        times = arrival_times(10.0, 200.0, seed=1)
         assert len(times) / 200.0 == pytest.approx(10.0, rel=0.1)
 
     def test_strictly_increasing(self):
-        times = PoissonArrivals(5.0).generate(50.0, seed=2)
+        times = arrival_times(5.0, 50.0, seed=2)
         assert np.all(np.diff(times) > 0)
 
     def test_within_horizon(self):
-        times = PoissonArrivals(5.0).generate(10.0, seed=3)
+        times = arrival_times(5.0, 10.0, seed=3)
         assert times.max() < 10.0
 
     def test_deterministic_given_seed(self):
-        a = PoissonArrivals(5.0).generate(10.0, seed=4)
-        b = PoissonArrivals(5.0).generate(10.0, seed=4)
+        a = arrival_times(5.0, 10.0, seed=4)
+        b = arrival_times(5.0, 10.0, seed=4)
         np.testing.assert_array_equal(a, b)
 
     def test_exponential_gaps(self):
-        times = PoissonArrivals(10.0).generate(500.0, seed=5)
+        times = arrival_times(10.0, 500.0, seed=5)
         gaps = np.diff(times)
         # CV of exponential is 1
         assert gaps.std() / gaps.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
-            PoissonArrivals(0.0)
+            arrival_stream(0.0, 1.0)
         with pytest.raises(ConfigError):
-            PoissonArrivals(1.0).generate(0.0)
-
-
-class TestDeterministic:
-    def test_even_spacing(self):
-        times = DeterministicArrivals(4.0).generate(2.0, seed=0)
-        np.testing.assert_allclose(times, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75])
-
-    def test_count(self):
-        assert len(DeterministicArrivals(10.0).generate(1.0)) == 9  # last lands at horizon
-
-
-class TestMMPP:
-    def test_empirical_rate_near_mean(self):
-        m = MMPPArrivals(low_rate=2.0, high_rate=10.0, mean_low_s=3.0, mean_high_s=1.0)
-        times = m.generate(2000.0, seed=6)
-        # holding-time-weighted mean of the two phase rates
-        assert len(times) / 2000.0 == pytest.approx((2 * 3 + 10 * 1) / 4, rel=0.15)
-
-    def test_burstier_than_poisson(self):
-        m = MMPPArrivals(low_rate=1.0, high_rate=20.0, mean_low_s=5.0, mean_high_s=1.0)
-        times = m.generate(2000.0, seed=7)
-        gaps = np.diff(times)
-        assert gaps.std() / gaps.mean() > 1.2  # CV > 1 = burstier
-
-    def test_high_below_low_raises(self):
-        with pytest.raises(ConfigError):
-            MMPPArrivals(low_rate=5.0, high_rate=2.0)
-
-
-class TestTrace:
-    def test_replay_clipped_to_horizon(self):
-        t = TraceArrivals([0.5, 1.5, 2.5])
-        np.testing.assert_array_equal(t.generate(2.0), [0.5, 1.5])
-
-    def test_non_increasing_raises(self):
-        with pytest.raises(ConfigError):
-            TraceArrivals([1.0, 1.0])
-
-    def test_negative_raises(self):
-        with pytest.raises(ConfigError):
-            TraceArrivals([-1.0, 1.0])
+            arrival_times(1.0, 0.0)
 
 
 class TestPoissonStream:
@@ -110,9 +60,27 @@ class TestPoissonStream:
         stream = arrival_stream(rate, horizon, seed=seed)
         got = _drain(stream, [c * horizon for c in cuts])
         np.testing.assert_array_equal(got, arrival_times(rate, horizon, seed=seed))
-        # the stream consumed exactly the one-shot generator's draws
+        np.testing.assert_array_equal(got, _block_cumsum_arrivals(rate, horizon, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rate=st.floats(0.05, 4000.0),
+        horizon=st.floats(0.5, 12.0),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 10_000),
+    )
+    @example(rate=20.0, horizon=1.0, cuts=[], seed=12603)  # two summation blocks
+    @example(rate=4000.0, horizon=12.0, cuts=[0.5], seed=9)  # multi-piece blocks
+    def test_draws_no_gap_past_the_horizon(self, rate, horizon, cuts, seed):
+        """A stream drawn to its horizon advances its generator by exactly
+        the gaps of the pieces it returned, and only its last piece reaches
+        the horizon."""
+        stream = arrival_stream(rate, horizon, seed=seed)
+        pieces = _spy_refills(stream)
+        _drain(stream, [c * horizon for c in cuts])
+        assert all(p[-1] < horizon for p in pieces[:-1]) and pieces[-1][-1] >= horizon
         rng = np.random.default_rng(seed)
-        PoissonArrivals(rate).generate(horizon, rng)
+        rng.exponential(size=sum(p.size for p in pieces))
         assert stream._rng.bit_generator.state == rng.bit_generator.state
 
     def test_multi_block_one_shot_reproduced(self):
@@ -160,21 +128,16 @@ def _block_cumsum_arrivals(rate, horizon, seed):
 class TestStreamsAtAnyWindowEdges:
     @settings(max_examples=40, deadline=None)
     @given(
-        arrival=st.sampled_from(["poisson", "deterministic", "mmpp"]),
         rate=st.floats(0.05, 4000.0),
         horizon=st.floats(0.5, 12.0),
         edges=st.lists(st.floats(0.0, 1.0), max_size=12),
         seed=st.integers(0, 2**16),
     )
-    @example(arrival="poisson", rate=4000.0, horizon=12.0, edges=[0.1, 0.5, 0.5, 0.93], seed=9)
-    @example(arrival="poisson", rate=1500.0, horizon=6.0, edges=[], seed=0)
-    def test_concatenated_windows_equal_arrival_times(
-        self, arrival, rate, horizon, edges, seed
-    ):
-        if arrival == "mmpp":
-            rate = min(rate, 300.0)  # the MMPP stream draws gap by gap
-        want = arrival_times(rate, horizon, arrival, 4.0, seed)
-        stream = arrival_stream(rate, horizon, arrival, 4.0, seed)
+    @example(rate=4000.0, horizon=12.0, edges=[0.1, 0.5, 0.5, 0.93], seed=9)
+    @example(rate=1500.0, horizon=6.0, edges=[], seed=0)
+    def test_concatenated_windows_equal_arrival_times(self, rate, horizon, edges, seed):
+        want = arrival_times(rate, horizon, seed)
+        stream = arrival_stream(rate, horizon, seed)
         got = _drain(stream, [e * horizon for e in edges])
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got, want)
@@ -184,49 +147,45 @@ class TestStreamsAtAnyWindowEdges:
         assert oneshot_block(1500.0, 6.0) > PoissonStream.BLOCK
 
 
-
 def _spy_refills(stream):
-    """Record the size of every non-empty piece ``stream`` refills."""
-    sizes = []
+    """Record every piece ``stream`` refills."""
+    pieces = []
     refill = stream._refill
 
     def spy(t_end):
         piece = refill(t_end)
-        if piece.size:
-            sizes.append(piece.size)
+        pieces.append(piece)
         return piece
 
     stream._refill = spy
-    return sizes
+    return pieces
 
 
 class TestStreamsHoldOnlyTheWindowInFlight:
     @settings(max_examples=40, deadline=None)
     @given(
-        arrival=st.sampled_from(["poisson", "deterministic", "mmpp"]),
         rate=st.floats(0.05, 4000.0),
         horizon=st.floats(0.5, 12.0),
         edges=st.lists(st.floats(0.0, 1.0), max_size=12),
         seed=st.integers(0, 2**16),
     )
-    @example(arrival="poisson", rate=4000.0, horizon=12.0, edges=[0.01, 0.5, 0.93], seed=9)
-    def test_buffer_owns_at_most_one_refills_leftover(self, arrival, rate, horizon, edges, seed):
-        if arrival == "mmpp":
-            rate = min(rate, 300.0)  # the MMPP stream draws gap by gap
-        stream = arrival_stream(rate, horizon, arrival, 4.0, seed)
+    @example(rate=4000.0, horizon=12.0, edges=[0.01, 0.5, 0.93], seed=9)
+    def test_buffer_owns_at_most_one_refills_leftover(self, rate, horizon, edges, seed):
+        stream = arrival_stream(rate, horizon, seed)
         pieces = _spy_refills(stream)
         for t in [*sorted(e * horizon for e in edges), horizon]:
             stream.take_until(t)
             buf = stream._buffer
             assert buf.flags.owndata and buf.base is None  # no refill pinned behind it
-            assert buf.size == 0 or (buf.size <= pieces[-1] and buf[0] >= t)
-        assert max(pieces, default=0) <= PoissonStream.BLOCK
+            assert buf.size == 0 or (buf.size <= pieces[-1].size and buf[0] >= t)
+        assert max(p.size for p in pieces) <= PoissonStream.BLOCK
 
     def test_poisson_refill_follows_the_window(self):
         rate, window = 40.0, 5.0
         stream = PoissonStream(rate, 1000.0, seed=1)
         assert oneshot_block(rate, 1000.0) > PoissonStream.BLOCK
-        sizes = _spy_refills(stream)
+        pieces = _spy_refills(stream)
         for k in range(1, 20):
             stream.take_until(k * window)
+        sizes = [p.size for p in pieces]
         assert len(sizes) >= 19 and max(sizes) <= oneshot_block(rate, 2 * window)

@@ -33,8 +33,8 @@ from repro.sim import (
     run_cells,
 )
 from repro.sim.runner import simulate_plan
+from tests.arrivals import ARRIVALS, arrival_process
 
-ARRIVALS = ("poisson", "deterministic", "mmpp")
 #: large enough that the reservoir never evicts — streaming keeps all records
 KEEP_ALL = 1_000_000
 
@@ -70,16 +70,12 @@ class TestChunkedBitIdentity:
     def test_record_set_identical(
         self, small_cluster, small_tasks, solved, arrival, chunk_size
     ):
-        one_shot = simulate_plan(
-            small_tasks, solved, small_cluster, _cfg(arrival=arrival)
-        )
-        streamed = simulate_plan(
-            small_tasks, solved, small_cluster,
-            _cfg(
-                arrival=arrival, streaming=True, chunk_size=chunk_size,
-                max_records=KEEP_ALL,
-            ),
-        )
+        with arrival_process(arrival):
+            one_shot = simulate_plan(small_tasks, solved, small_cluster, _cfg())
+            streamed = simulate_plan(
+                small_tasks, solved, small_cluster,
+                _cfg(streaming=True, chunk_size=chunk_size, max_records=KEEP_ALL),
+            )
         # record ORDER is an observation artifact (streaming observes at
         # window boundaries); the record SET carries every simulated value
         assert _sorted_records(streamed) == _sorted_records(one_shot)
@@ -121,13 +117,12 @@ class TestScalarEquivalence:
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_summary_scalars(self, small_cluster, small_tasks, solved, arrival):
-        record_backed = simulate_plan(
-            small_tasks, solved, small_cluster, _cfg(arrival=arrival)
-        )
-        streamed = simulate_plan(
-            small_tasks, solved, small_cluster,
-            _cfg(arrival=arrival, streaming=True, chunk_size=64),
-        )
+        with arrival_process(arrival):
+            record_backed = simulate_plan(small_tasks, solved, small_cluster, _cfg())
+            streamed = simulate_plan(
+                small_tasks, solved, small_cluster,
+                _cfg(streaming=True, chunk_size=64),
+            )
         assert streamed.streaming and not streamed.records
         assert streamed.counters == record_backed.counters
         assert streamed.total_requests == record_backed.total_requests
@@ -416,8 +411,6 @@ class TestStreamingReportSurface:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="fault schedules"):
             _cfg(streaming=True, faults=FaultSchedule())
-        with pytest.raises(ConfigError, match="telemetry"):
-            _cfg(streaming=True, telemetry=True)
         with pytest.raises(ConfigError, match="chunk_size"):
             _cfg(streaming=True, chunk_size=0)
         with pytest.raises(ConfigError, match="max_records"):

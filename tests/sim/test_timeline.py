@@ -7,7 +7,7 @@ from repro.core.plan import JointPlan
 from repro.rng import derive
 from repro.sim.execution import RealizationTable
 from repro.sim.runner import SimulationConfig, simulate_plan
-from repro.sim.sources import DeterministicArrivals
+from repro.sim.sources import arrival_times
 from repro.telemetry.timeline import TimelineRecorder
 
 
@@ -30,11 +30,14 @@ def _local_plan(tasks, candidate_sets):
 @pytest.fixture()
 def local_run(small_cluster, small_tasks, small_candidates):
     plan = _local_plan(small_tasks, small_candidates)
-    cfg = SimulationConfig(
-        horizon_s=1.2, warmup_s=0.0, arrival="deterministic", seed=5, telemetry=True
-    )
-    report = simulate_plan(small_tasks, plan, small_cluster, cfg)
+    cfg = SimulationConfig(horizon_s=3.0, warmup_s=0.0, seed=5)
+    report = simulate_plan(small_tasks, plan, small_cluster, cfg, recorder=TimelineRecorder())
     return plan, cfg, report
+
+
+def _arrivals(task, cfg):
+    """The task's Poisson arrivals, from the stream the simulator derives."""
+    return arrival_times(task.arrival_rate, cfg.horizon_s, derive(cfg.seed, "arrivals", task.name))
 
 
 class TestTimelineEvents:
@@ -49,9 +52,8 @@ class TestTimelineEvents:
                 d for d in small_cluster.end_devices if d.name == task.device_name
             )
             rate = device.blended_flops
-            arrivals = DeterministicArrivals(task.arrival_rate).generate(
-                cfg.horizon_s, 0
-            )
+            arrivals = _arrivals(task, cfg)
+            assert len(arrivals) > 1
             # hand-rolled FIFO: service = flops/rate + overhead, no preemption
             table = RealizationTable(task.model, plan.features[task.name].plan)
             diff_rng = derive(cfg.seed, "difficulty", task.name)
@@ -85,10 +87,7 @@ class TestTimelineEvents:
 
     def test_counts_cover_every_request(self, small_tasks, local_run):
         _, cfg, report = local_run
-        n = sum(
-            len(DeterministicArrivals(t.arrival_rate).generate(cfg.horizon_s, 0))
-            for t in small_tasks
-        )
+        n = sum(len(_arrivals(t, cfg)) for t in small_tasks)
         counts = report.timeline.counts()
         assert counts["enqueue"] == n
         assert counts["complete"] == n
@@ -131,15 +130,9 @@ class TestDisabledPath:
         self, small_cluster, small_tasks, small_candidates
     ):
         plan = _local_plan(small_tasks, small_candidates)
-        cfg_on = SimulationConfig(
-            horizon_s=1.2, warmup_s=0.0, arrival="deterministic", seed=5,
-            telemetry=True,
-        )
-        cfg_off = SimulationConfig(
-            horizon_s=1.2, warmup_s=0.0, arrival="deterministic", seed=5,
-        )
-        on = simulate_plan(small_tasks, plan, small_cluster, cfg_on)
-        off = simulate_plan(small_tasks, plan, small_cluster, cfg_off)
+        cfg = SimulationConfig(horizon_s=3.0, warmup_s=0.0, seed=5)
+        on = simulate_plan(small_tasks, plan, small_cluster, cfg, recorder=TimelineRecorder())
+        off = simulate_plan(small_tasks, plan, small_cluster, cfg)
         assert off.timeline is None and off.registry is None
         assert [
             (r.task_name, r.req_id, r.arrival_s, r.completion_s, r.correct)
@@ -149,14 +142,12 @@ class TestDisabledPath:
             for r in off.records
         ]
 
-    def test_explicit_recorder_overrides_config(
+    def test_report_carries_the_passed_recorders_timeline(
         self, small_cluster, small_tasks, small_candidates
     ):
         plan = _local_plan(small_tasks, small_candidates)
         rec = TimelineRecorder()
-        cfg = SimulationConfig(
-            horizon_s=1.2, warmup_s=0.0, arrival="deterministic", seed=5
-        )
+        cfg = SimulationConfig(horizon_s=3.0, warmup_s=0.0, seed=5)
         report = simulate_plan(small_tasks, plan, small_cluster, cfg, recorder=rec)
         assert report.timeline is rec.timeline
         assert len(rec.timeline) > 0

@@ -120,13 +120,17 @@ class TestMergeSurface:
 class TestStreamingErrorSurface:
     """Satellite: the streaming-telemetry restriction is precise, not blanket."""
 
-    def test_per_request_telemetry_error_names_the_alternative(self):
+    def test_per_request_telemetry_error_names_the_alternative(
+        self, small_cluster, small_tasks, solved
+    ):
         # the message must say WHY (event-boundary sampling) and point at the
         # supported windowed path, not just refuse
-        with pytest.raises(ConfigError, match="windows=WindowConfig"):
-            _cfg(streaming=True, telemetry=True)
-        with pytest.raises(ConfigError, match="event boundaries"):
-            _cfg(streaming=True, telemetry=True)
+        for hint in ("windows=WindowConfig", "event boundaries"):
+            with pytest.raises(ConfigError, match=hint):
+                simulate_plan(
+                    small_tasks, solved, small_cluster, _cfg(streaming=True),
+                    recorder=TimelineRecorder(),
+                )
 
     def test_explicit_recorder_rejected_with_windowed_hint(
         self, small_cluster, small_tasks, solved

@@ -1,6 +1,6 @@
-"""Drift detection: seeded determinism, calibration power, shard lifting.
+"""Drift detection: seeded determinism, test power, shard lifting.
 
-Power note for the permutation calibration: with ``permutations`` P the
+Power note for the permutation test: with ``permutations`` P the
 smallest achievable p-value is 1/(P+1), and a perfect two-window split of
 2·w distinct samples has exact p ≈ 2/C(2w, w).  At alpha=0.01 that means
 ``window=4`` can *never* fire (p ≈ 0.029 regardless of P) — the scenarios
@@ -20,11 +20,9 @@ class TestConfig:
         "kwargs",
         [
             dict(window=1),
-            dict(calibration="bayes"),
             dict(permutations=0),
             dict(alpha=0.0),
             dict(alpha=1.0),
-            dict(threshold=0.0),
             dict(min_rel_shift=-0.1),
         ],
     )
@@ -33,44 +31,8 @@ class TestConfig:
             DriftConfig(**kwargs)
 
 
-class TestZScore:
-    CFG = DriftConfig(window=6, calibration="zscore", threshold=4.0, min_rel_shift=0.1)
-
-    def test_detects_level_shift_mid_transition(self):
-        det = DriftDetector(self.CFG, seed=0)
-        # noisy-but-stable fill, then a 2.5x jump
-        base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
-        for v in base * 2:
-            det.update("s", v)
-        assert not "s" in det.drifted()
-        fired = False
-        for v in [25.0, 24.8, 25.2, 25.1, 24.9, 25.0]:
-            fired = det.update("s", v) or fired
-        assert fired and "s" in det.drifted()
-        assert det.score("s") > self.CFG.threshold
-        assert det.drifted() == ("s",)
-
-    def test_rel_floor_suppresses_wobble(self):
-        # shifts below min_rel_shift of the reference mean never alarm, even
-        # with a near-zero reference std that would explode a raw z-score
-        det = DriftDetector(self.CFG, seed=0)
-        for _ in range(2 * self.CFG.window):
-            det.update("s", 100.0)
-        det.update("s", 100.5)  # 0.5% shift, floor is 10%
-        assert not "s" in det.drifted()
-        assert det.score("s") == 0.0
-
-    def test_reset_forgets(self):
-        det = DriftDetector(self.CFG, seed=0)
-        for v in [10.0] * 12 + [25.0] * 6:
-            det.update("s", v)
-        assert "s" in det.drifted()
-        det.reset("s")
-        assert not "s" in det.drifted() and det.drifted() == ()
-
-
 class TestPermutation:
-    CFG = DriftConfig(window=6, calibration="permutation", permutations=400, alpha=0.01)
+    CFG = DriftConfig(window=6, permutations=400, alpha=0.01, min_rel_shift=0.1)
 
     @staticmethod
     def _drive(det, key, scale=1.0):
@@ -104,15 +66,41 @@ class TestPermutation:
         # window=4 → exact p floor ≈ 2/C(8,4) ≈ 0.029 > alpha=0.01: even an
         # arbitrarily large shift must not alarm.  Guards against silently
         # shipping configs that look strict but are structurally deaf.
-        cfg = DriftConfig(window=4, calibration="permutation", permutations=2000, alpha=0.01)
+        cfg = DriftConfig(window=4, permutations=2000, alpha=0.01)
         det = DriftDetector(cfg, seed=0)
         for v in [10.0, 10.2, 9.8, 10.1] * 2 + [1000.0, 999.0, 1001.0, 1000.5]:
             det.update("s", v)
         assert not "s" in det.drifted()
 
+    def test_permutations_bound_the_smallest_p_value(self):
+        # P relabelings give p >= 1/(P+1): at P=50 that floor (~0.02) sits
+        # above alpha, so the shift that fires at P=400 cannot fire
+        coarse = DriftDetector(DriftConfig(window=6, permutations=50, alpha=0.01), seed=42)
+        assert any(self._drive(DriftDetector(self.CFG, seed=42), "s"))
+        assert not any(self._drive(coarse, "s"))
+
+    def test_rel_floor_suppresses_wobble(self):
+        # shifts below min_rel_shift of the reference mean never alarm, even
+        # against a constant reference that any relabeling would separate
+        det = DriftDetector(self.CFG, seed=0)
+        for _ in range(2 * self.CFG.window):
+            det.update("s", 100.0)
+        for _ in range(self.CFG.window):
+            det.update("s", 100.5)  # 0.5% shift, floor is 10%
+        assert not "s" in det.drifted()
+        assert det.score("s") == 0.0
+
+    def test_reset_forgets(self):
+        det = DriftDetector(self.CFG, seed=0)
+        for v in [10.0] * 12 + [25.0] * 6:
+            det.update("s", v)
+        assert "s" in det.drifted()
+        det.reset("s")
+        assert not "s" in det.drifted() and det.drifted() == ()
+
 
 class TestShardMonitor:
-    CFG = DriftConfig(window=6, calibration="permutation", permutations=400, alpha=0.01)
+    CFG = DriftConfig(window=6, permutations=400, alpha=0.01)
 
     def test_needs_mapping(self):
         with pytest.raises(ConfigError, match="task->shard"):

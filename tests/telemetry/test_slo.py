@@ -104,6 +104,16 @@ class TestEvaluation:
         assert t.status == "BURN"  # budget overspent overall, but no page
         assert t.fast_burn.max() > report.policy.fast_burn
 
+    def test_window_pair_sets_what_pages(self):
+        # the blip above pages once both trailing windows are one window
+        # long: the slow window's length is what dilutes a blip
+        wm = WindowedMetrics(WindowConfig(window_s=1.0), 40.0)
+        for w in range(40):
+            _feed(wm, "t", w, 100, 0.5 if w == 10 else 1.0)
+        policy = SLOPolicy(targets=(SLOTarget(target=0.99),), fast_windows=1, slow_windows=1)
+        t = evaluate_slos(wm, policy).per_task["t"]
+        assert [a.window for a in t.alerts] == [10]
+
     def test_losses_and_sheds_burn_budget(self):
         wm = WindowedMetrics(WindowConfig(window_s=1.0), 4.0)
         _feed(wm, "t", 0, 98, 1.0)

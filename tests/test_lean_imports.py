@@ -7,10 +7,9 @@ mode with SLO windows and evaluated against an SLO policy, in-process and
 through the CLI; none of it fans out, so ``multiprocessing`` stays unloaded
 too.  A record-backed run's percentiles leave ``numpy.ma`` unloaded (NumPy's
 own percentile interpolation imports it).  The difficulty presets' Beta pdf
-grids ship as a table, so
-no step loads SciPy; only custom difficulty distributions, ``cdf``, the
-Gaussian risk buffer, service-time jitter and confidence intervals need
-``scipy.special``.
+grids ship as a table, so no step loads SciPy; only custom difficulty
+distributions (``_beta_pdf``), the Gaussian risk buffer and service-time
+jitter (``ndtri``) need ``scipy.special``.
 """
 
 import os

@@ -1,10 +1,10 @@
 """The library's scipy.special kernels against the scipy.stats calls they replace.
 
-The library evaluates the Beta pdf and Student's t quantile straight
-from ``scipy.special`` so that it never imports ``scipy.stats``, and reads
-the difficulty presets' Beta pdf grids from a shipped table so that no
-preset workload imports SciPy at all.  These tests pin the results bit for
-bit to the ``scipy.stats`` formulas and the table to the kernel's outputs.
+The library evaluates the Beta pdf straight from ``scipy.special`` so that
+it never imports ``scipy.stats``, and reads the difficulty presets' Beta pdf
+grids from a shipped table so that no preset workload imports SciPy at all.
+These tests pin the results bit for bit to the ``scipy.stats`` formulas and
+the table to the kernel's outputs.
 """
 
 import base64
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special._ufuncs import _beta_pdf
 
-from repro.analysis.stats import mean_ci
 from repro.models import exits
 from repro.models._beta_grids import BETA_PDF_GRIDS
 from repro.models.exits import DIFFICULTY_GRID_POINTS, DifficultyDistribution
@@ -82,13 +81,3 @@ def test_preset_grid_reads_the_table_without_scipy(preset, monkeypatch):
 def test_drawn_parameters_match_stats(alpha, beta):
     dist = DifficultyDistribution(alpha, beta)
     assert_grid_matches_stats(dist)
-
-
-@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
-@pytest.mark.parametrize("n", [2, 3, 5, 30, 200])
-def test_mean_ci_matches_t_ppf(n, confidence):
-    x = np.random.default_rng(n).normal(10.0, 2.0, size=n)
-    m = float(x.mean())
-    se = float(x.std(ddof=1) / np.sqrt(n))
-    half = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)) * se
-    assert mean_ci(x, confidence) == (m, m - half, m + half)
