@@ -48,6 +48,22 @@ class TestPermutation:
         assert a == b
         assert any(a)  # the 2.5x shift fires at some point in the transition
 
+    def test_detects_level_shift_mid_transition(self):
+        det = DriftDetector(self.CFG, seed=0)
+        # noisy-but-stable fill, then a 2.5x jump
+        base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
+        for v in base * 2:
+            det.update("s", v)
+        assert not "s" in det.drifted()
+        fired = False
+        for v in [25.0, 24.8, 25.2, 25.1, 24.9, 25.0]:
+            fired = det.update("s", v) or fired
+            if fired:
+                break
+        assert fired and "s" in det.drifted()
+        assert det.score("s") > 1.0 - self.CFG.alpha
+        assert det.drifted() == ("s",)
+
     def test_verdicts_independent_of_stream_interleaving(self):
         # the RNG is derived per (seed, key, sample-count): feeding a second
         # stream in between must not change the first stream's verdicts
